@@ -5,18 +5,14 @@ from .certifier import (Certificate, ConditionReport, SignCase, auto_certify,
                         certify_rectangle, check_global_condition, check_pointwise,
                         reduce_sign_case, replay, replay_explain)
 from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
-                       interval_op, rat_from_str, rat_to_str, refine,
-                       root_isolate, sign_at)
+                       rat_from_str, rat_to_str, root_isolate, sign_at)
 from .exprfn import (GradEnclosure, differentiate, eval_interval, eval_point,
                      grad_enclosure, parse, to_text)
-from .ifs_core import (Code, GapProfile, HomogeneousIfs, basic_interval,
-                       cantor, convex_hull, gap_profile, level_cover, locate,
-                       reflect, thickness_lower_bound)
-from .qexp import (DigitSeq, QgPrefix, certify_uq_arith, check_kq_condition,
+from .ifs_core import Code, GapProfile, HomogeneousIfs, cantor, locate
+from .qexp import (DigitSeq, QgPrefix, certify_uq_arith,
                    count_expansions_bruteforce, is_univoque_seq, kq_ifs,
                    lex_less, pi_q, qstar, quasi_greedy_one, verify_kq_in_uq)
-from .empirics import (DimEstimate, box_dim_estimate, gap_report,
-                       grid_box_count, ifs_box_counts, image_cover,
-                       oracle_check, uq_cover)
+from .empirics import (DimEstimate, box_dim_estimate, grid_box_count,
+                       ifs_box_counts, image_cover, oracle_check, uq_cover)
 
 __version__ = "0.1.0"

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, MarginNegative, ResourceBudget,
                      SignIndefinite)
-from .exactnum import (Interval, Scalar, rat_from_str, rat_to_str,
-                       scalar_sign, scalar_to_str)
+from .exactnum import (Interval, Scalar, rat_from_str, scalar_sign,
+                       scalar_to_obj, scalar_to_str)
 from .exprfn import (Expr, GradEnclosure, Neg, Var, eval_interval, eval_point,
                      grad_enclosure, parse, sneg, substitute, to_text)
 from .ifs_core import Code, HomogeneousIfs, Word, get_budget, locate
@@ -36,8 +35,6 @@ from .ifs_core import Code, HomogeneousIfs, Word, get_budget, locate
 FORMAT_TAG = "fractarith-cert-v1"
 
 _INF = float("inf")
-
-_ser_scalar = scalar_to_str
 
 
 @dataclass(frozen=True)
@@ -63,8 +60,8 @@ class ConditionReport:
     def to_obj(self) -> dict:
         return {
             "ratio": self.ratio_enclosure.to_obj(),
-            "lower_bound": rat_to_str(Fraction(self.lower_bound)),
-            "upper_bound": "inf" if self.upper_bound == _INF else rat_to_str(Fraction(self.upper_bound)),
+            "lower_bound": scalar_to_obj(self.lower_bound),
+            "upper_bound": scalar_to_obj(self.upper_bound),
             "holds": self.holds,
         }
 
@@ -124,8 +121,8 @@ class Certificate:
                 "rect": [self.grad.rect[0].to_obj(), self.grad.rect[1].to_obj()],
             },
             "orientation": self.orientation,
-            "m_row": _ser_scalar(self.m_row),
-            "m_gap": _ser_scalar(self.m_gap),
+            "m_row": scalar_to_str(self.m_row),
+            "m_gap": scalar_to_str(self.m_gap),
             "certified_interval": self.certified_interval.to_obj(),
         }
 
@@ -136,26 +133,29 @@ class Certificate:
     def from_obj(obj: dict) -> "Certificate":
         if obj.get("format") != FORMAT_TAG:
             raise FractarithError(f"unknown certificate format {obj.get('format')!r}")
-        sc = obj["sign_case"]
-        grad = obj["grad"]
 
         def iv(pair) -> Interval:
             return Interval(rat_from_str(pair[0]), rat_from_str(pair[1]))
 
-        return Certificate(
-            ifs1=HomogeneousIfs.from_obj(obj["ifs1"]),
-            ifs2=HomogeneousIfs.from_obj(obj["ifs2"]),
-            f=parse(obj["f"]),
-            word1=tuple(obj["word1"]),
-            word2=tuple(obj["word2"]),
-            sign_case=SignCase(1 if sc[0] == "+" else -1, 1 if sc[1] == "+" else -1),
-            grad=GradEnclosure(dx=iv(grad["dx"]), dy=iv(grad["dy"]),
-                               rect=(iv(grad["rect"][0]), iv(grad["rect"][1]))),
-            orientation=obj["orientation"],
-            m_row=rat_from_str(obj["m_row"]),
-            m_gap=rat_from_str(obj["m_gap"]),
-            certified_interval=iv(obj["certified_interval"]),
-        )
+        try:
+            sc = obj["sign_case"]
+            grad = obj["grad"]
+            return Certificate(
+                ifs1=HomogeneousIfs.from_obj(obj["ifs1"]),
+                ifs2=HomogeneousIfs.from_obj(obj["ifs2"]),
+                f=parse(obj["f"]),
+                word1=tuple(obj["word1"]),
+                word2=tuple(obj["word2"]),
+                sign_case=SignCase(1 if sc[0] == "+" else -1, 1 if sc[1] == "+" else -1),
+                grad=GradEnclosure(dx=iv(grad["dx"]), dy=iv(grad["dy"]),
+                                   rect=(iv(grad["rect"][0]), iv(grad["rect"][1]))),
+                orientation=obj["orientation"],
+                m_row=rat_from_str(obj["m_row"]),
+                m_gap=rat_from_str(obj["m_gap"]),
+                certified_interval=iv(obj["certified_interval"]),
+            )
+        except KeyError as exc:
+            raise FractarithError(f"certificate lacks field {exc.args[0]!r}") from None
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
@@ -231,10 +231,10 @@ class GlobalConditionReport:
     def to_obj(self) -> dict:
         return {
             "holds": self.holds,
-            "lambda*(b-a)": rat_to_str(Fraction(self.lambda_b_minus_a)),
-            "kappa2": rat_to_str(Fraction(self.kappa2)),
-            "kappa1": rat_to_str(Fraction(self.kappa1)),
-            "d-c": rat_to_str(Fraction(self.d_minus_c)),
+            "lambda*(b-a)": scalar_to_obj(self.lambda_b_minus_a),
+            "kappa2": scalar_to_obj(self.kappa2),
+            "kappa1": scalar_to_obj(self.kappa1),
+            "d-c": scalar_to_obj(self.d_minus_c),
         }
 
 

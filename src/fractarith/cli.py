@@ -77,15 +77,11 @@ def _parse_ranks(text: str) -> list[int]:
 _CORNERS = {"left": Code((), (1,)), "right": Code((), (2,))}
 
 
-def _scalar_obj(x):
-    if isinstance(x, float) and x == float("inf"):
-        return "inf"
-    return scalar_to_obj(x)
-
-
 def _load_cert(path: str) -> Certificate:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return Certificate.from_json(text)
+    if path == "-":
+        return Certificate.from_json(sys.stdin.read())
+    with open(path) as fh:
+        return Certificate.from_json(fh.read())
 
 
 def _write_artifacts(args, union_pairs) -> None:
@@ -104,15 +100,15 @@ def _cmd_gaps(args):
     prof = ifs.gap_profile()
     return {
         "hull": prof.hull.to_obj(),
-        "gaps": [{"index": i, "length": _scalar_obj(g)} for i, g in prof.gap_set],
-        "kappa": _scalar_obj(prof.kappa),
-        "thickness_lb": _scalar_obj(prof.thickness_lb),
+        "gaps": [{"index": i, "length": scalar_to_obj(g)} for i, g in prof.gap_set],
+        "kappa": scalar_to_obj(prof.kappa),
+        "thickness_lb": scalar_to_obj(prof.thickness_lb),
     }, EXIT_OK
 
 
 def _cmd_thickness(args):
     ifs = _load_ifs(args.ifs)
-    return {"thickness_lb": _scalar_obj(ifs.thickness_lower_bound())}, EXIT_OK
+    return {"thickness_lb": scalar_to_obj(ifs.thickness_lower_bound())}, EXIT_OK
 
 
 def _resolve_pair(args):
@@ -212,6 +208,8 @@ def _cmd_boxdim(args):
             empirics.write_counts_csv(args.csv,
                                       [(k, n) for r in rows for k, n in r["counts"]])
         return {"trend": rows}, EXIT_OK
+    if not args.ifs:
+        raise FractarithError("need --ifs or --q-grid")
     ifs = _load_ifs(args.ifs)
     counts = empirics.ifs_box_counts(ifs, ranks)
     est = empirics.box_dim_estimate(counts, ifs.ratio)
@@ -359,10 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         obj, status = args.fn(args)
-    except FractarithError as exc:
-        print(f"fractarith: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (FractarithError, OSError, ValueError) as exc:
         print(f"fractarith: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _emit(obj, args.pretty)

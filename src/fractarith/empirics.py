@@ -1,8 +1,8 @@
 """Brute-force oracles and experiments that arbitrate certifier soundness.
 
-Everything that feeds a verdict (image covers, gap reports, containment
-checks) is exact rational arithmetic end to end; floating point appears only
-in dimension estimates, which are explicitly estimates.
+Everything that feeds a verdict (image covers, containment checks) is exact
+rational arithmetic end to end; floating point appears only in dimension
+estimates, which are explicitly estimates.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
     return IntervalUnion.from_intervals(pieces)
 
 
-def gap_report(u: IntervalUnion, window: Interval) -> list[Interval]:
-    """Maximal open intervals in the window missed by the union, longest
-    first."""
-    return u.gaps(window)
-
-
 def oscillation_radius(cert: Certificate, depth: int) -> Fraction:
     """Rigorous bound on how far f moves across one rank-`depth` cell:
     lambda^depth * (max|dx|*(b-a) + max|dy|*(d-c))."""
@@ -108,6 +102,8 @@ def _prefix_violates(w: Sequence[int], eta: QuasiGreedyStream) -> bool:
 def uq_cover(q, depth: int, budget: int | None = None) -> IntervalUnion:
     """Superset of the univoque set from the binary prefix tree pruned by the
     lexicographic conditions against the computed quasi-greedy window."""
+    if depth < 0:
+        raise FractarithError("depth must be non-negative")
     q = as_base(q)
     budget = budget if budget is not None else get_budget()
     eta = QuasiGreedyStream(q)

@@ -303,11 +303,6 @@ def root_isolate(coeffs: Iterable, window) -> list[AlgebraicReal]:
     return out
 
 
-def refine(x: AlgebraicReal, width) -> "Interval":
-    """Module-level spelling of AlgebraicReal.refine."""
-    return x.refine(width)
-
-
 # ---------------------------------------------------------------------------
 # Number-field elements: polynomials in one algebraic generator
 # ---------------------------------------------------------------------------
@@ -584,10 +579,6 @@ def scalar_max(a: Scalar, b: Scalar) -> Scalar:
     return a if not (a < b) else b
 
 
-def scalar_abs(a: Scalar) -> Scalar:
-    return abs(a)
-
-
 # ---------------------------------------------------------------------------
 # Rational intervals with enclosure semantics
 # ---------------------------------------------------------------------------
@@ -629,9 +620,6 @@ class Interval:
 
     def strictly_positive(self) -> bool:
         return scalar_sign(self.lo) > 0
-
-    def strictly_negative(self) -> bool:
-        return scalar_sign(self.hi) < 0
 
     def is_subset(self, other: "Interval") -> bool:
         return not (self.lo < other.lo) and not (other.hi < self.hi)
@@ -713,21 +701,6 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def interval_op(kind: str, i: Interval, j_or_exponent) -> Interval:
-    """Dispatch by operation name; `pow_rational` takes a rational exponent."""
-    if kind == "add":
-        return i + j_or_exponent
-    if kind == "sub":
-        return i - j_or_exponent
-    if kind == "mul":
-        return i * j_or_exponent
-    if kind == "div":
-        return i / j_or_exponent
-    if kind == "pow_rational":
-        return i.pow_rational(Fraction(j_or_exponent))
-    raise FractarithError(f"unknown interval operation {kind!r}")
-
-
 def _interval_horner(p: poly.Poly, x: Interval) -> Interval:
     acc = Interval.point(0)
     for c in reversed(p):
@@ -748,9 +721,12 @@ def scalar_to_str(x: Scalar) -> str:
     return rat_to_str(Fraction(x))
 
 
-def scalar_to_obj(x: Scalar):
+def scalar_to_obj(x):
     """JSON value for an exact scalar: "p/q" for rationals, a coefficient
-    vector over the ambient algebraic base otherwise."""
+    vector over the ambient algebraic base otherwise, and "inf" for the
+    infinite bounds of gapless systems."""
+    if isinstance(x, float) and x == float("inf"):
+        return "inf"
     if isinstance(x, FieldElement) and not x.is_fraction():
         return {"coeffs": [rat_to_str(c) for c in x.coeffs]}
     return scalar_to_str(x)

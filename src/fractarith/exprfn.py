@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError, ExprSyntaxError, ZeroExponentError
+from .errors import ExprSyntaxError, ZeroExponentError
 from .exactnum import Interval, as_scalar
 
 
@@ -412,13 +412,3 @@ def grad_enclosure(f: Expr, rect: tuple[Interval, Interval]) -> GradEnclosure:
     return GradEnclosure(dx=eval_interval(fx, rx, ry),
                          dy=eval_interval(fy, rx, ry),
                          rect=(rx, ry))
-
-
-def domain_ok(e: Expr, rx: Interval, ry: Interval) -> bool:
-    """True iff f and both partials evaluate without domain errors."""
-    try:
-        eval_interval(e, rx, ry)
-        grad_enclosure(e, (rx, ry))
-        return True
-    except DomainError:
-        return False

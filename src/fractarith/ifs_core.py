@@ -2,8 +2,8 @@
 
 An IFS here is a contraction ratio 0 < lambda < 1 shared by all maps plus a
 strictly sorted list of translations; map i sends x to lambda*x + t_i.  All
-geometry (hull, gaps, cylinders, covers) is computed with exact scalars, so
-set relations decided downstream are never floating-point artifacts.
+geometry (hull, gaps, cylinders) is computed with exact scalars, so set
+relations decided downstream are never floating-point artifacts.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import FractarithError, InvalidDigit, NotInCover, ResourceBudget
-from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
-                       Scalar, as_scalar, rat_from_str, rat_to_str,
-                       scalar_sign, scalar_to_obj)
+from .exactnum import (AlgebraicReal, FieldElement, Interval, Scalar,
+                       as_scalar, rat_from_str, rat_to_str, scalar_sign,
+                       scalar_to_obj)
 
 #: Hard cap on enumerated rectangles/intervals unless overridden.
 DEFAULT_BUDGET = 2 ** 24
@@ -181,23 +181,6 @@ class HomogeneousIfs:
             hi = self.ratio * hi + self.translations[d - 1]
         return Interval(lo, hi)
 
-    def level_cover(self, k: int, budget: int | None = None) -> IntervalUnion:
-        """Union of all rank-k basic intervals, merged."""
-        if k < 0:
-            raise FractarithError("rank must be non-negative")
-        budget = budget if budget is not None else get_budget()
-        if self.n ** k > budget:
-            raise ResourceBudget(f"{self.n}^{k} rank-{k} intervals exceed budget {budget}")
-        hull = self.convex_hull()
-        cover = IntervalUnion.from_intervals([(hull.lo, hull.hi)])
-        for _ in range(k):
-            pieces = []
-            for lo, hi in cover:
-                for t in self.translations:
-                    pieces.append((self.ratio * lo + t, self.ratio * hi + t))
-            cover = IntervalUnion.from_intervals(pieces)
-        return cover
-
     def cylinders(self, k: int, budget: int | None = None,
                   within: Word = ()) -> list[Interval]:
         """All distinct rank-k basic intervals (sorted), optionally restricted
@@ -266,7 +249,7 @@ class HomogeneousIfs:
 
     def reflect_word(self, word: Sequence[int]) -> Word:
         """Digit map identifying cylinders of the reflected system:
-        basic_interval(reflect, reflect_word(w)) == -basic_interval(self, w)."""
+        reflect().basic_interval(reflect_word(w)) == -basic_interval(w)."""
         return tuple(self.n + 1 - d for d in word)
 
     # -- serialization ------------------------------------------------------
@@ -309,22 +292,6 @@ class HomogeneousIfs:
         return HomogeneousIfs(ratio, [rat_from_str(t) for t in obj["translations"]])
 
 
-def convex_hull(ifs: HomogeneousIfs) -> Interval:
-    return ifs.convex_hull()
-
-
-def gap_profile(ifs: HomogeneousIfs) -> GapProfile:
-    return ifs.gap_profile()
-
-
-def basic_interval(ifs: HomogeneousIfs, word: Sequence[int]) -> Interval:
-    return ifs.basic_interval(word)
-
-
-def level_cover(ifs: HomogeneousIfs, k: int, budget: int | None = None) -> IntervalUnion:
-    return ifs.level_cover(k, budget)
-
-
 def locate(ifs: HomogeneousIfs, point, k: int) -> Word:
     """Rank-k word addressing the point; accepts an exact scalar, a Code, or
     a digit tuple (which must be at least k long)."""
@@ -339,14 +306,6 @@ def locate(ifs: HomogeneousIfs, point, k: int) -> Word:
     for d in word:
         ifs._check_digit(d)
     return word
-
-
-def thickness_lower_bound(ifs: HomogeneousIfs):
-    return ifs.thickness_lower_bound()
-
-
-def reflect(ifs: HomogeneousIfs) -> HomogeneousIfs:
-    return ifs.reflect()
 
 
 def cantor() -> HomogeneousIfs:

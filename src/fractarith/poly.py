@@ -144,15 +144,6 @@ def eval_at(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def compose_linear(p: Poly, a: Fraction, b: Fraction) -> Poly:
-    """p(a*x + b), exact."""
-    acc: Poly = ()
-    lin = make([b, a])
-    for c in reversed(p):
-        acc = add(mul(acc, lin), make([c]))
-    return acc
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm sequence of a squarefree polynomial."""
     chain = [p, derivative(p)]

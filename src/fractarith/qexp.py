@@ -14,14 +14,13 @@ from fractions import Fraction
 from typing import Union
 
 from . import poly
-from .certifier import (Certificate, ConditionReport, auto_certify,
-                        ratio_over_rect)
+from .certifier import Certificate, auto_certify
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, NotContained, UndecidableComparison)
 from .exactnum import (AlgebraicReal, FieldElement, Scalar, as_scalar,
                        scalar_sign)
 from .exprfn import Expr
-from .ifs_core import Code, HomogeneousIfs, locate
+from .ifs_core import Code, HomogeneousIfs
 
 #: Default step budget for the quasi-greedy recurrence.
 DEFAULT_QG_BUDGET = 10_000
@@ -120,9 +119,6 @@ class DigitSeq:
             return DigitSeq(self.preperiod[k:], self.period)
         r = (k - len(self.preperiod)) % len(self.period)
         return DigitSeq("", self.period[r:] + self.period[:r])
-
-    def is_terminating(self) -> bool:
-        return self.period == "0"
 
     def __str__(self) -> str:
         return f"{self.preperiod}({self.period})"
@@ -381,34 +377,6 @@ def verify_kq_in_uq(q, window: int = DEFAULT_WINDOW) -> str:
         elif c >= 0:
             return "no"
     return verdict
-
-
-def check_kq_condition(q, f: Expr, point: tuple, depth: int = 8) -> ConditionReport:
-    """The K_q specialization of the ratio condition with bounds 1-2*lambda
-    and lambda/(1-2*lambda), lambda = q^-2; bounds degrade to (0, infinite)
-    when q^2 <= 2."""
-    q = as_base(q)
-    kq = kq_ifs(q)
-    w1 = locate(kq, point[0], depth)
-    w2 = locate(kq, point[1], depth)
-    rect = (kq.basic_interval(w1), kq.basic_interval(w2))
-    ratio, _ = ratio_over_rect(f, rect)
-    lam = kq.ratio
-    one_minus = 1 - 2 * lam
-    if scalar_sign(one_minus) <= 0:
-        lower: Scalar = as_scalar(0)
-        upper: object = float("inf")
-    else:
-        lower = one_minus
-        upper = lam / one_minus
-    if lower < ratio.lo and (upper == float("inf") or ratio.hi < upper):
-        holds = "yes"
-    elif not (lower < ratio.hi) or (upper != float("inf") and not (ratio.lo < upper)):
-        holds = "no"
-    else:
-        holds = "undecided"
-    return ConditionReport(ratio_enclosure=ratio, lower_bound=lower,
-                           upper_bound=upper, holds=holds)
 
 
 #: Corner anchor codes tried by certify_uq_arith: left and right fixed points

@@ -90,6 +90,15 @@ def test_check_with_kq_preset(capsys):
     assert obj["upper_bound"] == "100/161"
 
 
+def test_check_with_algebraic_kq_preset(capsys):
+    # at q* the bounds 1 - 2/q^2 and 1/(q^2 - 2) reduce to 4q^2 - 2q - 9 and q - 1
+    status, obj = run(capsys, "check", "--f", "x*y", "--q", "qstar",
+                      "--point-corner", "left-right")
+    assert status == 0 and obj["holds"] == "yes"
+    assert obj["lower_bound"] == {"coeffs": ["-9", "-2", "4"]}
+    assert obj["upper_bound"] == {"coeffs": ["-1", "1"]}
+
+
 def test_check_not_established(capsys):
     status, obj = run(capsys, "check", "--f", "x+y", "--q", "19/10",
                       "--point-corner", "left-right")
@@ -185,6 +194,30 @@ def test_input_error_exit_code(capsys):
     err = capsys.readouterr().err
     assert status == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, cert_text, needle", [
+    (["replay", "--cert", "CERT"], '{"format":"fractarith-cert-v1"}', "sign_case"),
+    (["replay", "--cert", "CERT"], "not json", "Expecting value"),
+    (["certify", "--ifs1", "{bad", "--ifs2", "cantor", "--f", "x+y"], None,
+     "Expecting property name"),
+    (["certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--word1", "1a"], None, "invalid literal"),
+    (["qg", "--q", "abc"], None, "abc"),
+    (["boxdim", "--ranks", "2:4"], None, "--q-grid"),
+    (["uq-cover", "--q", "19/10", "--depth", "-1"], None, "non-negative"),
+], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
+        "word-not-digits", "base-not-a-number", "boxdim-without-input",
+        "uq-cover-negative-depth"])
+def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
+    path = tmp_path / "cert.json"
+    if cert_text is not None:
+        path.write_text(cert_text)
+    status = main([str(path) if a == "CERT" else a for a in argv])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err and needle in captured.err
 
 
 def test_unknown_ifs_keys_rejected(capsys):

@@ -1,4 +1,4 @@
-"""Tests for brute-force covers, gap reports, U_q covers, box counting."""
+"""Tests for brute-force covers, gaps, U_q covers, box counting."""
 
 import dataclasses
 import math
@@ -8,12 +8,11 @@ from fractions import Fraction
 import pytest
 
 from fractarith.certifier import certify_rectangle
-from fractarith.empirics import (DimEstimate, box_dim_estimate, gap_report,
+from fractarith.empirics import (DimEstimate, box_dim_estimate,
                                  grid_box_count, ifs_box_counts, image_cover,
-                                 oracle_check, oscillation_radius,
-                                 uq_cover, uq_product_counts,
-                                 write_counts_csv, write_intervals_csv,
-                                 write_union_svg)
+                                 oracle_check, oscillation_radius, uq_cover,
+                                 uq_product_counts, write_counts_csv,
+                                 write_intervals_csv, write_union_svg)
 from fractarith.errors import DegenerateFit, FractarithError, ResourceBudget
 from fractarith.exactnum import Interval, IntervalUnion
 from fractarith.exprfn import parse
@@ -27,6 +26,11 @@ Q19 = Fraction(19, 10)
 
 def iv(lo, hi):
     return Interval(Fraction(lo), Fraction(hi))
+
+
+def merged_cylinders(ifs, k):
+    """Union of all rank-k basic intervals, merged."""
+    return IntervalUnion.from_intervals((c.lo, c.hi) for c in ifs.cylinders(k))
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +79,10 @@ def test_image_cover_budget():
 
 
 def test_gap_report_examples():
-    gaps = gap_report(C.level_cover(1), iv(0, 1))
+    gaps = merged_cylinders(C, 1).gaps(iv(0, 1))
     assert [(g.lo, g.hi) for g in gaps] == [(Fraction(1, 3), Fraction(2, 3))]
-    assert gap_report(image_cover(C, C, parse("x+y"), 8), iv(0, 2)) == []
-    whole = gap_report(IntervalUnion.empty(), iv(0, 1))
+    assert image_cover(C, C, parse("x+y"), 8).gaps(iv(0, 2)) == []
+    whole = IntervalUnion.empty().gaps(iv(0, 1))
     assert len(whole) == 1 and (whole[0].lo, whole[0].hi) == (0, 1)
 
 
@@ -208,7 +212,7 @@ def test_uq_product_counts_trend_rows():
 
 def test_write_intervals_csv(tmp_path):
     path = tmp_path / "intervals.csv"
-    write_intervals_csv(str(path), C.level_cover(2))
+    write_intervals_csv(str(path), merged_cylinders(C, 2))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "lo,hi"
     assert len(lines) == 5
@@ -224,7 +228,7 @@ def test_write_counts_csv(tmp_path):
 
 def test_write_union_svg(tmp_path):
     path = tmp_path / "cover.svg"
-    write_union_svg(str(path), [(k, C.level_cover(k)) for k in range(1, 4)])
+    write_union_svg(str(path), [(k, merged_cylinders(C, k)) for k in range(1, 4)])
     text = path.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert text.count("<rect") == 2 + 4 + 8

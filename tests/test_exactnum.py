@@ -1,6 +1,7 @@
 """Tests for the exact scalar tower: intervals, algebraic reals, field
 elements."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from fractarith import poly
 from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
                                  IntervalUnion, fraction_pow_bounds,
-                                 interval_op, rat_from_str, rat_to_str,
-                                 refine, root_isolate, sign_at)
+                                 rat_from_str, rat_to_str, root_isolate,
+                                 sign_at)
 
 QSTAR = (1, -2, -1, 1)  # x^3 - x^2 - 2x + 1, constant first
 
@@ -39,22 +40,22 @@ def test_rat_parse_normalizes():
 # ---------------------------------------------------------------------------
 
 def test_interval_add_unit():
-    assert interval_op("add", iv(0, 1), iv(0, 1)) == iv(0, 2)
+    assert iv(0, 1) + iv(0, 1) == iv(0, 2)
 
 
 def test_interval_div_cantor_block():
     # unit-scale block of the Cantor quotient
-    assert interval_op("div", iv(Fraction(2, 3), 1), iv(Fraction(2, 3), 1)) == \
+    assert iv(Fraction(2, 3), 1) / iv(Fraction(2, 3), 1) == \
         iv(Fraction(2, 3), Fraction(3, 2))
 
 
 def test_interval_mul_mixed_signs():
-    assert interval_op("mul", iv(-1, 2), iv(3, 3)) == iv(-3, 6)
+    assert iv(-1, 2) * iv(3, 3) == iv(-3, 6)
 
 
 def test_interval_div_by_zero_interval():
     with pytest.raises(DivByZeroInterval):
-        interval_op("div", iv(1, 2), iv(-1, 1))
+        iv(1, 2) / iv(-1, 1)
 
 
 def test_interval_pow_int():
@@ -77,9 +78,9 @@ def test_interval_pow_fractional_encloses():
     assert out.hi - out.lo <= Fraction(1, 2 ** 60)
 
 
-def test_interval_op_dispatch_pow():
-    assert interval_op("pow_rational", iv(2, 3), Fraction(2)) == iv(4, 9)
-    out = interval_op("pow_rational", iv(2, 3), Fraction(1, 2))
+def test_interval_pow_rational_integer_and_root():
+    assert iv(2, 3).pow_rational(Fraction(2)) == iv(4, 9)
+    out = iv(2, 3).pow_rational(Fraction(1, 2))
     assert out.lo ** 2 <= 2 and 3 <= out.hi ** 2
 
 
@@ -97,17 +98,15 @@ def test_enclosure_soundness_bulk():
     def rnd():
         return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
 
-    for op in ("add", "sub", "mul", "div"):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         for _ in range(25_000):
             a, b, c, d = sorted((rnd(), rnd())) + sorted((rnd(), rnd()))
             i, j = Interval(a, b), Interval(c, d)
-            if op == "div" and j.contains_zero():
+            if op is operator.truediv and j.contains_zero():
                 continue
             x = a + (b - a) * Fraction(rng.randint(0, 8), 8)
             y = c + (d - c) * Fraction(rng.randint(0, 8), 8)
-            fn = {"add": lambda: x + y, "sub": lambda: x - y,
-                  "mul": lambda: x * y, "div": lambda: x / y}[op]
-            assert interval_op(op, i, j).contains(fn())
+            assert op(i, j).contains(op(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +116,14 @@ def test_enclosure_soundness_bulk():
 def test_root_isolate_qstar_window():
     roots = root_isolate(QSTAR, (1, 2))
     assert len(roots) == 1
-    enc = refine(roots[0], Fraction(1, 1000))
+    enc = roots[0].refine(Fraction(1, 1000))
     assert Fraction(18, 10) <= enc.lo and enc.hi <= Fraction(181, 100)
 
 
 def test_root_isolate_sqrt2():
     roots = root_isolate((-2, 0, 1), (1, 2))
     assert len(roots) == 1
-    enc = refine(roots[0], Fraction(1, 10 ** 6))
+    enc = roots[0].refine(Fraction(1, 10 ** 6))
     assert enc.lo <= Fraction(141_421_356, 10 ** 8) <= enc.hi + Fraction(1, 10 ** 6)
 
 
@@ -154,10 +153,10 @@ def test_root_isolate_rational_root():
 
 def test_refine_nesting():
     r = root_isolate((-2, 0, 1), (1, 2))[0]
-    outer = refine(r, Fraction(1, 1000))
-    inner = refine(r, Fraction(1, 10 ** 6))
+    outer = r.refine(Fraction(1, 1000))
+    inner = r.refine(Fraction(1, 10 ** 6))
     assert outer.lo <= inner.lo and inner.hi <= outer.hi
-    again = refine(r, Fraction(1, 10 ** 6))
+    again = r.refine(Fraction(1, 10 ** 6))
     assert again == inner  # idempotent on repeat
 
 
@@ -166,9 +165,9 @@ def test_refine_monotone_random():
     for _ in range(20):
         c = rng.randint(2, 40)
         r = root_isolate((-c, 0, 1), (0, c))[0]
-        prev = refine(r, Fraction(1, 10))
+        prev = r.refine(Fraction(1, 10))
         for k in (100, 10_000, 10 ** 6):
-            cur = refine(r, Fraction(1, k))
+            cur = r.refine(Fraction(1, k))
             assert prev.lo <= cur.lo and cur.hi <= prev.hi
             prev = cur
 

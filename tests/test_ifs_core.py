@@ -9,11 +9,16 @@ import pytest
 
 from fractarith.errors import (FractarithError, InvalidDigit, NotInCover,
                                ResourceBudget)
-from fractarith.exactnum import Interval
+from fractarith.exactnum import Interval, IntervalUnion
 from fractarith.ifs_core import Code, HomogeneousIfs, cantor, locate
 
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))  # attractor [0,1]
 SPARSE = HomogeneousIfs(Fraction(1, 5), (Fraction(0), Fraction(4, 5)))
+
+
+def merged_cylinders(ifs, k):
+    """Union of all rank-k basic intervals, merged."""
+    return IntervalUnion.from_intervals((c.lo, c.hi) for c in ifs.cylinders(k))
 
 
 def test_validation_rejects_bad_ratio_and_duplicates():
@@ -100,19 +105,19 @@ def test_basic_interval_bad_digit():
 
 def test_level_cover_examples():
     c = cantor()
-    assert c.level_cover(1).to_obj() == [["0", "1/3"], ["2/3", "1"]]
-    k2 = c.level_cover(2)
+    assert merged_cylinders(c, 1).to_obj() == [["0", "1/3"], ["2/3", "1"]]
+    k2 = merged_cylinders(c, 2)
     assert len(k2) == 4
     assert all(hi - lo == Fraction(1, 9) for lo, hi in k2)
     for k in range(4):
-        assert HALF.level_cover(k).to_obj() == [["0", "1"]]
+        assert merged_cylinders(HALF, k).to_obj() == [["0", "1"]]
 
 
 def test_level_cover_monotone_refinement():
     c = cantor()
-    prev = c.level_cover(0)
+    prev = merged_cylinders(c, 0)
     for k in range(1, 7):
-        cur = c.level_cover(k)
+        cur = merged_cylinders(c, k)
         assert cur.is_subset(prev)
         prev = cur
 
@@ -135,7 +140,7 @@ def test_cylinders_within_word():
 
 def test_level_cover_budget_guard():
     with pytest.raises(ResourceBudget):
-        cantor().level_cover(30, budget=1000)
+        cantor().cylinders(30, budget=1000)
 
 
 def test_gap_profile_matches_endpoint_scan():

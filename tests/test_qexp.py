@@ -5,16 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fractarith.certifier import replay
+from fractarith.certifier import check_global_condition, check_pointwise, replay
 from fractarith.errors import FractarithError, NotContained
-from fractarith.exactnum import FieldElement, root_isolate, sign_at
+from fractarith.exactnum import FieldElement, rat_from_str, root_isolate, sign_at
 from fractarith.exprfn import parse
+from fractarith.ifs_core import Code
 from fractarith.qexp import (DigitSeq, QgPrefix, as_base, base_above_qstar,
-                             certify_uq_arith, check_kq_condition,
-                             count_expansions_bruteforce, is_univoque_seq,
-                             kq_ifs, lex_less, pi_q, qstar, quasi_greedy_one,
-                             verify_kq_in_uq)
+                             certify_uq_arith, count_expansions_bruteforce,
+                             is_univoque_seq, kq_ifs, lex_less, pi_q, qstar,
+                             quasi_greedy_one, verify_kq_in_uq)
 
 Q19 = Fraction(19, 10)
 
@@ -244,22 +246,63 @@ def test_qstar_object():
 # condition reports and the full certification pipeline
 # ---------------------------------------------------------------------------
 
-def test_check_kq_condition_product():
+def kq_report(q, ftext, point, depth=8):
+    """The paper's condition on K_q x K_q: the general pointwise test."""
+    kq = kq_ifs(q)
+    return check_pointwise(kq, kq, parse(ftext), point, depth)
+
+
+def test_kq_condition_product():
     a, b = Fraction(100, 261), Fraction(190, 261)
-    rep = check_kq_condition(Q19, parse("x*y"), (a, b))
+    rep = kq_report(Q19, "x*y", (a, b))
     assert rep.lower_bound == Fraction(161, 361)
     assert rep.upper_bound == Fraction(100, 361) / Fraction(161, 361)
     assert rep.holds == "yes"
-    rep2 = check_kq_condition(Q19, parse("x+y"), (a, b))
+    rep2 = kq_report(Q19, "x+y", (a, b))
     assert rep2.holds == "no"
 
 
-def test_check_kq_condition_degenerate_bounds():
+def test_kq_condition_degenerate_bounds():
     sqrt2 = root_isolate((-2, 0, 1), (1, 2))[0]
-    rep = check_kq_condition(sqrt2, parse("x+y"), (Fraction(1), Fraction(1)), depth=2)
+    rep = kq_report(sqrt2, "x+y", (Fraction(1), Fraction(1)), depth=2)
     assert rep.lower_bound == 0
     assert rep.upper_bound == float("inf")
     assert rep.holds == "yes"
+    obj = rep.to_obj()
+    assert obj["lower_bound"] == "0" and obj["upper_bound"] == "inf"
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.fractions(min_value=1, max_value=2, max_denominator=60)
+       .filter(lambda q: 1 < q < 2),
+       ftext=st.sampled_from(["x*y", "x+y", "x/y", "x^2+y^2"]),
+       corners=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
+       depth=st.integers(0, 4))
+def test_kq_condition_bounds_closed_form(q, ftext, corners, depth):
+    # lambda = q^-2; K_q has gaps exactly when q^2 > 2
+    point = tuple(Code((), (d,)) for d in corners)
+    rep = kq_report(q, ftext, point, depth)
+    lam = 1 / (q * q)
+    if q * q > 2:
+        assert rep.lower_bound == 1 - 2 * lam
+        assert rep.upper_bound == lam / (1 - 2 * lam)
+    else:
+        assert rep.lower_bound == 0 and rep.upper_bound == float("inf")
+
+
+def test_global_condition_report_serialises_over_qstar():
+    kq = kq_ifs(qstar())
+    rep = check_global_condition(kq, kq)
+    obj = rep.to_obj()
+    assert obj == {"holds": False,
+                   "lambda*(b-a)": {"coeffs": ["3", "2", "-2"]},
+                   "kappa2": {"coeffs": ["-6", "-2", "3"]},
+                   "kappa1": {"coeffs": ["-6", "-2", "3"]},
+                   "d-c": {"coeffs": ["0", "2", "-1"]}}
+    for key, value in (("lambda*(b-a)", rep.lambda_b_minus_a), ("kappa2", rep.kappa2),
+                       ("kappa1", rep.kappa1), ("d-c", rep.d_minus_c)):
+        coeffs = [rat_from_str(c) for c in obj[key]["coeffs"]]
+        assert FieldElement.of(kq.ratio.gen, coeffs) == value
 
 
 def test_certify_uq_arith_all_four_functions():
