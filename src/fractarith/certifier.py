@@ -28,8 +28,8 @@ from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      SignIndefinite)
 from .exactnum import (Interval, Scalar, rat_from_str, scalar_sign,
                        scalar_to_obj, scalar_to_str)
-from .exprfn import (Expr, GradEnclosure, Neg, Var, eval_interval, eval_point,
-                     grad_enclosure, parse, sneg, substitute, to_text)
+from .exprfn import (Expr, GradEnclosure, Neg, Var, eval_grid, eval_interval,
+                     eval_point, grad_enclosure, parse, sneg, substitute, to_text)
 from .ifs_core import Code, HomogeneousIfs, Word, get_budget, locate
 
 FORMAT_TAG = "fractarith-cert-v1"
@@ -130,36 +130,71 @@ class Certificate:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_obj(obj: dict) -> "Certificate":
+    def from_obj(obj) -> "Certificate":
+        if not isinstance(obj, dict):
+            raise FractarithError("a certificate must be a JSON object")
         if obj.get("format") != FORMAT_TAG:
             raise FractarithError(f"unknown certificate format {obj.get('format')!r}")
+        missing = [name for name in _CERT_FIELDS if "." not in name and name not in obj]
+        if missing:
+            raise FractarithError(f"certificate lacks: {', '.join(map(repr, missing))}")
+        for name, (kind, ok) in _CERT_FIELDS.items():
+            top, _, sub = name.partition(".")
+            if not ok(obj[top].get(sub) if sub else obj[top]):
+                raise FractarithError(f"certificate field {name!r} must be {kind}")
+        grad = obj["grad"]
 
         def iv(pair) -> Interval:
             return Interval(rat_from_str(pair[0]), rat_from_str(pair[1]))
 
-        try:
-            sc = obj["sign_case"]
-            grad = obj["grad"]
-            return Certificate(
-                ifs1=HomogeneousIfs.from_obj(obj["ifs1"]),
-                ifs2=HomogeneousIfs.from_obj(obj["ifs2"]),
-                f=parse(obj["f"]),
-                word1=tuple(obj["word1"]),
-                word2=tuple(obj["word2"]),
-                sign_case=SignCase(1 if sc[0] == "+" else -1, 1 if sc[1] == "+" else -1),
-                grad=GradEnclosure(dx=iv(grad["dx"]), dy=iv(grad["dy"]),
-                                   rect=(iv(grad["rect"][0]), iv(grad["rect"][1]))),
-                orientation=obj["orientation"],
-                m_row=rat_from_str(obj["m_row"]),
-                m_gap=rat_from_str(obj["m_gap"]),
-                certified_interval=iv(obj["certified_interval"]),
-            )
-        except KeyError as exc:
-            raise FractarithError(f"certificate lacks field {exc.args[0]!r}") from None
+        sc = obj["sign_case"]
+        return Certificate(
+            ifs1=HomogeneousIfs.from_obj(obj["ifs1"]),
+            ifs2=HomogeneousIfs.from_obj(obj["ifs2"]),
+            f=parse(obj["f"]),
+            word1=tuple(obj["word1"]),
+            word2=tuple(obj["word2"]),
+            sign_case=SignCase(1 if sc[0] == "+" else -1, 1 if sc[1] == "+" else -1),
+            grad=GradEnclosure(dx=iv(grad["dx"]), dy=iv(grad["dy"]),
+                               rect=(iv(grad["rect"][0]), iv(grad["rect"][1]))),
+            orientation=obj["orientation"],
+            m_row=rat_from_str(obj["m_row"]),
+            m_gap=rat_from_str(obj["m_gap"]),
+            certified_interval=iv(obj["certified_interval"]),
+        )
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
         return Certificate.from_obj(json.loads(text))
+
+
+def _is_str_pair(v) -> bool:
+    return type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
+
+
+def _is_word(v) -> bool:
+    return type(v) is list and set(map(type, v)) <= {int}
+
+
+# JSON shape of every serialized field, parents before their members:
+# (description, test)
+_CERT_FIELDS = {
+    "ifs1": ("an object", lambda v: type(v) is dict),
+    "ifs2": ("an object", lambda v: type(v) is dict),
+    "f": ("a string", lambda v: type(v) is str),
+    "word1": ("a list of integers", _is_word),
+    "word2": ("a list of integers", _is_word),
+    "sign_case": ("one of '++', '+-', '-+', '--'", lambda v: v in ("++", "+-", "-+", "--")),
+    "grad": ("an object", lambda v: type(v) is dict),
+    "grad.dx": ("a pair of strings", _is_str_pair),
+    "grad.dy": ("a pair of strings", _is_str_pair),
+    "grad.rect": ("a pair of string pairs",
+                  lambda v: type(v) is list and len(v) == 2 and all(map(_is_str_pair, v))),
+    "orientation": ("a string", lambda v: type(v) is str),
+    "m_row": ("a string", lambda v: type(v) is str),
+    "m_gap": ("a string", lambda v: type(v) is str),
+    "certified_interval": ("a pair of strings", _is_str_pair),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +326,9 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     equalized starting rank is one interval (exact corner comparisons; f is
     increasing in both variables here).
 
-    Image endpoints pass through eval_point, so irrational corner values are
-    compared by their outward enclosures, which only ever under-approximates
-    connectivity (inward-safe)."""
+    Image endpoints are enclosures of f at the exact corner points, so
+    irrational corner values are compared by their outward enclosures, which
+    only ever under-approximates connectivity (inward-safe)."""
     k0 = max(len(w1), len(w2))
     if len(w1) == len(w2):
         return
@@ -301,12 +336,11 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     ys = k2.cylinders(k0, budget=budget, within=w2)
     if len(xs) * len(ys) > budget:
         raise ResourceBudget(f"{len(xs)}x{len(ys)} starting cells exceed budget")
-    cells = []
-    for ix in xs:
-        for iy in ys:
-            lo_enc = eval_point(f, ix.lo, iy.lo)
-            hi_enc = eval_point(f, ix.hi, iy.hi)
-            cells.append((lo_enc, hi_enc))
+    lo_corners = eval_grid(f, [Interval.point(ix.lo) for ix in xs],
+                           [Interval.point(iy.lo) for iy in ys])
+    hi_corners = eval_grid(f, [Interval.point(ix.hi) for ix in xs],
+                           [Interval.point(iy.hi) for iy in ys])
+    cells = list(zip(lo_corners, hi_corners))
     cells.sort(key=lambda c: (c[0].lo, c[1].lo))
     reach = cells[0][1].lo
     for lo_enc, hi_enc in cells[1:]:

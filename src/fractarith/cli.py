@@ -53,6 +53,13 @@ def _load_ifs(spec: str) -> HomogeneousIfs:
                           "(use 'cantor', 'kq:<q>', a JSON file path, or inline JSON)")
 
 
+def _load_ifs_pair(spec1: str, spec2: str) -> tuple[HomogeneousIfs, HomogeneousIfs]:
+    """Both systems; two identical specs load once, so that algebraic data
+    such as kq:qstar shares one generator and compares exactly."""
+    k1 = _load_ifs(spec1)
+    return k1, k1 if spec2.strip() == spec1.strip() else _load_ifs(spec2)
+
+
 def _parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -117,7 +124,7 @@ def _resolve_pair(args):
         return ifs, ifs
     if not (args.ifs1 and args.ifs2):
         raise FractarithError("need --ifs1 and --ifs2 (or --q for the kq preset)")
-    return _load_ifs(args.ifs1), _load_ifs(args.ifs2)
+    return _load_ifs_pair(args.ifs1, args.ifs2)
 
 
 def _resolve_point(args):
@@ -141,13 +148,13 @@ def _cmd_check(args):
 
 
 def _cmd_check_cor2(args):
-    k1, k2 = _load_ifs(args.ifs1), _load_ifs(args.ifs2)
+    k1, k2 = _load_ifs_pair(args.ifs1, args.ifs2)
     rep = check_global_condition(k1, k2)
     return rep.to_obj(), EXIT_OK if rep.holds else EXIT_NOT_ESTABLISHED
 
 
 def _cmd_certify(args):
-    k1, k2 = _load_ifs(args.ifs1), _load_ifs(args.ifs2)
+    k1, k2 = _load_ifs_pair(args.ifs1, args.ifs2)
     f = parse_expr(args.f)
     try:
         cert = certify_rectangle(k1, k2, f, _parse_word(args.word1),
@@ -158,7 +165,7 @@ def _cmd_certify(args):
 
 
 def _cmd_auto_certify(args):
-    k1, k2 = _load_ifs(args.ifs1), _load_ifs(args.ifs2)
+    k1, k2 = _load_ifs_pair(args.ifs1, args.ifs2)
     f = parse_expr(args.f)
     try:
         cert = auto_certify(k1, k2, f, (Code.parse(args.code1), Code.parse(args.code2)),
@@ -178,7 +185,7 @@ def _cmd_replay(args):
 
 
 def _cmd_cover(args):
-    k1, k2 = _load_ifs(args.ifs1), _load_ifs(args.ifs2)
+    k1, k2 = _load_ifs_pair(args.ifs1, args.ifs2)
     f = parse_expr(args.f)
     union = empirics.image_cover(
         k1, k2, f, args.depth,

@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
-from .exactnum import Interval, IntervalUnion, as_scalar, rat_to_str
-from .exprfn import Expr, eval_interval
+from .exactnum import Interval, IntervalUnion, Scalar, as_scalar, rat_to_str
+from .exprfn import Expr, eval_grid
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
 
@@ -47,12 +47,7 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
     if len(xs) * len(ys) > budget:
         raise ResourceBudget(
             f"{len(xs)}x{len(ys)} rectangles exceed budget {budget}")
-    pieces = []
-    for ix in xs:
-        for iy in ys:
-            enc = eval_interval(f, ix, iy)
-            pieces.append((enc.lo, enc.hi))
-    return IntervalUnion.from_intervals(pieces)
+    return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
 
 
 def oscillation_radius(cert: Certificate, depth: int) -> Fraction:
@@ -82,54 +77,48 @@ def oracle_check(cert: Certificate, depth: int, budget: int | None = None) -> bo
 # Univoque-set covers
 # ---------------------------------------------------------------------------
 
-def _prefix_violates(w: Sequence[int], eta: QuasiGreedyStream) -> bool:
-    """True when some tail condition is already refuted by the known prefix:
-    at a 0 digit the following digits exceed eta, or at a 1 digit the
-    complemented ones do."""
-    n = len(w)
-    for k in range(n):
-        flip = w[k] == 1
-        for i in range(k + 1, n):
-            d = w[i] ^ 1 if flip else w[i]
-            e = eta.digit(i - k - 1)
-            if e is None or d < e:
-                break
-            if d > e:
-                return True
-    return False
-
-
 def uq_cover(q, depth: int, budget: int | None = None) -> IntervalUnion:
     """Superset of the univoque set from the binary prefix tree pruned by the
-    lexicographic conditions against the computed quasi-greedy window."""
+    lexicographic conditions against the computed quasi-greedy window: at a
+    0 digit the following digits may not exceed eta, the quasi-greedy
+    expansion of 1, and at a 1 digit their complements may not.
+
+    Each surviving prefix carries its value and the positions whose
+    condition is still tied with eta over all the digits after them; a new
+    digit is compared only at those positions, and a position leaves the
+    set for good once its digits fall below eta (or eta's budget runs out).
+    """
     if depth < 0:
         raise FractarithError("depth must be non-negative")
     q = as_base(q)
     budget = budget if budget is not None else get_budget()
     eta = QuasiGreedyStream(q)
-    survivors: list[tuple[int, ...]] = [()]
-    for _ in range(depth):
+    inv = 1 / q
+    # (value, tied positions as (position, its digit)) per surviving prefix
+    survivors: list[tuple[Scalar, tuple[tuple[int, int], ...]]] = [(as_scalar(0), ())]
+    p = as_scalar(1)
+    for n in range(depth):
+        p = p * inv
         nxt = []
-        for w in survivors:
+        for val, tied in survivors:
             for d in (0, 1):
-                cand = w + (d,)
-                if not _prefix_violates(cand, eta):
-                    nxt.append(cand)
+                still_tied = []
+                for k, flip in tied:
+                    e = eta.digit(n - k - 1)
+                    c = d ^ flip
+                    if e is None or c < e:
+                        continue
+                    if c > e:
+                        break  # refuted: the candidate is pruned
+                    still_tied.append((k, flip))
+                else:
+                    still_tied.append((n, d))
+                    nxt.append((val + p if d else val, tuple(still_tied)))
         if len(nxt) > budget:
             raise ResourceBudget(f"{len(nxt)} surviving prefixes exceed budget")
         survivors = nxt
-    inv = 1 / q
     tail = inv ** depth / (q - 1)
-    pieces = []
-    for w in survivors:
-        val = as_scalar(0)
-        p = as_scalar(1)
-        for d in w:
-            p = p * inv
-            if d:
-                val = val + p
-        pieces.append((val, val + tail))
-    return IntervalUnion.from_intervals(pieces)
+    return IntervalUnion.from_intervals((val, val + tail) for val, _ in survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +198,9 @@ def uq_product_counts(q, f: Expr, ranks: Iterable[int],
     out = []
     for r in ranks:
         cover = uq_cover(q, r, budget=budget)
-        pieces = []
-        for ix_lo, ix_hi in cover:
-            for iy_lo, iy_hi in cover:
-                enc = eval_interval(f, Interval(ix_lo, ix_hi), Interval(iy_lo, iy_hi))
-                pieces.append((enc.lo, enc.hi))
-        union = IntervalUnion.from_intervals(pieces)
+        cells = [Interval(lo, hi) for lo, hi in cover]
+        union = IntervalUnion.from_intervals(
+            (enc.lo, enc.hi) for enc in eval_grid(f, cells, cells))
         out.append((r, grid_box_count(union, q ** (-r))))
     return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from . import poly
@@ -29,6 +30,8 @@ _UNICODE_MINUS = "−"
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into an exact rational."""
+    if not isinstance(s, str):
+        raise FractarithError(f"expected a rational as a string, got {s!r}")
     return Fraction(s.strip().replace(_UNICODE_MINUS, "-"))
 
 
@@ -749,7 +752,10 @@ class IntervalUnion:
 
     @staticmethod
     def from_intervals(items: Iterable[tuple]) -> "IntervalUnion":
-        pairs = sorted((as_scalar(lo), as_scalar(hi)) for lo, hi in items)
+        # ordering by left endpoints alone suffices: pieces sharing one merge
+        # into the same interval in any order
+        pairs = sorted(((as_scalar(lo), as_scalar(hi)) for lo, hi in items),
+                       key=itemgetter(0))
         merged: list[list] = []
         for lo, hi in pairs:
             if hi < lo:

@@ -1,5 +1,5 @@
 """Two-variable function expressions: parsing, symbolic partial derivatives,
-and rigorous interval enclosures over rectangles.
+and rigorous interval enclosures over rectangles and over grids of them.
 
 Grammar (left associative, '^' binds tightest)::
 
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import ExprSyntaxError, ZeroExponentError
 from .exactnum import Interval, as_scalar
@@ -362,6 +364,24 @@ def differentiate(e: Expr, name: str) -> Expr:
 # Interval evaluation
 # ---------------------------------------------------------------------------
 
+_BINARY_OPS = {Add: Interval.__add__, Sub: Interval.__sub__,
+               Mul: Interval.__mul__, Div: Interval.__truediv__}
+
+
+def _operation(e: Expr) -> tuple[Callable[..., Interval], tuple[Expr, ...]]:
+    """The Interval operation of an operator node and its operands: the one
+    place where node types meet interval arithmetic."""
+    t = type(e)
+    op = _BINARY_OPS.get(t)
+    if op is not None:
+        return op, (e.left, e.right)
+    if t is Pow:
+        return partial(Interval.pow_rational, e=e.exponent), (e.base,)
+    if t is Neg:
+        return Interval.__neg__, (e.operand,)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def eval_interval(e: Expr, rx: Interval, ry: Interval) -> Interval:
     """Sound enclosure of f over the rectangle rx x ry.
 
@@ -369,23 +389,67 @@ def eval_interval(e: Expr, rx: Interval, ry: Interval) -> Interval:
     rectangle (each variable occurring once, as in the whole built-in
     function family).
     """
-    if isinstance(e, Var):
+    t = type(e)
+    if t is Var:
         return rx if e.name == "x" else ry
-    if isinstance(e, Const):
+    if t is Const:
         return Interval.point(e.value)
-    if isinstance(e, Add):
-        return eval_interval(e.left, rx, ry) + eval_interval(e.right, rx, ry)
-    if isinstance(e, Sub):
-        return eval_interval(e.left, rx, ry) - eval_interval(e.right, rx, ry)
-    if isinstance(e, Mul):
-        return eval_interval(e.left, rx, ry) * eval_interval(e.right, rx, ry)
-    if isinstance(e, Div):
-        return eval_interval(e.left, rx, ry) / eval_interval(e.right, rx, ry)
-    if isinstance(e, Pow):
-        return eval_interval(e.base, rx, ry).pow_rational(e.exponent)
-    if isinstance(e, Neg):
-        return -eval_interval(e.operand, rx, ry)
-    raise TypeError(f"not an expression node: {e!r}")
+    op, operands = _operation(e)
+    if len(operands) == 1:
+        return op(eval_interval(operands[0], rx, ry))
+    left, right = operands
+    return op(eval_interval(left, rx, ry), eval_interval(right, rx, ry))
+
+
+# variable sets of a subtree, as bit masks
+_NONE, _X, _Y, _XY = 0, 1, 2, 3
+
+
+def eval_grid(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterator[Interval]:
+    """eval_interval(e, ix, iy) for every rectangle of the grid xs x ys,
+    x-major (ix outer, iy inner), as a lazy stream.
+
+    A subtree that uses only x is evaluated once per interval of xs, one that
+    uses only y once per interval of ys, and a constant one once; only
+    subtrees that use both run per rectangle.  Each enclosure is the one
+    eval_interval returns, since the same operations meet the same operands,
+    and no operation runs that the per-rectangle loop would not run.
+    Per-rectangle values stream through without being stored.
+    """
+    nx, ny = len(xs), len(ys)
+    if not nx or not ny:
+        return iter(())
+    size = {_NONE: 1, _X: nx, _Y: ny, _XY: nx * ny}
+
+    def spread(mask: int, vals, to: int):
+        """The values of a subtree over the wider variable set `to`, in its
+        order, repeating references rather than copying."""
+        if mask == to:
+            return vals
+        if mask == _NONE:
+            return repeat(vals, size[to])
+        if mask == _X:
+            return chain.from_iterable(repeat(v, ny) for v in vals)
+        return chain.from_iterable(repeat(list(vals), nx))
+
+    def walk(node: Expr):
+        """(variable mask, values): one value for a constant subtree, else an
+        iterator over its grid in order."""
+        if isinstance(node, Var):
+            return (_X, iter(xs)) if node.name == "x" else (_Y, iter(ys))
+        if isinstance(node, Const):
+            return _NONE, Interval.point(node.value)
+        op, operands = _operation(node)
+        parts = [walk(a) for a in operands]
+        mask = 0
+        for m, _ in parts:
+            mask |= m
+        if mask == _NONE:
+            return _NONE, op(*[v for _, v in parts])
+        return mask, map(op, *[spread(m, v, mask) for m, v in parts])
+
+    mask, vals = walk(e)
+    return spread(mask, vals, _XY)
 
 
 def eval_point(e: Expr, x, y) -> Interval:

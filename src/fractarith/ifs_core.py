@@ -271,10 +271,14 @@ class HomogeneousIfs:
 
     @staticmethod
     def from_obj(obj: dict) -> "HomogeneousIfs":
+        if not isinstance(obj, dict):
+            raise FractarithError("an IFS must be a JSON object")
         allowed = {"ratio", "translations", "base"}
         unknown = set(obj) - allowed
         if unknown:
             raise FractarithError(f"unknown IFS keys: {sorted(unknown)}")
+        if "ratio" not in obj or not isinstance(obj.get("translations"), list):
+            raise FractarithError("an IFS needs a ratio and a list of translations")
         if "base" in obj:
             gen = AlgebraicReal.from_obj(obj["base"])
 

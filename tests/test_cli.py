@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from fractarith.certifier import certify_rectangle
 from fractarith.cli import main
+from fractarith.exprfn import parse
+from fractarith.ifs_core import cantor
 
 
 def run(capsys, *argv):
@@ -196,6 +199,12 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
+def _cert_text(**fields):
+    obj = certify_rectangle(cantor(), cantor(), parse("x+y"), (), ()).to_obj()
+    obj.update(fields)
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("argv, cert_text, needle", [
     (["replay", "--cert", "CERT"], '{"format":"fractarith-cert-v1"}', "sign_case"),
     (["replay", "--cert", "CERT"], "not json", "Expecting value"),
@@ -206,9 +215,11 @@ def test_input_error_exit_code(capsys):
     (["qg", "--q", "abc"], None, "abc"),
     (["boxdim", "--ranks", "2:4"], None, "--q-grid"),
     (["uq-cover", "--q", "19/10", "--depth", "-1"], None, "non-negative"),
+    (["replay", "--cert", "CERT"], "[1]", "JSON object"),
+    (["replay", "--cert", "CERT"], _cert_text(word1=5), "'word1'"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "base-not-a-number", "boxdim-without-input",
-        "uq-cover-negative-depth"])
+        "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:
@@ -218,6 +229,12 @@ def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, ne
     assert status == 1 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err and needle in captured.err
+
+
+def test_check_cor2_same_algebraic_spec_twice(capsys):
+    status, obj = run(capsys, "check-cor2", "--ifs1", "kq:qstar", "--ifs2", "kq:qstar")
+    assert status == 2 and obj["holds"] is False
+    assert obj["kappa1"] == obj["kappa2"] == {"coeffs": ["-6", "-2", "3"]}
 
 
 def test_unknown_ifs_keys_rejected(capsys):

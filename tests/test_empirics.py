@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractarith.certifier import certify_rectangle
 from fractarith.empirics import (DimEstimate, box_dim_estimate,
@@ -14,10 +16,11 @@ from fractarith.empirics import (DimEstimate, box_dim_estimate,
                                  uq_product_counts, write_counts_csv,
                                  write_intervals_csv, write_union_svg)
 from fractarith.errors import DegenerateFit, FractarithError, ResourceBudget
-from fractarith.exactnum import Interval, IntervalUnion
-from fractarith.exprfn import parse
+from fractarith.exactnum import AlgebraicReal, Interval, IntervalUnion, as_scalar
+from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub,
+                               eval_interval, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
-from fractarith.qexp import DigitSeq, is_univoque_seq, kq_ifs, pi_q
+from fractarith.qexp import DigitSeq, QuasiGreedyStream, as_base, is_univoque_seq, kq_ifs, pi_q
 
 C = cantor()
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))
@@ -153,6 +156,151 @@ def test_uq_cover_soundness_random_yes_sequences():
         for depth in (4, 8, 12):
             assert uq_cover(q, depth).contains_point(x)
         found += 1
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the straightforward enumerators
+# ---------------------------------------------------------------------------
+
+def reference_image_cover(k1, k2, f, depth, x_window=None, y_window=None,
+                          word1=(), word2=()):
+    """image_cover as one eval_interval call per cylinder rectangle."""
+    xs = k1.cylinders(depth, within=word1)
+    ys = k2.cylinders(depth, within=word2)
+    if x_window is not None:
+        xs = [i for i in xs if i.is_subset(x_window)]
+    if y_window is not None:
+        ys = [i for i in ys if i.is_subset(y_window)]
+    pieces = []
+    for ix in xs:
+        for iy in ys:
+            enc = eval_interval(f, ix, iy)
+            pieces.append((enc.lo, enc.hi))
+    return IntervalUnion.from_intervals(pieces)
+
+
+def reference_prefix_violates(w, eta):
+    """Re-scan every position of the prefix against eta."""
+    n = len(w)
+    for k in range(n):
+        flip = w[k] == 1
+        for i in range(k + 1, n):
+            d = w[i] ^ 1 if flip else w[i]
+            e = eta.digit(i - k - 1)
+            if e is None or d < e:
+                break
+            if d > e:
+                return True
+    return False
+
+
+def reference_uq_cover(q, depth):
+    """uq_cover with every candidate prefix re-scanned and every survivor's
+    value rebuilt digit by digit."""
+    q = as_base(q)
+    eta = QuasiGreedyStream(q)
+    survivors = [()]
+    for _ in range(depth):
+        survivors = [w + (d,) for w in survivors for d in (0, 1)
+                     if not reference_prefix_violates(w + (d,), eta)]
+    inv = 1 / q
+    tail = inv ** depth / (q - 1)
+    pieces = []
+    for w in survivors:
+        val, p = as_scalar(0), as_scalar(1)
+        for d in w:
+            p = p * inv
+            if d:
+                val = val + p
+        pieces.append((val, val + tail))
+    return IntervalUnion.from_intervals(pieces)
+
+
+EXPONENTS = [Fraction(e) for e in ("2", "3", "-1", "-2", "1/2", "1/3", "3/2", "-1/2")]
+
+
+def exprs(depth):
+    """Expressions of the grammar with at most `depth` nested operators."""
+    leaves = st.sampled_from([X, Y, Const(Fraction(1)), Const(Fraction(2)), Const(Fraction(3))])
+    if depth == 0:
+        return leaves
+    sub = exprs(depth - 1)
+    return st.one_of(
+        leaves,
+        *(st.builds(node, sub, sub) for node in (Add, Sub, Mul, Div)),
+        st.builds(Pow, sub, st.sampled_from(EXPONENTS)),
+        st.builds(Neg, sub))
+
+
+@st.composite
+def cover_problems(draw):
+    m = draw(st.integers(3, 5))
+    lam = Fraction(1, m)
+
+    def ifs():
+        digits = sorted(draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=3)))
+        offset = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]))
+        return HomogeneousIfs(lam, [Fraction(d, m) + offset * (1 - lam) for d in digits])
+
+    def word(k, depth):
+        return tuple(draw(st.lists(st.integers(1, k.n), max_size=depth - 1)))
+
+    def window(k):
+        hull = k.convex_hull()
+        if not draw(st.booleans()):
+            return None
+        a = hull.lo + hull.width() * Fraction(draw(st.integers(0, 4)), 8)
+        b = hull.lo + hull.width() * Fraction(draw(st.integers(4, 8)), 8)
+        return Interval(a, b)
+
+    k1, k2 = ifs(), ifs()
+    depth = draw(st.integers(1, 3))
+    return dict(k1=k1, k2=k2, f=draw(exprs(3)), depth=depth,
+                x_window=window(k1), y_window=window(k2),
+                word1=word(k1, depth), word2=word(k2, depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_problems())
+def test_image_cover_matches_per_rectangle_reference(problem):
+    try:
+        want = reference_image_cover(**problem)
+    except FractarithError:
+        with pytest.raises(FractarithError):
+            image_cover(**problem)
+        return
+    assert image_cover(**problem) == want
+
+
+def test_oracle_check_matches_per_rectangle_reference():
+    cert = certify_rectangle(C, C, parse("x*y"), (1, 2, 2), (2, 1))
+    cover = reference_image_cover(C, C, cert.f, 6, word1=cert.word1, word2=cert.word2)
+    assert image_cover(C, C, cert.f, 6, word1=cert.word1, word2=cert.word2) == cover
+    assert oracle_check(cert, 6) == cover.inflate(
+        oscillation_radius(cert, 6)).contains_interval(cert.certified_interval)
+
+
+TRIBONACCI = AlgebraicReal((-1, -1, -1, 1), Fraction(7, 4), Fraction(15, 8))
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(17, 10), Q19, Fraction(39, 20)],
+                         ids=str)
+def test_uq_cover_matches_rescanning_reference(q):
+    for depth in range(13):
+        assert uq_cover(q, depth) == reference_uq_cover(q, depth), depth
+
+
+def test_uq_cover_matches_rescanning_reference_tribonacci():
+    for depth in range(13):
+        got = uq_cover(TRIBONACCI, depth)
+        want = reference_uq_cover(TRIBONACCI, depth)
+        assert len(got) == len(want) and got == want, depth
+
+
+def test_uq_product_counts_unchanged():
+    assert uq_product_counts(Q19, parse("x*y"), range(2, 6)) == [(2, 5), (3, 9), (4, 17), (5, 31)]
+    assert uq_product_counts(Fraction(17, 10), parse("x+y"), range(2, 6)) == \
+        [(2, 9), (3, 15), (4, 24), (5, 41)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from fractarith.errors import (DivByZeroInterval, DomainError, ExprSyntaxError,
                                ZeroExponentError)
 from fractarith.exactnum import Interval
 from fractarith.exprfn import (Add, Const, Div, Mul, Neg, Pow, Sub, Var,
-                               differentiate, eval_interval, eval_point,
-                               grad_enclosure, parse, substitute, to_text)
+                               differentiate, eval_grid, eval_interval,
+                               eval_point, grad_enclosure, parse, substitute, to_text)
 
 X, Y = Var("x"), Var("y")
 
@@ -119,6 +119,41 @@ def test_eval_interval_domain_errors():
         eval_interval(parse("x/y"), UNIT, iv(-1, 1))
     with pytest.raises(DomainError):
         eval_interval(parse("x^1/2"), iv(-1, 1), UNIT)
+
+
+def test_eval_grid_is_eval_interval_per_rectangle_in_x_major_order():
+    xs = [iv(Fraction(k, 4), Fraction(k + 1, 4)) for k in range(1, 4)]
+    ys = [iv(Fraction(k, 5), Fraction(k, 3)) for k in range(1, 3)]
+    for text in ("x+y", "x*y-x", "y^2-x^(1/3)", "y/(x+y)^2", "x^(-1)+y", "2*3",
+                 "-y", "x/(y+1)", "x*y^2+2"):
+        f = parse(text)
+        want = [eval_interval(f, ix, iy) for ix in xs for iy in ys]
+        assert list(eval_grid(f, xs, ys)) == want, text
+    assert list(eval_grid(parse("x+y"), xs, [])) == []
+    assert list(eval_grid(parse("x^(1/2)"), [], [iv(-1, 0)])) == []
+
+
+def test_eval_grid_evaluates_single_variable_subtrees_once_per_interval(monkeypatch):
+    calls = []
+    pow_rational = Interval.pow_rational
+
+    def counted(self, e, *args):
+        calls.append(e)
+        return pow_rational(self, e, *args)
+
+    monkeypatch.setattr(Interval, "pow_rational", counted)
+    xs = [iv(k, k + 1) for k in range(1, 5)]
+    ys = [iv(k, k + 2) for k in range(1, 6)]
+    out = list(eval_grid(parse("x^(1/2)*y^(1/3) + 2^(1/2)"), xs, ys))
+    assert len(out) == 20
+    assert sorted(calls) == [Fraction(1, 3)] * 5 + [Fraction(1, 2)] * 5
+
+
+def test_eval_grid_raises_where_eval_interval_does():
+    with pytest.raises(DivByZeroInterval):
+        list(eval_grid(parse("x/y"), [UNIT], [iv(1, 2), iv(-1, 1)]))
+    with pytest.raises(DomainError):
+        list(eval_grid(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT]))
 
 
 def test_eval_point_exact():
