@@ -392,7 +392,9 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
 
     rw1 = k1.reflect_word(word1) if red.reflect1 else word1
     rw2 = k2.reflect_word(word2) if red.reflect2 else word2
-    red_rect = (red.k1.basic_interval(rw1), red.k2.basic_interval(rw2))
+    # the reflected system's cylinder reflect_word(w) is -basic_interval(w)
+    red_rect = (-rect[0] if red.reflect1 else rect[0],
+                -rect[1] if red.reflect2 else rect[1])
     red_grad = grad_enclosure(red.f, red_rect)
     if not (red_grad.dx.strictly_positive() and red_grad.dy.strictly_positive()):
         raise SignIndefinite("reduced gradient not strictly positive")

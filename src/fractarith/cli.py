@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import empirics, qexp
 from .certifier import (Certificate, auto_certify, certify_rectangle,
@@ -207,8 +206,9 @@ def _cmd_boxdim(args):
         f = parse_expr(args.f or "x*y")
         rows = []
         for q_text in args.q_grid.split(","):
-            counts = empirics.uq_product_counts(Fraction(q_text), f, ranks)
-            est = empirics.box_dim_estimate(counts, 1 / Fraction(q_text))
+            q = rat_from_str(q_text)
+            counts = empirics.uq_product_counts(q, f, ranks)
+            est = empirics.box_dim_estimate(counts, 1 / q)
             rows.append({"q": q_text, "counts": [[k, n] for k, n in counts],
                          "slope": est.slope, "residual": est.residual})
         if args.csv:

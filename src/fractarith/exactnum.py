@@ -2,15 +2,17 @@
 real algebraic numbers.
 
 Every comparison made anywhere in the library bottoms out here and is decided
-exactly: rationals by Fraction arithmetic, algebraic quantities by polynomial
-reduction modulo the defining polynomial with interval refinement as the
-fallback.  Floating point never enters.
+exactly: rationals by Fraction arithmetic, algebraic quantities by an
+interval enclosure on the generator's isolating interval, with a polynomial
+gcd against the defining polynomial and interval refinement as the fallback
+when the enclosure contains 0.  Floating point never enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -32,7 +34,10 @@ def rat_from_str(s: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into an exact rational."""
     if not isinstance(s, str):
         raise FractarithError(f"expected a rational as a string, got {s!r}")
-    return Fraction(s.strip().replace(_UNICODE_MINUS, "-"))
+    try:
+        return Fraction(s.strip().replace(_UNICODE_MINUS, "-"))
+    except ZeroDivisionError as exc:
+        raise FractarithError(f"rational {s!r} has a zero denominator") from exc
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -50,7 +55,9 @@ def _coeff_to_obj(c: Fraction):
 def _coeff_from_obj(obj) -> Fraction:
     if isinstance(obj, str):
         return rat_from_str(obj)
-    return Fraction(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return Fraction(obj)
+    raise FractarithError(f"expected an integer or a rational string, got {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +261,10 @@ class AlgebraicReal:
 
     @staticmethod
     def from_obj(obj: dict) -> "AlgebraicReal":
+        if not isinstance(obj, dict) or not isinstance(obj.get("poly"), list) \
+                or "lo" not in obj or "hi" not in obj:
+            raise FractarithError("an algebraic number must be a JSON object with "
+                                  f"a 'poly' list, 'lo' and 'hi', got {obj!r}")
         coeffs = [_coeff_from_obj(c) for c in obj["poly"]]
         return AlgebraicReal(coeffs, rat_from_str(obj["lo"]), rat_from_str(obj["hi"]))
 
@@ -416,43 +427,41 @@ class FieldElement:
 
     # -- exact decisions ------------------------------------------------------
 
-    def is_zero(self) -> bool:
+    def _nonzero_enclosure(self) -> tuple[poly.Poly, int, int] | None:
+        """None when the element is exactly 0; otherwise its reduced
+        polynomial e and the numerators (lo, hi) of the enclosure of e on the
+        generator's current isolating interval (_horner_enclosure).  An
+        enclosure that excludes 0 already proves the element nonzero; only
+        one that contains 0 pays for the gcd test."""
         e = poly.rem(self.coeffs, self.gen.poly)
         if poly.is_zero(e):
-            return True
-        g = poly.gcd(e, self.gen.poly)
-        if poly.degree(g) < 1:
-            return False
-        # the element vanishes at alpha iff the gcd has alpha among its roots
-        chain = poly.sturm_chain(g)
-        while True:
-            if self.gen.is_rational:
-                return poly.eval_at(g, self.gen.lo) == 0
-            lo, hi = self.gen.lo, self.gen.hi
-            if poly.eval_at(g, lo) != 0 and poly.eval_at(g, hi) != 0:
-                return poly.count_roots(chain, lo, hi) > 0
-            self.gen._bisect_once()
+            return None
+        lo, hi, _ = _horner_enclosure(e, self.gen)
+        if lo > 0 or hi < 0 or not _vanishes_at(e, self.gen):
+            return e, lo, hi
+        return None
+
+    def is_zero(self) -> bool:
+        return self._nonzero_enclosure() is None
 
     def sign(self) -> int:
-        if self.is_zero():
+        found = self._nonzero_enclosure()
+        if found is None:
             return 0
-        e = poly.rem(self.coeffs, self.gen.poly)
-        while True:
-            enc = _interval_horner(e, Interval(self.gen.lo, self.gen.hi))
-            if enc.lo > 0:
-                return 1
-            if enc.hi < 0:
-                return -1
+        e, lo, hi = found
+        while not (lo > 0 or hi < 0):
             self.gen._bisect_once()
+            lo, hi, _ = _horner_enclosure(e, self.gen)
+        return 1 if lo > 0 else -1
 
     def enclosure(self, width) -> tuple[Fraction, Fraction]:
         """Rational bounds of the value, at most `width` apart."""
         width = Fraction(width)
         e = poly.rem(self.coeffs, self.gen.poly)
         while True:
-            enc = _interval_horner(e, Interval(self.gen.lo, self.gen.hi))
-            if enc.hi - enc.lo <= width:
-                return enc.lo, enc.hi
+            lo, hi, den = _horner_enclosure(e, self.gen)
+            if hi - lo <= width * den:
+                return Fraction(lo, den), Fraction(hi, den)
             self.gen._bisect_once()
 
     def is_fraction(self) -> bool:
@@ -704,11 +713,41 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _interval_horner(p: poly.Poly, x: Interval) -> Interval:
-    acc = Interval.point(0)
-    for c in reversed(p):
-        acc = acc * x + Interval.point(c)
-    return acc
+def _horner_enclosure(p: poly.Poly, gen: AlgebraicReal) -> tuple[int, int, int]:
+    """Horner's scheme in interval arithmetic for a nonzero p over the
+    generator's isolating interval, carried out on integer numerators over
+    one denominator: returns (lo, hi, den) with den > 0, and [lo/den, hi/den]
+    is exactly the rational interval-Horner enclosure of p(alpha)."""
+    a, b = gen.lo, gen.hi
+    q = lcm(a.denominator, b.denominator)
+    a = a.numerator * (q // a.denominator)
+    b = b.numerator * (q // b.denominator)
+    d = lcm(*(c.denominator for c in p))
+    nums = [c.numerator * (d // c.denominator) for c in reversed(p)]
+    lo = hi = nums[0]
+    scale = 1  # q**k after k steps, so the accumulator is over d * scale
+    for n in nums[1:]:
+        cands = (lo * a, lo * b, hi * a, hi * b)
+        scale *= q
+        lo = min(cands) + n * scale
+        hi = max(cands) + n * scale
+    return lo, hi, d * scale
+
+
+def _vanishes_at(e: poly.Poly, gen: AlgebraicReal) -> bool:
+    """Exact test of e(alpha) == 0 for a nonzero e reduced modulo the
+    generator's polynomial: alpha must be a root of gcd(e, poly)."""
+    g = poly.gcd(e, gen.poly)
+    if poly.degree(g) < 1:
+        return False
+    chain = poly.sturm_chain(g)
+    while True:
+        if gen.is_rational:
+            return poly.eval_at(g, gen.lo) == 0
+        lo, hi = gen.lo, gen.hi
+        if poly.eval_at(g, lo) != 0 and poly.eval_at(g, hi) != 0:
+            return poly.count_roots(chain, lo, hi) > 0
+        gen._bisect_once()
 
 
 def sign_at(expr_coeffs: Iterable, x: AlgebraicReal) -> int:
@@ -731,7 +770,9 @@ def scalar_to_obj(x):
     if isinstance(x, float) and x == float("inf"):
         return "inf"
     if isinstance(x, FieldElement) and not x.is_fraction():
-        return {"coeffs": [rat_to_str(c) for c in x.coeffs]}
+        # reduced against the generator's current polynomial, which an
+        # inverse may have shrunk to a factor since x was computed
+        return {"coeffs": [rat_to_str(c) for c in poly.rem(x.coeffs, x.gen.poly)]}
     return scalar_to_str(x)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence, Union
 
@@ -326,8 +326,11 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
 # Differentiation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4096)
 def differentiate(e: Expr, name: str) -> Expr:
-    """Symbolic partial derivative with respect to 'x' or 'y'."""
+    """Symbolic partial derivative with respect to 'x' or 'y'.  The AST is
+    frozen and hashable, so each (subexpression, variable) pair is
+    differentiated once and the result is shared."""
     if name not in ("x", "y"):
         raise ValueError("variable must be 'x' or 'y'")
     if isinstance(e, Var):

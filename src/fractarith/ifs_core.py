@@ -107,7 +107,10 @@ class HomogeneousIfs:
     automatic for maps of the form x -> lambda*x + t.
     """
 
-    __slots__ = ("ratio", "translations")
+    # the derived geometry (hull, gap profile, reflected system) is computed
+    # on first use and kept: the system never changes, and the certifier
+    # asks for it on every attempt
+    __slots__ = ("ratio", "translations", "_hull", "_gaps", "_reflected")
 
     def __init__(self, ratio, translations: Iterable):
         ratio = as_scalar(ratio)
@@ -121,6 +124,9 @@ class HomogeneousIfs:
                 raise FractarithError("translations must be strictly increasing (duplicate maps rejected)")
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "translations", ts)
+        object.__setattr__(self, "_hull", None)
+        object.__setattr__(self, "_gaps", None)
+        object.__setattr__(self, "_reflected", None)
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("HomogeneousIfs is immutable")
@@ -138,11 +144,18 @@ class HomogeneousIfs:
             raise InvalidDigit(f"digit {digit} outside alphabet 1..{self.n}")
 
     def convex_hull(self) -> Interval:
-        one_minus = 1 - self.ratio
-        return Interval(self.translations[0] / one_minus,
-                        self.translations[-1] / one_minus)
+        if self._hull is None:
+            one_minus = 1 - self.ratio
+            object.__setattr__(self, "_hull", Interval(self.translations[0] / one_minus,
+                                                       self.translations[-1] / one_minus))
+        return self._hull
 
     def gap_profile(self) -> GapProfile:
+        if self._gaps is None:
+            object.__setattr__(self, "_gaps", self._compute_gap_profile())
+        return self._gaps
+
+    def _compute_gap_profile(self) -> GapProfile:
         hull = self.convex_hull()
         a, b = hull.lo, hull.hi
         gaps: list[tuple[int, Scalar]] = []
@@ -245,7 +258,10 @@ class HomogeneousIfs:
 
     def reflect(self) -> "HomogeneousIfs":
         """IFS whose attractor is the negation of this one's."""
-        return HomogeneousIfs(self.ratio, tuple(-t for t in reversed(self.translations)))
+        if self._reflected is None:
+            object.__setattr__(self, "_reflected", HomogeneousIfs(
+                self.ratio, tuple(-t for t in reversed(self.translations))))
+        return self._reflected
 
     def reflect_word(self, word: Sequence[int]) -> Word:
         """Digit map identifying cylinders of the reflected system:
@@ -284,6 +300,9 @@ class HomogeneousIfs:
 
             def load(v):
                 if isinstance(v, dict):
+                    if set(v) != {"coeffs"} or not isinstance(v["coeffs"], list):
+                        raise FractarithError("an algebraic scalar must be a JSON object "
+                                              f"holding only a 'coeffs' list, got {v!r}")
                     return FieldElement.of(gen, [rat_from_str(c) for c in v["coeffs"]])
                 return rat_from_str(v)
 

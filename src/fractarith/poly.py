@@ -88,6 +88,8 @@ def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 
 def rem(p: Poly, q: Poly) -> Poly:
+    if len(p) < len(q):  # already reduced; q is nonzero
+        return strip(p)
     return divmod_poly(p, q)[1]
 
 

@@ -18,7 +18,7 @@ from .certifier import Certificate, auto_certify
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, NotContained, UndecidableComparison)
 from .exactnum import (AlgebraicReal, FieldElement, Scalar, as_scalar,
-                       scalar_sign)
+                       rat_from_str, scalar_sign)
 from .exprfn import Expr
 from .ifs_core import Code, HomogeneousIfs
 
@@ -41,7 +41,7 @@ def qstar() -> AlgebraicReal:
 def as_base(q) -> Scalar:
     """Normalize a base to an exact scalar and verify 1 < q < 2."""
     if isinstance(q, str):
-        q = qstar() if q.strip() == "qstar" else Fraction(q)
+        q = qstar() if q.strip() == "qstar" else rat_from_str(q)
     q = as_scalar(q)
     if not (1 < q and q < 2):
         raise FractarithError("base must satisfy 1 < q < 2")

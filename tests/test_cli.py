@@ -199,6 +199,10 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
+_IFS = {"ratio": "1/3", "translations": ["0", "2/3"]}
+_SQRT2 = {"poly": [-2, 0, 1], "lo": "1", "hi": "2"}
+
+
 def _cert_text(**fields):
     obj = certify_rectangle(cantor(), cantor(), parse("x+y"), (), ()).to_obj()
     obj.update(fields)
@@ -217,9 +221,23 @@ def _cert_text(**fields):
     (["uq-cover", "--q", "19/10", "--depth", "-1"], None, "non-negative"),
     (["replay", "--cert", "CERT"], "[1]", "JSON object"),
     (["replay", "--cert", "CERT"], _cert_text(word1=5), "'word1'"),
+    (["gaps", "--ifs", json.dumps(dict(_IFS, base=5))], None, "algebraic number"),
+    (["gaps", "--ifs", json.dumps(dict(_IFS, base=_SQRT2, translations=["0", {"c": ["1"]}]))],
+     None, "'coeffs'"),
+    (["gaps", "--ifs", json.dumps(dict(_IFS, base={"poly": [-2, 0, 1], "lo": "1"}))],
+     None, "'hi'"),
+    (["gaps", "--ifs", json.dumps(dict(_IFS, ratio={"poly": [-1, 0, 3], "hi": "1"}))],
+     None, "'lo'"),
+    (["replay", "--cert", "CERT"], _cert_text(ifs1=dict(_IFS, base=5)), "algebraic number"),
+    (["gaps", "--ifs", json.dumps(dict(_IFS, ratio="1/0"))], None, "zero denominator"),
+    (["qg", "--q", "1/0"], None, "zero denominator"),
+    (["boxdim", "--q-grid", "1/0", "--ranks", "1:3"], None, "zero denominator"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "base-not-a-number", "boxdim-without-input",
-        "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list"])
+        "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list",
+        "ifs-base-not-an-object", "ifs-translation-without-coeffs", "ifs-base-without-hi",
+        "ifs-ratio-without-lo", "replay-ifs-base-not-an-object", "ifs-zero-denominator",
+        "base-zero-denominator", "q-grid-zero-denominator"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

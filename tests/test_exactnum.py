@@ -1,13 +1,16 @@
 """Tests for the exact scalar tower: intervals, algebraic reals, field
 elements."""
 
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fractarith import poly
+from fractarith import exactnum, poly
 from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
                                  IntervalUnion, fraction_pow_bounds,
@@ -299,6 +302,141 @@ def test_reducible_defining_polynomial_splits_on_inverse():
     inv = 1 / (x - 3)  # nonzero at sqrt2
     assert ((x - 3) * inv).to_fraction() == 1
     assert (x * x - 2).is_zero()
+
+
+# Reference copies of the gcd-first sign decision that the enclosure-first
+# FieldElement.is_zero/sign replaced, kept as a differential oracle.
+
+def _reference_interval_horner(p, x: Interval) -> Interval:
+    acc = Interval.point(0)
+    for c in reversed(p):
+        acc = acc * x + Interval.point(c)
+    return acc
+
+
+def _reference_is_zero(el: FieldElement) -> bool:
+    e = poly.rem(el.coeffs, el.gen.poly)
+    if poly.is_zero(e):
+        return True
+    g = poly.gcd(e, el.gen.poly)
+    if poly.degree(g) < 1:
+        return False
+    chain = poly.sturm_chain(g)
+    while True:
+        if el.gen.is_rational:
+            return poly.eval_at(g, el.gen.lo) == 0
+        lo, hi = el.gen.lo, el.gen.hi
+        if poly.eval_at(g, lo) != 0 and poly.eval_at(g, hi) != 0:
+            return poly.count_roots(chain, lo, hi) > 0
+        el.gen._bisect_once()
+
+
+def _reference_sign(el: FieldElement) -> int:
+    if _reference_is_zero(el):
+        return 0
+    e = poly.rem(el.coeffs, el.gen.poly)
+    while True:
+        enc = _reference_interval_horner(e, Interval(el.gen.lo, el.gen.hi))
+        if enc.lo > 0:
+            return 1
+        if enc.hi < 0:
+            return -1
+        el.gen._bisect_once()
+
+
+def _still_isolates(gen: AlgebraicReal) -> bool:
+    if gen.is_rational:
+        return poly.eval_at(gen.poly, gen.lo) == 0
+    return (poly.eval_at(gen.poly, gen.lo) != 0 and poly.eval_at(gen.poly, gen.hi) != 0
+            and poly.count_roots(poly.sturm_chain(gen.poly), gen.lo, gen.hi) == 1)
+
+
+def _is_square(r: Fraction) -> bool:
+    def square(k: int) -> bool:
+        return math.isqrt(k) ** 2 == k
+    return square(r.numerator) and square(r.denominator)
+
+
+SQRT_C = st.fractions(min_value=Fraction(13, 4), max_value=4, max_denominator=40) \
+    .filter(lambda c: Fraction(13, 4) < c < 4 and not _is_square(c))
+TRIBONACCI = (-1, -1, -1, 1)  # x^3 - x^2 - x - 1, root 1.839...
+REDUCIBLE = (6, -2, -3, 1)    # (x^2 - 2)(x - 3), isolated at sqrt 2 in [1, 2]
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+COEFFS = st.lists(SMALL, min_size=1, max_size=4)
+
+
+@st.composite
+def sign_cases(draw):
+    """(defining polynomial, isolating interval, element coefficients)."""
+    kind = draw(st.sampled_from(["sqrt", "tribonacci", "reducible"]))
+    if kind == "sqrt":
+        c = draw(SQRT_C)
+        gen, lo, hi = (-c, 0, 1), draw(st.sampled_from([Fraction(3, 2), Fraction(7, 4)])), 2
+    elif kind == "tribonacci":
+        gen, lo, hi = TRIBONACCI, draw(st.sampled_from([Fraction(7, 4), Fraction(9, 5)])), 2
+    else:
+        gen, lo, hi = REDUCIBLE, 1, 2
+    shape = draw(st.sampled_from(["random", "near", "zero", "factor"]))
+    if shape == "random":
+        coeffs = draw(COEFFS)
+    elif shape == "near":
+        # a multiple of alpha - r for a rational r inside the isolating
+        # interval: its enclosure often contains 0 until the generator bisects
+        r = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=10 ** 4))
+        coeffs = poly.mul(poly.make((-r, 1)), poly.make(draw(COEFFS)))
+    elif shape == "zero":
+        # a multiple of the minimal polynomial of alpha: exactly 0
+        minimal = (-2, 0, 1) if kind == "reducible" else gen
+        coeffs = poly.mul(poly.make(minimal), poly.make(draw(COEFFS)))
+    else:
+        # a multiple of the cofactor (x - 3), nonzero at sqrt 2, or of x - 2
+        cofactor = (-3, 1) if kind == "reducible" else (-2, 1)
+        coeffs = poly.mul(poly.make(cofactor), poly.make(draw(COEFFS)))
+    return gen, Fraction(lo), Fraction(hi), coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sign_cases())
+def test_enclosure_first_sign_matches_gcd_first_reference(case):
+    gen_poly, lo, hi, coeffs = case
+    fast_gen = AlgebraicReal(gen_poly, lo, hi)
+    ref_gen = AlgebraicReal(gen_poly, lo, hi)
+    fast = FieldElement.of(fast_gen, coeffs)
+    ref = FieldElement.of(ref_gen, coeffs)
+    want = _reference_sign(ref)
+    assert fast.is_zero() == (want == 0)
+    assert fast.sign() == want
+    assert _still_isolates(fast_gen) and _still_isolates(ref_gen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sign_cases(), bisections=st.integers(0, 12))
+def test_horner_enclosure_equals_interval_horner(case, bisections):
+    gen_poly, lo, hi, coeffs = case
+    gen = AlgebraicReal(gen_poly, lo, hi)
+    for _ in range(bisections):
+        gen._bisect_once()
+    e = poly.rem(poly.make(coeffs), gen.poly)
+    if poly.is_zero(e):
+        return
+    n_lo, n_hi, den = exactnum._horner_enclosure(e, gen)
+    enc = _reference_interval_horner(e, Interval(gen.lo, gen.hi))
+    assert den > 0
+    assert (Fraction(n_lo, den), Fraction(n_hi, den)) == (enc.lo, enc.hi)
+
+
+def test_sign_decided_by_enclosure_runs_no_gcd(monkeypatch):
+    sqrt2 = AlgebraicReal((-2, 0, 1), 1, 2)
+    calls = []
+    real_gcd = poly.gcd
+    monkeypatch.setattr(poly, "gcd", lambda p, q: calls.append(1) or real_gcd(p, q))
+    x = FieldElement.generator(sqrt2)
+    assert (x - 10).sign() == -1 and (x + 1).sign() == 1
+    assert not (3 * x).is_zero()
+    assert calls == []
+    # an enclosure containing 0 falls back to the exact gcd test
+    assert (x * x - 2).is_zero() and calls == []  # reduces to 0 outright
+    assert (x - Fraction(7, 5)).sign() == 1 and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

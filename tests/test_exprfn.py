@@ -97,6 +97,20 @@ def test_differentiate_power_rule():
     assert differentiate(parse("y"), "x") == Const(Fraction(0))
 
 
+def test_differentiate_is_cached_per_expression_and_variable():
+    f = parse("x^(1/2)*y + x/(y+1)")
+    differentiate.cache_clear()
+    first = differentiate(f, "x")
+    hits = differentiate.cache_info().hits
+    again = differentiate(parse("x^(1/2)*y + x/(y+1)"), "x")
+    assert again is first
+    assert differentiate.cache_info().hits == hits + 1
+    assert first == differentiate.__wrapped__(f, "x")
+    assert differentiate(f, "y") != first
+    with pytest.raises(ValueError):
+        differentiate(f, "z")
+
+
 def test_substitute_negated_variable():
     f2 = substitute(parse("x-y"), "y", Neg(Y))
     # x - (-y) simplifies to x + y

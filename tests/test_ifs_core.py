@@ -9,8 +9,11 @@ import pytest
 
 from fractarith.errors import (FractarithError, InvalidDigit, NotInCover,
                                ResourceBudget)
-from fractarith.exactnum import Interval, IntervalUnion
+from fractarith import poly
+from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
+                                 scalar_to_obj)
 from fractarith.ifs_core import Code, HomogeneousIfs, cantor, locate
+from fractarith.qexp import kq_ifs
 
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))  # attractor [0,1]
 SPARSE = HomogeneousIfs(Fraction(1, 5), (Fraction(0), Fraction(4, 5)))
@@ -204,6 +207,55 @@ def test_reflect_word_addresses_negated_cylinder():
         iv = c.basic_interval(w)
         mirrored = r.basic_interval(c.reflect_word(w))
         assert (mirrored.lo, mirrored.hi) == (-iv.hi, -iv.lo)
+
+
+SQRT_7_2 = AlgebraicReal((Fraction(-7, 2), 0, 1), 1, 2)
+
+
+def _kq_sqrt_ifs() -> HomogeneousIfs:
+    # K_q for q = sqrt(7/2), a FieldElement base; field elements compare
+    # only over one shared generator
+    return kq_ifs(FieldElement.generator(SQRT_7_2))
+
+
+@pytest.mark.parametrize("build", [lambda: SPARSE.reflect().reflect(),
+                                   lambda: HomogeneousIfs(Fraction(1, 4), (0, Fraction(1, 3), 1)),
+                                   _kq_sqrt_ifs],
+                         ids=["rational-two-maps", "rational-three-maps", "kq-sqrt"])
+def test_derived_geometry_is_computed_once_and_matches_a_fresh_system(build):
+    ifs, fresh = build(), build()
+    blob = ifs.to_obj()
+    hull, profile, mirror = ifs.convex_hull(), ifs.gap_profile(), ifs.reflect()
+    assert ifs.convex_hull() is hull
+    assert ifs.gap_profile() is profile
+    assert ifs.reflect() is mirror
+    assert profile.hull is hull
+    assert hull == fresh.convex_hull()
+    assert profile == fresh.gap_profile()
+    assert mirror.to_obj() == fresh.reflect().to_obj()
+    assert mirror.gap_profile() == fresh.reflect().gap_profile()
+    for word in [(), (1,), (2,), (1, 2), (2, 2, 1)]:
+        iv = ifs.basic_interval(word)
+        assert mirror.basic_interval(ifs.reflect_word(word)) == -iv
+    # the caches are never serialised and the system stays immutable
+    assert ifs.to_obj() == blob == fresh.to_obj()
+    for name in ("ratio", "translations", "_hull", "_gaps", "_reflected"):
+        with pytest.raises(AttributeError):
+            setattr(ifs, name, None)
+    assert ifs.convex_hull() is hull
+
+
+def test_cached_geometry_serialises_after_the_base_polynomial_shrinks():
+    # (x^2-2)(x-3) at sqrt 2: inverting alpha - 3 shrinks the defining
+    # polynomial to x^2 - 2 after the hull was cached
+    gen = AlgebraicReal((6, -2, -3, 1), 1, 2)
+    a = FieldElement.generator(gen)
+    ifs = HomogeneousIfs(a - 1, (0, a * a / 2))
+    cached = ifs.convex_hull()
+    assert ((a - 3) * (1 / (a - 3))).to_fraction() == 1
+    assert gen.poly == poly.make((-2, 0, 1))
+    fresh = HomogeneousIfs(a - 1, (0, a * a / 2)).convex_hull()
+    assert scalar_to_obj(cached.hi) == scalar_to_obj(fresh.hi) == {"coeffs": ["1", "1/2"]}
 
 
 def test_serialization_round_trip_lossless():
