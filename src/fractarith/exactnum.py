@@ -714,10 +714,12 @@ class Interval:
 
 
 def _horner_enclosure(p: poly.Poly, gen: AlgebraicReal) -> tuple[int, int, int]:
-    """Horner's scheme in interval arithmetic for a nonzero p over the
-    generator's isolating interval, carried out on integer numerators over
-    one denominator: returns (lo, hi, den) with den > 0, and [lo/den, hi/den]
-    is exactly the rational interval-Horner enclosure of p(alpha)."""
+    """Horner's scheme in interval arithmetic for p over the generator's
+    isolating interval, carried out on integer numerators over one
+    denominator: returns (lo, hi, den) with den > 0, and [lo/den, hi/den] is
+    exactly the rational interval-Horner enclosure of p(alpha)."""
+    if not p:  # the zero polynomial, e.g. a reduced 0/(1 - ratio)
+        return 0, 0, 1
     a, b = gen.lo, gen.hi
     q = lcm(a.denominator, b.denominator)
     a = a.numerator * (q // a.denominator)

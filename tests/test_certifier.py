@@ -16,7 +16,7 @@ from fractarith.certifier import (Certificate, auto_certify, certify_rectangle,
 from fractarith.empirics import oracle_check
 from fractarith.errors import (DomainError, ExhaustedDepth, MarginNegative,
                                SignIndefinite)
-from fractarith.exactnum import Interval
+from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
 from fractarith.exprfn import grad_enclosure, parse
 from fractarith.ifs_core import Code, HomogeneousIfs, cantor
 
@@ -261,6 +261,18 @@ def test_auto_certify_exhausts_on_sparse_sum():
         auto_certify(SPARSE, SPARSE, parse("x+y"),
                      (Code.parse("(1)"), Code.parse("(2)")), 5)
     assert len(exc.value.reasons) == 6  # depths 0..5 all reported
+
+
+def test_auto_certify_descends_past_algebraic_hull_at_zero():
+    # the hull of this IFS starts at 0/(1 - 1/sqrt5), a zero field element;
+    # x^(1/2) on the rank-0 cylinder is a DomainError, and the descent must
+    # go on to rank 1 rather than stop there
+    inv_sqrt5 = 1 / FieldElement.generator(AlgebraicReal((-5, 0, 1), 2, 3))
+    k = HomogeneousIfs(inv_sqrt5, (Fraction(0), Fraction(1, 2)))
+    cert = auto_certify(k, k, parse("x^(1/2)+y"),
+                        (Code.parse("(2)"), Code.parse("(2)")), 4)
+    assert (cert.word1, cert.word2) == ((2,), (2,))
+    assert replay_explain(cert) == (True, None)
 
 
 def test_auto_certify_first_success_is_deterministic():

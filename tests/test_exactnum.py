@@ -417,12 +417,22 @@ def test_horner_enclosure_equals_interval_horner(case, bisections):
     for _ in range(bisections):
         gen._bisect_once()
     e = poly.rem(poly.make(coeffs), gen.poly)
-    if poly.is_zero(e):
-        return
     n_lo, n_hi, den = exactnum._horner_enclosure(e, gen)
     enc = _reference_interval_horner(e, Interval(gen.lo, gen.hi))
     assert den > 0
     assert (Fraction(n_lo, den), Fraction(n_hi, den)) == (enc.lo, enc.hi)
+
+
+def test_zero_field_element_enclosure_and_fractional_power():
+    # 0/(1 - ratio) at the left end of an algebraic hull reduces to the
+    # empty polynomial; it must still enclose as [0, 0], so a fractional
+    # power of an interval starting there is a DomainError
+    x = FieldElement.generator(AlgebraicReal((-5, 0, 1), 2, 3))
+    zero = Fraction(0) / (1 - 1 / x)
+    assert zero.coeffs == () and zero.is_zero() and zero.sign() == 0
+    assert zero.enclosure(Fraction(1, 10)) == (0, 0)
+    with pytest.raises(DomainError):
+        Interval(zero, x).pow_rational(Fraction(1, 2))
 
 
 def test_sign_decided_by_enclosure_runs_no_gcd(monkeypatch):
