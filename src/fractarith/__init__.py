@@ -3,7 +3,7 @@ self-similar sets, with a q-expansion toolkit for univoque sets."""
 
 from .certifier import (Certificate, ConditionReport, SignCase, auto_certify,
                         certify_rectangle, check_global_condition, check_pointwise,
-                        reduce_sign_case, replay, replay_explain)
+                        replay, replay_explain)
 from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
                        rat_from_str, rat_to_str, root_isolate, sign_at)
 from .exprfn import (GradEnclosure, differentiate, eval_grid, eval_interval,

@@ -28,8 +28,8 @@ from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      SignIndefinite)
 from .exactnum import (Interval, Scalar, rat_from_str, scalar_sign,
                        scalar_to_obj, scalar_to_str)
-from .exprfn import (Expr, GradEnclosure, Neg, Var, eval_grid, eval_interval,
-                     eval_point, grad_enclosure, parse, sneg, substitute, to_text)
+from .exprfn import (Expr, GradEnclosure, eval_grid, eval_interval, eval_point,
+                     grad_enclosure, parse, to_text)
 from .ifs_core import Code, HomogeneousIfs, Word, get_budget, locate
 
 FORMAT_TAG = "fractarith-cert-v1"
@@ -64,22 +64,6 @@ class ConditionReport:
             "upper_bound": scalar_to_obj(self.upper_bound),
             "holds": self.holds,
         }
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """Canonical (+,+) form of a certification problem.
-
-    Negating f and/or reflecting one set flips partial-derivative signs; the
-    certified interval maps back through negation when `negate` is set.
-    """
-
-    f: Expr
-    k1: HomogeneousIfs
-    k2: HomogeneousIfs
-    reflect1: bool
-    reflect2: bool
-    negate: bool
 
 
 @dataclass(frozen=True)
@@ -285,7 +269,7 @@ def check_global_condition(k1: HomogeneousIfs, k2: HomogeneousIfs) -> GlobalCond
 
 
 # ---------------------------------------------------------------------------
-# Sign-case reduction
+# Sign cases
 # ---------------------------------------------------------------------------
 
 def sign_case_of(grad: GradEnclosure) -> SignCase:
@@ -296,24 +280,10 @@ def sign_case_of(grad: GradEnclosure) -> SignCase:
                     sy=1 if grad.dy.strictly_positive() else -1)
 
 
-def reduce_sign_case(f: Expr, sign_case: SignCase, k1: HomogeneousIfs,
-                     k2: HomogeneousIfs) -> Reduction:
-    """Bring the problem to canonical (+,+) form.
-
-    (-,-) negates f (output negated back); a single negative partial is
-    absorbed by substituting the negated variable and reflecting that set,
-    which keeps f's values and hence the certified interval unchanged.
-    """
-    sx, sy = sign_case.sx, sign_case.sy
-    if sx > 0 and sy > 0:
-        return Reduction(f, k1, k2, False, False, False)
-    if sx < 0 and sy < 0:
-        return Reduction(sneg(f), k1, k2, False, False, True)
-    if sx > 0 and sy < 0:
-        f2 = substitute(f, "y", Neg(Var("y")))
-        return Reduction(f2, k1, k2.reflect(), False, True, False)
-    f2 = substitute(f, "x", Neg(Var("x")))
-    return Reduction(f2, k1.reflect(), k2, True, False, False)
+def _extremes(iv: Interval, s: int) -> tuple[Scalar, Scalar]:
+    """The ends of iv where a function increasing (s > 0) or decreasing
+    (s < 0) in that variable is smallest, then largest."""
+    return (iv.lo, iv.hi) if s > 0 else (iv.hi, iv.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +291,12 @@ def reduce_sign_case(f: Expr, sign_case: SignCase, k1: HomogeneousIfs,
 # ---------------------------------------------------------------------------
 
 def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
-                         w1: Word, w2: Word, budget: int) -> None:
+                         w1: Word, w2: Word, sign_case: SignCase,
+                         budget: int) -> None:
     """For words of unequal rank, verify that the union of cell images at the
-    equalized starting rank is one interval (exact corner comparisons; f is
-    increasing in both variables here).
+    equalized starting rank is one interval.  f is monotone on every cell
+    with the signs of sign_case, so each cell's image runs from f at one
+    corner to f at the opposite one (exact corner comparisons).
 
     Image endpoints are enclosures of f at the exact corner points, so
     irrational corner values are compared by their outward enclosures, which
@@ -336,10 +308,12 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     ys = k2.cylinders(k0, budget=budget, within=w2)
     if len(xs) * len(ys) > budget:
         raise ResourceBudget(f"{len(xs)}x{len(ys)} starting cells exceed budget")
-    lo_corners = eval_grid(f, [Interval.point(ix.lo) for ix in xs],
-                           [Interval.point(iy.lo) for iy in ys])
-    hi_corners = eval_grid(f, [Interval.point(ix.hi) for ix in xs],
-                           [Interval.point(iy.hi) for iy in ys])
+    x_ends = [_extremes(ix, sign_case.sx) for ix in xs]
+    y_ends = [_extremes(iy, sign_case.sy) for iy in ys]
+    lo_corners = eval_grid(f, [Interval.point(a) for a, _ in x_ends],
+                           [Interval.point(a) for a, _ in y_ends])
+    hi_corners = eval_grid(f, [Interval.point(b) for _, b in x_ends],
+                           [Interval.point(b) for _, b in y_ends])
     cells = list(zip(lo_corners, hi_corners))
     cells.sort(key=lambda c: (c[0].lo, c[1].lo))
     reach = cells[0][1].lo
@@ -350,13 +324,15 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
             reach = hi_enc.lo
 
 
-def _margins(red_k1: HomogeneousIfs, red_k2: HomogeneousIfs,
+def _margins(k1: HomogeneousIfs, k2: HomogeneousIfs,
              dx: Interval, dy: Interval) -> dict[str, tuple[Scalar, Scalar]]:
-    """Scale-free chaining slacks for both nesting orientations, computed in
-    the reduced frame where both partials are positive."""
-    p1 = red_k1.gap_profile()
-    p2 = red_k2.gap_profile()
-    lam = red_k1.ratio
+    """Scale-free chaining slacks for both nesting orientations.  dx and dy
+    enclose the sizes |df/dx| and |df/dy|: the inequalities read the same in
+    every sign case, since they depend on the sets only through their ratio,
+    hull widths and largest gaps."""
+    p1 = k1.gap_profile()
+    p2 = k2.gap_profile()
+    lam = k1.ratio
     w1 = p1.hull.width()
     w2 = p2.hull.width()
     return {
@@ -373,12 +349,14 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     """Certify that f over the cylinder rectangle word1 x word2 is exactly
     the closed interval between its monotone-extreme corner values.
 
-    Checks, with exact arithmetic after sign-case reduction to (+,+):
-    sign-definite partial enclosures over the rectangle; the within-block
-    chaining slack m_row and the gap-crossing slack m_gap, both >= 0, for at
-    least one nesting orientation; and, when the words have unequal rank,
-    that the starting grid of equalized-rank cells glues into one interval.
-    Failure names the first violated inequality with its exact margin.
+    Checks, with exact arithmetic: sign-definite partial enclosures over the
+    rectangle; the within-block chaining slack m_row and the gap-crossing
+    slack m_gap, both >= 0 for the partials' sizes, for at least one nesting
+    orientation; and, when the words have unequal rank, that the starting
+    grid of equalized-rank cells glues into one interval.  The sign case
+    picks, per variable, the ends of the rectangle where f is smallest and
+    largest.  Failure names the first violated inequality with its exact
+    margin.
     """
     budget = budget if budget is not None else get_budget()
     require_shared_ratio(k1, k2)
@@ -388,18 +366,8 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     eval_interval(f, *rect)  # DomainError if f itself is undefined somewhere
     grad = grad_enclosure(f, rect)  # likewise for the partials
     sign_case = sign_case_of(grad)
-    red = reduce_sign_case(f, sign_case, k1, k2)
 
-    rw1 = k1.reflect_word(word1) if red.reflect1 else word1
-    rw2 = k2.reflect_word(word2) if red.reflect2 else word2
-    # the reflected system's cylinder reflect_word(w) is -basic_interval(w)
-    red_rect = (-rect[0] if red.reflect1 else rect[0],
-                -rect[1] if red.reflect2 else rect[1])
-    red_grad = grad_enclosure(red.f, red_rect)
-    if not (red_grad.dx.strictly_positive() and red_grad.dy.strictly_positive()):
-        raise SignIndefinite("reduced gradient not strictly positive")
-
-    margins = _margins(red.k1, red.k2, red_grad.dx, red_grad.dy)
+    margins = _margins(k1, k2, grad.dx.abs(), grad.dy.abs())
     orientation = None
     for name in ("k1-blocks", "k2-blocks"):
         m_row, m_gap = margins[name]
@@ -413,14 +381,13 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
         raise MarginNegative("m_gap", m_gap)
     m_row, m_gap = margins[orientation]
 
-    _initial_grid_chains(red.k1, red.k2, red.f, rw1, rw2, budget)
+    _initial_grid_chains(k1, k2, f, word1, word2, sign_case, budget)
 
-    lo_enc = eval_point(red.f, red_rect[0].lo, red_rect[1].lo)
-    hi_enc = eval_point(red.f, red_rect[0].hi, red_rect[1].hi)
+    x_min, x_max = _extremes(rect[0], sign_case.sx)
+    y_min, y_max = _extremes(rect[1], sign_case.sy)
     # inward rounding keeps the certified interval inside the true image
-    lo_val, hi_val = lo_enc.hi, hi_enc.lo
-    if red.negate:
-        lo_val, hi_val = -hi_val, -lo_val
+    lo_val = eval_point(f, x_min, y_min).hi
+    hi_val = eval_point(f, x_max, y_max).lo
     if hi_val < lo_val:
         raise CertificationFailure("rectangle too small to certify after rounding")
     certified = Interval(lo_val, hi_val)
@@ -435,6 +402,8 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
                  budget: int | None = None) -> Certificate:
     """Descend the cylinder pair around the coded point, returning the first
     rank at which certify_rectangle succeeds.  Deterministic."""
+    if max_depth < 0:
+        raise FractarithError(f"max depth must be non-negative, got {max_depth}")
     code1, code2 = point
     reasons: list[tuple[int, str]] = []
     for k in range(max_depth + 1):

@@ -43,13 +43,15 @@ def _load_ifs(spec: str) -> HomogeneousIfs:
         return kq_ifs(spec[3:])
     if spec.startswith("{"):
         obj = json.loads(spec)
-        return HomogeneousIfs.from_obj(obj.get("ifs", obj))
-    if os.path.exists(spec):
+    elif os.path.exists(spec):
         with open(spec) as fh:
             obj = json.load(fh)
-        return HomogeneousIfs.from_obj(obj.get("ifs", obj))
-    raise FractarithError(f"cannot interpret IFS spec {spec!r} "
-                          "(use 'cantor', 'kq:<q>', a JSON file path, or inline JSON)")
+    else:
+        raise FractarithError(f"cannot interpret IFS spec {spec!r} "
+                              "(use 'cantor', 'kq:<q>', a JSON file path, or inline JSON)")
+    if isinstance(obj, dict):
+        obj = obj.get("ifs", obj)
+    return HomogeneousIfs.from_obj(obj)
 
 
 def _load_ifs_pair(spec1: str, spec2: str) -> tuple[HomogeneousIfs, HomogeneousIfs]:

@@ -301,27 +301,6 @@ def spow(base: Expr, e: Fraction) -> Expr:
     return Pow(base, e)
 
 
-def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Substitute an expression for a variable, bottom-up."""
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return sadd(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Sub):
-        return ssub(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Div):
-        return Div(substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, name, replacement), e.exponent)
-    if isinstance(e, Neg):
-        return sneg(substitute(e.operand, name, replacement))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------

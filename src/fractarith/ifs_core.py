@@ -35,6 +35,11 @@ def get_budget() -> int:
     return DEFAULT_BUDGET
 
 
+def _check_rank(k: int) -> None:
+    if k < 0:
+        raise FractarithError(f"rank must be non-negative, got {k}")
+
+
 @dataclass(frozen=True)
 class Code:
     """Eventually periodic digit code addressing a point of the attractor."""
@@ -47,6 +52,7 @@ class Code:
             raise FractarithError("code period must be nonempty")
 
     def prefix(self, k: int) -> Word:
+        _check_rank(k)
         out = list(self.preperiod[:k])
         i = 0
         while len(out) < k:
@@ -107,10 +113,10 @@ class HomogeneousIfs:
     automatic for maps of the form x -> lambda*x + t.
     """
 
-    # the derived geometry (hull, gap profile, reflected system) is computed
-    # on first use and kept: the system never changes, and the certifier
-    # asks for it on every attempt
-    __slots__ = ("ratio", "translations", "_hull", "_gaps", "_reflected")
+    # the derived geometry (hull, gap profile) is computed on first use and
+    # kept: the system never changes, and the certifier asks for it on every
+    # attempt
+    __slots__ = ("ratio", "translations", "_hull", "_gaps")
 
     def __init__(self, ratio, translations: Iterable):
         ratio = as_scalar(ratio)
@@ -126,7 +132,6 @@ class HomogeneousIfs:
         object.__setattr__(self, "translations", ts)
         object.__setattr__(self, "_hull", None)
         object.__setattr__(self, "_gaps", None)
-        object.__setattr__(self, "_reflected", None)
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("HomogeneousIfs is immutable")
@@ -199,6 +204,7 @@ class HomogeneousIfs:
         """All distinct rank-k basic intervals (sorted), optionally restricted
         to descendants of a given word.  Rank counts from the hull, so k must
         be at least len(within)."""
+        _check_rank(k)
         if k < len(within):
             raise FractarithError("rank below the restricting word length")
         budget = budget if budget is not None else get_budget()
@@ -234,6 +240,7 @@ class HomogeneousIfs:
     def locate(self, point, k: int) -> Word:
         """Rank-k word whose basic interval contains the point; leftmost word
         on ties.  Raises NotInCover when the point falls in a gap."""
+        _check_rank(k)
         x = as_scalar(point)
         hull = self.convex_hull()
         if not hull.contains(x):
@@ -255,18 +262,6 @@ class HomogeneousIfs:
             else:
                 raise NotInCover(f"point {point} falls in a gap at rank {len(word) + 1}")
         return tuple(word)
-
-    def reflect(self) -> "HomogeneousIfs":
-        """IFS whose attractor is the negation of this one's."""
-        if self._reflected is None:
-            object.__setattr__(self, "_reflected", HomogeneousIfs(
-                self.ratio, tuple(-t for t in reversed(self.translations))))
-        return self._reflected
-
-    def reflect_word(self, word: Sequence[int]) -> Word:
-        """Digit map identifying cylinders of the reflected system:
-        reflect().basic_interval(reflect_word(w)) == -basic_interval(w)."""
-        return tuple(self.n + 1 - d for d in word)
 
     # -- serialization ------------------------------------------------------
 
@@ -321,6 +316,7 @@ def locate(ifs: HomogeneousIfs, point, k: int) -> Word:
     if isinstance(point, Code):
         word = point.prefix(k)
     elif isinstance(point, tuple):
+        _check_rank(k)
         if len(point) < k:
             raise NotInCover(f"code of length {len(point)} cannot address rank {k}")
         word = point[:k]

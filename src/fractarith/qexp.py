@@ -214,6 +214,8 @@ class QuasiGreedyStream:
     """
 
     def __init__(self, q, budget: int = DEFAULT_QG_BUDGET):
+        if budget < 0:
+            raise FractarithError(f"digit budget must be non-negative, got {budget}")
         self.q = as_base(q)
         self.budget = budget
         self._digits: list[int] = []

@@ -1,4 +1,4 @@
-"""Tests for the certification core: pointwise reports, sign-case reduction,
+"""Tests for the certification core: pointwise reports, sign cases,
 rectangle certificates, replay."""
 
 import dataclasses
@@ -8,16 +8,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractarith.certifier import (Certificate, auto_certify, certify_rectangle,
                                   check_global_condition, check_pointwise,
-                                  condition_bounds, reduce_sign_case, replay,
+                                  condition_bounds, replay,
                                   replay_explain, sign_case_of, SignCase)
 from fractarith.empirics import oracle_check
-from fractarith.errors import (DomainError, ExhaustedDepth, MarginNegative,
-                               SignIndefinite)
+from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth,
+                               FractarithError, MarginNegative, SignIndefinite)
 from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
-from fractarith.exprfn import grad_enclosure, parse
+from fractarith.exprfn import eval_point, grad_enclosure, parse
 from fractarith.ifs_core import Code, HomogeneousIfs, cantor
 
 C = cantor()
@@ -94,28 +96,6 @@ def test_sign_case_of_requires_definite_signs():
     assert sign_case_of(g2) == SignCase(1, -1)
 
 
-def test_reduce_sign_case_minus_y():
-    red = reduce_sign_case(parse("x-y"), SignCase(1, -1), C, C)
-    assert red.f == parse("x+y")
-    assert not red.reflect1 and red.reflect2 and not red.negate
-    assert red.k2.translations == (Fraction(-2, 3), Fraction(0))
-
-
-def test_reduce_sign_case_both_negative():
-    red = reduce_sign_case(parse("-x-y"), SignCase(-1, -1), C, C)
-    assert red.negate and not red.reflect1 and not red.reflect2
-    # f' is x+y up to semantic equivalence
-    from fractarith.exprfn import eval_point
-    for x, y in ((Fraction(1, 3), Fraction(5, 7)), (Fraction(0), Fraction(2))):
-        assert eval_point(red.f, x, y).lo == x + y
-
-
-def test_reduce_sign_case_identity():
-    red = reduce_sign_case(parse("x+y"), SignCase(1, 1), C, C)
-    assert red.f == parse("x+y") and not red.negate
-    assert not red.reflect1 and not red.reflect2
-
-
 # ---------------------------------------------------------------------------
 # rectangle certification
 # ---------------------------------------------------------------------------
@@ -166,7 +146,6 @@ def test_certify_sign_indefinite():
 
 def test_mismatched_ratios_rejected():
     fifth = HomogeneousIfs(Fraction(1, 5), (Fraction(0), Fraction(4, 5)))
-    from fractarith.errors import FractarithError
     with pytest.raises(FractarithError):
         certify_rectangle(C, fifth, parse("x+y"), (), ())
     with pytest.raises(FractarithError):
@@ -372,3 +351,50 @@ def test_random_certificates_sound():
         assert replay(cert)
         assert oracle_check(cert, max(6, len(w)))
         issued += 1
+
+
+# every sign case, with and without fractional powers
+SIGN_MIXED = ["x+y", "x-y", "y-x", "-x-y", "2*x-y", "x*y", "-x*y", "x/y", "y/x",
+              "x^(-1)+y", "x^2+y^2", "x^(1/2)-y", "y^(1/3)-x^2", "-x^(1/2)-y^(1/2)"]
+
+
+@st.composite
+def rectangle_problems(draw):
+    """Two rational systems sharing the ratio 1/m, with digit sets drawn
+    from 0..m-1 and shifted to the right of 0, f from SIGN_MIXED, and words
+    of equal or unequal rank."""
+    m = draw(st.integers(2, 5))
+    lam = Fraction(1, m)
+
+    def ifs():
+        digits = sorted(draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=4)))
+        offset = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+        return HomogeneousIfs(lam, [Fraction(d, m) + offset * (1 - lam) for d in digits])
+
+    def word(k):
+        return tuple(draw(st.lists(st.integers(1, k.n), max_size=2)))
+
+    k1, k2 = ifs(), ifs()
+    return k1, k2, parse(draw(st.sampled_from(SIGN_MIXED))), word(k1), word(k2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangle_problems())
+def test_issued_certificates_pass_the_oracle_and_replay_from_json(problem):
+    k1, k2, f, w1, w2 = problem
+    try:
+        cert = certify_rectangle(k1, k2, f, w1, w2)
+    except (CertificationFailure, DomainError):
+        return
+    assert oracle_check(cert, max(len(w1), len(w2)) + 2)
+    again = Certificate.from_json(cert.to_json())
+    assert again.to_json() == cert.to_json()
+    assert replay(again)
+    # the endpoints lie between the corner values, and equal the smallest
+    # and largest of them when f has no fractional power
+    r1, r2 = cert.grad.rect
+    corners = [eval_point(f, x, y) for x in (r1.lo, r1.hi) for y in (r2.lo, r2.hi)]
+    low, high = min(c.lo for c in corners), max(c.hi for c in corners)
+    assert not (cert.certified_interval.lo < low or high < cert.certified_interval.hi)
+    if all(c.lo == c.hi for c in corners):
+        assert cert.certified_interval == Interval(low, high)

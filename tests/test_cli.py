@@ -232,12 +232,23 @@ def _cert_text(**fields):
     (["gaps", "--ifs", json.dumps(dict(_IFS, ratio="1/0"))], None, "zero denominator"),
     (["qg", "--q", "1/0"], None, "zero denominator"),
     (["boxdim", "--q-grid", "1/0", "--ranks", "1:3"], None, "zero denominator"),
+    (["gaps", "--ifs", "CERT"], "[1,2]", "JSON object"),
+    (["check", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x*y", "--point1", "21(1)",
+      "--point2", "(2)", "--depth", "-1"], None, "non-negative"),
+    (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x/y",
+      "--code1", "21(1)", "--code2", "(2)", "--max-depth", "-1"], None, "non-negative"),
+    (["uq-certify", "--q", "19/10", "--f", "x*y", "--max-depth", "-2"], None, "non-negative"),
+    (["qg", "--q", "19/10", "--budget", "-3"], None, "non-negative"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth", "-1"], None,
+     "non-negative"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "base-not-a-number", "boxdim-without-input",
         "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list",
         "ifs-base-not-an-object", "ifs-translation-without-coeffs", "ifs-base-without-hi",
         "ifs-ratio-without-lo", "replay-ifs-base-not-an-object", "ifs-zero-denominator",
-        "base-zero-denominator", "q-grid-zero-denominator"])
+        "base-zero-denominator", "q-grid-zero-denominator", "ifs-file-not-an-object",
+        "check-negative-depth", "auto-certify-negative-max-depth",
+        "uq-certify-negative-max-depth", "qg-negative-budget", "cover-negative-depth"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

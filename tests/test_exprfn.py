@@ -10,7 +10,7 @@ from fractarith.errors import (DivByZeroInterval, DomainError, ExprSyntaxError,
 from fractarith.exactnum import Interval
 from fractarith.exprfn import (Add, Const, Div, Mul, Neg, Pow, Sub, Var,
                                differentiate, eval_grid, eval_interval,
-                               eval_point, grad_enclosure, parse, substitute, to_text)
+                               eval_point, grad_enclosure, parse, to_text)
 
 X, Y = Var("x"), Var("y")
 
@@ -109,12 +109,6 @@ def test_differentiate_is_cached_per_expression_and_variable():
     assert differentiate(f, "y") != first
     with pytest.raises(ValueError):
         differentiate(f, "z")
-
-
-def test_substitute_negated_variable():
-    f2 = substitute(parse("x-y"), "y", Neg(Y))
-    # x - (-y) simplifies to x + y
-    assert f2 == Add(X, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -182,31 +182,16 @@ def test_locate_code_and_tuple_inputs():
     assert locate(c, (2, 1, 2, 1), 3) == (2, 1, 2)
     with pytest.raises(NotInCover):
         locate(c, (2, 1), 3)
+    assert locate(c, (2, 1), 0) == ()
+    for point in (Code.parse("(2)"), (2, 1), Fraction(1)):
+        with pytest.raises(FractarithError, match="non-negative"):
+            locate(c, point, -1)
 
 
 def test_thickness_examples():
     assert cantor().thickness_lower_bound() == 1
     assert SPARSE.thickness_lower_bound() == Fraction(1, 3)
     assert HALF.thickness_lower_bound() == math.inf
-
-
-def test_reflect_cantor():
-    r = cantor().reflect()
-    assert r.translations == (Fraction(-2, 3), Fraction(0))
-    assert r.convex_hull() == Interval(Fraction(-1), Fraction(0))
-    assert r.reflect().to_obj() == cantor().to_obj()
-    assert r.gap_profile().kappa == cantor().gap_profile().kappa
-
-
-def test_reflect_word_addresses_negated_cylinder():
-    c = cantor()
-    r = c.reflect()
-    rng = random.Random(17)
-    for _ in range(20):
-        w = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 6)))
-        iv = c.basic_interval(w)
-        mirrored = r.basic_interval(c.reflect_word(w))
-        assert (mirrored.lo, mirrored.hi) == (-iv.hi, -iv.lo)
 
 
 SQRT_7_2 = AlgebraicReal((Fraction(-7, 2), 0, 1), 1, 2)
@@ -218,28 +203,22 @@ def _kq_sqrt_ifs() -> HomogeneousIfs:
     return kq_ifs(FieldElement.generator(SQRT_7_2))
 
 
-@pytest.mark.parametrize("build", [lambda: SPARSE.reflect().reflect(),
+@pytest.mark.parametrize("build", [lambda: HomogeneousIfs(SPARSE.ratio, SPARSE.translations),
                                    lambda: HomogeneousIfs(Fraction(1, 4), (0, Fraction(1, 3), 1)),
                                    _kq_sqrt_ifs],
                          ids=["rational-two-maps", "rational-three-maps", "kq-sqrt"])
 def test_derived_geometry_is_computed_once_and_matches_a_fresh_system(build):
     ifs, fresh = build(), build()
     blob = ifs.to_obj()
-    hull, profile, mirror = ifs.convex_hull(), ifs.gap_profile(), ifs.reflect()
+    hull, profile = ifs.convex_hull(), ifs.gap_profile()
     assert ifs.convex_hull() is hull
     assert ifs.gap_profile() is profile
-    assert ifs.reflect() is mirror
     assert profile.hull is hull
     assert hull == fresh.convex_hull()
     assert profile == fresh.gap_profile()
-    assert mirror.to_obj() == fresh.reflect().to_obj()
-    assert mirror.gap_profile() == fresh.reflect().gap_profile()
-    for word in [(), (1,), (2,), (1, 2), (2, 2, 1)]:
-        iv = ifs.basic_interval(word)
-        assert mirror.basic_interval(ifs.reflect_word(word)) == -iv
     # the caches are never serialised and the system stays immutable
     assert ifs.to_obj() == blob == fresh.to_obj()
-    for name in ("ratio", "translations", "_hull", "_gaps", "_reflected"):
+    for name in ("ratio", "translations", "_hull", "_gaps"):
         with pytest.raises(AttributeError):
             setattr(ifs, name, None)
     assert ifs.convex_hull() is hull
@@ -283,5 +262,8 @@ def test_code_parse_and_prefix():
     assert Code.parse("212").prefix(5) == (2, 1, 2, 2, 2)
     assert Code.parse("1,2,10(3)").prefix(4) == (1, 2, 10, 3)
     assert str(Code.parse("21(1)")) == "21(1)"
+    assert c.prefix(0) == ()
+    with pytest.raises(FractarithError, match="non-negative"):
+        c.prefix(-1)
     with pytest.raises(FractarithError):
         Code.parse("")
