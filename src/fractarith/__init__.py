@@ -7,7 +7,7 @@ from .certifier import (Certificate, ConditionReport, SignCase, auto_certify,
 from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
                        rat_from_str, rat_to_str, root_isolate, sign_at)
 from .exprfn import (GradEnclosure, differentiate, eval_grid, eval_interval,
-                     eval_point, grad_enclosure, parse, to_text)
+                     eval_lattice, eval_point, grad_enclosure, parse, to_text)
 from .ifs_core import Code, GapProfile, HomogeneousIfs, cantor, locate
 from .qexp import (DigitSeq, QgPrefix, certify_uq_arith,
                    count_expansions_bruteforce, is_univoque_seq, kq_ifs,

@@ -401,10 +401,14 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
                  point: tuple[Code, Code], max_depth: int,
                  budget: int | None = None) -> Certificate:
     """Descend the cylinder pair around the coded point, returning the first
-    rank at which certify_rectangle succeeds.  Deterministic."""
+    rank at which certify_rectangle succeeds.  Deterministic.  Both codes
+    must address points of their sets: a digit outside an alphabet raises
+    InvalidDigit before any descent."""
     if max_depth < 0:
         raise FractarithError(f"max depth must be non-negative, got {max_depth}")
     code1, code2 = point
+    k1.check_code(code1)
+    k2.check_code(code2)
     reasons: list[tuple[int, str]] = []
     for k in range(max_depth + 1):
         try:

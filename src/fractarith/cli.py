@@ -144,7 +144,10 @@ def _cmd_check(args):
     k1, k2 = _resolve_pair(args)
     f = parse_expr(args.f)
     p1, p2 = _resolve_point(args)
-    report = check_pointwise(k1, k2, f, (p1, p2), args.depth)
+    try:
+        report = check_pointwise(k1, k2, f, (p1, p2), args.depth)
+    except (CertificationFailure, DomainError) as exc:
+        return {"holds": "undecided", "reason": str(exc)}, EXIT_NOT_ESTABLISHED
     return report.to_obj(), EXIT_OK if report.holds == "yes" else EXIT_NOT_ESTABLISHED
 
 

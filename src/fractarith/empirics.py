@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
 from .exactnum import Interval, IntervalUnion, Scalar, as_scalar, rat_to_str
-from .exprfn import Expr, eval_grid
+from .exprfn import Expr, eval_grid, eval_lattice
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
 
@@ -47,7 +47,19 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
     if len(xs) * len(ys) > budget:
         raise ResourceBudget(
             f"{len(xs)}x{len(ys)} rectangles exceed budget {budget}")
-    return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
+    return grid_cover(f, xs, ys)
+
+
+def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> IntervalUnion:
+    """The enclosures of f over the grid xs x ys, merged: on integer
+    numerators over one denominator when eval_lattice applies, otherwise
+    through eval_grid and IntervalUnion.from_intervals.  The union is the
+    same either way."""
+    lattice = eval_lattice(f, xs, ys)
+    if lattice is None:
+        return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
+    den, pairs = lattice
+    return IntervalUnion.from_int_pairs(pairs, den)
 
 
 def oscillation_radius(cert: Certificate, depth: int) -> Fraction:
@@ -199,8 +211,7 @@ def uq_product_counts(q, f: Expr, ranks: Iterable[int],
     for r in ranks:
         cover = uq_cover(q, r, budget=budget)
         cells = [Interval(lo, hi) for lo, hi in cover]
-        union = IntervalUnion.from_intervals(
-            (enc.lo, enc.hi) for enc in eval_grid(f, cells, cells))
+        union = grid_cover(f, cells, cells)
         out.append((r, grid_box_count(union, q ** (-r))))
     return out
 

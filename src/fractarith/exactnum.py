@@ -782,6 +782,21 @@ def scalar_to_obj(x):
 # Unions of disjoint closed intervals
 # ---------------------------------------------------------------------------
 
+def _merge_sorted(pairs: Iterable[tuple]) -> tuple[tuple, ...]:
+    """Closed intervals given in order of their left endpoints, with
+    overlapping and touching ones merged in one pass."""
+    merged: list[list] = []
+    for lo, hi in pairs:
+        if hi < lo:
+            raise FractarithError("interval endpoints out of order")
+        if merged and not (merged[-1][1] < lo):
+            if merged[-1][1] < hi:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
 @dataclass(frozen=True)
 class IntervalUnion:
     """Sorted union of pairwise-disjoint closed intervals; touching intervals
@@ -797,18 +812,17 @@ class IntervalUnion:
     def from_intervals(items: Iterable[tuple]) -> "IntervalUnion":
         # ordering by left endpoints alone suffices: pieces sharing one merge
         # into the same interval in any order
-        pairs = sorted(((as_scalar(lo), as_scalar(hi)) for lo, hi in items),
-                       key=itemgetter(0))
-        merged: list[list] = []
-        for lo, hi in pairs:
-            if hi < lo:
-                raise FractarithError("interval endpoints out of order")
-            if merged and not (merged[-1][1] < lo):
-                if merged[-1][1] < hi:
-                    merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        return IntervalUnion(tuple((lo, hi) for lo, hi in merged))
+        return IntervalUnion(_merge_sorted(sorted(
+            ((as_scalar(lo), as_scalar(hi)) for lo, hi in items), key=itemgetter(0))))
+
+    @staticmethod
+    def from_int_pairs(pairs: Iterable[tuple[int, int]], den: int) -> "IntervalUnion":
+        """from_intervals of the pieces [lo/den, hi/den], sorted and merged on
+        the integer numerators (den > 0); only the merged pieces become
+        Fractions."""
+        return IntervalUnion(tuple(
+            (Fraction(lo, den), Fraction(hi, den))
+            for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))))
 
     def __iter__(self):
         return iter(self.intervals)
@@ -862,8 +876,11 @@ class IntervalUnion:
         return out
 
     def inflate(self, radius) -> "IntervalUnion":
+        """Every piece widened by the radius on both sides, merged.  Shifting
+        all left endpoints by one amount keeps them sorted, so one merging
+        pass suffices."""
         r = as_scalar(radius)
-        return IntervalUnion.from_intervals((lo - r, hi + r) for lo, hi in self.intervals)
+        return IntervalUnion(_merge_sorted((lo - r, hi + r) for lo, hi in self.intervals))
 
     def to_obj(self) -> list[list[str]]:
         return [[scalar_to_str(lo), scalar_to_str(hi)] for lo, hi in self.intervals]

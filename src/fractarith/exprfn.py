@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
+from math import lcm
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import ExprSyntaxError, ZeroExponentError
-from .exactnum import Interval, as_scalar
+from .exactnum import FieldElement, Interval, as_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +388,49 @@ def eval_interval(e: Expr, rx: Interval, ry: Interval) -> Interval:
 _NONE, _X, _Y, _XY = 0, 1, 2, 3
 
 
+class _GridWalk:
+    """One walk of an expression over the grid xs x ys, x-major.
+
+    walk(node) returns (variable mask, values): one value for a constant
+    subtree, else an iterator over the subtree's own grid (xs, ys or the
+    whole grid) in order.  A subtree that uses only x runs its Interval
+    operation once per interval of xs, one that uses only y once per
+    interval of ys, and a constant one once.  A subtree that uses both runs
+    per rectangle, through `mixed` when one is given.
+    """
+
+    def __init__(self, xs: Sequence[Interval], ys: Sequence[Interval], mixed=None):
+        self.xs, self.ys, self.mixed = xs, ys, mixed
+        self.size = {_NONE: 1, _X: len(xs), _Y: len(ys), _XY: len(xs) * len(ys)}
+
+    def spread(self, mask: int, vals, to: int):
+        """The values of a subtree over the wider variable set `to`, in its
+        order, repeating references rather than copying."""
+        if mask == to:
+            return vals
+        if mask == _NONE:
+            return repeat(vals, self.size[to])
+        if mask == _X:
+            return chain.from_iterable(repeat(v, self.size[_Y]) for v in vals)
+        return chain.from_iterable(repeat(list(vals), self.size[_X]))
+
+    def walk(self, node: Expr):
+        if isinstance(node, Var):
+            return (_X, iter(self.xs)) if node.name == "x" else (_Y, iter(self.ys))
+        if isinstance(node, Const):
+            return _NONE, Interval.point(node.value)
+        op, operands = _operation(node)
+        parts = [self.walk(a) for a in operands]
+        mask = 0
+        for m, _ in parts:
+            mask |= m
+        if mask == _NONE:
+            return _NONE, op(*[v for _, v in parts])
+        if mask == _XY and self.mixed is not None:
+            return mask, self.mixed(self, node, parts)
+        return mask, map(op, *[self.spread(m, v, mask) for m, v in parts])
+
+
 def eval_grid(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterator[Interval]:
     """eval_interval(e, ix, iy) for every rectangle of the grid xs x ys,
     x-major (ix outer, iy inner), as a lazy stream.
@@ -398,40 +442,124 @@ def eval_grid(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterat
     and no operation runs that the per-rectangle loop would not run.
     Per-rectangle values stream through without being stored.
     """
-    nx, ny = len(xs), len(ys)
-    if not nx or not ny:
+    if not xs or not ys:
         return iter(())
-    size = {_NONE: 1, _X: nx, _Y: ny, _XY: nx * ny}
+    grid = _GridWalk(xs, ys)
+    mask, vals = grid.walk(e)
+    return grid.spread(mask, vals, _XY)
 
-    def spread(mask: int, vals, to: int):
-        """The values of a subtree over the wider variable set `to`, in its
-        order, repeating references rather than copying."""
-        if mask == to:
-            return vals
-        if mask == _NONE:
-            return repeat(vals, size[to])
-        if mask == _X:
-            return chain.from_iterable(repeat(v, ny) for v in vals)
-        return chain.from_iterable(repeat(list(vals), nx))
 
-    def walk(node: Expr):
-        """(variable mask, values): one value for a constant subtree, else an
-        iterator over its grid in order."""
-        if isinstance(node, Var):
-            return (_X, iter(xs)) if node.name == "x" else (_Y, iter(ys))
-        if isinstance(node, Const):
-            return _NONE, Interval.point(node.value)
-        op, operands = _operation(node)
-        parts = [walk(a) for a in operands]
-        mask = 0
-        for m, _ in parts:
-            mask |= m
-        if mask == _NONE:
-            return _NONE, op(*[v for _, v in parts])
-        return mask, map(op, *[spread(m, v, mask) for m, v in parts])
+# ---------------------------------------------------------------------------
+# Grid evaluation on integer numerators
+# ---------------------------------------------------------------------------
 
-    mask, vals = walk(e)
-    return spread(mask, vals, _XY)
+def _lattice_mask(e: Expr) -> int | None:
+    """The variable mask of e, or None when e divides (a Div node or a
+    negative exponent) or raises a subtree in both variables to a
+    fractional power: the cases eval_lattice leaves to eval_grid."""
+    t = type(e)
+    if t is Var:
+        return _X if e.name == "x" else _Y
+    if t is Const:
+        return _NONE
+    if t is Div:
+        return None
+    if t is Pow:
+        m = _lattice_mask(e.base)
+        if m is None or e.exponent <= 0 or (m == _XY and e.exponent.denominator != 1):
+            return None
+        return m
+    if t is Neg:
+        return _lattice_mask(e.operand)
+    left, right = _lattice_mask(e.left), _lattice_mask(e.right)
+    return None if left is None or right is None else left | right
+
+
+def _lift(mask: int, vals) -> tuple[int, object]:
+    """Interval values of a subtree in one variable, or none, as integer
+    pairs over the lcm of their endpoints' denominators: (den, pair) for a
+    constant subtree, else (den, list of pairs)."""
+    ivs = [vals] if mask == _NONE else list(vals)
+    den = lcm(*{v.denominator for iv in ivs for v in (iv.lo, iv.hi)})
+    pairs = [(iv.lo.numerator * (den // iv.lo.denominator),
+              iv.hi.numerator * (den // iv.hi.denominator)) for iv in ivs]
+    return den, pairs[0] if mask == _NONE else pairs
+
+
+def _scale(mask: int, vals, s: int):
+    """Integer pairs multiplied by s (one pair if mask is _NONE)."""
+    if s == 1:
+        return vals
+    if mask == _NONE:
+        return vals[0] * s, vals[1] * s
+    return ((lo * s, hi * s) for lo, hi in vals)
+
+
+def _imul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    a0, a1 = a
+    b0, b1 = b
+    cands = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    return min(cands), max(cands)
+
+
+def _ipow(a: tuple[int, int], n: int) -> tuple[int, int]:
+    lo, hi = a
+    plo, phi = lo ** n, hi ** n
+    if n % 2 == 1 or lo >= 0:
+        return plo, phi
+    if hi < 0:
+        return phi, plo
+    return 0, max(plo, phi)
+
+
+def _lattice_node(grid: _GridWalk, node: Expr, parts) -> tuple[int, Iterator]:
+    """A subtree in both variables on integer numerators: (den, stream of
+    pairs), the n-th pair being the Interval operation's n-th enclosure
+    times den.  Operands in one variable, or none, are lifted first."""
+    masks = [m for m, _ in parts]
+    lifted = [v if m == _XY else _lift(m, v) for m, v in parts]
+    t = type(node)
+    if t is Add or t is Sub:
+        den = lcm(*(d for d, _ in lifted))
+        a, b = (grid.spread(m, _scale(m, v, den // d), _XY)
+                for m, (d, v) in zip(masks, lifted))
+        if t is Add:
+            return den, ((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(a, b))
+        return den, ((a0 - b1, a1 - b0) for (a0, a1), (b0, b1) in zip(a, b))
+    streams = [grid.spread(m, v, _XY) for m, (_, v) in zip(masks, lifted)]
+    if t is Mul:
+        return lifted[0][0] * lifted[1][0], map(_imul, *streams)
+    den = lifted[0][0]
+    if t is Neg:
+        return den, ((-hi, -lo) for lo, hi in streams[0])
+    n = node.exponent.numerator  # Pow: a positive integer here
+    return den ** n, map(partial(_ipow, n=n), streams[0])
+
+
+def eval_lattice(e: Expr, xs: Sequence[Interval],
+                 ys: Sequence[Interval]) -> tuple[int, Iterator[tuple[int, int]]] | None:
+    """eval_grid on integer numerators: (den, pairs), where the n-th pair
+    (lo, hi) gives the n-th enclosure of eval_grid as [lo/den, hi/den].
+
+    Subtrees in one variable, or none, are evaluated as in eval_grid and
+    lifted to integers over the lcm of their values' denominators; subtrees
+    in both variables add, subtract, multiply, negate and take positive
+    integer powers on integers, a sum over the lcm of its operands'
+    denominators and a product over their product.  Returns None, leaving
+    the grid to eval_grid, when an endpoint is a FieldElement or when e
+    divides or raises a subtree in both variables to a fractional power.
+    """
+    if _lattice_mask(e) is None or any(isinstance(v, FieldElement)
+                                       for iv in chain(xs, ys) for v in (iv.lo, iv.hi)):
+        return None
+    if not xs or not ys:
+        return 1, iter(())
+    grid = _GridWalk(xs, ys, _lattice_node)
+    mask, vals = grid.walk(e)
+    if mask == _XY:
+        return vals
+    den, vals = _lift(mask, vals)
+    return den, grid.spread(mask, vals, _XY)
 
 
 def eval_point(e: Expr, x, y) -> Interval:

@@ -148,6 +148,12 @@ class HomogeneousIfs:
         if not 1 <= digit <= self.n:
             raise InvalidDigit(f"digit {digit} outside alphabet 1..{self.n}")
 
+    def check_code(self, code: Code) -> None:
+        """Raise InvalidDigit unless every digit of the code, preperiod and
+        period, lies in the alphabet."""
+        for d in code.preperiod + code.period:
+            self._check_digit(d)
+
     def convex_hull(self) -> Interval:
         if self._hull is None:
             one_minus = 1 - self.ratio

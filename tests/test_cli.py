@@ -115,6 +115,14 @@ def test_check_with_explicit_pair_and_codes(capsys):
     assert status == 0 and obj["holds"] == "yes"
 
 
+def test_check_domain_error_is_not_established(capsys):
+    # f = x/y is undefined where the located y-cylinder reaches 0
+    status, obj = run(capsys, "check", "--ifs1", "cantor", "--ifs2", "cantor",
+                      "--f", "x/y", "--point1", "1", "--point2", "1", "--depth", "3")
+    assert status == 2
+    assert obj == {"holds": "undecided", "reason": "interval contains 0"}
+
+
 def test_check_cor2(capsys):
     status, obj = run(capsys, "check-cor2", "--ifs1", "cantor", "--ifs2", "cantor")
     assert status == 2 and obj["holds"] is False
@@ -241,6 +249,10 @@ def _cert_text(**fields):
     (["qg", "--q", "19/10", "--budget", "-3"], None, "non-negative"),
     (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth", "-1"], None,
      "non-negative"),
+    (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--code1", "3", "--code2", "1"], None, "digit 3 outside alphabet 1..2"),
+    (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--code1", "1", "--code2", "12(0)"], None, "digit 0 outside alphabet 1..2"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "base-not-a-number", "boxdim-without-input",
         "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list",
@@ -248,7 +260,8 @@ def _cert_text(**fields):
         "ifs-ratio-without-lo", "replay-ifs-base-not-an-object", "ifs-zero-denominator",
         "base-zero-denominator", "q-grid-zero-denominator", "ifs-file-not-an-object",
         "check-negative-depth", "auto-certify-negative-max-depth",
-        "uq-certify-negative-max-depth", "qg-negative-budget", "cover-negative-depth"])
+        "uq-certify-negative-max-depth", "qg-negative-budget", "cover-negative-depth",
+        "auto-certify-digit-outside-alphabet", "auto-certify-period-digit-outside-alphabet"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

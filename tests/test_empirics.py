@@ -18,7 +18,7 @@ from fractarith.empirics import (DimEstimate, box_dim_estimate,
 from fractarith.errors import DegenerateFit, FractarithError, ResourceBudget
 from fractarith.exactnum import AlgebraicReal, Interval, IntervalUnion, as_scalar
 from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub,
-                               eval_interval, parse)
+                               eval_grid, eval_interval, eval_lattice, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
 from fractarith.qexp import DigitSeq, QuasiGreedyStream, as_base, is_univoque_seq, kq_ifs, pi_q
 
@@ -260,7 +260,7 @@ def cover_problems(draw):
                 word1=word(k1, depth), word2=word(k2, depth))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(cover_problems())
 def test_image_cover_matches_per_rectangle_reference(problem):
     try:
@@ -278,6 +278,36 @@ def test_oracle_check_matches_per_rectangle_reference():
     assert image_cover(C, C, cert.f, 6, word1=cert.word1, word2=cert.word2) == cover
     assert oracle_check(cert, 6) == cover.inflate(
         oscillation_radius(cert, 6)).contains_interval(cert.certified_interval)
+
+
+SHIFTED = HomogeneousIfs(Fraction(1, 3), (Fraction(1), Fraction(5, 3)))  # hull [3/2, 5/2]
+FIVE = HomogeneousIfs(Fraction(1, 5), (Fraction(1), Fraction(9, 5), Fraction(13, 5)))
+
+
+@pytest.mark.parametrize("k1, k2, text, depth, lattice", [
+    (C, C, "x+y", 8, True),
+    (SHIFTED, FIVE, "x^(1/2)+y^(1/2)", 4, True),
+    (C, SHIFTED, "x^3+y", 5, True),
+    (FIVE, SHIFTED, "x/y", 4, False),
+], ids=["cantor-sum-depth8", "square-roots", "cube-plus-y", "quotient-falls-back"])
+def test_lattice_cover_equals_scalar_cover(k1, k2, text, depth, lattice):
+    f = parse(text)
+    xs, ys = k1.cylinders(depth), k2.cylinders(depth)
+    assert (eval_lattice(f, xs, ys) is not None) == lattice
+    scalar = IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
+    assert image_cover(k1, k2, f, depth) == scalar
+
+
+SQRT_7_2 = AlgebraicReal((-7, 0, 2), 1, 2)
+
+
+@pytest.mark.parametrize("text", ["x+y", "x*y-x", "x^2-y^3", "x/y"])
+def test_image_cover_over_field_elements_matches_reference(text):
+    k = kq_ifs(SQRT_7_2)
+    f = parse(text)
+    assert eval_lattice(f, k.cylinders(2), k.cylinders(2)) is None
+    want = reference_image_cover(k, k, f, 3, word2=(2,))
+    assert image_cover(k, k, f, 3, word2=(2,)) == want
 
 
 TRIBONACCI = AlgebraicReal((-1, -1, -1, 1), Fraction(7, 4), Fraction(15, 8))

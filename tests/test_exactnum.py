@@ -484,3 +484,30 @@ def test_union_contains_and_subset():
 def test_union_serialization_round_trip():
     u = IntervalUnion.from_intervals([(Fraction(-1, 3), 0), (Fraction(5, 7), 1)])
     assert IntervalUnion.from_obj(u.to_obj()) == u
+
+
+def _union_or_error(build):
+    try:
+        return build()
+    except FractarithError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 25)), max_size=14),
+       st.integers(1, 12), st.integers(-12, 30))
+def test_from_int_pairs_and_inflate_match_from_intervals(raw, den, r):
+    pairs = [(lo, lo + w) for lo, w in raw]
+    u = IntervalUnion.from_intervals((Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs)
+    assert IntervalUnion.from_int_pairs(pairs, den) == u
+    radius = Fraction(r, 7)
+    assert _union_or_error(lambda: u.inflate(radius)) == _union_or_error(
+        lambda: IntervalUnion.from_intervals((lo - radius, hi + radius) for lo, hi in u))
+
+
+def test_from_int_pairs_examples():
+    with pytest.raises(FractarithError):
+        IntervalUnion.from_int_pairs([(2, 1)], 3)
+    assert IntervalUnion.from_int_pairs([], 5) == IntervalUnion.empty()
+    assert IntervalUnion.from_int_pairs([(4, 6), (0, 2), (2, 3)], 6).to_obj() == \
+        [["0", "1/2"], ["2/3", "1"]]

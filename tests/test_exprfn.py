@@ -7,10 +7,11 @@ import pytest
 
 from fractarith.errors import (DivByZeroInterval, DomainError, ExprSyntaxError,
                                ZeroExponentError)
-from fractarith.exactnum import Interval
+from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
 from fractarith.exprfn import (Add, Const, Div, Mul, Neg, Pow, Sub, Var,
                                differentiate, eval_grid, eval_interval,
-                               eval_point, grad_enclosure, parse, to_text)
+                               eval_lattice, eval_point, grad_enclosure, parse,
+                               to_text)
 
 X, Y = Var("x"), Var("y")
 
@@ -162,6 +163,31 @@ def test_eval_grid_raises_where_eval_interval_does():
         list(eval_grid(parse("x/y"), [UNIT], [iv(1, 2), iv(-1, 1)]))
     with pytest.raises(DomainError):
         list(eval_grid(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT]))
+
+
+def test_eval_lattice_is_eval_grid_on_integer_numerators():
+    xs = [iv(Fraction(k, 4), Fraction(k + 1, 4)) for k in range(1, 4)]
+    ys = [iv(Fraction(-k, 5), Fraction(k, 3)) for k in range(1, 3)]
+    for text in ("x+y", "x-y", "x*y-x", "y^2-x^(1/3)", "2*3", "-y", "x^2", "x*y^2+2",
+                 "(x-y)^3", "-(x*y)^2", "x^(1/2)*y+x", "(2*x+3)*(y-x)^2"):
+        f = parse(text)
+        den, pairs = eval_lattice(f, xs, ys)
+        want = [(enc.lo, enc.hi) for enc in eval_grid(f, xs, ys)]
+        assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs] == want, text
+    assert list(eval_lattice(parse("x+y"), xs, [])[1]) == []
+
+
+def test_eval_lattice_declines_division_and_field_elements():
+    xs = [iv(1, 2), iv(3, 4)]
+    for text in ("x/y", "x^(-1)+y", "y^(-1/2)*x", "(x+y)^(1/2)", "x*y/2"):
+        assert eval_lattice(parse(text), xs, xs) is None, text
+    root2 = FieldElement.generator(AlgebraicReal((-2, 0, 1), 1, 2))
+    assert eval_lattice(parse("x+y"), xs, [Interval(root2, root2 + 1)]) is None
+
+
+def test_eval_lattice_raises_where_eval_grid_does():
+    with pytest.raises(DomainError):
+        list(eval_lattice(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT])[1])
 
 
 def test_eval_point_exact():
