@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -132,9 +132,14 @@ class AlgebraicReal:
     The isolating interval only ever shrinks (never past the root), so the
     represented number is fixed at construction.  A degenerate interval
     lo == hi encodes a rational root exactly.
+
+    The slot _rule holds the reduction rule of the defining polynomial for
+    field elements over this generator: (b, D) with alpha**d equal to
+    sum(b[i] * alpha**i) / D, where d = len(b), the b[i] are integers and
+    D > 0.
     """
 
-    __slots__ = ("_poly", "_lo", "_hi")
+    __slots__ = ("_poly", "_lo", "_hi", "_rule")
 
     def __init__(self, coeffs: Iterable, lo, hi, _trusted: bool = False):
         p = poly.make(coeffs)
@@ -155,9 +160,16 @@ class AlgebraicReal:
                     raise FractarithError("isolating interval endpoints must not be roots")
                 if poly.count_roots(chain, lo, hi) != 1:
                     raise FractarithError("interval does not isolate exactly one root")
-        self._poly = p
+        self._set_poly(p)
         self._lo = lo
         self._hi = hi
+
+    def _set_poly(self, p: poly.Poly) -> None:
+        lead = p[-1]
+        tail = [-c / lead for c in p[:-1]]
+        den = lcm(*(c.denominator for c in tail))
+        self._poly = p
+        self._rule = (tuple(c.numerator * (den // c.denominator) for c in tail), den)
 
     @property
     def poly(self) -> poly.Poly:
@@ -225,7 +237,7 @@ class AlgebraicReal:
                     return self.replace_defining_factor(factor)
             if poly.count_roots(chain, self._lo, self._hi) != 1:
                 raise FractarithError("factor does not isolate the root")
-        self._poly = factor
+        self._set_poly(factor)
 
     # -- comparisons against rationals ------------------------------------
 
@@ -321,68 +333,122 @@ def root_isolate(coeffs: Iterable, window) -> list[AlgebraicReal]:
 # Number-field elements: polynomials in one algebraic generator
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class FieldElement:
     """An exact element of Q(alpha) for a fixed AlgebraicReal generator,
-    stored as a polynomial in alpha reduced modulo the defining polynomial.
+    stored as a polynomial in alpha with integer numerators over one
+    denominator: the value is sum(num[i] * alpha**i) / den.
 
-    Supports field arithmetic and exact sign determination, which makes it a
-    drop-in exact scalar next to Fraction.  Not hashable: with a reducible
-    defining polynomial, equal values can have distinct coefficient tuples.
+    The form is canonical for the generator's polynomial at construction:
+    num is reduced modulo it with trailing zeros stripped, den > 0 and
+    gcd(den, *num) == 1; zero is ((), 1).  Arithmetic runs on Python ints
+    and reduces with the generator's rule for alpha**d.  Supports field
+    arithmetic and exact sign determination, which makes it a drop-in exact
+    scalar next to Fraction.  Not hashable: with a reducible defining
+    polynomial, equal values can have distinct coefficient tuples.
     """
 
-    gen: AlgebraicReal
-    coeffs: poly.Poly
-
+    __slots__ = ("gen", "num", "den")
     __hash__ = None
+
+    def __init__(self, gen: AlgebraicReal, num: tuple[int, ...], den: int):
+        # (num, den) must already be canonical; of() builds it from any
+        # rational coefficients
+        self.gen = gen
+        self.num = num
+        self.den = den
 
     @staticmethod
     def of(gen: AlgebraicReal, coeffs: Iterable) -> "FieldElement":
-        return FieldElement(gen, poly.rem(poly.make(coeffs), gen.poly))
+        p = poly.make(coeffs)
+        den = lcm(*(c.denominator for c in p))
+        return _element(gen, [c.numerator * (den // c.denominator) for c in p], den)
 
     @staticmethod
     def generator(gen: AlgebraicReal) -> "FieldElement":
         return FieldElement.of(gen, (0, 1))
 
-    def _coerce(self, other) -> "FieldElement | None":
+    @property
+    def coeffs(self) -> poly.Poly:
+        """The coefficients as Fractions, constant first."""
+        return _fractions(self.num, self.den)
+
+    def _coerce(self, other) -> tuple[tuple[int, ...], int] | None:
+        """The operand as integer numerators over a denominator, or None."""
         if isinstance(other, FieldElement):
             if other.gen is not self.gen:
                 raise FractarithError("field elements over different generators")
-            return other
+            return other.num, other.den
         if isinstance(other, (int, Fraction)):
-            return FieldElement.of(self.gen, (Fraction(other),))
+            return ((other.numerator,) if other else ()), other.denominator
         return None
 
+    def _reduced(self) -> tuple[tuple[int, ...], int]:
+        """(num, den) reduced modulo the generator's current polynomial,
+        which an inverse may have shrunk to a factor since self was built."""
+        if len(self.num) > len(self.gen._rule[0]):
+            r = _element(self.gen, list(self.num), self.den)
+            return r.num, r.den
+        return self.num, self.den
+
     # -- ring operations ----------------------------------------------------
+
+    def _plus(self, o: tuple[tuple[int, ...], int], s: int) -> "FieldElement":
+        """self + s * o for s = 1 or -1."""
+        n1, d1 = self.num, self.den
+        n2, d2 = o
+        if d1 == d2:
+            m1, m2, den = 1, s, d1
+        else:
+            g = gcd(d1, d2)
+            m1, m2 = d2 // g, s * (d1 // g)
+            den = d1 * m1
+        num = [a * m1 for a in n1] if m1 != 1 else list(n1)
+        if len(num) < len(n2):
+            num.extend([0] * (len(n2) - len(num)))
+        for i, b in enumerate(n2):
+            num[i] += m2 * b
+        return _element(self.gen, num, den)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.gen, poly.rem(poly.add(self.coeffs, o.coeffs), self.gen.poly))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.gen, poly.neg(self.coeffs))
+        return FieldElement(self.gen, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return (-self)._plus(o, 1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.gen, poly.rem(poly.mul(self.coeffs, o.coeffs), self.gen.poly))
+        n1, n2 = self.num, o[0]
+        if len(n1) < len(n2):
+            n1, n2 = n2, n1
+        if len(n2) == 1:
+            c = n2[0]
+            num = [a * c for a in n1]
+        else:
+            num = [0] * (len(n1) + len(n2) - 1)
+            for j, b in enumerate(n2):
+                if b:
+                    for i, a in enumerate(n1, j):
+                        num[i] += a * b
+        return _element(self.gen, num, self.den * o[1])
 
     __rmul__ = __mul__
 
@@ -392,7 +458,7 @@ class FieldElement:
         e = poly.rem(self.coeffs, self.gen.poly)
         g, s, _ = poly.xgcd(e, self.gen.poly)
         if poly.degree(g) == 0:
-            return FieldElement(self.gen, poly.rem(s, self.gen.poly))
+            return FieldElement.of(self.gen, s)
         # zero divisor against a reducible defining polynomial: the root lives
         # in the cofactor; shrink the defining polynomial and retry
         cof = poly.divmod_poly(self.gen.poly, g)[0]
@@ -403,13 +469,12 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * (other.inverse() if isinstance(other, FieldElement) else 1 / Fraction(other))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -421,24 +486,25 @@ class FieldElement:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     # -- exact decisions ------------------------------------------------------
 
-    def _nonzero_enclosure(self) -> tuple[poly.Poly, int, int] | None:
+    def _nonzero_enclosure(self) -> tuple[tuple[int, ...], int, int, int] | None:
         """None when the element is exactly 0; otherwise its reduced
-        polynomial e and the numerators (lo, hi) of the enclosure of e on the
-        generator's current isolating interval (_horner_enclosure).  An
-        enclosure that excludes 0 already proves the element nonzero; only
-        one that contains 0 pays for the gcd test."""
-        e = poly.rem(self.coeffs, self.gen.poly)
-        if poly.is_zero(e):
+        numerators and denominator and the numerators (lo, hi) of the
+        enclosure on the generator's current isolating interval
+        (_horner_enclosure).  An enclosure that excludes 0 already proves the
+        element nonzero; only one that contains 0 pays for the gcd test."""
+        num, den = self._reduced()
+        if not num:
             return None
-        lo, hi, _ = _horner_enclosure(e, self.gen)
-        if lo > 0 or hi < 0 or not _vanishes_at(e, self.gen):
-            return e, lo, hi
+        lo, hi, _ = _horner_enclosure(num, den, self.gen)
+        if lo > 0 or hi < 0 or not _vanishes_at(_fractions(num, den), self.gen):
+            return num, den, lo, hi
         return None
 
     def is_zero(self) -> bool:
@@ -448,33 +514,33 @@ class FieldElement:
         found = self._nonzero_enclosure()
         if found is None:
             return 0
-        e, lo, hi = found
+        num, den, lo, hi = found
         while not (lo > 0 or hi < 0):
             self.gen._bisect_once()
-            lo, hi, _ = _horner_enclosure(e, self.gen)
+            lo, hi, _ = _horner_enclosure(num, den, self.gen)
         return 1 if lo > 0 else -1
 
     def enclosure(self, width) -> tuple[Fraction, Fraction]:
         """Rational bounds of the value, at most `width` apart."""
         width = Fraction(width)
-        e = poly.rem(self.coeffs, self.gen.poly)
+        num, den = self._reduced()
         while True:
-            lo, hi, den = _horner_enclosure(e, self.gen)
-            if hi - lo <= width * den:
-                return Fraction(lo, den), Fraction(hi, den)
+            lo, hi, d = _horner_enclosure(num, den, self.gen)
+            if hi - lo <= width * d:
+                return Fraction(lo, d), Fraction(hi, d)
             self.gen._bisect_once()
 
     def is_fraction(self) -> bool:
-        return poly.degree(poly.rem(self.coeffs, self.gen.poly)) <= 0
+        return len(self._reduced()[0]) <= 1
 
     def to_fraction(self) -> Fraction:
-        e = poly.rem(self.coeffs, self.gen.poly)
-        if poly.is_zero(e):
+        num, den = self._reduced()
+        if not num:
             return Fraction(0)
-        if poly.degree(e) == 0:
-            return e[0]
+        if len(num) == 1:
+            return Fraction(num[0], den)
         if self.gen.is_rational:
-            return poly.eval_at(e, self.gen.lo)
+            return poly.eval_at(_fractions(num, den), self.gen.lo)
         raise FractarithError("field element is not rational")
 
     def to_algebraic(self) -> AlgebraicReal:
@@ -509,7 +575,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented  # type: ignore[return-value]
-        return (self - o).sign()
+        return self._plus(o, -1).sign()
 
     def __eq__(self, other):
         try:
@@ -713,27 +779,63 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _horner_enclosure(p: poly.Poly, gen: AlgebraicReal) -> tuple[int, int, int]:
-    """Horner's scheme in interval arithmetic for p over the generator's
-    isolating interval, carried out on integer numerators over one
-    denominator: returns (lo, hi, den) with den > 0, and [lo/den, hi/den] is
-    exactly the rational interval-Horner enclosure of p(alpha)."""
-    if not p:  # the zero polynomial, e.g. a reduced 0/(1 - ratio)
+def _horner_enclosure(num: Sequence[int], den: int,
+                      gen: AlgebraicReal) -> tuple[int, int, int]:
+    """Horner's scheme in interval arithmetic for the polynomial
+    sum(num[i] * x**i) / den over the generator's isolating interval, carried
+    out on integer numerators: returns (lo, hi, d) with d > 0, and
+    [lo/d, hi/d] is exactly the rational interval-Horner enclosure of its
+    value at alpha when den is the least common denominator of the
+    coefficients num[i]/den."""
+    if not num:  # the zero polynomial, e.g. a reduced 0/(1 - ratio)
         return 0, 0, 1
     a, b = gen.lo, gen.hi
     q = lcm(a.denominator, b.denominator)
     a = a.numerator * (q // a.denominator)
     b = b.numerator * (q // b.denominator)
-    d = lcm(*(c.denominator for c in p))
-    nums = [c.numerator * (d // c.denominator) for c in reversed(p)]
-    lo = hi = nums[0]
-    scale = 1  # q**k after k steps, so the accumulator is over d * scale
-    for n in nums[1:]:
+    lo = hi = num[-1]
+    scale = 1  # q**k after k steps, so the accumulator is over den * scale
+    for n in reversed(num[:-1]):
         cands = (lo * a, lo * b, hi * a, hi * b)
         scale *= q
         lo = min(cands) + n * scale
         hi = max(cands) + n * scale
-    return lo, hi, d * scale
+    return lo, hi, den * scale
+
+
+def _element(gen: AlgebraicReal, num: list[int], den: int) -> FieldElement:
+    """The canonical FieldElement sum(num[i] * alpha**i) / den for den > 0:
+    reduced modulo the generator's polynomial by its rule for alpha**d, then
+    stripped of trailing zeros and divided by gcd(den, *num).  num is
+    consumed."""
+    b, rule_den = gen._rule
+    d = len(b)
+    for k in range(len(num) - 1, d - 1, -1):
+        c = num[k]
+        if c:
+            # c * alpha**k = c * alpha**(k-d) * sum(b[i] * alpha**i) / rule_den
+            if rule_den != 1:
+                for i in range(k):
+                    num[i] *= rule_den
+                den *= rule_den
+            for i, bi in enumerate(b, k - d):
+                if bi:
+                    num[i] += c * bi
+    del num[d:]
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return FieldElement(gen, (), 1)
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return FieldElement(gen, tuple(num), den)
+
+
+def _fractions(num: Sequence[int], den: int) -> poly.Poly:
+    return tuple(Fraction(n, den) for n in num)
 
 
 def _vanishes_at(e: poly.Poly, gen: AlgebraicReal) -> bool:
@@ -882,8 +984,8 @@ class IntervalUnion:
         r = as_scalar(radius)
         return IntervalUnion(_merge_sorted((lo - r, hi + r) for lo, hi in self.intervals))
 
-    def to_obj(self) -> list[list[str]]:
-        return [[scalar_to_str(lo), scalar_to_str(hi)] for lo, hi in self.intervals]
+    def to_obj(self) -> list[list]:
+        return [[scalar_to_obj(lo), scalar_to_obj(hi)] for lo, hi in self.intervals]
 
     @staticmethod
     def from_obj(obj: Sequence[Sequence[str]]) -> "IntervalUnion":

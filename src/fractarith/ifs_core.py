@@ -68,7 +68,9 @@ class Code:
         text = text.strip()
         if "(" in text:
             head, _, rest = text.partition("(")
-            per, _, tail = rest.partition(")")
+            per, close, tail = rest.partition(")")
+            if not close:
+                raise FractarithError(f"unclosed period parenthesis in code {text!r}")
             if tail.strip().strip(","):
                 raise FractarithError(f"trailing text after period in code {text!r}")
         else:

@@ -93,7 +93,9 @@ class DigitSeq:
         text = text.strip()
         if "(" in text:
             head, _, rest = text.partition("(")
-            per, _, tail = rest.partition(")")
+            per, close, tail = rest.partition(")")
+            if not close:
+                raise FractarithError(f"unclosed period parenthesis in sequence {text!r}")
             if tail.strip():
                 raise FractarithError(f"trailing text in sequence {text!r}")
             if not per:
@@ -229,7 +231,7 @@ class QuasiGreedyStream:
     @staticmethod
     def _key(r: Scalar):
         if isinstance(r, FieldElement):
-            return poly.rem(r.coeffs, r.gen.poly)
+            return r.num, r.den
         return r
 
     def _step(self) -> None:

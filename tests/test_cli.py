@@ -6,8 +6,10 @@ import pytest
 
 from fractarith.certifier import certify_rectangle
 from fractarith.cli import main
+from fractarith.empirics import image_cover
 from fractarith.exprfn import parse
 from fractarith.ifs_core import cantor
+from fractarith.qexp import kq_ifs, qstar
 
 
 def run(capsys, *argv):
@@ -140,6 +142,16 @@ def test_cover_with_artifacts(capsys, tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
+def test_cover_over_algebraic_base(capsys):
+    # endpoints in Q(q*) serialise as coefficient vectors over the base
+    status, obj = run(capsys, "cover", "--ifs1", "kq:qstar", "--ifs2", "kq:qstar",
+                      "--f", "x+y", "--depth", "2")
+    assert status == 0
+    k = kq_ifs(qstar())
+    assert obj["intervals"] == image_cover(k, k, parse("x+y"), 2).to_obj()
+    assert obj["intervals"][0][0] == {"coeffs": ["-2", "-2", "2"]}
+
+
 def test_boxdim_verbs(capsys):
     status, obj = run(capsys, "boxdim", "--ifs", "cantor", "--ranks", "4:9")
     assert status == 0
@@ -253,6 +265,9 @@ def _cert_text(**fields):
       "--code1", "3", "--code2", "1"], None, "digit 3 outside alphabet 1..2"),
     (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
       "--code1", "1", "--code2", "12(0)"], None, "digit 0 outside alphabet 1..2"),
+    (["univoque", "--seq", "(01", "--q", "19/10"], None, "unclosed period parenthesis"),
+    (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--code1", "21(1", "--code2", "(2)"], None, "unclosed period parenthesis"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "base-not-a-number", "boxdim-without-input",
         "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list",
@@ -261,7 +276,8 @@ def _cert_text(**fields):
         "base-zero-denominator", "q-grid-zero-denominator", "ifs-file-not-an-object",
         "check-negative-depth", "auto-certify-negative-max-depth",
         "uq-certify-negative-max-depth", "qg-negative-budget", "cover-negative-depth",
-        "auto-certify-digit-outside-alphabet", "auto-certify-period-digit-outside-alphabet"])
+        "auto-certify-digit-outside-alphabet", "auto-certify-period-digit-outside-alphabet",
+        "univoque-unclosed-period", "auto-certify-unclosed-period"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

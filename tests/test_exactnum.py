@@ -1,13 +1,15 @@
 """Tests for the exact scalar tower: intervals, algebraic reals, field
 elements."""
 
+import itertools
 import math
 import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fractarith import exactnum, poly
@@ -15,7 +17,7 @@ from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
                                  IntervalUnion, fraction_pow_bounds,
                                  rat_from_str, rat_to_str, root_isolate,
-                                 sign_at)
+                                 scalar_to_obj, sign_at)
 
 QSTAR = (1, -2, -1, 1)  # x^3 - x^2 - 2x + 1, constant first
 
@@ -416,8 +418,9 @@ def test_horner_enclosure_equals_interval_horner(case, bisections):
     gen = AlgebraicReal(gen_poly, lo, hi)
     for _ in range(bisections):
         gen._bisect_once()
-    e = poly.rem(poly.make(coeffs), gen.poly)
-    n_lo, n_hi, den = exactnum._horner_enclosure(e, gen)
+    el = FieldElement.of(gen, coeffs)
+    e = el.coeffs
+    n_lo, n_hi, den = exactnum._horner_enclosure(el.num, el.den, gen)
     enc = _reference_interval_horner(e, Interval(gen.lo, gen.hi))
     assert den > 0
     assert (Fraction(n_lo, den), Fraction(n_hi, den)) == (enc.lo, enc.hi)
@@ -447,6 +450,140 @@ def test_sign_decided_by_enclosure_runs_no_gcd(monkeypatch):
     # an enclosure containing 0 falls back to the exact gcd test
     assert (x * x - 2).is_zero() and calls == []  # reduces to 0 outright
     assert (x - Fraction(7, 5)).sign() == 1 and len(calls) == 1
+
+
+# Reference copy of the Fraction-polynomial arithmetic that FieldElement ran
+# before it moved to integer numerators over one denominator, kept as a
+# differential oracle.  A reference value is its coefficient tuple; the
+# generator is shared with the FieldElement under test, so both reduce
+# modulo the same, possibly shrunk, defining polynomial.
+
+def _ref_of(gen: AlgebraicReal, x) -> poly.Poly:
+    return poly.rem(poly.make((x,)), gen.poly)
+
+
+def _ref_plus(gen, a, b, s=1):
+    return poly.rem(poly.add(a, b if s == 1 else poly.neg(b)), gen.poly)
+
+
+def _ref_times(gen, a, b):
+    return poly.rem(poly.mul(a, b), gen.poly)
+
+
+def _ref_inverse(gen, a):
+    if _reference_is_zero(SimpleNamespace(gen=gen, coeffs=a)):
+        raise ZeroDivisionError
+    g, s, _ = poly.xgcd(poly.rem(a, gen.poly), gen.poly)
+    if poly.degree(g) == 0:
+        return poly.rem(s, gen.poly)
+    gen.replace_defining_factor(poly.divmod_poly(gen.poly, g)[0])
+    return _ref_inverse(gen, a)
+
+
+def _ref_pow(gen, a, n):
+    if n < 0:
+        return _ref_pow(gen, _ref_inverse(gen, a), -n)
+    acc, base = _ref_of(gen, 1), a
+    while n:
+        if n & 1:
+            acc = _ref_times(gen, acc, base)
+        base = _ref_times(gen, base, base)
+        n >>= 1
+    return acc
+
+
+def _ref_enclosure(gen, a, width):
+    e = poly.rem(a, gen.poly)
+    while True:
+        enc = _reference_interval_horner(e, Interval(gen.lo, gen.hi))
+        if enc.hi - enc.lo <= width:
+            return enc.lo, enc.hi
+        gen._bisect_once()
+
+
+def _ref_to_obj(gen, a):
+    e = poly.rem(a, gen.poly)
+    if len(e) > 1:
+        return {"coeffs": [rat_to_str(c) for c in e]}
+    return rat_to_str(e[0] if e else Fraction(0))
+
+
+def _field_op(gen, op, x, y):
+    """Thunks computing one operation with FieldElement and with the
+    reference; x is a (FieldElement, reference) pair, and y is one too, a
+    rational operand, an exponent, or None."""
+    fx, rx = x
+    if op == "inverse":
+        return fx.inverse, lambda: _ref_inverse(gen, rx)
+    if op == "**":
+        return lambda: fx ** y, lambda: _ref_pow(gen, rx, y)
+    fy, ry = y if isinstance(y, tuple) else (y, _ref_of(gen, y))
+    if op == "+":
+        return lambda: fx + fy, lambda: _ref_plus(gen, rx, ry)
+    if op == "-":
+        return lambda: fx - fy, lambda: _ref_plus(gen, rx, ry, -1)
+    if op == "*":
+        return lambda: fx * fy, lambda: _ref_times(gen, rx, ry)
+    if op == "/":
+        return lambda: fx / fy, lambda: _ref_times(gen, rx, _ref_inverse(gen, ry))
+    if op == "r+":
+        return lambda: fy + fx, lambda: _ref_plus(gen, ry, rx)
+    if op == "r-":
+        return lambda: fy - fx, lambda: _ref_plus(gen, ry, rx, -1)
+    if op == "r*":
+        return lambda: fy * fx, lambda: _ref_times(gen, ry, rx)
+    return lambda: fy / fx, lambda: _ref_times(gen, ry, _ref_inverse(gen, rx))
+
+
+def _or_zero_division(thunk):
+    try:
+        return thunk()
+    except ZeroDivisionError:
+        return None
+
+
+RATIONAL = st.one_of(st.integers(-4, 4), SMALL)
+FIELD_OPS = st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*", "/"]), st.integers(0, 30),
+              st.tuples(st.just("pool"), st.integers(0, 30))),
+    st.tuples(st.sampled_from(["+", "-", "*", "/", "r+", "r-", "r*", "r/"]),
+              st.integers(0, 30), RATIONAL),
+    st.tuples(st.just("inverse"), st.integers(0, 30), st.none()),
+    st.tuples(st.just("**"), st.integers(0, 30), st.integers(-3, 4)))
+
+
+# no explain phase: it reruns failing examples under a line tracer, which on
+# this Fraction-heavy oracle takes minutes to report a failure
+@settings(max_examples=200, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(case=sign_cases(), more=COEFFS, ops=st.lists(FIELD_OPS, max_size=8),
+       widths=st.lists(st.integers(0, 40), min_size=1, max_size=3))
+def test_field_arithmetic_matches_fraction_polynomial_reference(case, more, ops, widths):
+    gen_poly, lo, hi, coeffs = case
+    gen = AlgebraicReal(gen_poly, lo, hi)
+    pool = [(FieldElement.generator(gen), poly.rem(poly.make((0, 1)), gen.poly))]
+    # alpha - 3 divides the reducible polynomial: inverting it shrinks that
+    # to x^2 - 2 and leaves the cubic-reduced elements of the pool stale
+    for c in ((-3, 1), coeffs, more):
+        pool.append((FieldElement.of(gen, c), poly.rem(poly.make(c), gen.poly)))
+    for op, i, y in ops:
+        x = pool[i % len(pool)]
+        if isinstance(y, tuple):  # ("pool", j): an operand from the pool
+            y = pool[y[1] % len(pool)]
+        fast_op, ref_op = _field_op(gen, op, x, y)
+        fast, ref = _or_zero_division(fast_op), _or_zero_division(ref_op)
+        assert (fast is None) == (ref is None)  # both divide by zero, or neither
+        if fast is None:
+            continue
+        assert fast.coeffs == ref
+        pool.append((fast, ref))
+    for (fast, ref), w in zip(pool, itertools.cycle(widths)):
+        want = _reference_sign(SimpleNamespace(gen=gen, coeffs=ref))
+        assert fast.sign() == want and fast.is_zero() == (want == 0)
+        width = Fraction(1, 2 ** w)
+        assert fast.enclosure(width) == _ref_enclosure(gen, ref, width)
+        assert scalar_to_obj(fast) == _ref_to_obj(gen, ref)
+    assert _still_isolates(gen)
 
 
 # ---------------------------------------------------------------------------
