@@ -8,14 +8,17 @@ estimates, which are explicitly estimates.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
-from .exactnum import Interval, IntervalUnion, Scalar, as_scalar, rat_to_str
+from .exactnum import FieldElement, Interval, IntervalUnion, scalar_to_obj
 from .exprfn import Expr, eval_grid, eval_lattice
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
@@ -95,40 +98,74 @@ def uq_cover(q, depth: int, budget: int | None = None) -> IntervalUnion:
     0 digit the following digits may not exceed eta, the quasi-greedy
     expansion of 1, and at a 1 digit their complements may not.
 
-    Each surviving prefix carries its value and the positions whose
-    condition is still tied with eta over all the digits after them; a new
-    digit is compared only at those positions, and a position leaves the
-    set for good once its digits fall below eta (or eta's budget runs out).
+    A prefix's state is the tuple of its positions whose condition is still
+    tied with eta over all the digits after them, each as (age, digit) with
+    age the number of digits after it; a new digit is compared only at those
+    positions, and a position leaves the state for good once its digits fall
+    below eta (or eta's budget runs out).  The transitions of a state depend
+    on eta alone, so each state is interned once as an integer and its
+    successors on 0 and 1 are tabulated the first time it is met; extending
+    a prefix is one table lookup.
+
+    Each surviving prefix also carries its value: for a rational base a/b as
+    the integer numerator over a^depth, so that the final pieces share the
+    denominator a^depth * (a - b), otherwise as an exact field element.
     """
     if depth < 0:
         raise FractarithError("depth must be non-negative")
     q = as_base(q)
     budget = budget if budget is not None else get_budget()
     eta = QuasiGreedyStream(q)
-    inv = 1 / q
-    # (value, tied positions as (position, its digit)) per surviving prefix
-    survivors: list[tuple[Scalar, tuple[tuple[int, int], ...]]] = [(as_scalar(0), ())]
-    p = as_scalar(1)
-    for n in range(depth):
-        p = p * inv
+    keys: list[tuple[tuple[int, int], ...]] = [()]  # state id -> tied positions
+    ids = {(): 0}
+    table: list[tuple[int, int] | None] = [None]  # successor ids, -1 if refuted
+
+    def successor(tied, d: int) -> int:
+        still_tied = []
+        for age, flip in tied:
+            e = eta.digit(age)
+            c = d ^ flip
+            if e is None or c < e:
+                continue
+            if c > e:
+                return -1
+            still_tied.append((age + 1, flip))
+        still_tied.append((0, d))
+        key = tuple(still_tied)
+        sid = ids.get(key)
+        if sid is None:
+            sid = ids[key] = len(keys)
+            keys.append(key)
+            table.append(None)
+        return sid
+
+    rational = isinstance(q, Fraction)
+    if rational:
+        a, b = q.numerator, q.denominator
+        steps = [b ** n * a ** (depth - n) for n in range(1, depth + 1)]  # q^-n * a^depth
+    else:
+        inv = 1 / q
+        steps = list(accumulate(repeat(inv, depth), mul))  # q^-n
+    survivors = [(0, 0)]  # (value, state id) per surviving prefix
+    for p in steps:
         nxt = []
-        for val, tied in survivors:
-            for d in (0, 1):
-                still_tied = []
-                for k, flip in tied:
-                    e = eta.digit(n - k - 1)
-                    c = d ^ flip
-                    if e is None or c < e:
-                        continue
-                    if c > e:
-                        break  # refuted: the candidate is pruned
-                    still_tied.append((k, flip))
-                else:
-                    still_tied.append((n, d))
-                    nxt.append((val + p if d else val, tuple(still_tied)))
+        for val, sid in survivors:
+            succ = table[sid]
+            if succ is None:
+                succ = table[sid] = (successor(keys[sid], 0), successor(keys[sid], 1))
+            s0, s1 = succ
+            if s0 >= 0:
+                nxt.append((val, s0))
+            if s1 >= 0:
+                nxt.append((val + p, s1))
         if len(nxt) > budget:
             raise ResourceBudget(f"{len(nxt)} surviving prefixes exceed budget")
         survivors = nxt
+    if rational:
+        # [N / a^depth, N / a^depth + q^-depth / (q - 1)] over a^depth * (a - b)
+        tail = b ** (depth + 1)
+        return IntervalUnion.from_int_pairs(
+            ((n * (a - b), n * (a - b) + tail) for n, _ in survivors), a ** depth * (a - b))
     tail = inv ** depth / (q - 1)
     return IntervalUnion.from_intervals((val, val + tail) for val, _ in survivors)
 
@@ -220,12 +257,19 @@ def uq_product_counts(q, f: Expr, ranks: Iterable[int],
 # CSV / SVG emission
 # ---------------------------------------------------------------------------
 
+def _csv_cell(x) -> str:
+    """"p/q" for a rational endpoint; for an algebraic one the compact JSON of
+    the coefficient vector that the JSON output prints."""
+    obj = scalar_to_obj(x)
+    return obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
+
+
 def write_intervals_csv(path: str, u: IntervalUnion) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lo", "hi"])
         for lo, hi in u:
-            writer.writerow([rat_to_str(Fraction(lo)), rat_to_str(Fraction(hi))])
+            writer.writerow([_csv_cell(lo), _csv_cell(hi)])
 
 
 def write_counts_csv(path: str, pairs: Iterable[tuple[int, int]]) -> None:
@@ -236,6 +280,15 @@ def write_counts_csv(path: str, pairs: Iterable[tuple[int, int]]) -> None:
             writer.writerow([k, n])
 
 
+def _drawing_position(x) -> float:
+    """Decimal position of an endpoint, for drawing only: an algebraic one is
+    placed by a rational enclosure of width 10^-9."""
+    if isinstance(x, FieldElement):
+        lo, hi = x.enclosure(Fraction(1, 10 ** 9))
+        return float((lo + hi) / 2)
+    return float(Fraction(x))
+
+
 def write_union_svg(path: str, unions_by_rank: Sequence[tuple[int, IntervalUnion]],
                     width: int = 800, row_height: int = 24) -> None:
     """Horizontal bar stacks, one row per rank."""
@@ -244,8 +297,8 @@ def write_union_svg(path: str, unions_by_rank: Sequence[tuple[int, IntervalUnion
     hulls = [u.hull() for _, u in unions_by_rank if not u.is_empty()]
     if not hulls:
         raise FractarithError("all unions empty")
-    lo = min(float(Fraction(h.lo)) for h in hulls)
-    hi = max(float(Fraction(h.hi)) for h in hulls)
+    lo = min(_drawing_position(h.lo) for h in hulls)
+    hi = max(_drawing_position(h.hi) for h in hulls)
     span = (hi - lo) or 1.0
     height = row_height * len(unions_by_rank)
     lines = [
@@ -256,8 +309,8 @@ def write_union_svg(path: str, unions_by_rank: Sequence[tuple[int, IntervalUnion
         y = row * row_height + 4
         lines.append(f'<text x="2" y="{y + row_height // 2}" font-size="10">k={rank}</text>')
         for seg_lo, seg_hi in u:
-            x0 = 40 + (float(Fraction(seg_lo)) - lo) / span * (width - 48)
-            x1 = 40 + (float(Fraction(seg_hi)) - lo) / span * (width - 48)
+            x0 = 40 + (_drawing_position(seg_lo) - lo) / span * (width - 48)
+            x1 = 40 + (_drawing_position(seg_hi) - lo) / span * (width - 48)
             w = max(x1 - x0, 0.5)
             lines.append(
                 f'<rect x="{x0:.2f}" y="{y}" width="{w:.2f}" '

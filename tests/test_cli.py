@@ -1,6 +1,8 @@
 """CLI tests: verbs, exit codes, JSON output, artifact files."""
 
+import csv
 import json
+import re
 
 import pytest
 
@@ -150,6 +152,30 @@ def test_cover_over_algebraic_base(capsys):
     k = kq_ifs(qstar())
     assert obj["intervals"] == image_cover(k, k, parse("x+y"), 2).to_obj()
     assert obj["intervals"][0][0] == {"coeffs": ["-2", "-2", "2"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--ifs1", "kq:qstar", "--ifs2", "kq:qstar", "--f", "x+y", "--depth", "1"],
+    ["uq-cover", "--q", "qstar", "--depth", "3"],
+], ids=["cover", "uq-cover"])
+def test_artifacts_over_algebraic_base(capsys, tmp_path, argv):
+    # CSV cells carry the JSON output's coefficient vectors; SVG bars are
+    # placed from decimal enclosures
+    csv_path = tmp_path / "out.csv"
+    svg_path = tmp_path / "out.svg"
+    status, obj = run(capsys, *argv, "--csv", str(csv_path), "--svg", str(svg_path))
+    assert status == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lo", "hi"]
+    cells = [[cell if cell[0] != "{" else json.loads(cell) for cell in row] for row in rows[1:]]
+    assert cells == obj["intervals"]
+    assert any(isinstance(cell, dict) for row in cells for cell in row)
+    svg = svg_path.read_text()
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    assert svg.count("<rect") == len(obj["intervals"])
+    xs = [float(x) for x in re.findall(r'<rect x="([^"]+)"', svg)]
+    assert all(40 <= x <= 792 for x in xs)
 
 
 def test_boxdim_verbs(capsys):

@@ -1,12 +1,14 @@
 """Tests for brute-force covers, gaps, U_q covers, box counting."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractarith.certifier import certify_rectangle
@@ -20,7 +22,8 @@ from fractarith.exactnum import AlgebraicReal, Interval, IntervalUnion, as_scala
 from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub,
                                eval_grid, eval_interval, eval_lattice, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
-from fractarith.qexp import DigitSeq, QuasiGreedyStream, as_base, is_univoque_seq, kq_ifs, pi_q
+from fractarith.qexp import (DigitSeq, QuasiGreedyStream, as_base, is_univoque_seq, kq_ifs,
+                              pi_q, qstar)
 
 C = cantor()
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))
@@ -325,6 +328,70 @@ def test_uq_cover_matches_rescanning_reference_tribonacci():
         got = uq_cover(TRIBONACCI, depth)
         want = reference_uq_cover(TRIBONACCI, depth)
         assert len(got) == len(want) and got == want, depth
+
+
+def reference_survivor_counts(q, depth):
+    """Surviving prefixes at each length 1..depth of the rescanning reference."""
+    eta = QuasiGreedyStream(as_base(q))
+    survivors, counts = [()], []
+    for _ in range(depth):
+        survivors = [w + (d,) for w in survivors for d in (0, 1)
+                     if not reference_prefix_violates(w + (d,), eta)]
+        counts.append(len(survivors))
+    return counts
+
+
+rational_bases = st.integers(2, 60).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda k: Fraction(2 * den - k, den)))
+
+
+@st.composite
+def sqrt_bases(draw):
+    """sqrt(c) as an algebraic base, c rational in (13/4, 4) and not a square."""
+    den = draw(st.integers(2, 20))
+    num = draw(st.integers(13 * den // 4 + 1, 4 * den - 1))
+    c = Fraction(num, den)
+    assume(math.isqrt(c.numerator) ** 2 != c.numerator
+           or math.isqrt(c.denominator) ** 2 != c.denominator)
+    return AlgebraicReal((-c.numerator, 0, c.denominator), 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_bases, st.integers(0, 14))
+def test_uq_cover_matches_reference_over_rational_bases(q, depth):
+    assert uq_cover(q, depth) == reference_uq_cover(q, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(sqrt_bases(), st.builds(qstar)), st.integers(0, 10))
+def test_uq_cover_matches_reference_over_algebraic_bases(q, depth):
+    assert uq_cover(q, depth) == reference_uq_cover(q, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_bases, st.integers(1, 12), st.data())
+def test_uq_cover_budget_matches_reference_survivors(q, depth, data):
+    counts = reference_survivor_counts(q, depth)
+    budget = data.draw(st.sampled_from(sorted({max(n + k, 1) for n in counts for k in (-1, 0, 1)})))
+    if max(counts) > budget:
+        with pytest.raises(ResourceBudget):
+            uq_cover(q, depth, budget=budget)
+    else:
+        uq_cover(q, depth, budget=budget)
+
+
+# piece counts and sha256 of the canonical to_obj JSON, recorded with the
+# tuple-carrying walk that the automaton replaced, at depths the rescanning
+# reference is too slow for
+@pytest.mark.parametrize("depth, pieces, sha256", [
+    (16, 1768, "515dbd9e869941a7050701a94d35de5a9fd66d6c0b0fb1769676d985d51976d2"),
+    (18, 5434, "b917bbf3b07810adee9103415b2525ea9115041667c2ebab19bf8655405645ea"),
+])
+def test_uq_cover_pinned_deep_covers(depth, pieces, sha256):
+    cover = uq_cover(Q19, depth)
+    text = json.dumps(cover.to_obj(), sort_keys=True, separators=(",", ":"))
+    assert len(cover) == pieces
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_uq_product_counts_unchanged():
