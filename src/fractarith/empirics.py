@@ -55,8 +55,9 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
 
 def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> IntervalUnion:
     """The enclosures of f over the grid xs x ys, merged: on integer
-    numerators over one denominator when eval_lattice applies, otherwise
-    through eval_grid and IntervalUnion.from_intervals.  The union is the
+    numerators (over one denominator, or one per rectangle) when
+    eval_lattice applies, otherwise through eval_grid and
+    IntervalUnion.from_intervals.  The union, or the error raised, is the
     same either way."""
     lattice = eval_lattice(f, xs, ys)
     if lattice is None:

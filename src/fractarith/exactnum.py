@@ -918,13 +918,41 @@ class IntervalUnion:
             ((as_scalar(lo), as_scalar(hi)) for lo, hi in items), key=itemgetter(0))))
 
     @staticmethod
-    def from_int_pairs(pairs: Iterable[tuple[int, int]], den: int) -> "IntervalUnion":
-        """from_intervals of the pieces [lo/den, hi/den], sorted and merged on
-        the integer numerators (den > 0); only the merged pieces become
-        Fractions."""
-        return IntervalUnion(tuple(
-            (Fraction(lo, den), Fraction(hi, den))
-            for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))))
+    def from_int_pairs(pairs: Iterable[tuple[int, int]],
+                       den: int | Iterable[int]) -> "IntervalUnion":
+        """from_intervals of the pieces [lo/d, hi/d], sorted and merged on
+        integers, where d > 0 is den itself or, when den is an iterable, the
+        piece's own entry of it; only the merged pieces become Fractions.
+
+        With one shared denominator the pieces sort on lo and merge on their
+        numerators, forming no key and no product.  Otherwise they sort on
+        the floor key lo*2^p // d, with 2^p at least the square of the
+        largest d: two distinct endpoints with denominators d and d' differ
+        by at least 1/(d*d'), so distinct left endpoints get distinct keys,
+        and pieces whose keys tie share their left endpoint, which merges
+        them alike in any order.  They merge by cross-multiplication."""
+        if isinstance(den, int):
+            return IntervalUnion(tuple(
+                (Fraction(lo, den), Fraction(hi, den))
+                for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))))
+        pieces = [(lo, hi, d) for (lo, hi), d in zip(pairs, den)]
+        if not pieces:
+            return IntervalUnion.empty()
+        p = 2 * max(map(itemgetter(2), pieces)).bit_length()
+        pieces.sort(key=lambda piece: (piece[0] << p) // piece[2])
+        merged: list[list[int]] = []  # [lo, its d, hi, its d]
+        for lo, hi, d in pieces:
+            if hi < lo:
+                raise FractarithError("interval endpoints out of order")
+            if merged:
+                last = merged[-1]
+                if not (last[2] * d < lo * last[3]):
+                    if last[2] * d < hi * last[3]:
+                        last[2], last[3] = hi, d
+                    continue
+            merged.append([lo, d, hi, d])
+        return IntervalUnion(tuple((Fraction(lo, dlo), Fraction(hi, dhi))
+                                   for lo, dlo, hi, dhi in merged))
 
     def __iter__(self):
         return iter(self.intervals)

@@ -15,14 +15,16 @@ of 0 is rejected outright.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from math import lcm
+from operator import floordiv, mul
 from typing import Callable, Iterator, Sequence, Union
 
-from .errors import ExprSyntaxError, ZeroExponentError
+from .errors import DomainError, ExprSyntaxError, ZeroExponentError
 from .exactnum import FieldElement, Interval, as_scalar
 
 
@@ -454,45 +456,114 @@ def eval_grid(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterat
 # ---------------------------------------------------------------------------
 
 def _lattice_mask(e: Expr) -> int | None:
-    """The variable mask of e, or None when e divides (a Div node or a
-    negative exponent) or raises a subtree in both variables to a
-    fractional power: the cases eval_lattice leaves to eval_grid."""
+    """The variable mask of e, or None when a subtree in both variables is
+    divided by one in both variables or raised to a power other than a
+    positive integer: the cases eval_lattice leaves to eval_grid.  Subtrees
+    in one variable, or none, run on Intervals, so anything goes in them."""
     t = type(e)
     if t is Var:
         return _X if e.name == "x" else _Y
     if t is Const:
         return _NONE
-    if t is Div:
-        return None
     if t is Pow:
         m = _lattice_mask(e.base)
-        if m is None or e.exponent <= 0 or (m == _XY and e.exponent.denominator != 1):
+        if m == _XY and (e.exponent <= 0 or e.exponent.denominator != 1):
             return None
         return m
     if t is Neg:
         return _lattice_mask(e.operand)
     left, right = _lattice_mask(e.left), _lattice_mask(e.right)
-    return None if left is None or right is None else left | right
+    if left is None or right is None or (t is Div and right == _XY):
+        return None
+    return left | right
 
 
-def _lift(mask: int, vals) -> tuple[int, object]:
-    """Interval values of a subtree in one variable, or none, as integer
-    pairs over the lcm of their endpoints' denominators: (den, pair) for a
-    constant subtree, else (den, list of pairs)."""
-    ivs = [vals] if mask == _NONE else list(vals)
-    den = lcm(*{v.denominator for iv in ivs for v in (iv.lo, iv.hi)})
-    pairs = [(iv.lo.numerator * (den // iv.lo.denominator),
-              iv.hi.numerator * (den // iv.hi.denominator)) for iv in ivs]
-    return den, pairs[0] if mask == _NONE else pairs
+def _common(values: list[int]) -> int | None:
+    """The value all entries of a non-empty list share, or None."""
+    v = values[0]
+    return v if values.count(v) == len(values) else None
 
 
-def _scale(mask: int, vals, s: int):
-    """Integer pairs multiplied by s (one pair if mask is _NONE)."""
-    if s == 1:
-        return vals
+def _grid_products(grid: _GridWalk, rows: list[int], cols: list[int]) -> Iterator[int]:
+    """rows[i]*cols[j] for each rectangle (i, j), x-major.  A list that is
+    the same throughout is folded into the other, so that a product is
+    formed per rectangle only when both vary."""
+    cx, cy = _common(rows), _common(cols)
+    if cy is not None:
+        return grid.spread(_X, list(map(mul, rows, repeat(cy))), _XY)
+    if cx is not None:
+        return grid.spread(_Y, list(map(mul, cols, repeat(cx))), _XY)
+    return (a * b for a in rows for b in cols)
+
+
+def _fold(pairs: list, own: list[int], other: list[int]) -> tuple[list, list[int] | None]:
+    """The pairs of a subtree in one variable times the factors `own` of its
+    axis, and times those of the other axis too when they are the same
+    throughout: (scaled pairs, the other axis's factors or None)."""
+    c = _common(other)
+    if c is not None:
+        own, other = list(map(mul, own, repeat(c))), None
+    if _common(own) != 1:
+        pairs = [(lo * f, hi * f) for (lo, hi), f in zip(pairs, own)]
+    return pairs, other
+
+
+def _lift(grid: _GridWalk, mask: int, vals) -> tuple:
+    """A walked subtree as (mask, dx, dy, numerators), its value on rectangle
+    (i, j) being a pair of numerators over dx[i]*dy[j]: a list of pairs, one
+    per interval of xs or of ys, for a subtree in one variable (a constant
+    counts as one in x), a stream over the grid for one in both.
+
+    Each Interval value is lifted over the lcm of its own endpoints'
+    denominators, so a reciprocal keeps the size of its cylinder's
+    denominator.  When one of those is a multiple of all the others, as for
+    the cylinders of a rational IFS and their powers, the subtree shares it
+    instead; a shared denominator sits in dx, so that sums of shared values
+    stay over the lcm of their denominators."""
+    if mask == _XY:
+        return (mask, *vals)
     if mask == _NONE:
-        return vals[0] * s, vals[1] * s
-    return ((lo * s, hi * s) for lo, hi in vals)
+        mask, vals = _X, repeat(vals, grid.size[_X])
+    ivs = list(vals)
+    ends = {v.denominator for iv in ivs for v in (iv.lo, iv.hi)}
+    top = lcm(*ends)
+    shared = top in ends
+    if not shared:
+        dens = [lcm(iv.lo.denominator, iv.hi.denominator) for iv in ivs]
+        shared = max(dens) == top
+    if shared:
+        dens = repeat(top)
+    pairs = [(iv.lo.numerator * (d // iv.lo.denominator),
+              iv.hi.numerator * (d // iv.hi.denominator)) for iv, d in zip(ivs, dens)]
+    ones_x, ones_y = [1] * grid.size[_X], [1] * grid.size[_Y]
+    if shared:
+        return mask, [top] * len(ones_x), ones_y, pairs
+    return (mask, dens, ones_y, pairs) if mask == _X else (mask, ones_x, dens, pairs)
+
+
+def _rescaled(grid: _GridWalk, lifted: tuple, tx: list[int], ty: list[int]) -> Iterator:
+    """The numerator stream of a lifted subtree over the grid, brought from
+    its denominators onto tx[i]*ty[j].  A factor along the subtree's own
+    axis, or one that is the same for every cylinder, is applied once per
+    cylinder; only a factor that varies along an axis the subtree does not
+    use costs a product per rectangle."""
+    mask, dx, dy, vals = lifted
+    rows = list(map(floordiv, tx, dx))
+    cols = list(map(floordiv, ty, dy))
+    if mask == _X:
+        vals, cols = _fold(vals, rows, cols)
+        factors = None if cols is None else grid.spread(_Y, cols, _XY)
+    elif mask == _Y:
+        vals, rows = _fold(vals, cols, rows)
+        factors = None if rows is None else grid.spread(_X, rows, _XY)
+    elif _common(rows) == 1 and _common(cols) == 1:
+        factors = None
+    else:
+        factors = _grid_products(grid, rows, cols)
+    stream = grid.spread(mask, vals, _XY)
+    if factors is None:
+        return stream
+    return ((lo * f, hi * f) for (lo, hi), f in zip(stream, factors))
 
 
 def _imul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -512,42 +583,57 @@ def _ipow(a: tuple[int, int], n: int) -> tuple[int, int]:
     return 0, max(plo, phi)
 
 
-def _lattice_node(grid: _GridWalk, node: Expr, parts) -> tuple[int, Iterator]:
-    """A subtree in both variables on integer numerators: (den, stream of
-    pairs), the n-th pair being the Interval operation's n-th enclosure
-    times den.  Operands in one variable, or none, are lifted first."""
-    masks = [m for m, _ in parts]
-    lifted = [v if m == _XY else _lift(m, v) for m, v in parts]
+def _lattice_node(grid: _GridWalk, node: Expr, parts) -> tuple[list[int], list[int], Iterator]:
+    """A subtree in both variables on integer numerators: (dx, dy, stream),
+    the pair of the stream for rectangle (i, j) being the Interval
+    operation's enclosure there times dx[i]*dy[j].  Operands in one
+    variable, or none, are lifted per cylinder first, a divisor as its
+    reciprocal, so that dividing is multiplying."""
     t = type(node)
+    if t is Div:
+        m, v = parts[1]
+        parts = [parts[0], (m, v.reciprocal() if m == _NONE else map(Interval.reciprocal, v))]
+    ops = [_lift(grid, m, v) for m, v in parts]
     if t is Add or t is Sub:
-        den = lcm(*(d for d, _ in lifted))
-        a, b = (grid.spread(m, _scale(m, v, den // d), _XY)
-                for m, (d, v) in zip(masks, lifted))
+        (_, ax, ay, _), (_, bx, by, _) = ops
+        tx, ty = list(map(lcm, ax, bx)), list(map(lcm, ay, by))
+        a, b = (_rescaled(grid, op, tx, ty) for op in ops)
         if t is Add:
-            return den, ((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(a, b))
-        return den, ((a0 - b1, a1 - b0) for (a0, a1), (b0, b1) in zip(a, b))
-    streams = [grid.spread(m, v, _XY) for m, (_, v) in zip(masks, lifted)]
-    if t is Mul:
-        return lifted[0][0] * lifted[1][0], map(_imul, *streams)
-    den = lifted[0][0]
+            return tx, ty, ((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(a, b))
+        return tx, ty, ((a0 - b1, a1 - b0) for (a0, a1), (b0, b1) in zip(a, b))
+    streams = [grid.spread(m, v, _XY) for m, _, _, v in ops]
+    if t is Mul or t is Div:
+        (_, ax, ay, _), (_, bx, by, _) = ops
+        return list(map(mul, ax, bx)), list(map(mul, ay, by)), map(_imul, *streams)
+    _, dx, dy, _ = ops[0]
     if t is Neg:
-        return den, ((-hi, -lo) for lo, hi in streams[0])
+        return dx, dy, ((-hi, -lo) for lo, hi in streams[0])
     n = node.exponent.numerator  # Pow: a positive integer here
-    return den ** n, map(partial(_ipow, n=n), streams[0])
+    return (list(map(pow, dx, repeat(n))), list(map(pow, dy, repeat(n))),
+            map(partial(_ipow, n=n), streams[0]))
 
 
-def eval_lattice(e: Expr, xs: Sequence[Interval],
-                 ys: Sequence[Interval]) -> tuple[int, Iterator[tuple[int, int]]] | None:
+def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
+                 ) -> tuple[int | Iterator[int], Iterator[tuple[int, int]]] | None:
     """eval_grid on integer numerators: (den, pairs), where the n-th pair
-    (lo, hi) gives the n-th enclosure of eval_grid as [lo/den, hi/den].
+    (lo, hi) gives the n-th enclosure of eval_grid as [lo/d, hi/d], d being
+    den when every rectangle shares one denominator and the n-th entry of
+    the iterable den otherwise.
 
-    Subtrees in one variable, or none, are evaluated as in eval_grid and
-    lifted to integers over the lcm of their values' denominators; subtrees
-    in both variables add, subtract, multiply, negate and take positive
-    integer powers on integers, a sum over the lcm of its operands'
-    denominators and a product over their product.  Returns None, leaving
-    the grid to eval_grid, when an endpoint is a FieldElement or when e
-    divides or raises a subtree in both variables to a fractional power.
+    Subtrees in one variable, or none, are evaluated as in eval_grid, once
+    per cylinder, and lifted to integers per cylinder (see _lift); a divisor
+    among them becomes its Interval.reciprocal, also once per cylinder.
+    Subtrees in both variables add, subtract, multiply, negate and take
+    positive integer powers on integers, their value on rectangle (i, j)
+    being over dx[i]*dy[j]: a sum brings its operands onto the per-cylinder
+    lcms of their denominators, a product multiplies them.  Returns None,
+    leaving the grid to eval_grid, when an endpoint is a FieldElement, or
+    when a subtree in both variables is divided by one in both or raised to
+    a power other than a positive integer.
+
+    Every operation that can fail runs before this returns.  On a failure
+    the DomainError raised is the one eval_grid raises at its first failing
+    rectangle, so both paths fail alike.
     """
     if _lattice_mask(e) is None or any(isinstance(v, FieldElement)
                                        for iv in chain(xs, ys) for v in (iv.lo, iv.hi)):
@@ -555,11 +641,16 @@ def eval_lattice(e: Expr, xs: Sequence[Interval],
     if not xs or not ys:
         return 1, iter(())
     grid = _GridWalk(xs, ys, _lattice_node)
-    mask, vals = grid.walk(e)
-    if mask == _XY:
-        return vals
-    den, vals = _lift(mask, vals)
-    return den, grid.spread(mask, vals, _XY)
+    try:
+        mask, dx, dy, vals = _lift(grid, *grid.walk(e))
+    except DomainError:
+        deque(eval_grid(e, xs, ys), maxlen=0)
+        raise
+    pairs = grid.spread(mask, vals, _XY)
+    cx, cy = _common(dx), _common(dy)
+    if cx is not None and cy is not None:
+        return cx * cy, pairs
+    return _grid_products(grid, dx, dy), pairs
 
 
 def eval_point(e: Expr, x, y) -> Interval:

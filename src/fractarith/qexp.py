@@ -38,10 +38,30 @@ def qstar() -> AlgebraicReal:
     return AlgebraicReal(QSTAR_POLY, Fraction(9, 5), Fraction(181, 100))
 
 
+def _root_of(spec: str) -> AlgebraicReal:
+    """The root named by "<c0>,<c1>,...@<lo>,<hi>": the one root of
+    c0 + c1*x + ... in [lo, hi], coefficients constant first."""
+    coeffs, at, window = spec.partition("@")
+    lo, comma, hi = window.partition(",")
+    if not at or not comma:
+        raise FractarithError(f"cannot read root:{spec} (use root:<c0>,<c1>,...@<lo>,<hi>)")
+    try:
+        return AlgebraicReal([rat_from_str(c) for c in coeffs.split(",")],
+                             rat_from_str(lo), rat_from_str(hi))
+    except ValueError as exc:
+        raise FractarithError(f"cannot read root:{spec}: {exc}") from exc
+
+
 def as_base(q) -> Scalar:
-    """Normalize a base to an exact scalar and verify 1 < q < 2."""
+    """Normalize a base to an exact scalar and verify 1 < q < 2.  Text may
+    name a rational "p/q", "qstar", or an algebraic base
+    "root:<c0>,<c1>,...@<lo>,<hi>" (see _root_of)."""
     if isinstance(q, str):
-        q = qstar() if q.strip() == "qstar" else rat_from_str(q)
+        text = q.strip()
+        if text.startswith("root:"):
+            q = _root_of(text[len("root:"):])
+        else:
+            q = qstar() if text == "qstar" else rat_from_str(q)
     q = as_scalar(q)
     if not (1 < q and q < 2):
         raise FractarithError("base must satisfy 1 < q < 2")

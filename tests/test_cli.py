@@ -8,7 +8,8 @@ import pytest
 
 from fractarith.certifier import certify_rectangle
 from fractarith.cli import main
-from fractarith.empirics import image_cover
+from fractarith.empirics import image_cover, uq_cover
+from fractarith.exactnum import AlgebraicReal
 from fractarith.exprfn import parse
 from fractarith.ifs_core import cantor
 from fractarith.qexp import kq_ifs, qstar
@@ -213,6 +214,23 @@ def test_kq_verb_round_trips_into_ifs_flag(capsys):
     assert status == 0 and gaps["kappa"] == "1610/10469"
 
 
+def test_root_bases(capsys):
+    # q* spelled as a root is q*
+    assert run(capsys, "kq", "--q", "root:1,-2,-1,1@9/5,181/100") == run(capsys, "kq", "--q", "qstar")
+    status, obj = run(capsys, "kq", "--q", "root:-2,0,1@1,2")
+    assert status == 0 and obj["ifs"]["ratio"] == "1/2"
+    assert obj["ifs"]["base"]["poly"] == [-2, 0, 1]
+    status, obj = run(capsys, "uq-cover", "--q", "root:-7,0,2@1,2", "--depth", "4")
+    assert status == 0
+    assert obj["intervals"] == uq_cover(AlgebraicReal((-7, 0, 2), 1, 2), 4).to_obj()
+    status, obj = run(capsys, "cover", "--ifs1", "kq:root:-7,0,2@1,2", "--ifs2", "cantor",
+                      "--f", "x+y", "--depth", "2")
+    assert status == 0 and obj["intervals"]
+    status, obj = run(capsys, "uq-certify", "--q", "root:-7,0,2@1,2", "--f", "x*y",
+                      "--max-depth", "0")
+    assert status == 2 and obj["certified"] is False
+
+
 def test_uq_cover_verb(capsys):
     status, obj = run(capsys, "uq-cover", "--q", "19/10", "--depth", "0")
     assert status == 0 and obj["intervals"] == [["0", "10/9"]]
@@ -294,6 +312,14 @@ def _cert_text(**fields):
     (["univoque", "--seq", "(01", "--q", "19/10"], None, "unclosed period parenthesis"),
     (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
       "--code1", "21(1", "--code2", "(2)"], None, "unclosed period parenthesis"),
+    (["kq", "--q", "root:-2,a,1@1,2"], None, "cannot read root:-2,a,1@1,2"),
+    (["uq-certify", "--q", "root:-7,0,2@1,x", "--f", "x*y"], None, "cannot read root:"),
+    (["kq", "--q", "root:-2,0,1@3/2,2"], None, "does not isolate exactly one root"),
+    (["cover", "--ifs1", "kq:root:-2,0,1@2,1", "--ifs2", "cantor", "--f", "x+y",
+      "--depth", "1"], None, "isolating interval is empty"),
+    (["uq-cover", "--q", "root:-2,0,1", "--depth", "2"], None, "root:<c0>,<c1>,...@<lo>,<hi>"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x/y", "--depth", "3"], None,
+     "interval contains 0"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "base-not-a-number", "boxdim-without-input",
         "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list",
@@ -303,7 +329,9 @@ def _cert_text(**fields):
         "check-negative-depth", "auto-certify-negative-max-depth",
         "uq-certify-negative-max-depth", "qg-negative-budget", "cover-negative-depth",
         "auto-certify-digit-outside-alphabet", "auto-certify-period-digit-outside-alphabet",
-        "univoque-unclosed-period", "auto-certify-unclosed-period"])
+        "univoque-unclosed-period", "auto-certify-unclosed-period", "root-bad-coefficient",
+        "root-bad-interval", "root-no-root", "root-empty-interval", "root-without-interval",
+        "cover-quotient-over-zero"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from fractarith.certifier import certify_rectangle
 from fractarith.empirics import (DimEstimate, box_dim_estimate,
-                                 grid_box_count, ifs_box_counts, image_cover,
+                                 grid_box_count, grid_cover, ifs_box_counts, image_cover,
                                  oracle_check, oscillation_radius, uq_cover,
                                  uq_product_counts, write_counts_csv,
                                  write_intervals_csv, write_union_svg)
-from fractarith.errors import DegenerateFit, FractarithError, ResourceBudget
+from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
+                               FractarithError, ResourceBudget)
 from fractarith.exactnum import AlgebraicReal, Interval, IntervalUnion, as_scalar
 from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub,
                                eval_grid, eval_interval, eval_lattice, parse)
@@ -275,6 +276,42 @@ def test_image_cover_matches_per_rectangle_reference(problem):
     assert image_cover(**problem) == want
 
 
+@st.composite
+def cylinder_lists(draw):
+    """1 to 5 small rational intervals, of both signs, some containing 0."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 7)))
+        out.append(Interval(lo, lo + Fraction(draw(st.integers(0, 9)), draw(st.integers(1, 7)))))
+    return out
+
+
+def outcome(run):
+    """What run() returns, or the class of the DomainError it raises."""
+    try:
+        return run()
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs(3), cylinder_lists(), cylinder_lists())
+def test_lattice_path_is_grid_path(f, xs, ys):
+    grid = outcome(lambda: [(enc.lo, enc.hi) for enc in eval_grid(f, xs, ys)])
+    lattice = outcome(lambda: eval_lattice(f, xs, ys))
+    if isinstance(lattice, tuple):
+        assert not isinstance(grid, type)
+        den, pairs = lattice
+        pairs = list(pairs)
+        dens = [den] * len(pairs) if isinstance(den, int) else list(den)
+        assert [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)] == grid
+        assert len(dens) == len(pairs)
+    elif lattice is not None:
+        assert lattice is grid
+    want = grid if isinstance(grid, type) else IntervalUnion.from_intervals(grid)
+    assert outcome(lambda: grid_cover(f, xs, ys)) == want
+
+
 def test_oracle_check_matches_per_rectangle_reference():
     cert = certify_rectangle(C, C, parse("x*y"), (1, 2, 2), (2, 1))
     cover = reference_image_cover(C, C, cert.f, 6, word1=cert.word1, word2=cert.word2)
@@ -291,8 +328,12 @@ FIVE = HomogeneousIfs(Fraction(1, 5), (Fraction(1), Fraction(9, 5), Fraction(13,
     (C, C, "x+y", 8, True),
     (SHIFTED, FIVE, "x^(1/2)+y^(1/2)", 4, True),
     (C, SHIFTED, "x^3+y", 5, True),
-    (FIVE, SHIFTED, "x/y", 4, False),
-], ids=["cantor-sum-depth8", "square-roots", "cube-plus-y", "quotient-falls-back"])
+    (FIVE, SHIFTED, "x/y", 4, True),
+    (SHIFTED, FIVE, "x/(y+1)", 4, True),
+    (SHIFTED, FIVE, "x^(-1)+y", 4, True),
+    (SHIFTED, FIVE, "x/(x+y)", 4, False),
+], ids=["cantor-sum-depth8", "square-roots", "cube-plus-y", "quotient", "shifted-quotient",
+        "reciprocal-plus-y", "mixed-divisor-falls-back"])
 def test_lattice_cover_equals_scalar_cover(k1, k2, text, depth, lattice):
     f = parse(text)
     xs, ys = k1.cylinders(depth), k2.cylinders(depth)
@@ -392,6 +433,26 @@ def test_uq_cover_pinned_deep_covers(depth, pieces, sha256):
     text = json.dumps(cover.to_obj(), sort_keys=True, separators=(",", ":"))
     assert len(cover) == pieces
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def test_uq_product_counts_of_quotients_match_the_grid_path():
+    # the boxdim --q-grid path; U_q's first cell starts at 0
+    def grid_counts(f, ranks):
+        out = []
+        for r in ranks:
+            cells = [Interval(lo, hi) for lo, hi in uq_cover(Q19, r)]
+            union = IntervalUnion.from_intervals(
+                (enc.lo, enc.hi) for enc in eval_grid(f, cells, cells))
+            out.append((r, grid_box_count(union, Q19 ** (-r))))
+        return out
+
+    f = parse("x/(y+1)")
+    assert uq_product_counts(Q19, f, range(4, 9)) == grid_counts(f, range(4, 9))
+    for text in ("x/y", "x^(-1)+y"):
+        with pytest.raises(DivByZeroInterval):
+            grid_counts(parse(text), range(4, 9))
+        with pytest.raises(DivByZeroInterval):
+            uq_product_counts(Q19, parse(text), range(4, 9))
 
 
 def test_uq_product_counts_unchanged():

@@ -165,29 +165,57 @@ def test_eval_grid_raises_where_eval_interval_does():
         list(eval_grid(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT]))
 
 
+def lattice_enclosures(f, xs, ys):
+    """eval_lattice's pieces as Fractions, each over its own denominator."""
+    den, pairs = eval_lattice(f, xs, ys)
+    pairs = list(pairs)
+    dens = [den] * len(pairs) if isinstance(den, int) else list(den)
+    assert len(dens) == len(pairs)
+    return [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)]
+
+
 def test_eval_lattice_is_eval_grid_on_integer_numerators():
     xs = [iv(Fraction(k, 4), Fraction(k + 1, 4)) for k in range(1, 4)]
     ys = [iv(Fraction(-k, 5), Fraction(k, 3)) for k in range(1, 3)]
-    for text in ("x+y", "x-y", "x*y-x", "y^2-x^(1/3)", "2*3", "-y", "x^2", "x*y^2+2",
-                 "(x-y)^3", "-(x*y)^2", "x^(1/2)*y+x", "(2*x+3)*(y-x)^2"):
-        f = parse(text)
-        den, pairs = eval_lattice(f, xs, ys)
-        want = [(enc.lo, enc.hi) for enc in eval_grid(f, xs, ys)]
-        assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs] == want, text
+    # x cylinders of both signs, none containing 0, for the divisions; y
+    # cylinders of one sign each, so that y^(-1/2) is defined on the positive
+    signed_xs = [iv(Fraction(-3, 4), Fraction(-1, 2)), iv(Fraction(-1, 3), Fraction(-1, 5)),
+                 iv(Fraction(1, 4), Fraction(1, 2)), iv(Fraction(2, 3), Fraction(7, 5))]
+    positive = [iv(Fraction(1, 5), Fraction(1, 3)), iv(Fraction(1, 2), Fraction(9, 4))]
+    negative = [iv(Fraction(-7, 3), Fraction(-3, 2)), iv(Fraction(-5, 4), Fraction(-6, 5))]
+    quotients = ("x/y", "x^(-1)+y", "x*y/2", "x/(y+1)", "x^(-2)*y", "(x*y-1)/(y+3)",
+                 "x^(-1)*(x-y)^2 - 1/y^2")
+    grids = [(xs, ys, ("x+y", "x-y", "x*y-x", "y^2-x^(1/3)", "2*3", "-y", "x^2", "x*y^2+2",
+                       "(x-y)^3", "-(x*y)^2", "x^(1/2)*y+x", "(2*x+3)*(y-x)^2")),
+             (signed_xs, positive, quotients + ("y^(-1/2)*x",)),
+             (signed_xs, negative, quotients + ("y^(-3)*x",))]
+    for gx, gy, texts in grids:
+        for text in texts:
+            f = parse(text)
+            want = [(enc.lo, enc.hi) for enc in eval_grid(f, gx, gy)]
+            assert lattice_enclosures(f, gx, gy) == want, (text, gy)
     assert list(eval_lattice(parse("x+y"), xs, [])[1]) == []
 
 
 def test_eval_lattice_declines_division_and_field_elements():
     xs = [iv(1, 2), iv(3, 4)]
-    for text in ("x/y", "x^(-1)+y", "y^(-1/2)*x", "(x+y)^(1/2)", "x*y/2"):
+    for text in ("(x+y)^(1/2)", "x/(x+y)", "(x*y)^(-1)", "y/(x*y+1)^2"):
         assert eval_lattice(parse(text), xs, xs) is None, text
     root2 = FieldElement.generator(AlgebraicReal((-2, 0, 1), 1, 2))
     assert eval_lattice(parse("x+y"), xs, [Interval(root2, root2 + 1)]) is None
+    assert eval_lattice(parse("x/y"), xs, [Interval(root2, root2 + 1)]) is None
 
 
 def test_eval_lattice_raises_where_eval_grid_does():
     with pytest.raises(DomainError):
         list(eval_lattice(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT])[1])
+    with pytest.raises(DivByZeroInterval):
+        eval_lattice(parse("x/y"), [UNIT], [iv(1, 2), iv(-1, 1)])
+    # eval_grid meets x^(1/2) on [-1, 1] in its first rectangle, before it
+    # divides by the second y cylinder
+    with pytest.raises(DomainError) as exc:
+        eval_lattice(parse("x^(1/2)*y/y"), [iv(-1, 1)], [iv(1, 2), iv(-1, 1)])
+    assert type(exc.value) is DomainError
 
 
 def test_eval_point_exact():
