@@ -5,7 +5,7 @@ from .certifier import (Certificate, ConditionReport, SignCase, auto_certify,
                         certify_rectangle, check_global_condition, check_pointwise,
                         replay, replay_explain)
 from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
-                       rat_from_str, rat_to_str, root_isolate, sign_at)
+                       rat_from_str, rat_to_str, root_isolate)
 from .exprfn import (GradEnclosure, differentiate, eval_grid, eval_interval,
                      eval_lattice, eval_point, grad_enclosure, parse, to_text)
 from .ifs_core import Code, GapProfile, HomogeneousIfs, cantor, locate

@@ -2,10 +2,11 @@
 real algebraic numbers.
 
 Every comparison made anywhere in the library bottoms out here and is decided
-exactly: rationals by Fraction arithmetic, algebraic quantities by an
-interval enclosure on the generator's isolating interval, with a polynomial
-gcd against the defining polynomial and interval refinement as the fallback
-when the enclosure contains 0.  Floating point never enters.
+exactly: rationals by Fraction arithmetic, and every order decision on
+algebraic quantities by one engine, FieldElement.sign: an interval enclosure
+on the generator's isolating interval, with a polynomial gcd against the
+defining polynomial and interval refinement as the fallback when the
+enclosure contains 0.  Floating point never enters.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Iterable, Sequence, Union
 from . import poly
 from .errors import DivByZeroInterval, DomainError, FractarithError
 
-#: Denominator bound used when an irrational endpoint must be outward-rounded
-#: back into the rationals.
-DEFAULT_DENOMINATOR_BOUND = 2 ** 64
+#: Denominator of the rational bounds that an irrational endpoint is
+#: outward-rounded to.
+DENOMINATOR_BOUND = 2 ** 64
 
 _UNICODE_MINUS = "−"
 
@@ -80,45 +81,33 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def fraction_root_bounds(r: Fraction, v: int,
-                         max_den: int = DEFAULT_DENOMINATOR_BOUND) -> tuple[Fraction, Fraction]:
-    """Outward rational bounds on r**(1/v) for r >= 0, denominator <= max_den."""
+def fraction_root_bounds(r: Fraction, v: int) -> tuple[Fraction, Fraction]:
+    """Outward rational bounds on r**(1/v) for r >= 0, with denominators
+    dividing DENOMINATOR_BOUND."""
     if r < 0:
         raise DomainError("even/fractional root of a negative rational")
     if r == 0:
         return Fraction(0), Fraction(0)
-    num = r.numerator * max_den ** v
+    num = r.numerator * DENOMINATOR_BOUND ** v
     lo_int = _iroot(num // r.denominator, v)
-    lo = Fraction(lo_int, max_den)
+    lo = Fraction(lo_int, DENOMINATOR_BOUND)
     hi_int = _iroot(-(-num // r.denominator), v)
     if hi_int ** v * r.denominator < num:
         hi_int += 1
-    hi = Fraction(hi_int, max_den)
+    hi = Fraction(hi_int, DENOMINATOR_BOUND)
     if lo ** v == r:
         hi = lo
     return lo, hi
 
 
-def fraction_pow_bounds(x: Fraction, e: Fraction,
-                        max_den: int = DEFAULT_DENOMINATOR_BOUND) -> tuple[Fraction, Fraction]:
-    """Outward rational bounds on x**e; exact when e is an integer.
-
-    Fractional exponents require x > 0.
-    """
-    if e.denominator == 1:
-        n = e.numerator
-        if n >= 0:
-            v = x ** n
-        else:
-            if x == 0:
-                raise DomainError("0 raised to a negative power")
-            v = Fraction(1) / x ** (-n)
-        return v, v
+def fraction_pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
+    """Outward rational bounds on x**e for x > 0 and a fractional exponent e
+    (integer exponents go through Interval.pow_int, which is exact)."""
     if x <= 0:
         raise DomainError("fractional power of a non-positive base")
     u, v = e.numerator, e.denominator
     r = x ** u if u >= 0 else Fraction(1) / x ** (-u)
-    return fraction_root_bounds(r, v, max_den)
+    return fraction_root_bounds(r, v)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +206,6 @@ class AlgebraicReal:
             self._bisect_once()
         return Interval(self._lo, self._hi)
 
-    def interval(self) -> "Interval":
-        return Interval(self._lo, self._hi)
-
     def replace_defining_factor(self, factor: poly.Poly) -> None:
         """Swap the defining polynomial for one of its factors that still has
         the root in the isolating interval.  The number itself never moves."""
@@ -238,27 +224,6 @@ class AlgebraicReal:
             if poly.count_roots(chain, self._lo, self._hi) != 1:
                 raise FractarithError("factor does not isolate the root")
         self._set_poly(factor)
-
-    # -- comparisons against rationals ------------------------------------
-
-    def cmp_fraction(self, r: Fraction) -> int:
-        """Exact three-way comparison with a rational."""
-        r = Fraction(r)
-        if self.is_rational:
-            v = self._lo
-            return (v > r) - (v < r)
-        if self._lo <= r <= self._hi and poly.eval_at(self._poly, r) == 0:
-            return 0
-        while self._lo <= r <= self._hi:
-            self._bisect_once()
-            if self.is_rational:
-                return self.cmp_fraction(r)
-        if r < self._lo:
-            return 1
-        return -1
-
-    def sign(self) -> int:
-        return self.cmp_fraction(Fraction(0))
 
     def __repr__(self) -> str:
         cs = ",".join(rat_to_str(c) for c in self._poly)
@@ -543,32 +508,6 @@ class FieldElement:
             return poly.eval_at(_fractions(num, den), self.gen.lo)
         raise FractarithError("field element is not rational")
 
-    def to_algebraic(self) -> AlgebraicReal:
-        """Annihilating polynomial via the multiplication-matrix characteristic
-        polynomial, with an isolating window refined from the enclosure."""
-        if self.is_fraction() or self.gen.is_rational:
-            v = self.to_fraction()
-            return AlgebraicReal((-v, Fraction(1)), v, v, _trusted=True)
-        d = poly.degree(self.gen.poly)
-        e = poly.rem(self.coeffs, self.gen.poly)
-        cols = []
-        for j in range(d):
-            basis = tuple(Fraction(0) for _ in range(j)) + (Fraction(1),)
-            col = poly.rem(poly.mul(e, basis), self.gen.poly)
-            cols.append([col[i] if i < len(col) else Fraction(0) for i in range(d)])
-        char = _charpoly([[cols[j][i] for j in range(d)] for i in range(d)])
-        char = poly.squarefree_part(char)
-        chain = poly.sturm_chain(char)
-        width = Fraction(1)
-        while True:
-            lo, hi = self.enclosure(width)
-            pad = width / 4 if width < 1 else Fraction(1, 4)
-            lo2, hi2 = lo - pad, hi + pad
-            if poly.eval_at(char, lo2) != 0 and poly.eval_at(char, hi2) != 0 \
-                    and poly.count_roots(chain, lo2, hi2) == 1:
-                return AlgebraicReal(char, lo2, hi2, _trusted=True)
-            width /= 16
-
     # -- comparisons ----------------------------------------------------------
 
     def _cmp(self, other) -> int:
@@ -608,27 +547,6 @@ class FieldElement:
     def __repr__(self) -> str:
         cs = ",".join(rat_to_str(c) for c in self.coeffs) or "0"
         return f"FieldElement([{cs}])"
-
-
-def _charpoly(m: list[list[Fraction]]) -> poly.Poly:
-    """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme."""
-    d = len(m)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        mk = _matmul(m, mk)
-        tr = sum(mk[i][i] for i in range(d))
-        c = -tr / k
-        coeffs[d - k] = c
-        for i in range(d):
-            mk[i][i] += c
-    return poly.strip(tuple(coeffs))
-
-
-def _matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    d = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
 
 
 Scalar = Union[Fraction, FieldElement]
@@ -681,10 +599,6 @@ class Interval:
     def point(x) -> "Interval":
         x = as_scalar(x)
         return Interval(x, x)
-
-    @staticmethod
-    def make(lo, hi) -> "Interval":
-        return Interval(as_scalar(lo), as_scalar(hi))
 
     def width(self) -> Scalar:
         return self.hi - self.lo
@@ -750,27 +664,23 @@ class Interval:
             return Interval(phi, plo)
         return Interval(as_scalar(0), scalar_max(plo, phi))
 
-    def pow_rational(self, e, max_den: int = DEFAULT_DENOMINATOR_BOUND) -> "Interval":
+    def pow_rational(self, e) -> "Interval":
         e = Fraction(e)
         if e.denominator == 1:
             return self.pow_int(e.numerator)
         lo, hi = self.lo, self.hi
-        if isinstance(lo, FieldElement) or isinstance(hi, FieldElement):
-            # round the endpoints out to rationals first; still an enclosure
-            flo = lo.enclosure(Fraction(1, max_den))[0] if isinstance(lo, FieldElement) else Fraction(lo)
-            fhi = hi.enclosure(Fraction(1, max_den))[1] if isinstance(hi, FieldElement) else Fraction(hi)
-        else:
-            flo, fhi = Fraction(lo), Fraction(hi)
+        # round field-element endpoints out to rationals first; still an enclosure
+        flo = lo.enclosure(Fraction(1, DENOMINATOR_BOUND))[0] \
+            if isinstance(lo, FieldElement) else Fraction(lo)
+        fhi = hi.enclosure(Fraction(1, DENOMINATOR_BOUND))[1] \
+            if isinstance(hi, FieldElement) else Fraction(hi)
         if flo <= 0:
             raise DomainError("fractional power of an interval touching <= 0")
-        lo_lo, lo_hi = fraction_pow_bounds(flo, e, max_den)
-        hi_lo, hi_hi = fraction_pow_bounds(fhi, e, max_den)
+        lo_lo, lo_hi = fraction_pow_bounds(flo, e)
+        hi_lo, hi_hi = fraction_pow_bounds(fhi, e)
         if e > 0:
             return Interval(lo_lo, hi_hi)
         return Interval(hi_lo, lo_hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(scalar_min(self.lo, other.lo), scalar_max(self.hi, other.hi))
 
     def to_obj(self) -> list:
         return [scalar_to_obj(self.lo), scalar_to_obj(self.hi)]
@@ -852,11 +762,6 @@ def _vanishes_at(e: poly.Poly, gen: AlgebraicReal) -> bool:
         if poly.eval_at(g, lo) != 0 and poly.eval_at(g, hi) != 0:
             return poly.count_roots(chain, lo, hi) > 0
         gen._bisect_once()
-
-
-def sign_at(expr_coeffs: Iterable, x: AlgebraicReal) -> int:
-    """Exact sign of a rational polynomial expression evaluated at x."""
-    return FieldElement.of(x, poly.make(expr_coeffs)).sign()
 
 
 def scalar_to_str(x: Scalar) -> str:
@@ -977,9 +882,6 @@ class IntervalUnion:
 
     def is_subset(self, other: "IntervalUnion") -> bool:
         return all(other.contains_interval(Interval(lo, hi)) for lo, hi in self.intervals)
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_intervals(list(self.intervals) + list(other.intervals))
 
     def intersect_window(self, window: Interval) -> "IntervalUnion":
         out = []

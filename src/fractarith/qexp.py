@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
-from . import poly
 from .certifier import Certificate, auto_certify
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, NotContained, UndecidableComparison)
@@ -25,9 +25,9 @@ from .ifs_core import Code, HomogeneousIfs
 #: Default step budget for the quasi-greedy recurrence.
 DEFAULT_QG_BUDGET = 10_000
 
-#: Default window for lexicographic comparisons against a non-periodic
-#: expansion stream.
-DEFAULT_WINDOW = 512
+#: Digits of a non-periodic expansion stream read by a lexicographic
+#: comparison before it is reported undecided.
+STREAM_WINDOW = 512
 
 QSTAR_POLY = (Fraction(1), Fraction(-2), Fraction(-1), Fraction(1))  # 1 - 2x - x^2 + x^3
 
@@ -68,23 +68,12 @@ def as_base(q) -> Scalar:
     return q
 
 
-def base_above_qstar(q: Scalar) -> bool:
-    """Exact test q > q* for a base in (1, 2)."""
-    if isinstance(q, FieldElement):
-        alg = q.to_algebraic()
-        star = qstar()
-        g = poly.gcd(alg.poly, star.poly)
-        if poly.degree(g) >= 1:
-            lo = max(alg.lo, star.lo)
-            hi = min(alg.hi, star.hi)
-            if lo <= hi and poly.count_roots(poly.sturm_chain(g), lo, hi) > 0:
-                return False  # q == q*
-        while not (alg.hi < star.lo or star.hi < alg.lo):
-            alg._bisect_once()
-            star._bisect_once()
-        return star.hi < alg.lo
-    # on (1,2) the defining cubic is negative below q* and positive above
-    return poly.eval_at(poly.make(QSTAR_POLY), Fraction(q)) > 0
+def base_above_qstar(q) -> bool:
+    """Exact test q > q* for a base, which must satisfy 1 < q < 2.  On (1, 2)
+    q* is the only root of x^3 - x^2 - 2x + 1, which is negative below it
+    and positive above."""
+    q = as_base(q)
+    return scalar_sign(((q - 1) * q - 2) * q + 1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +149,6 @@ def _canonical(pre: str, per: str) -> tuple[str, str]:
     return pre, per
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
 def lex_less(s, t) -> bool:
     """Exact strict lexicographic comparison.
 
@@ -175,7 +159,7 @@ def lex_less(s, t) -> bool:
     """
     if isinstance(s, DigitSeq) and isinstance(t, DigitSeq):
         window = len(s.preperiod) + len(t.preperiod) + \
-            _lcm(len(s.period), len(t.period)) + 1
+            lcm(len(s.period), len(t.period)) + 1
         for i in range(window):
             a, b = s.digit(i), t.digit(i)
             if a != b:
@@ -298,15 +282,14 @@ def quasi_greedy_one(q, budget: int = DEFAULT_QG_BUDGET) -> Union[DigitSeq, QgPr
     return QuasiGreedyStream(q, budget=budget).result()
 
 
-def _cmp_seq_stream(seq: DigitSeq, eta: QuasiGreedyStream,
-                    window: int = DEFAULT_WINDOW) -> int | None:
+def _cmp_seq_stream(seq: DigitSeq, eta: QuasiGreedyStream) -> int | None:
     """Three-way comparison of an eventually periodic sequence against the
-    quasi-greedy stream; None when undecided within the window."""
+    quasi-greedy stream; None when undecided within STREAM_WINDOW digits."""
     if eta.seq is not None:
         if seq == eta.seq:
             return 0
         return -1 if lex_less(seq, eta.seq) else 1
-    for i in range(window):
+    for i in range(STREAM_WINDOW):
         d = eta.digit(i)
         if d is None:
             return None
@@ -320,7 +303,7 @@ def _cmp_seq_stream(seq: DigitSeq, eta: QuasiGreedyStream,
     return None
 
 
-def is_univoque_seq(a: DigitSeq, q, window: int = DEFAULT_WINDOW) -> str:
+def is_univoque_seq(a: DigitSeq, q) -> str:
     """Lexicographic criterion: at every position with digit 0 the tail must
     be strictly below the quasi-greedy expansion of 1; with digit 1 the
     complemented tail must be.  Returns "yes", "no", or "unknown"."""
@@ -330,7 +313,7 @@ def is_univoque_seq(a: DigitSeq, q, window: int = DEFAULT_WINDOW) -> str:
     for k in range(len(a.preperiod) + len(a.period)):
         tail = a.tail_from(k + 1)
         probe = tail if a.digit(k) == 0 else tail.complement()
-        c = _cmp_seq_stream(probe, eta, window)
+        c = _cmp_seq_stream(probe, eta)
         if c is None:
             verdict = "unknown"
         elif c >= 0:
@@ -387,7 +370,7 @@ def kq_ifs(q) -> HomogeneousIfs:
 _EXTREMAL_TAILS = (DigitSeq("1", "10"), DigitSeq("", "10"))
 
 
-def verify_kq_in_uq(q, window: int = DEFAULT_WINDOW) -> str:
+def verify_kq_in_uq(q) -> str:
     """Decide K_q inside U_q by checking the finitely many extremal tails of
     the block coding strictly below the quasi-greedy expansion of 1.  Yields
     "yes" exactly for bases above q*."""
@@ -395,7 +378,7 @@ def verify_kq_in_uq(q, window: int = DEFAULT_WINDOW) -> str:
     eta = QuasiGreedyStream(q)
     verdict = "yes"
     for tail in _EXTREMAL_TAILS:
-        c = _cmp_seq_stream(tail, eta, window)
+        c = _cmp_seq_stream(tail, eta)
         if c is None:
             verdict = "unknown"
         elif c >= 0:

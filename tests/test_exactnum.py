@@ -17,7 +17,7 @@ from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
                                  IntervalUnion, fraction_pow_bounds,
                                  rat_from_str, rat_to_str, root_isolate,
-                                 scalar_to_obj, sign_at)
+                                 scalar_to_obj)
 
 QSTAR = (1, -2, -1, 1)  # x^3 - x^2 - 2x + 1, constant first
 
@@ -183,7 +183,7 @@ def test_refine_monotone_random():
 
 def test_sign_at_defining_polynomial():
     q = root_isolate(QSTAR, (1, 2))[0]
-    assert sign_at(QSTAR, q) == 0
+    assert FieldElement.of(q, QSTAR).sign() == 0
 
 
 def test_sign_at_qstar_above_nine_fifths():
@@ -192,12 +192,12 @@ def test_sign_at_qstar_above_nine_fifths():
     # (9/5, 181/100), so the root exceeds 9/5
     p = poly.make(QSTAR)
     assert poly.eval_at(p, Fraction(9, 5)) < 0 < poly.eval_at(p, Fraction(181, 100))
-    assert sign_at((Fraction(-9, 5), 1), q) == 1
+    assert FieldElement.of(q, (Fraction(-9, 5), 1)).sign() == 1
 
 
 def test_sign_at_sqrt2_below_three_halves():
     r = root_isolate((-2, 0, 1), (1, 2))[0]
-    assert sign_at((Fraction(-3, 2), 1), r) == -1
+    assert FieldElement.of(r, (Fraction(-3, 2), 1)).sign() == -1
 
 
 def _independent_sign(expr, defining, window):
@@ -245,7 +245,7 @@ def test_sign_at_agrees_with_independent_oracle():
         want = _independent_sign(expr, root.poly, (root.lo, root.hi))
         if want == 0 and not root.is_rational:
             continue  # oracle margin too small to decide
-        got = sign_at(expr, root)
+        got = FieldElement.of(root, expr).sign()
         if want != 0:
             assert got == want
         checked += 1
@@ -275,17 +275,6 @@ def test_field_element_enclosure():
     assert hi - lo <= Fraction(1, 10 ** 9)
     # 1/qstar^2 = 0.3079785...
     assert Fraction(307978, 10 ** 6) <= lo and hi <= Fraction(307979, 10 ** 6)
-
-
-def test_field_element_to_algebraic():
-    q = AlgebraicReal(QSTAR, Fraction(9, 5), Fraction(181, 100))
-    x = FieldElement.generator(q)
-    lam = 1 / (x * x)
-    alg = lam.to_algebraic()
-    # the annihilating polynomial vanishes at lambda
-    assert FieldElement.of(alg, alg.poly).is_zero()
-    lo, hi = lam.enclosure(Fraction(1, 10 ** 6))
-    assert alg.lo <= hi and lo <= alg.hi
 
 
 def test_field_element_different_generators_rejected():

@@ -1,16 +1,18 @@
 """Tests for q-expansions: the quasi-greedy expansion, the univoque
 criterion, the embedded set K_q, and the threshold q*."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractarith.certifier import check_global_condition, check_pointwise, replay
 from fractarith.errors import FractarithError, NotContained
-from fractarith.exactnum import FieldElement, rat_from_str, root_isolate, sign_at
+from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
+                                 rat_from_str, root_isolate)
 from fractarith.exprfn import parse
 from fractarith.ifs_core import Code
 from fractarith.qexp import (DigitSeq, QgPrefix, as_base, base_above_qstar,
@@ -117,6 +119,63 @@ def test_base_validation():
     assert base_above_qstar(Q19)
     assert not base_above_qstar(Fraction(3, 2))
     assert not base_above_qstar(FieldElement.generator(qstar()))
+
+
+def test_base_above_qstar_rejects_bases_outside_the_range():
+    # the cubic is positive again below its root near 0.445, so a sign test
+    # alone would call 3/10 a base above q*
+    sqrt10 = FieldElement.generator(AlgebraicReal((-10, 0, 1), 3, 4))
+    sqrt5 = FieldElement.generator(AlgebraicReal((-5, 0, 1), 2, 3))
+    for q in (Fraction(3, 10), Fraction(1), Fraction(2), Fraction(5, 2),
+              1 / sqrt10, sqrt5, "root:-10,0,1@3,4"):
+        with pytest.raises(FractarithError, match="1 < q < 2"):
+            base_above_qstar(q)
+
+
+def test_base_above_qstar_algebraic_bases():
+    assert not base_above_qstar(qstar())
+    assert not base_above_qstar("qstar")
+    assert not base_above_qstar("root:1,-2,-1,1@9/5,181/100")
+    assert not base_above_qstar(AlgebraicReal((-3, 0, 1), 1, 2))  # 1.732...
+    assert base_above_qstar(AlgebraicReal((Fraction(-7, 2), 0, 1), 1, 2))  # 1.870...
+    assert base_above_qstar(AlgebraicReal((-1, -1, -1, 1), 1, 2))  # tribonacci 1.839...
+
+
+def _is_rational_square(c: Fraction) -> bool:
+    return all(math.isqrt(n) ** 2 == n for n in (c.numerator, c.denominator))
+
+
+RATIONAL_BASES = st.fractions(min_value=1, max_value=2, max_denominator=60) \
+    .filter(lambda q: 1 < q < 2)
+SQRT_BASES = st.fractions(min_value=1, max_value=4, max_denominator=60) \
+    .filter(lambda c: 1 < c < 4 and not _is_rational_square(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(RATIONAL_BASES.map(lambda q: ("rational", q)),
+                 SQRT_BASES.map(lambda c: ("sqrt", c))))
+# the nearest such bases on either side of q* = 1.80193...
+@example(("rational", Fraction(9, 5)))
+@example(("rational", Fraction(101, 56)))
+@example(("sqrt", Fraction(185, 57)))
+@example(("sqrt", Fraction(13, 4)))
+def test_base_above_qstar_agrees_with_bisection(base):
+    # the oracle orders q against q* by AlgebraicReal bisection alone: it
+    # refines both isolating intervals until they are disjoint
+    kind, c = base
+    if kind == "rational":
+        q, enclose = c, lambda w: Interval(c, c)
+    else:
+        q = FieldElement.generator(AlgebraicReal((-c, 0, 1), 1, 2))
+        enclose = AlgebraicReal((-c, 0, 1), 1, 2).refine
+    star = qstar()
+    for k in range(1, 120):
+        w = Fraction(1, 2 ** k)
+        enc, star_enc = enclose(w), star.refine(w)
+        if enc.hi < star_enc.lo or star_enc.hi < enc.lo:
+            assert base_above_qstar(q) == (star_enc.hi < enc.lo)
+            return
+    raise AssertionError(f"q and q* not separated for {base}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +295,7 @@ def test_qstar_boundary_bracket():
 
 def test_qstar_object():
     star = qstar()
-    assert sign_at((1, -2, -1, 1), star) == 0
+    assert FieldElement.of(star, (1, -2, -1, 1)).sign() == 0
     assert Fraction(9, 5) <= star.lo and star.hi <= Fraction(181, 100)
     inner = star.refine(Fraction(1, 10 ** 8))
     assert Fraction(180, 100) <= inner.lo and inner.hi <= Fraction(181, 100)
