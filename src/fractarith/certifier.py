@@ -204,30 +204,24 @@ def condition_bounds(k1: HomogeneousIfs, k2: HomogeneousIfs) -> tuple[Scalar, ob
     require_shared_ratio(k1, k2)
     p1 = k1.gap_profile()
     p2 = k2.gap_profile()
-    lower = p1.kappa / p2.hull.width()
+    lower = p1.kappa / p2.width
     if scalar_sign(p2.kappa) == 0:
         return lower, _INF
-    upper = k1.ratio * p1.hull.width() / p2.kappa
-    return lower, upper
-
-
-def ratio_over_rect(f: Expr, rect: tuple[Interval, Interval]) -> tuple[Interval, GradEnclosure]:
-    """|df/dy / df/dx| enclosed over the rectangle; the df/dx enclosure must
-    exclude 0."""
-    grad = grad_enclosure(f, rect)
-    if grad.dx.contains_zero():
-        raise SignIndefinite(f"df/dx enclosure {grad.dx} contains 0 on {rect}")
-    return grad.dy.abs() / grad.dx.abs(), grad
+    return lower, p1.piece / p2.kappa
 
 
 def check_pointwise(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
                     point: tuple, depth: int) -> ConditionReport:
     """Pointwise three-way ratio test, with the ratio enclosed over the
-    rank-`depth` cylinder rectangle containing the point."""
+    rank-`depth` cylinder rectangle containing the point; the df/dx
+    enclosure there must exclude 0."""
     w1 = locate(k1, point[0], depth)
     w2 = locate(k2, point[1], depth)
     rect = (k1.basic_interval(w1), k2.basic_interval(w2))
-    ratio, _ = ratio_over_rect(f, rect)
+    grad = grad_enclosure(f, rect)
+    if grad.dx.contains_zero():
+        raise SignIndefinite(f"df/dx enclosure {grad.dx} contains 0 on {rect}")
+    ratio = grad.dy.abs() / grad.dx.abs()
     lower, upper = condition_bounds(k1, k2)
     if lower < ratio.lo and (upper == _INF or ratio.hi < upper):
         holds = "yes"
@@ -262,10 +256,9 @@ def check_global_condition(k1: HomogeneousIfs, k2: HomogeneousIfs) -> GlobalCond
     require_shared_ratio(k1, k2)
     p1 = k1.gap_profile()
     p2 = k2.gap_profile()
-    lhs = k1.ratio * p1.hull.width()
-    holds = (p2.kappa < lhs) and (p1.kappa < p2.hull.width())
-    return GlobalConditionReport(holds=holds, lambda_b_minus_a=lhs, kappa2=p2.kappa,
-                      kappa1=p1.kappa, d_minus_c=p2.hull.width())
+    holds = (p2.kappa < p1.piece) and (p1.kappa < p2.width)
+    return GlobalConditionReport(holds=holds, lambda_b_minus_a=p1.piece, kappa2=p2.kappa,
+                                 kappa1=p1.kappa, d_minus_c=p2.width)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +284,7 @@ def _extremes(iv: Interval, s: int) -> tuple[Scalar, Scalar]:
 # ---------------------------------------------------------------------------
 
 def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
-                         w1: Word, w2: Word, sign_case: SignCase,
-                         budget: int) -> None:
+                         w1: Word, w2: Word, sign_case: SignCase) -> None:
     """For words of unequal rank, verify that the union of cell images at the
     equalized starting rank is one interval.  f is monotone on every cell
     with the signs of sign_case, so each cell's image runs from f at one
@@ -304,8 +296,9 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     k0 = max(len(w1), len(w2))
     if len(w1) == len(w2):
         return
-    xs = k1.cylinders(k0, budget=budget, within=w1)
-    ys = k2.cylinders(k0, budget=budget, within=w2)
+    budget = get_budget()
+    xs = k1.cylinders(k0, within=w1)
+    ys = k2.cylinders(k0, within=w2)
     if len(xs) * len(ys) > budget:
         raise ResourceBudget(f"{len(xs)}x{len(ys)} starting cells exceed budget")
     x_ends = [_extremes(ix, sign_case.sx) for ix in xs]
@@ -328,24 +321,20 @@ def _margins(k1: HomogeneousIfs, k2: HomogeneousIfs,
              dx: Interval, dy: Interval) -> dict[str, tuple[Scalar, Scalar]]:
     """Scale-free chaining slacks for both nesting orientations.  dx and dy
     enclose the sizes |df/dx| and |df/dy|: the inequalities read the same in
-    every sign case, since they depend on the sets only through their ratio,
-    hull widths and largest gaps."""
+    every sign case, since they depend on the sets only through their
+    rank-1 piece widths, hull widths and largest gaps."""
     p1 = k1.gap_profile()
     p2 = k2.gap_profile()
-    lam = k1.ratio
-    w1 = p1.hull.width()
-    w2 = p2.hull.width()
     return {
-        "k1-blocks": (lam * w1 * dx.lo - p2.kappa * dy.hi,
-                      w2 * dy.lo - p1.kappa * dx.hi),
-        "k2-blocks": (lam * w2 * dy.lo - p1.kappa * dx.hi,
-                      w1 * dx.lo - p2.kappa * dy.hi),
+        "k1-blocks": (p1.piece * dx.lo - p2.kappa * dy.hi,
+                      p2.width * dy.lo - p1.kappa * dx.hi),
+        "k2-blocks": (p2.piece * dy.lo - p1.kappa * dx.hi,
+                      p1.width * dx.lo - p2.kappa * dy.hi),
     }
 
 
 def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
-                      word1: Sequence[int], word2: Sequence[int],
-                      budget: int | None = None) -> Certificate:
+                      word1: Sequence[int], word2: Sequence[int]) -> Certificate:
     """Certify that f over the cylinder rectangle word1 x word2 is exactly
     the closed interval between its monotone-extreme corner values.
 
@@ -358,7 +347,6 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     largest.  Failure names the first violated inequality with its exact
     margin.
     """
-    budget = budget if budget is not None else get_budget()
     require_shared_ratio(k1, k2)
     word1 = tuple(word1)
     word2 = tuple(word2)
@@ -381,7 +369,7 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
         raise MarginNegative("m_gap", m_gap)
     m_row, m_gap = margins[orientation]
 
-    _initial_grid_chains(k1, k2, f, word1, word2, sign_case, budget)
+    _initial_grid_chains(k1, k2, f, word1, word2, sign_case)
 
     x_min, x_max = _extremes(rect[0], sign_case.sx)
     y_min, y_max = _extremes(rect[1], sign_case.sy)
@@ -398,8 +386,7 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
 
 
 def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
-                 point: tuple[Code, Code], max_depth: int,
-                 budget: int | None = None) -> Certificate:
+                 point: tuple[Code, Code], max_depth: int) -> Certificate:
     """Descend the cylinder pair around the coded point, returning the first
     rank at which certify_rectangle succeeds.  Deterministic.  Both codes
     must address points of their sets: a digit outside an alphabet raises
@@ -412,8 +399,7 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     reasons: list[tuple[int, str]] = []
     for k in range(max_depth + 1):
         try:
-            return certify_rectangle(k1, k2, f, code1.prefix(k), code2.prefix(k),
-                                     budget=budget)
+            return certify_rectangle(k1, k2, f, code1.prefix(k), code2.prefix(k))
         except (CertificationFailure, DomainError) as exc:
             reasons.append((k, f"{type(exc).__name__}: {exc}"))
     raise ExhaustedDepth(reasons)

@@ -116,7 +116,7 @@ def _cmd_gaps(args):
 
 def _cmd_thickness(args):
     ifs = _load_ifs(args.ifs)
-    return {"thickness_lb": scalar_to_obj(ifs.thickness_lower_bound())}, EXIT_OK
+    return {"thickness_lb": scalar_to_obj(ifs.gap_profile().thickness_lb)}, EXIT_OK
 
 
 def _resolve_pair(args):

@@ -29,7 +29,6 @@ from .qexp import QuasiGreedyStream, as_base
 # ---------------------------------------------------------------------------
 
 def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
-                budget: int | None = None,
                 x_window: Interval | None = None,
                 y_window: Interval | None = None,
                 word1: Word = (), word2: Word = ()) -> IntervalUnion:
@@ -40,9 +39,9 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
     Windows keep only cylinders contained in them; words restrict to
     descendants of fixed cylinders.
     """
-    budget = budget if budget is not None else get_budget()
-    xs = k1.cylinders(depth, budget=budget, within=word1)
-    ys = k2.cylinders(depth, budget=budget, within=word2)
+    budget = get_budget()
+    xs = k1.cylinders(depth, within=word1)
+    ys = k2.cylinders(depth, within=word2)
     if x_window is not None:
         xs = [iv for iv in xs if iv.is_subset(x_window)]
     if y_window is not None:
@@ -77,13 +76,13 @@ def oscillation_radius(cert: Certificate, depth: int) -> Fraction:
             + cert.ifs2.ratio ** depth * dym * w2)
 
 
-def oracle_check(cert: Certificate, depth: int, budget: int | None = None) -> bool:
+def oracle_check(cert: Certificate, depth: int) -> bool:
     """Independent containment check of a certificate against the brute-force
     cover of its own cylinder rectangle, inflated by the rigorous
     oscillation radius.  False is a soundness alarm."""
     if depth < max(len(cert.word1), len(cert.word2)):
         raise FractarithError("oracle depth must reach the certificate words")
-    cover = image_cover(cert.ifs1, cert.ifs2, cert.f, depth, budget=budget,
+    cover = image_cover(cert.ifs1, cert.ifs2, cert.f, depth,
                         word1=cert.word1, word2=cert.word2)
     inflated = cover.inflate(oscillation_radius(cert, depth))
     return inflated.contains_interval(cert.certified_interval)
@@ -93,7 +92,7 @@ def oracle_check(cert: Certificate, depth: int, budget: int | None = None) -> bo
 # Univoque-set covers
 # ---------------------------------------------------------------------------
 
-def uq_cover(q, depth: int, budget: int | None = None) -> IntervalUnion:
+def uq_cover(q, depth: int) -> IntervalUnion:
     """Superset of the univoque set from the binary prefix tree pruned by the
     lexicographic conditions against the computed quasi-greedy window: at a
     0 digit the following digits may not exceed eta, the quasi-greedy
@@ -115,7 +114,7 @@ def uq_cover(q, depth: int, budget: int | None = None) -> IntervalUnion:
     if depth < 0:
         raise FractarithError("depth must be non-negative")
     q = as_base(q)
-    budget = budget if budget is not None else get_budget()
+    budget = get_budget()
     eta = QuasiGreedyStream(q)
     keys: list[tuple[tuple[int, int], ...]] = [()]  # state id -> tied positions
     ids = {(): 0}
@@ -207,29 +206,27 @@ def box_dim_estimate(counts: Iterable[tuple[int, int]], ratio) -> DimEstimate:
     return DimEstimate(counts=pairs, slope=slope, residual=residual)
 
 
-def ifs_box_counts(k: HomogeneousIfs, ranks: Iterable[int],
-                   budget: int | None = None) -> list[tuple[int, int]]:
+def ifs_box_counts(k: HomogeneousIfs, ranks: Iterable[int]) -> list[tuple[int, int]]:
     """Natural-scale box counts: the number of distinct rank-k basic
     intervals (boxes of size lambda^k * hull width, no double counting)."""
-    return [(r, k.cylinder_count(r, budget=budget)) for r in ranks]
+    return [(r, k.cylinder_count(r)) for r in ranks]
 
 
-def grid_box_count(u: IntervalUnion, size: Fraction, anchor: Fraction = Fraction(0)) -> int:
-    """Boxes [anchor + j*size, anchor + (j+1)*size] needed to cover the union
-    (boundary-only touching not counted); exact index arithmetic."""
+def grid_box_count(u: IntervalUnion, size: Fraction) -> int:
+    """Boxes [j*size, (j+1)*size] needed to cover the union (boundary-only
+    touching not counted); exact index arithmetic."""
     size = Fraction(size)
     if size <= 0:
         raise FractarithError("box size must be positive")
     count = 0
     last: int | None = None
     for lo, hi in u:
-        u_ = Fraction(lo) - anchor
-        v_ = Fraction(hi) - anchor
-        if v_ == u_:
-            j_min = j_max = u_ // size
+        lo, hi = Fraction(lo), Fraction(hi)
+        if hi == lo:
+            j_min = j_max = lo // size
         else:
-            j_min = u_ // size
-            j_max = v_ // size - 1 if v_ % size == 0 else v_ // size
+            j_min = lo // size
+            j_max = hi // size - 1 if hi % size == 0 else hi // size
         if last is not None and j_min <= last:
             j_min = last + 1
         if j_max >= j_min:
@@ -238,8 +235,7 @@ def grid_box_count(u: IntervalUnion, size: Fraction, anchor: Fraction = Fraction
     return count
 
 
-def uq_product_counts(q, f: Expr, ranks: Iterable[int],
-                      budget: int | None = None) -> list[tuple[int, int]]:
+def uq_product_counts(q, f: Expr, ranks: Iterable[int]) -> list[tuple[int, int]]:
     """Grid box counts at scale q^-k for covers of f over U_q x U_q built
     from pruned-prefix covers; inspection-grade input for trend tables."""
     q = as_base(q)
@@ -247,7 +243,7 @@ def uq_product_counts(q, f: Expr, ranks: Iterable[int],
         raise FractarithError("trend tables require a rational base")
     out = []
     for r in ranks:
-        cover = uq_cover(q, r, budget=budget)
+        cover = uq_cover(q, r)
         cells = [Interval(lo, hi) for lo, hi in cover]
         union = grid_cover(f, cells, cells)
         out.append((r, grid_box_count(union, q ** (-r))))
@@ -290,9 +286,9 @@ def _drawing_position(x) -> float:
     return float(Fraction(x))
 
 
-def write_union_svg(path: str, unions_by_rank: Sequence[tuple[int, IntervalUnion]],
-                    width: int = 800, row_height: int = 24) -> None:
+def write_union_svg(path: str, unions_by_rank: Sequence[tuple[int, IntervalUnion]]) -> None:
     """Horizontal bar stacks, one row per rank."""
+    width, row_height = 800, 24  # pixels
     if not unions_by_rank:
         raise FractarithError("nothing to draw")
     hulls = [u.hull() for _, u in unions_by_rank if not u.is_empty()]

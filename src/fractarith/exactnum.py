@@ -567,14 +567,6 @@ def as_scalar(x) -> Scalar:
     return Fraction(x)
 
 
-def scalar_min(a: Scalar, b: Scalar) -> Scalar:
-    return a if not (b < a) else b
-
-
-def scalar_max(a: Scalar, b: Scalar) -> Scalar:
-    return a if not (a < b) else b
-
-
 # ---------------------------------------------------------------------------
 # Rational intervals with enclosure semantics
 # ---------------------------------------------------------------------------
@@ -628,12 +620,7 @@ class Interval:
     def __mul__(self, other: "Interval") -> "Interval":
         cands = [self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi]
-        lo = cands[0]
-        hi = cands[0]
-        for c in cands[1:]:
-            lo = scalar_min(lo, c)
-            hi = scalar_max(hi, c)
-        return Interval(lo, hi)
+        return Interval(min(cands), max(cands))
 
     def reciprocal(self) -> "Interval":
         if self.contains_zero():
@@ -648,7 +635,7 @@ class Interval:
             return self
         if self.hi < 0:
             return -self
-        return Interval(as_scalar(0), scalar_max(-self.lo, self.hi))
+        return Interval(as_scalar(0), max(-self.lo, self.hi))
 
     def pow_int(self, n: int) -> "Interval":
         if n == 0:
@@ -662,7 +649,7 @@ class Interval:
             return Interval(plo, phi)
         if self.hi < 0:
             return Interval(phi, plo)
-        return Interval(as_scalar(0), scalar_max(plo, phi))
+        return Interval(as_scalar(0), max(plo, phi))
 
     def pow_rational(self, e) -> "Interval":
         e = Fraction(e)
@@ -886,8 +873,8 @@ class IntervalUnion:
     def intersect_window(self, window: Interval) -> "IntervalUnion":
         out = []
         for lo, hi in self.intervals:
-            a = scalar_max(lo, window.lo)
-            b = scalar_min(hi, window.hi)
+            a = max(lo, window.lo)
+            b = min(hi, window.hi)
             if not (b < a):
                 out.append((a, b))
         return IntervalUnion.from_intervals(out)
@@ -901,7 +888,7 @@ class IntervalUnion:
         for lo, hi in clipped.intervals:
             if cur < lo:
                 out.append(Interval(cur, lo))
-            cur = scalar_max(cur, hi)
+            cur = max(cur, hi)
         if cur < window.hi:
             out.append(Interval(cur, window.hi))
         out.sort(key=lambda iv: iv.width(), reverse=True)

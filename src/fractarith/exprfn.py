@@ -455,29 +455,6 @@ def eval_grid(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterat
 # Grid evaluation on integer numerators
 # ---------------------------------------------------------------------------
 
-def _lattice_mask(e: Expr) -> int | None:
-    """The variable mask of e, or None when a subtree in both variables is
-    divided by one in both variables or raised to a power other than a
-    positive integer: the cases eval_lattice leaves to eval_grid.  Subtrees
-    in one variable, or none, run on Intervals, so anything goes in them."""
-    t = type(e)
-    if t is Var:
-        return _X if e.name == "x" else _Y
-    if t is Const:
-        return _NONE
-    if t is Pow:
-        m = _lattice_mask(e.base)
-        if m == _XY and (e.exponent <= 0 or e.exponent.denominator != 1):
-            return None
-        return m
-    if t is Neg:
-        return _lattice_mask(e.operand)
-    left, right = _lattice_mask(e.left), _lattice_mask(e.right)
-    if left is None or right is None or (t is Div and right == _XY):
-        return None
-    return left | right
-
-
 def _common(values: list[int]) -> int | None:
     """The value all entries of a non-empty list share, or None."""
     v = values[0]
@@ -583,15 +560,25 @@ def _ipow(a: tuple[int, int], n: int) -> tuple[int, int]:
     return 0, max(plo, phi)
 
 
+class _Declined(Exception):
+    """A subtree in both variables that eval_lattice leaves to eval_grid."""
+
+
 def _lattice_node(grid: _GridWalk, node: Expr, parts) -> tuple[list[int], list[int], Iterator]:
     """A subtree in both variables on integer numerators: (dx, dy, stream),
     the pair of the stream for rectangle (i, j) being the Interval
     operation's enclosure there times dx[i]*dy[j].  Operands in one
     variable, or none, are lifted per cylinder first, a divisor as its
-    reciprocal, so that dividing is multiplying."""
+    reciprocal, so that dividing is multiplying.  Raises _Declined for a
+    divisor in both variables, and for a power other than a positive
+    integer."""
     t = type(node)
+    if t is Pow and (node.exponent <= 0 or node.exponent.denominator != 1):
+        raise _Declined
     if t is Div:
         m, v = parts[1]
+        if m == _XY:
+            raise _Declined
         parts = [parts[0], (m, v.reciprocal() if m == _NONE else map(Interval.reciprocal, v))]
     ops = [_lift(grid, m, v) for m, v in parts]
     if t is Add or t is Sub:
@@ -635,14 +622,15 @@ def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
     the DomainError raised is the one eval_grid raises at its first failing
     rectangle, so both paths fail alike.
     """
-    if _lattice_mask(e) is None or any(isinstance(v, FieldElement)
-                                       for iv in chain(xs, ys) for v in (iv.lo, iv.hi)):
+    if any(isinstance(v, FieldElement) for iv in chain(xs, ys) for v in (iv.lo, iv.hi)):
         return None
     if not xs or not ys:
         return 1, iter(())
     grid = _GridWalk(xs, ys, _lattice_node)
     try:
         mask, dx, dy, vals = _lift(grid, *grid.walk(e))
+    except _Declined:
+        return None
     except DomainError:
         deque(eval_grid(e, xs, ys), maxlen=0)
         raise

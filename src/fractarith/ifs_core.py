@@ -25,14 +25,19 @@ Word = tuple[int, ...]
 
 
 def get_budget() -> int:
-    """Enumeration budget; the FRACTARITH_BUDGET env var overrides."""
+    """Enumeration budget: the FRACTARITH_BUDGET env var, a positive
+    integer, when set, else DEFAULT_BUDGET.  Each enumeration reads it where
+    it is sized."""
     raw = os.environ.get("FRACTARITH_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise FractarithError(f"bad FRACTARITH_BUDGET value {raw!r}") from exc
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0  # rejected below with the other non-positive values
+    if budget <= 0:
+        raise FractarithError(f"bad FRACTARITH_BUDGET value {raw!r}")
+    return budget
 
 
 def _check_rank(k: int) -> None:
@@ -98,13 +103,18 @@ class Code:
 
 @dataclass(frozen=True)
 class GapProfile:
-    """Rank-1 gap structure: which consecutive pieces leave empty space
+    """Rank-1 geometry: the hull and its width, the width of one rank-1
+    piece (ratio * width), which consecutive pieces leave empty space
     between them, and the largest such gap (kappa)."""
 
     hull: Interval
+    width: Scalar
+    piece: Scalar
     gap_set: tuple[tuple[int, Scalar], ...]  # (index i, length of gap after piece i)
     kappa: Scalar
-    thickness_lb: object  # Scalar, or math.inf for gapless systems
+    # min over rank-1 gaps of piece/gap: the exact Newhouse thickness when all
+    # rank-1 gaps are equal, a lower bound otherwise; math.inf when gapless
+    thickness_lb: object
 
 
 class HomogeneousIfs:
@@ -170,11 +180,12 @@ class HomogeneousIfs:
 
     def _compute_gap_profile(self) -> GapProfile:
         hull = self.convex_hull()
-        a, b = hull.lo, hull.hi
+        width = hull.width()
+        piece = self.ratio * width
         gaps: list[tuple[int, Scalar]] = []
         for i in range(self.n - 1):
-            # f_{i+2}(a) - f_{i+1}(b) in 1-based map numbering
-            delta = self.translations[i + 1] - self.translations[i] - self.ratio * (b - a)
+            # f_{i+2}(a) - f_{i+1}(b) for the hull [a, b], maps numbered from 1
+            delta = self.translations[i + 1] - self.translations[i] - piece
             if scalar_sign(delta) > 0:
                 gaps.append((i + 1, delta))
         kappa: Scalar = as_scalar(0)
@@ -182,7 +193,6 @@ class HomogeneousIfs:
             if kappa < g:
                 kappa = g
         if gaps:
-            piece = self.ratio * (b - a)
             thickness = piece / gaps[0][1]
             for _, g in gaps[1:]:
                 cand = piece / g
@@ -190,13 +200,8 @@ class HomogeneousIfs:
                     thickness = cand
         else:
             thickness = float("inf")
-        return GapProfile(hull=hull, gap_set=tuple(gaps), kappa=kappa, thickness_lb=thickness)
-
-    def thickness_lower_bound(self):
-        """min over rank-1 gaps of bridge/gap; exact Newhouse thickness when
-        all rank-1 gaps are equal, a lower bound otherwise.  Infinite for
-        gapless systems."""
-        return self.gap_profile().thickness_lb
+        return GapProfile(hull=hull, width=width, piece=piece, gap_set=tuple(gaps),
+                          kappa=kappa, thickness_lb=thickness)
 
     def basic_interval(self, word: Sequence[int]) -> Interval:
         hull = self.convex_hull()
@@ -207,15 +212,14 @@ class HomogeneousIfs:
             hi = self.ratio * hi + self.translations[d - 1]
         return Interval(lo, hi)
 
-    def cylinders(self, k: int, budget: int | None = None,
-                  within: Word = ()) -> list[Interval]:
+    def cylinders(self, k: int, within: Word = ()) -> list[Interval]:
         """All distinct rank-k basic intervals (sorted), optionally restricted
         to descendants of a given word.  Rank counts from the hull, so k must
         be at least len(within)."""
         _check_rank(k)
         if k < len(within):
             raise FractarithError("rank below the restricting word length")
-        budget = budget if budget is not None else get_budget()
+        budget = get_budget()
         extra = k - len(within)
         if self.n ** extra > budget:
             raise ResourceBudget(f"{self.n}^{extra} cylinders exceed budget {budget}")
@@ -239,11 +243,11 @@ class HomogeneousIfs:
             out.append(Interval(lo, hi))
         return out
 
-    def cylinder_count(self, k: int, budget: int | None = None) -> int:
+    def cylinder_count(self, k: int) -> int:
         """Number of distinct rank-k basic intervals (natural-scale box count)."""
         if isinstance(self.ratio, FieldElement):
             raise FractarithError("cylinder counting requires rational data")
-        return len(self.cylinders(k, budget=budget))
+        return len(self.cylinders(k))
 
     def locate(self, point, k: int) -> Word:
         """Rank-k word whose basic interval contains the point; leftmost word

@@ -90,7 +90,7 @@ def test_criterion_03_cantor_quotient():
 
 def test_criterion_04_beyond_newhouse():
     done = _timed(1.0)
-    tau = C.thickness_lower_bound()
+    tau = C.gap_profile().thickness_lb
     assert tau == Fraction(1)
     assert not tau * tau > 1  # Newhouse inapplicable
     cert = certify_rectangle(C, C, parse("x+y"), (), ())

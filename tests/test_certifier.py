@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractarith.certifier import (Certificate, auto_certify, certify_rectangle,
+from fractarith.certifier import (Certificate, _margins, auto_certify, certify_rectangle,
                                   check_global_condition, check_pointwise,
                                   condition_bounds, replay,
                                   replay_explain, sign_case_of, SignCase)
@@ -82,6 +82,36 @@ def test_check_global_condition_examples():
     assert rep2.lambda_b_minus_a == Fraction(1000, 10469)
     assert rep2.kappa2 == Fraction(14490, 94221)
     assert check_global_condition(HALF, HALF).holds
+
+
+@st.composite
+def shared_ratio_pairs(draw):
+    """Two rational systems with one ratio and 2 to 4 free translations
+    each, so that gapped, touching and overlapping pieces all occur."""
+    lam = draw(st.fractions(Fraction(1, 20), Fraction(19, 20), max_denominator=20))
+
+    def ifs():
+        ts = draw(st.lists(st.fractions(0, 2, max_denominator=12),
+                           min_size=2, max_size=4, unique=True))
+        return HomogeneousIfs(lam, sorted(ts))
+
+    return ifs(), ifs()
+
+
+positive_sizes = st.fractions(Fraction(1, 50), 50, max_denominator=50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_ratio_pairs(), positive_sizes, positive_sizes)
+def test_margins_bounds_and_global_condition_agree(pair, a, b):
+    # a and b stand for |df/dx| and |df/dy| on a rectangle
+    k1, k2 = pair
+    lower, upper = condition_bounds(k1, k2)
+    m_row, m_gap = _margins(k1, k2, Interval.point(a), Interval.point(b))["k1-blocks"]
+    assert (m_row >= 0) == (upper == math.inf or b / a <= upper)
+    assert (m_gap >= 0) == (b / a >= lower)
+    m_row1, m_gap1 = _margins(k1, k2, Interval.point(1), Interval.point(1))["k1-blocks"]
+    assert check_global_condition(k1, k2).holds == (m_row1 > 0 and m_gap1 > 0)
 
 
 # ---------------------------------------------------------------------------

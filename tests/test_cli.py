@@ -364,6 +364,27 @@ def test_budget_env_override(capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_bad_budget_env_is_one_line_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("FRACTARITH_BUDGET", raw)
+    status = main(["cover", "--ifs1", "cantor", "--ifs2", "cantor",
+                   "--f", "x+y", "--depth", "0"])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == ""
+    assert captured.err == f"fractarith: error: bad FRACTARITH_BUDGET value '{raw}'\n"
+
+
+def test_budget_env_read_only_when_enumerating(capsys, monkeypatch):
+    # words of equal rank size no enumeration, so a bad budget goes unread
+    monkeypatch.setenv("FRACTARITH_BUDGET", "abc")
+    status, obj = run(capsys, "certify", "--ifs1", "cantor", "--ifs2", "cantor",
+                      "--f", "x+y")
+    assert status == 0 and obj["certified_interval"] == ["0", "2"]
+    status = main(["certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+                   "--word2", "22"])
+    assert status == 1 and "bad FRACTARITH_BUDGET value 'abc'" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-verb"])

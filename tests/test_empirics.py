@@ -4,8 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -81,8 +83,27 @@ def test_image_cover_quotient_blocks():
 
 
 def test_image_cover_budget():
-    with pytest.raises(ResourceBudget):
-        image_cover(C, C, parse("x+y"), 12, budget=1000)
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": "1000"}):
+        with pytest.raises(ResourceBudget):
+            image_cover(C, C, parse("x+y"), 12)
+
+
+# every enumeration reads FRACTARITH_BUDGET when it is sized; 3 is below the
+# size of each of these
+@pytest.mark.parametrize("enumerate_", [
+    lambda: C.cylinders(2),
+    lambda: image_cover(C, C, parse("x+y"), 1),
+    lambda: oracle_check(certify_rectangle(C, C, parse("x+y"), (), ()), 1),
+    lambda: uq_cover(Q19, 6),
+    lambda: ifs_box_counts(C, [1, 2]),
+    lambda: uq_product_counts(Q19, parse("x+y"), [6]),
+    lambda: certify_rectangle(C, C, parse("x+y"), (), (2, 2)),
+], ids=["cylinders", "image_cover", "oracle_check", "uq_cover", "ifs_box_counts",
+        "uq_product_counts", "certify_rectangle-unequal-ranks"])
+def test_env_budget_caps_every_enumeration(enumerate_):
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": "3"}):
+        with pytest.raises(ResourceBudget):
+            enumerate_()
 
 
 def test_gap_report_examples():
@@ -414,11 +435,12 @@ def test_uq_cover_matches_reference_over_algebraic_bases(q, depth):
 def test_uq_cover_budget_matches_reference_survivors(q, depth, data):
     counts = reference_survivor_counts(q, depth)
     budget = data.draw(st.sampled_from(sorted({max(n + k, 1) for n in counts for k in (-1, 0, 1)})))
-    if max(counts) > budget:
-        with pytest.raises(ResourceBudget):
-            uq_cover(q, depth, budget=budget)
-    else:
-        uq_cover(q, depth, budget=budget)
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": str(budget)}):
+        if max(counts) > budget:
+            with pytest.raises(ResourceBudget):
+                uq_cover(q, depth)
+        else:
+            uq_cover(q, depth)
 
 
 # piece counts and sha256 of the canonical to_obj JSON, recorded with the

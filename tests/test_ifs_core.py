@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,7 +14,7 @@ from fractarith.errors import (FractarithError, InvalidDigit, NotInCover,
 from fractarith import poly
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
                                  scalar_to_obj)
-from fractarith.ifs_core import Code, HomogeneousIfs, cantor, locate
+from fractarith.ifs_core import Code, HomogeneousIfs, cantor, get_budget, locate
 from fractarith.qexp import kq_ifs
 
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))  # attractor [0,1]
@@ -142,8 +144,18 @@ def test_cylinders_within_word():
 
 
 def test_level_cover_budget_guard():
-    with pytest.raises(ResourceBudget):
-        cantor().cylinders(30, budget=1000)
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": "1000"}):
+        with pytest.raises(ResourceBudget):
+            cantor().cylinders(30)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_budget_must_be_a_positive_integer(raw):
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": raw}):
+        with pytest.raises(FractarithError, match=f"bad FRACTARITH_BUDGET value '{raw}'"):
+            get_budget()
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": "7"}):
+        assert get_budget() == 7
 
 
 def test_gap_profile_matches_endpoint_scan():
@@ -164,8 +176,11 @@ def test_gap_profile_matches_endpoint_scan():
         for i, (a, b) in enumerate(zip(pieces, pieces[1:]), start=1):
             if b.lo > a.hi:
                 expected.append((i, b.lo - a.hi))
-        assert list(ifs.gap_profile().gap_set) == expected
+        prof = ifs.gap_profile()
+        assert list(prof.gap_set) == expected
         assert hull.lo == pieces[0].lo and hull.hi == pieces[-1].hi
+        assert prof.width == hull.width() and prof.piece == lam * prof.width
+        assert all(p.width() == prof.piece for p in pieces)
 
 
 def test_locate_examples():
@@ -189,9 +204,9 @@ def test_locate_code_and_tuple_inputs():
 
 
 def test_thickness_examples():
-    assert cantor().thickness_lower_bound() == 1
-    assert SPARSE.thickness_lower_bound() == Fraction(1, 3)
-    assert HALF.thickness_lower_bound() == math.inf
+    assert cantor().gap_profile().thickness_lb == 1
+    assert SPARSE.gap_profile().thickness_lb == Fraction(1, 3)
+    assert HALF.gap_profile().thickness_lb == math.inf
 
 
 SQRT_7_2 = AlgebraicReal((Fraction(-7, 2), 0, 1), 1, 2)
