@@ -122,118 +122,132 @@ class AlgebraicReal:
     represented number is fixed at construction.  A degenerate interval
     lo == hi encodes a rational root exactly.
 
-    The slot _rule holds the reduction rule of the defining polynomial for
-    field elements over this generator: (b, D) with alpha**d equal to
-    sum(b[i] * alpha**i) / D, where d = len(b), the b[i] are integers and
-    D > 0.
+    Everything is held on integers.  _p is the defining polynomial, primitive
+    with a positive leading coefficient, so it is also the reduction rule of
+    field elements over this generator: alpha**d is
+    -sum(_p[i] * alpha**i for i < d) / _p[d].  The isolating interval is
+    [_a/_q, _b/_q] with _q > 0 the least common denominator of its
+    endpoints, and _sign_lo is the sign of _p at _a/_q, which stays fixed
+    while the interval isolates the root (0 once it is degenerate).
     """
 
-    __slots__ = ("_poly", "_lo", "_hi", "_rule")
+    __slots__ = ("_p", "_a", "_b", "_q", "_sign_lo")
 
-    def __init__(self, coeffs: Iterable, lo, hi, _trusted: bool = False):
-        p = poly.make(coeffs)
+    def __init__(self, coeffs: Iterable, lo, hi):
+        p = poly.primitive(coeffs)
         lo = Fraction(lo)
         hi = Fraction(hi)
-        if poly.degree(p) < 1:
+        if len(p) < 2:
             raise FractarithError("defining polynomial must be non-constant")
-        if not _trusted:
-            p = poly.squarefree_part(p)
-            if lo > hi:
-                raise FractarithError("isolating interval is empty")
-            if lo == hi:
-                if poly.eval_at(p, lo) != 0:
-                    raise FractarithError("degenerate interval is not a root")
-            else:
-                chain = poly.sturm_chain(p)
-                if poly.eval_at(p, lo) == 0 or poly.eval_at(p, hi) == 0:
-                    raise FractarithError("isolating interval endpoints must not be roots")
-                if poly.count_roots(chain, lo, hi) != 1:
-                    raise FractarithError("interval does not isolate exactly one root")
-        self._set_poly(p)
-        self._lo = lo
-        self._hi = hi
+        p = poly.squarefree_part(p)
+        if lo > hi:
+            raise FractarithError("isolating interval is empty")
+        a, b, q = _over_common_denominator(lo, hi)
+        if a == b:
+            if poly.sign_at(p, a, q):
+                raise FractarithError("degenerate interval is not a root")
+        else:
+            if not poly.sign_at(p, a, q) or not poly.sign_at(p, b, q):
+                raise FractarithError("isolating interval endpoints must not be roots")
+            if poly.count_roots(poly.sturm_chain(p), a, b, q) != 1:
+                raise FractarithError("interval does not isolate exactly one root")
+        self._set(p, a, b, q)
 
-    def _set_poly(self, p: poly.Poly) -> None:
-        lead = p[-1]
-        tail = [-c / lead for c in p[:-1]]
-        den = lcm(*(c.denominator for c in tail))
-        self._poly = p
-        self._rule = (tuple(c.numerator * (den // c.denominator) for c in tail), den)
+    @classmethod
+    def _isolated(cls, p: poly.Poly, a: int, b: int, q: int) -> "AlgebraicReal":
+        """The root of the squarefree p in [a/q, b/q], whose endpoints are
+        known not to be roots (or a == b is one), with no checks."""
+        self = object.__new__(cls)
+        self._set(p, a, b, q)
+        return self
+
+    def _set(self, p: poly.Poly, a: int, b: int, q: int) -> None:
+        self._p = p
+        self._a, self._b, self._q = a, b, q
+        self._sign_lo = poly.sign_at(p, a, q)
 
     @property
-    def poly(self) -> poly.Poly:
-        return self._poly
+    def poly(self) -> tuple[Fraction, ...]:
+        """The defining polynomial, monic, as Fractions."""
+        lead = self._p[-1]
+        return tuple(Fraction(c, lead) for c in self._p)
 
     @property
     def lo(self) -> Fraction:
-        return self._lo
+        return Fraction(self._a, self._q)
 
     @property
     def hi(self) -> Fraction:
-        return self._hi
+        return Fraction(self._b, self._q)
 
     @property
     def is_rational(self) -> bool:
-        return self._lo == self._hi
+        return self._a == self._b
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational:
             raise FractarithError("number not resolved to a rational")
-        return self._lo
+        return self.lo
 
     def _bisect_once(self) -> None:
-        if self.is_rational:
+        a, b, q = self._a, self._b, self._q
+        if a == b:
             return
-        lo, hi = self._lo, self._hi
-        mid = (lo + hi) / 2
-        v = poly.eval_at(self._poly, mid)
-        if v == 0:
-            self._lo = self._hi = mid
+        a, m, b, q = _halve(a, b, q)
+        s = poly.sign_at(self._p, m, q)
+        if not s:
+            g = gcd(m, q)
+            self._a = self._b = m // g
+            self._q = q // g
+            self._sign_lo = 0
             return
         # keep the half with the sign change
-        vlo = poly.eval_at(self._poly, lo)
-        if (vlo > 0) != (v > 0):
-            self._hi = mid
+        if s == self._sign_lo:
+            a = m
         else:
-            self._lo = mid
+            b = m
+        self._a, self._b, self._q = a, b, q
 
     def refine(self, width) -> "Interval":
         """Shrink the isolating interval to width <= width and return it."""
         width = Fraction(width)
         if width <= 0:
             raise FractarithError("refinement width must be positive")
-        while self._hi - self._lo > width:
+        wn, wd = width.numerator, width.denominator
+        while (self._b - self._a) * wd > wn * self._q:
             self._bisect_once()
-        return Interval(self._lo, self._hi)
+        return Interval(self.lo, self.hi)
 
-    def replace_defining_factor(self, factor: poly.Poly) -> None:
-        """Swap the defining polynomial for one of its factors that still has
-        the root in the isolating interval.  The number itself never moves."""
-        factor = poly.monic(factor)
-        if poly.degree(factor) < 1:
+    def replace_defining_factor(self, factor: Iterable) -> None:
+        """Swap the defining polynomial for one of its factors (any rational
+        multiple of it) that still has the root in the isolating interval.
+        The number itself never moves."""
+        factor = poly.primitive(factor)
+        if len(factor) < 2:
             raise FractarithError("factor must be non-constant")
         if self.is_rational:
-            if poly.eval_at(factor, self._lo) != 0:
+            if poly.sign_at(factor, self._a, self._q):
                 raise FractarithError("factor does not vanish at the root")
         else:
             chain = poly.sturm_chain(factor)
-            while poly.eval_at(factor, self._lo) == 0 or poly.eval_at(factor, self._hi) == 0:
+            while not poly.sign_at(factor, self._a, self._q) \
+                    or not poly.sign_at(factor, self._b, self._q):
                 self._bisect_once()
                 if self.is_rational:
                     return self.replace_defining_factor(factor)
-            if poly.count_roots(chain, self._lo, self._hi) != 1:
+            if poly.count_roots(chain, self._a, self._b, self._q) != 1:
                 raise FractarithError("factor does not isolate the root")
-        self._set_poly(factor)
+        self._set(factor, self._a, self._b, self._q)
 
     def __repr__(self) -> str:
-        cs = ",".join(rat_to_str(c) for c in self._poly)
-        return f"AlgebraicReal([{cs}], [{rat_to_str(self._lo)}, {rat_to_str(self._hi)}])"
+        cs = ",".join(rat_to_str(c) for c in self.poly)
+        return f"AlgebraicReal([{cs}], [{rat_to_str(self.lo)}, {rat_to_str(self.hi)}])"
 
     def to_obj(self) -> dict:
         return {
-            "poly": [_coeff_to_obj(c) for c in self._poly],
-            "lo": rat_to_str(self._lo),
-            "hi": rat_to_str(self._hi),
+            "poly": [_coeff_to_obj(c) for c in self.poly],
+            "lo": rat_to_str(self.lo),
+            "hi": rat_to_str(self.hi),
         }
 
     @staticmethod
@@ -246,51 +260,70 @@ class AlgebraicReal:
         return AlgebraicReal(coeffs, rat_from_str(obj["lo"]), rat_from_str(obj["hi"]))
 
 
+def _over_common_denominator(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, q) with lo = a/q and hi = b/q, q their least common denominator."""
+    q = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
+
+
+def _halve(a: int, b: int, q: int) -> tuple[int, int, int, int]:
+    """The midpoint of [a/q, b/q] on a common denominator: (a, m, b, q)
+    with midpoint m/q.  q doubles only when a + b is odd, so a least common
+    denominator of a/q and b/q stays one of each half."""
+    m = a + b
+    if m & 1:
+        return 2 * a, m, 2 * b, 2 * q
+    return a, m >> 1, b, q
+
+
 def root_isolate(coeffs: Iterable, window) -> list[AlgebraicReal]:
     """Isolate every distinct real root of the polynomial inside the window.
 
     The polynomial is made squarefree internally; the window endpoints must
     not be roots.
     """
-    p = poly.make(coeffs)
-    if poly.degree(p) < 1:
+    p = poly.primitive(coeffs)
+    if len(p) < 2:
         return []
     p = poly.squarefree_part(p)
     lo, hi = window
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise FractarithError("window must have positive width")
-    if poly.eval_at(p, lo) == 0 or poly.eval_at(p, hi) == 0:
+    a, b, q = _over_common_denominator(lo, hi)
+    if not poly.sign_at(p, a, q) or not poly.sign_at(p, b, q):
         raise FractarithError("window endpoints must not be roots")
     chain = poly.sturm_chain(p)
     out: list[AlgebraicReal] = []
 
-    def go(a: Fraction, b: Fraction) -> None:
-        k = poly.count_roots(chain, a, b)
+    def go(a: int, b: int, q: int) -> None:
+        k = poly.count_roots(chain, a, b, q)
         if k == 0:
             return
         if k == 1:
-            out.append(AlgebraicReal(p, a, b, _trusted=True))
+            out.append(AlgebraicReal._isolated(p, a, b, q))
             return
-        m = (a + b) / 2
-        if poly.eval_at(p, m) == 0:
+        a, m, b, q = _halve(a, b, q)
+        if not poly.sign_at(p, m, q):
             # exact rational root: record it, deflate, and isolate the rest
-            out.append(AlgebraicReal(p, m, m, _trusted=True))
-            q = poly.divmod_poly(p, poly.make((-m, 1)))[0]
-            out.extend(root_isolate(q, (a, m)))
-            out.extend(root_isolate(q, (m, b)))
+            mid = Fraction(m, q)
+            out.append(AlgebraicReal._isolated(p, mid.numerator, mid.numerator,
+                                               mid.denominator))
+            rest = poly.quo(p, (-mid.numerator, mid.denominator))
+            out.extend(root_isolate(rest, (Fraction(a, q), mid)))
+            out.extend(root_isolate(rest, (mid, Fraction(b, q))))
             return
-        go(a, m)
-        go(m, b)
+        go(a, m, q)
+        go(m, b, q)
 
-    go(lo, hi)
+    go(a, b, q)
     out.sort(key=lambda x: (x.lo, x.hi))
     # bisection can leave neighbors sharing an endpoint; shrink until the
     # isolating intervals are pairwise disjoint
-    for a, b in zip(out, out[1:]):
-        while not (a.hi < b.lo):
-            a._bisect_once()
-            b._bisect_once()
+    for x, y in zip(out, out[1:]):
+        while not (x.hi < y.lo):
+            x._bisect_once()
+            y._bisect_once()
     return out
 
 
@@ -324,16 +357,16 @@ class FieldElement:
 
     @staticmethod
     def of(gen: AlgebraicReal, coeffs: Iterable) -> "FieldElement":
-        p = poly.make(coeffs)
-        den = lcm(*(c.denominator for c in p))
-        return _element(gen, [c.numerator * (den // c.denominator) for c in p], den)
+        cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return _element(gen, [c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def generator(gen: AlgebraicReal) -> "FieldElement":
         return FieldElement.of(gen, (0, 1))
 
     @property
-    def coeffs(self) -> poly.Poly:
+    def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, constant first."""
         return _fractions(self.num, self.den)
 
@@ -350,7 +383,7 @@ class FieldElement:
     def _reduced(self) -> tuple[tuple[int, ...], int]:
         """(num, den) reduced modulo the generator's current polynomial,
         which an inverse may have shrunk to a factor since self was built."""
-        if len(self.num) > len(self.gen._rule[0]):
+        if len(self.num) >= len(self.gen._p):
             r = _element(self.gen, list(self.num), self.den)
             return r.num, r.den
         return self.num, self.den
@@ -420,14 +453,17 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        e = poly.rem(self.coeffs, self.gen.poly)
-        g, s, _ = poly.xgcd(e, self.gen.poly)
-        if poly.degree(g) == 0:
-            return FieldElement.of(self.gen, s)
+        num, den = self._reduced()
+        g, s = poly.xgcd(num, self.gen._p)
+        if len(g) == 1:
+            # s * num = g[0] modulo the polynomial: 1 / (num / den) = den * s / g[0]
+            c = g[0]
+            if c < 0:
+                c, den = -c, -den
+            return _element(self.gen, [den * a for a in s], c)
         # zero divisor against a reducible defining polynomial: the root lives
         # in the cofactor; shrink the defining polynomial and retry
-        cof = poly.divmod_poly(self.gen.poly, g)[0]
-        self.gen.replace_defining_factor(cof)
+        self.gen.replace_defining_factor(poly.quo(self.gen._p, g))
         return self.inverse()
 
     def __truediv__(self, other):
@@ -468,7 +504,7 @@ class FieldElement:
         if not num:
             return None
         lo, hi, _ = _horner_enclosure(num, den, self.gen)
-        if lo > 0 or hi < 0 or not _vanishes_at(_fractions(num, den), self.gen):
+        if lo > 0 or hi < 0 or not _vanishes_at(num, self.gen):
             return num, den, lo, hi
         return None
 
@@ -488,6 +524,8 @@ class FieldElement:
     def enclosure(self, width) -> tuple[Fraction, Fraction]:
         """Rational bounds of the value, at most `width` apart."""
         width = Fraction(width)
+        if width <= 0:
+            raise FractarithError("enclosure width must be positive")
         num, den = self._reduced()
         while True:
             lo, hi, d = _horner_enclosure(num, den, self.gen)
@@ -505,7 +543,9 @@ class FieldElement:
         if len(num) == 1:
             return Fraction(num[0], den)
         if self.gen.is_rational:
-            return poly.eval_at(_fractions(num, den), self.gen.lo)
+            # Horner on the degenerate interval is exact
+            lo, _, d = _horner_enclosure(num, den, self.gen)
+            return Fraction(lo, d)
         raise FractarithError("field element is not rational")
 
     # -- comparisons ----------------------------------------------------------
@@ -686,10 +726,7 @@ def _horner_enclosure(num: Sequence[int], den: int,
     coefficients num[i]/den."""
     if not num:  # the zero polynomial, e.g. a reduced 0/(1 - ratio)
         return 0, 0, 1
-    a, b = gen.lo, gen.hi
-    q = lcm(a.denominator, b.denominator)
-    a = a.numerator * (q // a.denominator)
-    b = b.numerator * (q // b.denominator)
+    a, b, q = gen._a, gen._b, gen._q
     lo = hi = num[-1]
     scale = 1  # q**k after k steps, so the accumulator is over den * scale
     for n in reversed(num[:-1]):
@@ -702,22 +739,22 @@ def _horner_enclosure(num: Sequence[int], den: int,
 
 def _element(gen: AlgebraicReal, num: list[int], den: int) -> FieldElement:
     """The canonical FieldElement sum(num[i] * alpha**i) / den for den > 0:
-    reduced modulo the generator's polynomial by its rule for alpha**d, then
-    stripped of trailing zeros and divided by gcd(den, *num).  num is
-    consumed."""
-    b, rule_den = gen._rule
-    d = len(b)
+    reduced modulo the generator's polynomial p, then stripped of trailing
+    zeros and divided by gcd(den, *num).  num is consumed."""
+    p = gen._p
+    d = len(p) - 1
+    lead = p[d]
     for k in range(len(num) - 1, d - 1, -1):
         c = num[k]
         if c:
-            # c * alpha**k = c * alpha**(k-d) * sum(b[i] * alpha**i) / rule_den
-            if rule_den != 1:
+            # c * alpha**k = -c * alpha**(k-d) * sum(p[i] * alpha**i, i < d) / lead
+            if lead != 1:
                 for i in range(k):
-                    num[i] *= rule_den
-                den *= rule_den
-            for i, bi in enumerate(b, k - d):
-                if bi:
-                    num[i] += c * bi
+                    num[i] *= lead
+                den *= lead
+            for i, pi in zip(range(k - d, k), p):
+                if pi:
+                    num[i] -= c * pi
     del num[d:]
     while num and not num[-1]:
         num.pop()
@@ -731,23 +768,24 @@ def _element(gen: AlgebraicReal, num: list[int], den: int) -> FieldElement:
     return FieldElement(gen, tuple(num), den)
 
 
-def _fractions(num: Sequence[int], den: int) -> poly.Poly:
+def _fractions(num: Sequence[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, den) for n in num)
 
 
-def _vanishes_at(e: poly.Poly, gen: AlgebraicReal) -> bool:
-    """Exact test of e(alpha) == 0 for a nonzero e reduced modulo the
-    generator's polynomial: alpha must be a root of gcd(e, poly)."""
-    g = poly.gcd(e, gen.poly)
-    if poly.degree(g) < 1:
+def _vanishes_at(num: Sequence[int], gen: AlgebraicReal) -> bool:
+    """Exact test of e(alpha) == 0 for the nonzero integer polynomial e =
+    num reduced modulo the generator's polynomial: alpha must be a root of
+    gcd(e, poly)."""
+    g = poly.gcd(num, gen._p)
+    if len(g) < 2:
         return False
     chain = poly.sturm_chain(g)
     while True:
-        if gen.is_rational:
-            return poly.eval_at(g, gen.lo) == 0
-        lo, hi = gen.lo, gen.hi
-        if poly.eval_at(g, lo) != 0 and poly.eval_at(g, hi) != 0:
-            return poly.count_roots(chain, lo, hi) > 0
+        a, b, q = gen._a, gen._b, gen._q
+        if a == b:
+            return not poly.sign_at(g, a, q)
+        if poly.sign_at(g, a, q) and poly.sign_at(g, b, q):
+            return poly.count_roots(chain, a, b, q) > 0
         gen._bisect_once()
 
 
@@ -765,10 +803,12 @@ def scalar_to_obj(x):
     infinite bounds of gapless systems."""
     if isinstance(x, float) and x == float("inf"):
         return "inf"
-    if isinstance(x, FieldElement) and not x.is_fraction():
+    if isinstance(x, FieldElement):
         # reduced against the generator's current polynomial, which an
         # inverse may have shrunk to a factor since x was computed
-        return {"coeffs": [rat_to_str(c) for c in poly.rem(x.coeffs, x.gen.poly)]}
+        num, den = x._reduced()
+        if len(num) > 1:
+            return {"coeffs": [rat_to_str(Fraction(n, den)) for n in num]}
     return scalar_to_str(x)
 
 

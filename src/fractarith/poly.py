@@ -1,172 +1,186 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomials with integer coefficients: the kernel under
+the algebraic numbers of exactnum.
 
-Coefficient lists are constant-first: ``p[i]`` multiplies ``x**i``.  The zero
-polynomial is the empty tuple.  Everything here is exact Fraction arithmetic;
-no rounding happens anywhere in this module.
+Coefficient tuples are constant-first: ``p[i]`` multiplies ``x**i``.  The
+zero polynomial is the empty tuple.  Rational coefficients enter once,
+through ``primitive``; every routine after that runs on Python ints.
+Remainders and gcds come from pseudo-division and are returned up to a
+positive constant factor, which moves no root and flips no sign.  A
+rational point n/d (d > 0) is passed as its two integers.  No rounding
+happens anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _igcd, lcm
 from typing import Iterable, Sequence
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 
 
-def make(coeffs: Iterable) -> Poly:
-    """Build a normalized polynomial from any iterable of rational-likes."""
-    return strip(tuple(Fraction(c) for c in coeffs))
+def primitive(coeffs: Iterable) -> Poly:
+    """The primitive integer polynomial with a positive leading coefficient
+    that is a rational multiple of the given rational-like coefficients;
+    the zero polynomial stays ()."""
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in cs))
+    return _normalized([c.numerator * (den // c.denominator) for c in cs])
 
 
-def strip(p: Sequence[Fraction]) -> Poly:
-    """Drop trailing zero coefficients."""
-    d = len(p)
-    while d > 0 and p[d - 1] == 0:
-        d -= 1
-    return tuple(p[:d])
+def _normalized(r: list[int]) -> Poly:
+    """r without trailing zeros, divided by its content, with the sign that
+    makes its leading coefficient positive."""
+    r = _content_free(r)
+    if r and r[-1] < 0:
+        return tuple(-c for c in r)
+    return r
 
 
-def degree(p: Poly) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(p) - 1
+def _content_free(r: list[int]) -> Poly:
+    """r without trailing zeros, divided by its (positive) content."""
+    while r and not r[-1]:
+        r.pop()
+    g = _igcd(*r)
+    if g > 1:
+        return tuple(c // g for c in r)
+    return tuple(r)
 
 
-def is_zero(p: Poly) -> bool:
-    return len(p) == 0
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return strip(tuple(
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)))
-
-
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if is_zero(p) or is_zero(q):
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return strip(tuple(out))
-
-
-def scale(p: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
-
-
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Exact euclidean division; q must be nonzero."""
-    if is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dq = degree(q)
+def _pseudo_reduce(r: list[int], q: Sequence[int],
+                   s: list[int] | None = None, qs: Sequence[int] = ()) -> None:
+    """Reduce r below the degree of a nonzero q in place, one leading term
+    at a time: r = m*r - c * x**k * q with m = lead(q) / gcd(lead(q), c),
+    so m > 0 when lead(q) > 0.  When s is given, the same steps run on s
+    with qs in place of q (s must be long enough), which keeps a
+    congruence r = s*p carried by q = qs*p."""
+    dq = len(q) - 1
     lead = q[-1]
-    quo = [Fraction(0)] * max(0, len(p) - dq)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
-        if c == 0:
+    for i in range(len(r) - 1, dq - 1, -1):
+        c = r[i]
+        if not c:
             continue
-        f = c / lead
-        quo[i - dq] = f
-        for j in range(dq + 1):
-            rem[i - dq + j] -= f * q[j]
-    return strip(tuple(quo)), strip(tuple(rem))
+        g = _igcd(c, lead)
+        m, c = lead // g, c // g
+        if m != 1:
+            for j in range(i):
+                r[j] *= m
+            if s is not None:
+                for j in range(len(s)):
+                    s[j] *= m
+        for j in range(dq):
+            r[i - dq + j] -= c * q[j]
+        if s is not None:
+            for j, x in enumerate(qs, i - dq):
+                s[j] -= c * x
+    del r[dq:]
 
 
 def rem(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):  # already reduced; q is nonzero
-        return strip(p)
-    return divmod_poly(p, q)[1]
-
-
-def monic(p: Poly) -> Poly:
-    if is_zero(p):
-        return ()
-    return tuple(c / p[-1] for c in p)
+    """A positive multiple of the remainder of p modulo a nonzero q, with
+    its content divided out."""
+    if q[-1] < 0:
+        q = tuple(-c for c in q)
+    r = list(p)
+    _pseudo_reduce(r, q)
+    return _content_free(r)
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the euclidean algorithm."""
+    """The primitive gcd with a positive leading coefficient, by a primitive
+    pseudo-remainder sequence; () when both are zero."""
     a, b = p, q
-    while not is_zero(b):
+    while b:
         a, b = b, rem(a, b)
-    return monic(a)
+    return _normalized(list(a))
 
 
-def xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended euclid: returns (g, s, t) with s*p + t*q = g, g monic."""
-    r0, r1 = p, q
-    s0, s1 = make([1]), ()
-    t0, t1 = (), make([1])
-    while not is_zero(r1):
-        quo, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(quo, s1))
-        t0, t1 = t1, sub(t0, mul(quo, t1))
-    if is_zero(r0):
-        return (), s0, t0
-    lead = r0[-1]
-    inv = 1 / lead
-    return monic(r0), scale(s0, inv), scale(t0, inv)
+def xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """(g, s) with s*p congruent to g modulo q, where g is a nonzero
+    integer multiple of gcd(p, q) and deg s < deg q, for a nonzero p.
+
+    The half of the extended euclidean algorithm that a field inverse
+    needs: each pseudo-remainder carries its cofactor of p, and both lose
+    their common content.  g is a constant exactly when p is invertible
+    modulo q, and then p's inverse is s / g[0]."""
+    r0, s0 = list(q), []
+    r1, s1 = list(p), [1]
+    while len(r1) > 1:
+        r, s = r0, s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
+        _pseudo_reduce(r, r1, s, s1)
+        while r and not r[-1]:
+            r.pop()
+        while s and not s[-1]:
+            s.pop()
+        g = _igcd(*r, *s)
+        if g > 1:
+            r = [c // g for c in r]
+            s = [c // g for c in s]
+        r0, s0, r1, s1 = r1, s1, r, s
+    if not r1:
+        return tuple(r0), tuple(s0)
+    return tuple(r1), tuple(s1)
+
+
+def quo(p: Poly, q: Poly) -> Poly:
+    """The exact quotient p / q for a q that divides p, made primitive."""
+    q = _normalized(list(q))
+    dq = len(q) - 1
+    lead = q[-1]
+    r = list(p)
+    out = [0] * (len(p) - dq)
+    for i in range(len(r) - 1, dq - 1, -1):
+        c = r[i] // lead
+        out[i - dq] = c
+        for j in range(dq + 1):
+            r[i - dq + j] -= c * q[j]
+    return _normalized(out)
 
 
 def derivative(p: Poly) -> Poly:
-    return strip(tuple(p[i] * i for i in range(1, len(p))))
+    return tuple(i * c for i, c in enumerate(p) if i)
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'); keeps exactly the distinct roots of p."""
-    if degree(p) <= 0:
-        return monic(p)
+    """p / gcd(p, p'), primitive: exactly the distinct roots of p."""
     g = gcd(p, derivative(p))
-    if degree(g) <= 0:
-        return monic(p)
-    return monic(divmod_poly(p, g)[0])
+    if len(g) <= 1:
+        return _normalized(list(p))
+    return quo(p, g)
 
 
-def eval_at(p: Poly, x: Fraction) -> Fraction:
-    """Horner evaluation at an exact rational point."""
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def sign_at(p: Poly, n: int, d: int) -> int:
+    """Sign of p(n/d) for d > 0: the sign of the homogeneous Horner value
+    sum(p[i] * n**i * d**(deg p - i)), for a nonzero p."""
+    acc = p[-1]
+    dk = 1
+    for c in p[-2::-1]:
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of a squarefree polynomial."""
+    """Sturm sequence of a squarefree polynomial, each member a positive
+    multiple of the euclidean one."""
     chain = [p, derivative(p)]
-    while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
-        chain.append(neg(rem(chain[-2], chain[-1])))
-    if is_zero(chain[-1]):
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in rem(chain[-2], chain[-1])))
+    if not chain[-1]:
         chain.pop()
     return chain
 
 
-def _sign_variations(values: list[Fraction]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def _sign_variations(chain: list[Poly], n: int, d: int) -> int:
+    signs = [s for s in (sign_at(q, n, d) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; chain from sturm_chain.
+def count_roots(chain: list[Poly], a: int, b: int, d: int) -> int:
+    """Number of distinct real roots in (a/d, b/d] for d > 0; chain from
+    sturm_chain.
 
     Endpoints that are themselves roots of the squarefree polynomial make the
     half-open convention matter; callers isolate with non-root endpoints.
     """
-    va = _sign_variations([eval_at(q, lo) for q in chain])
-    vb = _sign_variations([eval_at(q, hi) for q in chain])
-    return va - vb
+    return _sign_variations(chain, a, d) - _sign_variations(chain, b, d)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import fraction_poly as fpoly
 from fractarith import exactnum, poly
 from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
@@ -147,7 +148,7 @@ def test_root_isolate_all_roots_of_cubic():
 
 def test_root_isolate_rational_root():
     # (x - 1/2)(x^2 - 2) over a window whose bisection lands on 1/2 exactly
-    p = poly.mul(poly.make((Fraction(-1, 2), 1)), poly.make((-2, 0, 1)))
+    p = fpoly.mul(fpoly.make((Fraction(-1, 2), 1)), fpoly.make((-2, 0, 1)))
     roots = root_isolate(p, (-2, 3))
     assert len(roots) == 3
     exact = [r for r in roots if r.is_rational]
@@ -190,8 +191,8 @@ def test_sign_at_qstar_above_nine_fifths():
     q = root_isolate(QSTAR, (1, 2))[0]
     # independent bisection oracle: the defining cubic changes sign in
     # (9/5, 181/100), so the root exceeds 9/5
-    p = poly.make(QSTAR)
-    assert poly.eval_at(p, Fraction(9, 5)) < 0 < poly.eval_at(p, Fraction(181, 100))
+    p = fpoly.make(QSTAR)
+    assert fpoly.eval_at(p, Fraction(9, 5)) < 0 < fpoly.eval_at(p, Fraction(181, 100))
     assert FieldElement.of(q, (Fraction(-9, 5), 1)).sign() == 1
 
 
@@ -203,22 +204,22 @@ def test_sign_at_sqrt2_below_three_halves():
 def _independent_sign(expr, defining, window):
     """Sign oracle with no Sturm machinery: plain bisection on the defining
     polynomial, then endpoint evaluation with a Lipschitz error bound."""
-    p = poly.make(defining)
-    e = poly.make(expr)
+    p = fpoly.make(defining)
+    e = fpoly.make(expr)
     lo, hi = window
     for _ in range(220):
         mid = (lo + hi) / 2
-        v = poly.eval_at(p, mid)
+        v = fpoly.eval_at(p, mid)
         if v == 0:
             lo = hi = mid
             break
-        if (poly.eval_at(p, lo) > 0) != (v > 0):
+        if (fpoly.eval_at(p, lo) > 0) != (v > 0):
             hi = mid
         else:
             lo = mid
     m = max(abs(lo), abs(hi), Fraction(1))
     lipschitz = sum(abs(c) * i * m ** (i - 1) for i, c in enumerate(e) if i)
-    vlo = poly.eval_at(e, lo)
+    vlo = fpoly.eval_at(e, lo)
     slack = lipschitz * (hi - lo)
     if vlo - slack > 0:
         return 1
@@ -287,12 +288,16 @@ def test_field_element_different_generators_rejected():
 def test_reducible_defining_polynomial_splits_on_inverse():
     # (x^2-2)(x-3) is squarefree but reducible; inverting (x-3) at sqrt2
     # must shrink the defining factor rather than fail
-    p = poly.mul(poly.make((-2, 0, 1)), poly.make((-3, 1)))
+    p = fpoly.mul(fpoly.make((-2, 0, 1)), fpoly.make((-3, 1)))
     r = AlgebraicReal(p, 1, 2)
     x = FieldElement.generator(r)
+    g, _ = poly.xgcd((-3, 1), r._p)
+    assert len(g) == 2  # the integer xgcd finds the common factor x - 3
     inv = 1 / (x - 3)  # nonzero at sqrt2
+    assert inv.coeffs == (Fraction(-3, 7), Fraction(-1, 7))
     assert ((x - 3) * inv).to_fraction() == 1
     assert (x * x - 2).is_zero()
+    assert r.poly == (-2, 0, 1) and r._p == (-2, 0, 1)
 
 
 # Reference copies of the gcd-first sign decision that the enclosure-first
@@ -306,26 +311,26 @@ def _reference_interval_horner(p, x: Interval) -> Interval:
 
 
 def _reference_is_zero(el: FieldElement) -> bool:
-    e = poly.rem(el.coeffs, el.gen.poly)
-    if poly.is_zero(e):
+    e = fpoly.rem(el.coeffs, el.gen.poly)
+    if fpoly.is_zero(e):
         return True
-    g = poly.gcd(e, el.gen.poly)
-    if poly.degree(g) < 1:
+    g = fpoly.gcd(e, el.gen.poly)
+    if fpoly.degree(g) < 1:
         return False
-    chain = poly.sturm_chain(g)
+    chain = fpoly.sturm_chain(g)
     while True:
         if el.gen.is_rational:
-            return poly.eval_at(g, el.gen.lo) == 0
+            return fpoly.eval_at(g, el.gen.lo) == 0
         lo, hi = el.gen.lo, el.gen.hi
-        if poly.eval_at(g, lo) != 0 and poly.eval_at(g, hi) != 0:
-            return poly.count_roots(chain, lo, hi) > 0
+        if fpoly.eval_at(g, lo) != 0 and fpoly.eval_at(g, hi) != 0:
+            return fpoly.count_roots(chain, lo, hi) > 0
         el.gen._bisect_once()
 
 
 def _reference_sign(el: FieldElement) -> int:
     if _reference_is_zero(el):
         return 0
-    e = poly.rem(el.coeffs, el.gen.poly)
+    e = fpoly.rem(el.coeffs, el.gen.poly)
     while True:
         enc = _reference_interval_horner(e, Interval(el.gen.lo, el.gen.hi))
         if enc.lo > 0:
@@ -337,9 +342,9 @@ def _reference_sign(el: FieldElement) -> int:
 
 def _still_isolates(gen: AlgebraicReal) -> bool:
     if gen.is_rational:
-        return poly.eval_at(gen.poly, gen.lo) == 0
-    return (poly.eval_at(gen.poly, gen.lo) != 0 and poly.eval_at(gen.poly, gen.hi) != 0
-            and poly.count_roots(poly.sturm_chain(gen.poly), gen.lo, gen.hi) == 1)
+        return fpoly.eval_at(gen.poly, gen.lo) == 0
+    return (fpoly.eval_at(gen.poly, gen.lo) != 0 and fpoly.eval_at(gen.poly, gen.hi) != 0
+            and fpoly.count_roots(fpoly.sturm_chain(gen.poly), gen.lo, gen.hi) == 1)
 
 
 def _is_square(r: Fraction) -> bool:
@@ -374,15 +379,15 @@ def sign_cases(draw):
         # a multiple of alpha - r for a rational r inside the isolating
         # interval: its enclosure often contains 0 until the generator bisects
         r = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=10 ** 4))
-        coeffs = poly.mul(poly.make((-r, 1)), poly.make(draw(COEFFS)))
+        coeffs = fpoly.mul(fpoly.make((-r, 1)), fpoly.make(draw(COEFFS)))
     elif shape == "zero":
         # a multiple of the minimal polynomial of alpha: exactly 0
         minimal = (-2, 0, 1) if kind == "reducible" else gen
-        coeffs = poly.mul(poly.make(minimal), poly.make(draw(COEFFS)))
+        coeffs = fpoly.mul(fpoly.make(minimal), fpoly.make(draw(COEFFS)))
     else:
         # a multiple of the cofactor (x - 3), nonzero at sqrt 2, or of x - 2
         cofactor = (-3, 1) if kind == "reducible" else (-2, 1)
-        coeffs = poly.mul(poly.make(cofactor), poly.make(draw(COEFFS)))
+        coeffs = fpoly.mul(fpoly.make(cofactor), fpoly.make(draw(COEFFS)))
     return gen, Fraction(lo), Fraction(hi), coeffs
 
 
@@ -447,25 +452,25 @@ def test_sign_decided_by_enclosure_runs_no_gcd(monkeypatch):
 # generator is shared with the FieldElement under test, so both reduce
 # modulo the same, possibly shrunk, defining polynomial.
 
-def _ref_of(gen: AlgebraicReal, x) -> poly.Poly:
-    return poly.rem(poly.make((x,)), gen.poly)
+def _ref_of(gen: AlgebraicReal, x) -> fpoly.Poly:
+    return fpoly.rem(fpoly.make((x,)), gen.poly)
 
 
 def _ref_plus(gen, a, b, s=1):
-    return poly.rem(poly.add(a, b if s == 1 else poly.neg(b)), gen.poly)
+    return fpoly.rem(fpoly.add(a, b if s == 1 else fpoly.neg(b)), gen.poly)
 
 
 def _ref_times(gen, a, b):
-    return poly.rem(poly.mul(a, b), gen.poly)
+    return fpoly.rem(fpoly.mul(a, b), gen.poly)
 
 
 def _ref_inverse(gen, a):
     if _reference_is_zero(SimpleNamespace(gen=gen, coeffs=a)):
         raise ZeroDivisionError
-    g, s, _ = poly.xgcd(poly.rem(a, gen.poly), gen.poly)
-    if poly.degree(g) == 0:
-        return poly.rem(s, gen.poly)
-    gen.replace_defining_factor(poly.divmod_poly(gen.poly, g)[0])
+    g, s, _ = fpoly.xgcd(fpoly.rem(a, gen.poly), gen.poly)
+    if fpoly.degree(g) == 0:
+        return fpoly.rem(s, gen.poly)
+    gen.replace_defining_factor(fpoly.divmod_poly(gen.poly, g)[0])
     return _ref_inverse(gen, a)
 
 
@@ -482,7 +487,7 @@ def _ref_pow(gen, a, n):
 
 
 def _ref_enclosure(gen, a, width):
-    e = poly.rem(a, gen.poly)
+    e = fpoly.rem(a, gen.poly)
     while True:
         enc = _reference_interval_horner(e, Interval(gen.lo, gen.hi))
         if enc.hi - enc.lo <= width:
@@ -491,7 +496,7 @@ def _ref_enclosure(gen, a, width):
 
 
 def _ref_to_obj(gen, a):
-    e = poly.rem(a, gen.poly)
+    e = fpoly.rem(a, gen.poly)
     if len(e) > 1:
         return {"coeffs": [rat_to_str(c) for c in e]}
     return rat_to_str(e[0] if e else Fraction(0))
@@ -550,11 +555,11 @@ FIELD_OPS = st.one_of(
 def test_field_arithmetic_matches_fraction_polynomial_reference(case, more, ops, widths):
     gen_poly, lo, hi, coeffs = case
     gen = AlgebraicReal(gen_poly, lo, hi)
-    pool = [(FieldElement.generator(gen), poly.rem(poly.make((0, 1)), gen.poly))]
+    pool = [(FieldElement.generator(gen), fpoly.rem(fpoly.make((0, 1)), gen.poly))]
     # alpha - 3 divides the reducible polynomial: inverting it shrinks that
     # to x^2 - 2 and leaves the cubic-reduced elements of the pool stale
     for c in ((-3, 1), coeffs, more):
-        pool.append((FieldElement.of(gen, c), poly.rem(poly.make(c), gen.poly)))
+        pool.append((FieldElement.of(gen, c), fpoly.rem(fpoly.make(c), gen.poly)))
     for op, i, y in ops:
         x = pool[i % len(pool)]
         if isinstance(y, tuple):  # ("pool", j): an operand from the pool
@@ -573,6 +578,185 @@ def test_field_arithmetic_matches_fraction_polynomial_reference(case, more, ops,
         assert fast.enclosure(width) == _ref_enclosure(gen, ref, width)
         assert scalar_to_obj(fast) == _ref_to_obj(gen, ref)
     assert _still_isolates(gen)
+
+
+def test_enclosure_rejects_a_non_positive_width():
+    x = FieldElement.generator(AlgebraicReal((-7, 0, 2), 1, 2))
+    for el in (x, x - x, FieldElement.of(x.gen, (3,))):
+        for width in (0, -1, Fraction(-1, 3)):
+            with pytest.raises(FractarithError, match="width must be positive"):
+                el.enclosure(width)
+    assert (x.gen.lo, x.gen.hi) == (1, 2)  # nothing was bisected
+
+
+# The integer kernel against the Fraction routines it replaced (the
+# fraction_poly oracle): gcd, the half-extended xgcd behind the inverse, and
+# Sturm root counts.
+
+def _monic(p) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, p[-1]) for c in p)
+
+
+def _is_positive_multiple(ints, fracs) -> bool:
+    """ints is c * fracs for a rational c > 0 (both zero counts)."""
+    if len(ints) != len(fracs):
+        return False
+    if not ints:
+        return True
+    c = ints[-1] / fracs[-1]
+    return c > 0 and all(a == c * b for a, b in zip(ints, fracs))
+
+
+def _non_root_points(p, points):
+    return [x for x in points if fpoly.eval_at(p, x) != 0]
+
+
+POINTS = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=24),
+                  min_size=2, max_size=6, unique=True)
+RANDOM_POLY = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(defining polynomial, element polynomial), both Fraction polynomials,
+    the element reduced modulo the defining one: the number fields of
+    sign_cases, or a random squarefree polynomial with a random element."""
+    if draw(st.booleans()):
+        gen_poly, _, _, coeffs = draw(sign_cases())
+        p = fpoly.make(gen_poly)
+    else:
+        p = fpoly.squarefree_part(fpoly.make(draw(RANDOM_POLY)))
+        if fpoly.degree(p) < 1:
+            p = fpoly.make((-2, 0, 1))
+        coeffs = draw(COEFFS)
+    return p, fpoly.rem(fpoly.make(coeffs), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_cases(), points=POINTS)
+def test_integer_gcd_xgcd_and_sturm_match_fraction_oracle(case, points):
+    p, e = case
+    ip, ie = poly.primitive(p), poly.primitive(e)
+    assert ip[-1] > 0 and math.gcd(*ip) == 1
+    assert _monic(ip) == fpoly.monic(p)
+    g = poly.gcd(ie, ip)
+    assert g[-1] > 0 and math.gcd(*g) == 1
+    assert _monic(g) == fpoly.gcd(e, p)
+    if e:
+        ig, s = poly.xgcd(ie, ip)
+        fg, fs, _ = fpoly.xgcd(e, p)
+        assert _monic(ig) == fg
+        # s * ie = ig modulo p, and e = ie * e[-1] / ie[-1]
+        scale = Fraction(ie[-1], ig[-1]) / e[-1]
+        assert tuple(c * scale for c in s) == fs
+    for f, fi in ((p, ip), (fpoly.gcd(e, p), g)):
+        if fpoly.degree(f) < 1:
+            continue
+        chain, fchain = poly.sturm_chain(fi), fpoly.sturm_chain(f)
+        assert len(chain) == len(fchain)
+        assert all(map(_is_positive_multiple, chain, fchain))
+        xs = sorted(_non_root_points(f, points))
+        for lo, hi in zip(xs, xs[1:]):
+            a, b, q = exactnum._over_common_denominator(lo, hi)
+            assert poly.count_roots(chain, a, b, q) == fpoly.count_roots(fchain, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=RANDOM_POLY, b=RANDOM_POLY)
+def test_integer_rem_is_a_positive_multiple_of_the_fraction_remainder(a, b):
+    a, b = fpoly.strip(a), fpoly.strip(b)
+    if b:
+        r = poly.rem(a, b)
+        assert _is_positive_multiple(r, fpoly.rem(fpoly.make(a), fpoly.make(b)))
+        assert not r or math.gcd(*r) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sign_cases())
+def test_integer_inverse_matches_fraction_oracle(case):
+    gen_poly, lo, hi, coeffs = case
+    gen, ref_gen = AlgebraicReal(gen_poly, lo, hi), AlgebraicReal(gen_poly, lo, hi)
+    fast = _or_zero_division(FieldElement.of(gen, coeffs).inverse)
+    ref = _or_zero_division(lambda: _ref_inverse(ref_gen, fpoly.rem(fpoly.make(coeffs),
+                                                                   ref_gen.poly)))
+    assert (fast is None) == (ref is None)
+    if fast is not None:
+        assert fast.coeffs == ref
+    # inverting a multiple of alpha - 3 over (x^2 - 2)(x - 3) shrinks both
+    # generators' polynomials to x^2 - 2
+    assert gen.poly == ref_gen.poly
+    assert _still_isolates(gen)
+
+
+# The bisection path: every isolating interval, and with it every enclosure
+# and pow_rational bound, must be the one the Fraction bisection produced.
+
+class _FractionRoot:
+    """The Fraction bisection AlgebraicReal ran before it moved to integer
+    endpoints, and FieldElement.enclosure on top of it."""
+
+    def __init__(self, coeffs, lo, hi):
+        self.p = fpoly.squarefree_part(fpoly.make(coeffs))
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+
+    def bisect_once(self):
+        if self.lo == self.hi:
+            return
+        mid = (self.lo + self.hi) / 2
+        v = fpoly.eval_at(self.p, mid)
+        if v == 0:
+            self.lo = self.hi = mid
+        elif (fpoly.eval_at(self.p, self.lo) > 0) != (v > 0):
+            self.hi = mid
+        else:
+            self.lo = mid
+
+    def enclosure(self, coeffs, width):
+        while True:
+            enc = _reference_interval_horner(coeffs, Interval(self.lo, self.hi))
+            if enc.hi - enc.lo <= width:
+                return enc.lo, enc.hi
+            self.bisect_once()
+
+
+BISECTION_PATHS = [
+    ((-2, 0, 1), 1, 2),
+    ((Fraction(-7, 2), 0, 1), 1, 2),
+    ((-7, 0, 2), Fraction(3, 2), 3),
+    ((Fraction(-13, 4) - Fraction(1, 40), 0, 1), Fraction(9, 5), Fraction(5, 2)),
+    (TRIBONACCI, Fraction(7, 4), Fraction(15, 8)),
+    (TRIBONACCI, Fraction(11, 6), 2),
+    (QSTAR, Fraction(9, 5), Fraction(181, 100)),
+    (REDUCIBLE, 1, 2),
+    ((-1, 0, 4), 0, 1),  # the first midpoint is the root 1/2
+    ((-3, 1), Fraction(5, 4), 7),  # a rational root that no midpoint hits
+]
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", BISECTION_PATHS)
+def test_bisection_path_matches_fraction_reference(coeffs, lo, hi):
+    gen, ref = AlgebraicReal(coeffs, lo, hi), _FractionRoot(coeffs, lo, hi)
+    for n in range(81):
+        assert (gen.lo, gen.hi) == (ref.lo, ref.hi), n
+        gen._bisect_once()
+        ref.bisect_once()
+
+
+@pytest.mark.parametrize("coeffs, lo, hi",
+                         [c for c in BISECTION_PATHS if Fraction(c[1]) > 0])
+@pytest.mark.parametrize("e", [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)])
+def test_pow_rational_of_field_endpoints_matches_fraction_reference(coeffs, lo, hi, e):
+    gen, ref = AlgebraicReal(coeffs, lo, hi), _FractionRoot(coeffs, lo, hi)
+    x = FieldElement.generator(gen)
+    left, right = x / 2, x + 1
+    got = Interval(left, right).pow_rational(e)
+    width = Fraction(1, exactnum.DENOMINATOR_BOUND)
+    flo = ref.enclosure(left.coeffs, width)[0]
+    fhi = ref.enclosure(right.coeffs, width)[1]
+    lo_lo, lo_hi = fraction_pow_bounds(flo, e)
+    hi_lo, hi_hi = fraction_pow_bounds(fhi, e)
+    assert (got.lo, got.hi) == ((lo_lo, hi_hi) if e > 0 else (hi_lo, lo_hi))
+    assert (gen.lo, gen.hi) == (ref.lo, ref.hi)
 
 
 # ---------------------------------------------------------------------------
