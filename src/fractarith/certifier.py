@@ -348,9 +348,14 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     margin.
     """
     require_shared_ratio(k1, k2)
-    word1 = tuple(word1)
-    word2 = tuple(word2)
-    rect = (k1.basic_interval(word1), k2.basic_interval(word2))
+    word1, word2 = tuple(word1), tuple(word2)
+    return _certify(k1, k2, f, word1, word2,
+                    (k1.basic_interval(word1), k2.basic_interval(word2)))
+
+
+def _certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, word1: Word, word2: Word,
+             rect: tuple[Interval, Interval]) -> Certificate:
+    """certify_rectangle, given the rectangle of word1 x word2."""
     eval_interval(f, *rect)  # DomainError if f itself is undefined somewhere
     grad = grad_enclosure(f, rect)  # likewise for the partials
     sign_case = sign_case_of(grad)
@@ -390,16 +395,19 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     """Descend the cylinder pair around the coded point, returning the first
     rank at which certify_rectangle succeeds.  Deterministic.  Both codes
     must address points of their sets: a digit outside an alphabet raises
-    InvalidDigit before any descent."""
+    InvalidDigit before any descent.  Each rank's rectangle is one more step
+    of a cylinder walk per code, so a descent to rank k costs O(k) maps."""
     if max_depth < 0:
         raise FractarithError(f"max depth must be non-negative, got {max_depth}")
     code1, code2 = point
     k1.check_code(code1)
     k2.check_code(code2)
+    require_shared_ratio(k1, k2)
+    rects = zip(k1.cylinder_walk(code1.digits()), k2.cylinder_walk(code2.digits()))
     reasons: list[tuple[int, str]] = []
-    for k in range(max_depth + 1):
+    for k, rect in zip(range(max_depth + 1), rects):
         try:
-            return certify_rectangle(k1, k2, f, code1.prefix(k), code2.prefix(k))
+            return _certify(k1, k2, f, code1.prefix(k), code2.prefix(k), rect)
         except (CertificationFailure, DomainError) as exc:
             reasons.append((k, f"{type(exc).__name__}: {exc}"))
     raise ExhaustedDepth(reasons)

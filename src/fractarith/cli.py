@@ -1,5 +1,6 @@
 """Command-line interface: JSON on stdout, exit 0 on success, 2 when a
-condition is not established, 1 on usage or input errors."""
+condition is not established, 1 on usage or input errors and when stdout
+closes before the output is written."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .certifier import (Certificate, auto_certify, certify_rectangle,
 from .errors import CertificationFailure, DomainError, FractarithError
 from .exactnum import Interval, rat_from_str, scalar_to_obj
 from .exprfn import parse as parse_expr
-from .ifs_core import Code, HomogeneousIfs, cantor
+from .ifs_core import Code, HomogeneousIfs, cantor, parse_word
 from .qexp import (DigitSeq, QgPrefix, certify_uq_arith, is_univoque_seq,
                    kq_ifs, qstar, quasi_greedy_one, verify_kq_in_uq)
 
@@ -59,15 +60,6 @@ def _load_ifs_pair(spec1: str, spec2: str) -> tuple[HomogeneousIfs, HomogeneousI
     such as kq:qstar shares one generator and compares exactly."""
     k1 = _load_ifs(spec1)
     return k1, k1 if spec2.strip() == spec1.strip() else _load_ifs(spec2)
-
-
-def _parse_word(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    if "," in text:
-        return tuple(int(t) for t in text.split(","))
-    return tuple(int(c) for c in text)
 
 
 def _parse_window(text: str) -> Interval:
@@ -157,26 +149,27 @@ def _cmd_check_cor2(args):
     return rep.to_obj(), EXIT_OK if rep.holds else EXIT_NOT_ESTABLISHED
 
 
-def _cmd_certify(args):
-    k1, k2 = _load_ifs_pair(args.ifs1, args.ifs2)
-    f = parse_expr(args.f)
+def _certificate_or_reason(certify):
+    """certify()'s certificate and exit 0, or why it found none and exit 2."""
     try:
-        cert = certify_rectangle(k1, k2, f, _parse_word(args.word1),
-                                 _parse_word(args.word2))
+        cert = certify()
     except (CertificationFailure, DomainError) as exc:
         return {"certified": False, "reason": str(exc)}, EXIT_NOT_ESTABLISHED
     return cert.to_obj(), EXIT_OK
+
+
+def _cmd_certify(args):
+    k1, k2 = _load_ifs_pair(args.ifs1, args.ifs2)
+    f = parse_expr(args.f)
+    w1, w2 = parse_word(args.word1), parse_word(args.word2)
+    return _certificate_or_reason(lambda: certify_rectangle(k1, k2, f, w1, w2))
 
 
 def _cmd_auto_certify(args):
     k1, k2 = _load_ifs_pair(args.ifs1, args.ifs2)
     f = parse_expr(args.f)
-    try:
-        cert = auto_certify(k1, k2, f, (Code.parse(args.code1), Code.parse(args.code2)),
-                            args.max_depth)
-    except (CertificationFailure, DomainError) as exc:
-        return {"certified": False, "reason": str(exc)}, EXIT_NOT_ESTABLISHED
-    return cert.to_obj(), EXIT_OK
+    point = Code.parse(args.code1), Code.parse(args.code2)
+    return _certificate_or_reason(lambda: auto_certify(k1, k2, f, point, args.max_depth))
 
 
 def _cmd_replay(args):
@@ -256,11 +249,7 @@ def _cmd_uq_cover(args):
 
 def _cmd_uq_certify(args):
     f = parse_expr(args.f)
-    try:
-        cert = certify_uq_arith(args.q, f, max_depth=args.max_depth)
-    except (CertificationFailure, DomainError) as exc:
-        return {"certified": False, "reason": str(exc)}, EXIT_NOT_ESTABLISHED
-    return cert.to_obj(), EXIT_OK
+    return _certificate_or_reason(lambda: certify_uq_arith(args.q, f, max_depth=args.max_depth))
 
 
 def _cmd_qstar(args):
@@ -372,7 +361,14 @@ def main(argv=None) -> int:
     except (FractarithError, OSError, ValueError) as exc:
         print(f"fractarith: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(obj, args.pretty)
+    try:
+        _emit(obj, args.pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`); the flush at exit goes to the null device
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_INPUT
     return status
 
 

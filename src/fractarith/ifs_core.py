@@ -11,17 +11,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain, cycle, islice, starmap
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FractarithError, InvalidDigit, NotInCover, ResourceBudget
-from .exactnum import (AlgebraicReal, FieldElement, Interval, Scalar,
-                       as_scalar, rat_from_str, rat_to_str, scalar_sign,
-                       scalar_to_obj)
+from .exactnum import (AlgebraicReal, FieldElement, Interval, Scalar, as_scalar,
+                       rat_from_str, scalar_sign, scalar_to_obj)
 
 #: Hard cap on enumerated rectangles/intervals unless overridden.
 DEFAULT_BUDGET = 2 ** 24
 
 Word = tuple[int, ...]
+
+_ONE = Fraction(1)  # lambda^0, the scale of the empty word's map
 
 
 def get_budget() -> int:
@@ -45,6 +47,18 @@ def _check_rank(k: int) -> None:
         raise FractarithError(f"rank must be non-negative, got {k}")
 
 
+def parse_word(text: str, source: str = "") -> Word:
+    """Digits of "212", or of "2,10,1" for alphabets past 9; a surrounding
+    comma is ignored.  A token that is not a decimal number raises
+    FractarithError naming it and the source text."""
+    digits = text.strip().strip(",")
+    tokens = [tok.strip() for tok in digits.split(",")] if "," in digits else list(digits)
+    for tok in tokens:
+        if not tok.isdecimal():
+            raise FractarithError(f"bad digit {tok!r} in {source or f'word {text!r}'}")
+    return tuple(map(int, tokens))
+
+
 @dataclass(frozen=True)
 class Code:
     """Eventually periodic digit code addressing a point of the attractor."""
@@ -56,14 +70,13 @@ class Code:
         if not self.period:
             raise FractarithError("code period must be nonempty")
 
+    def digits(self) -> Iterator[int]:
+        """The preperiod, then the period forever, read lazily."""
+        return chain(self.preperiod, cycle(self.period))
+
     def prefix(self, k: int) -> Word:
         _check_rank(k)
-        out = list(self.preperiod[:k])
-        i = 0
-        while len(out) < k:
-            out.append(self.period[i % len(self.period)])
-            i += 1
-        return tuple(out)
+        return tuple(islice(self.digits(), k))
 
     @staticmethod
     def parse(text: str) -> "Code":
@@ -71,26 +84,14 @@ class Code:
         Digits may be comma separated for alphabets past 9.  Without an
         explicit period the last digit repeats forever."""
         text = text.strip()
-        if "(" in text:
-            head, _, rest = text.partition("(")
-            per, close, tail = rest.partition(")")
-            if not close:
-                raise FractarithError(f"unclosed period parenthesis in code {text!r}")
-            if tail.strip().strip(","):
-                raise FractarithError(f"trailing text after period in code {text!r}")
-        else:
-            head, per = text, ""
-
-        def digits(s: str) -> tuple[int, ...]:
-            s = s.strip().strip(",")
-            if not s:
-                return ()
-            if "," in s:
-                return tuple(int(tok) for tok in s.split(","))
-            return tuple(int(c) for c in s)
-
-        pre = digits(head)
-        period = digits(per) or ((pre[-1],) if pre else ())
+        head, paren, rest = text.partition("(")
+        per, close, tail = rest.partition(")")
+        if paren and not close:
+            raise FractarithError(f"unclosed period parenthesis in code {text!r}")
+        if tail.strip().strip(","):
+            raise FractarithError(f"trailing text after period in code {text!r}")
+        pre = parse_word(head, f"code {text!r}")
+        period = parse_word(per, f"code {text!r}") or ((pre[-1],) if pre else ())
         if not period:
             raise FractarithError("empty code")
         return Code(pre, period)
@@ -125,10 +126,9 @@ class HomogeneousIfs:
     automatic for maps of the form x -> lambda*x + t.
     """
 
-    # the derived geometry (hull, gap profile) is computed on first use and
-    # kept: the system never changes, and the certifier asks for it on every
-    # attempt
-    __slots__ = ("ratio", "translations", "_hull", "_gaps")
+    # the derived geometry (hull, gap profile, cylinder steps) is computed on
+    # first use and kept: the system never changes, and is asked for it often
+    __slots__ = ("ratio", "translations", "_hull", "_gaps", "_steps")
 
     def __init__(self, ratio, translations: Iterable):
         ratio = as_scalar(ratio)
@@ -142,8 +142,8 @@ class HomogeneousIfs:
                 raise FractarithError("translations must be strictly increasing (duplicate maps rejected)")
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "translations", ts)
-        object.__setattr__(self, "_hull", None)
-        object.__setattr__(self, "_gaps", None)
+        for cache in ("_hull", "_gaps", "_steps"):
+            object.__setattr__(self, cache, None)
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("HomogeneousIfs is immutable")
@@ -188,29 +188,53 @@ class HomogeneousIfs:
             delta = self.translations[i + 1] - self.translations[i] - piece
             if scalar_sign(delta) > 0:
                 gaps.append((i + 1, delta))
-        kappa: Scalar = as_scalar(0)
-        for _, g in gaps:
-            if kappa < g:
-                kappa = g
-        if gaps:
-            thickness = piece / gaps[0][1]
-            for _, g in gaps[1:]:
-                cand = piece / g
-                if cand < thickness:
-                    thickness = cand
-        else:
-            thickness = float("inf")
+        kappa = max((g for _, g in gaps), default=as_scalar(0))
+        thickness = min((piece / g for _, g in gaps), default=float("inf"))
         return GapProfile(hull=hull, width=width, piece=piece, gap_set=tuple(gaps),
                           kappa=kappa, thickness_lb=thickness)
 
+    # -- cylinder maps: a rank-k word w has the basic interval S_w(hull), with
+    # S_w(y) = lambda^k*y + o_w.  Appending digit d moves its left end by
+    # lambda^k*(lambda*a + t_d - a) = lambda^k*(t_d - t_1) for the hull [a, b],
+    # so a walk carries only the left end and lambda^k: O(1) work per digit.
+
+    def _cylinder_steps(self) -> tuple[tuple[Scalar, ...], Scalar]:
+        """(t_d - t_1 for d = 1..n, hull width b - a)."""
+        if self._steps is None:
+            steps = tuple(t - self.translations[0] for t in self.translations)
+            object.__setattr__(self, "_steps", (steps, self.convex_hull().width()))
+        return self._steps
+
+    def _child(self, lo: Scalar, scale: Scalar, digit: int) -> tuple[Scalar, Scalar]:
+        """Left end and scale of the map of w + (digit,), from those of w."""
+        self._check_digit(digit)
+        step = self._cylinder_steps()[0][digit - 1]
+        if scale is _ONE:  # rank 0: no product by 1
+            return lo + step, self.ratio
+        return lo + scale * step, scale * self.ratio
+
+    def _maps(self, digits: Iterable[int]) -> Iterator[tuple[Scalar, Scalar]]:
+        """Left end and scale of the map of each prefix of digits, shortest first."""
+        lo, scale = self.convex_hull().lo, _ONE
+        yield lo, scale
+        for d in digits:
+            lo, scale = self._child(lo, scale, d)
+            yield lo, scale
+
+    def _interval(self, lo: Scalar, scale: Scalar) -> Interval:
+        """The basic interval of the map with left end lo and scale scale."""
+        if scale is _ONE:
+            return self.convex_hull()
+        return Interval(lo, lo + scale * self._cylinder_steps()[1])
+
+    def cylinder_walk(self, digits: Iterable[int]) -> Iterator[Interval]:
+        """The basic interval of each prefix of digits, the hull first.
+        Digits are read lazily, so they may run forever (Code.digits())."""
+        return starmap(self._interval, self._maps(digits))
+
     def basic_interval(self, word: Sequence[int]) -> Interval:
-        hull = self.convex_hull()
-        lo, hi = hull.lo, hull.hi
-        for d in reversed(tuple(word)):
-            self._check_digit(d)
-            lo = self.ratio * lo + self.translations[d - 1]
-            hi = self.ratio * hi + self.translations[d - 1]
-        return Interval(lo, hi)
+        *_, (lo, scale) = self._maps(word)
+        return self._interval(lo, scale)
 
     def cylinders(self, k: int, within: Word = ()) -> list[Interval]:
         """All distinct rank-k basic intervals (sorted), optionally restricted
@@ -223,25 +247,19 @@ class HomogeneousIfs:
         extra = k - len(within)
         if self.n ** extra > budget:
             raise ResourceBudget(f"{self.n}^{extra} cylinders exceed budget {budget}")
-        hull = self.convex_hull()
-        items = [(hull.lo, hull.hi)]
+        *_, (lo_w, scale) = self._maps(within)
+        deltas, width = self._cylinder_steps()
+        lefts = [lo_w]
         for _ in range(extra):
-            nxt = []
-            for lo, hi in items:
-                for t in self.translations:
-                    nxt.append((self.ratio * lo + t, self.ratio * hi + t))
-            # dedup exact duplicates (maps may produce coincident cylinders)
-            items = sorted(set(nxt)) if not isinstance(self.ratio, FieldElement) else nxt
-        # descendants of the fixed word are its map applied to every
-        # rank-`extra` cylinder; the map is increasing, so order survives
-        out = []
-        for lo, hi in items:
-            for d in reversed(within):
-                self._check_digit(d)
-                lo = self.ratio * lo + self.translations[d - 1]
-                hi = self.ratio * hi + self.translations[d - 1]
-            out.append(Interval(lo, hi))
-        return out
+            steps = [scale * delta for delta in deltas]
+            scale *= self.ratio
+            # the last digit varies slowest, as when each level applied the
+            # maps to the previous one: algebraic data keeps that order
+            lefts = [lo + step for step in steps for lo in lefts]
+            if not isinstance(self.ratio, FieldElement):
+                lefts = sorted(set(lefts))  # maps may produce coincident cylinders
+        span = scale * width
+        return [Interval(lo, lo + span) for lo in lefts]
 
     def cylinder_count(self, k: int) -> int:
         """Number of distinct rank-k basic intervals (natural-scale box count)."""
@@ -258,18 +276,14 @@ class HomogeneousIfs:
         if not hull.contains(x):
             raise NotInCover(f"point {point} outside hull")
         word: list[int] = []
-        # the current cylinder map is y -> scale*y + offset
-        scale: Scalar = as_scalar(1)
-        offset: Scalar = as_scalar(0)
+        width = self._cylinder_steps()[1]
+        lo, scale = hull.lo, _ONE
         for _ in range(k):
             for d in range(1, self.n + 1):
-                noff = scale * self.translations[d - 1] + offset
-                nscale = scale * self.ratio
-                nlo = nscale * hull.lo + noff
-                nhi = nscale * hull.hi + noff
-                if not (x < nlo) and not (nhi < x):
+                nlo, nscale = self._child(lo, scale, d)
+                if not (x < nlo) and not (nlo + nscale * width < x):
                     word.append(d)
-                    scale, offset = nscale, noff
+                    lo, scale = nlo, nscale
                     break
             else:
                 raise NotInCover(f"point {point} falls in a gap at rank {len(word) + 1}")
@@ -278,19 +292,12 @@ class HomogeneousIfs:
     # -- serialization ------------------------------------------------------
 
     def to_obj(self) -> dict:
-        if isinstance(self.ratio, FieldElement) or any(
-                isinstance(t, FieldElement) for t in self.translations):
-            gen = self.ratio.gen if isinstance(self.ratio, FieldElement) else \
-                next(t.gen for t in self.translations if isinstance(t, FieldElement))
-            return {
-                "base": gen.to_obj(),
+        """Rational data as "p/q" strings; algebraic data adds the "base"
+        generator that its coefficient vectors refer to."""
+        gens = [x.gen for x in (self.ratio, *self.translations) if isinstance(x, FieldElement)]
+        return {**({"base": gens[0].to_obj()} if gens else {}),
                 "ratio": scalar_to_obj(self.ratio),
-                "translations": [scalar_to_obj(t) for t in self.translations],
-            }
-        return {
-            "ratio": rat_to_str(Fraction(self.ratio)),
-            "translations": [rat_to_str(Fraction(t)) for t in self.translations],
-        }
+                "translations": [scalar_to_obj(t) for t in self.translations]}
 
     @staticmethod
     def from_obj(obj: dict) -> "HomogeneousIfs":
@@ -315,10 +322,7 @@ class HomogeneousIfs:
 
             return HomogeneousIfs(load(obj["ratio"]), [load(t) for t in obj["translations"]])
         ratio = obj["ratio"]
-        if isinstance(ratio, dict):
-            ratio = AlgebraicReal.from_obj(ratio)
-        else:
-            ratio = rat_from_str(ratio)
+        ratio = AlgebraicReal.from_obj(ratio) if isinstance(ratio, dict) else rat_from_str(ratio)
         return HomogeneousIfs(ratio, [rat_from_str(t) for t in obj["translations"]])
 
 

@@ -6,21 +6,25 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fractarith import certifier
 from fractarith.certifier import (Certificate, _margins, auto_certify, certify_rectangle,
                                   check_global_condition, check_pointwise,
                                   condition_bounds, replay,
                                   replay_explain, sign_case_of, SignCase)
 from fractarith.empirics import oracle_check
 from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth,
-                               FractarithError, MarginNegative, SignIndefinite)
+                               FractarithError, InvalidDigit, MarginNegative,
+                               SignIndefinite)
 from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
 from fractarith.exprfn import eval_point, grad_enclosure, parse
 from fractarith.ifs_core import Code, HomogeneousIfs, cantor
+from fractarith.qexp import _ANCHORS, kq_ifs
 
 C = cantor()
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))
@@ -282,6 +286,131 @@ def test_auto_certify_descends_past_algebraic_hull_at_zero():
                         (Code.parse("(2)"), Code.parse("(2)")), 4)
     assert (cert.word1, cert.word2) == ((2,), (2,))
     assert replay_explain(cert) == (True, None)
+
+
+def test_auto_certify_reads_code_digits_lazily():
+    # rank 0 certifies, so the descent must stop before reading any digit
+    # of the endless codes, however deep max_depth allows
+    point = (Code.parse("(1)"), Code.parse("(2)"))
+    reads = []
+    real_digits = Code.digits
+
+    def counted(code):
+        for d in real_digits(code):
+            reads.append(d)
+            if len(reads) > 100:
+                raise AssertionError("the descent read the codes eagerly")
+            yield d
+
+    with mock.patch.object(Code, "digits", counted):
+        cert = auto_certify(C, C, parse("x+y"), point, 10 ** 9)
+    assert (cert.word1, cert.word2) == ((), ()) and reads == []
+    cert = auto_certify(C, C, parse("x+y"), point, 10 ** 9)
+    assert (cert.word1, cert.word2) == ((), ())
+    assert cert.certified_interval == iv(0, 2)
+
+
+def test_auto_certify_checks_codes_and_ratios_once_before_descending():
+    with mock.patch.object(certifier, "_certify",
+                           side_effect=AssertionError("descended")):
+        with pytest.raises(InvalidDigit):  # digit 3 sits deep in the period
+            auto_certify(C, C, parse("x+y"), (Code.parse("(1)"), Code.parse("2(1113)")), 5)
+        with pytest.raises(FractarithError, match="share one contraction ratio"):
+            auto_certify(C, HALF, parse("x+y"), (Code.parse("(1)"), Code.parse("(2)")), 5)
+    checks = []
+    real_check = certifier.require_shared_ratio
+    with mock.patch.object(certifier, "require_shared_ratio",
+                           side_effect=lambda k1, k2: checks.append(1) or real_check(k1, k2)):
+        with pytest.raises(ExhaustedDepth):
+            auto_certify(SPARSE, SPARSE, parse("x+y"),
+                         (Code.parse("(1)"), Code.parse("(2)")), 5)
+    assert len(checks) == 1
+
+
+def old_descent(k1, k2, f, point, max_depth):
+    """The descent auto_certify replaced: certify_rectangle, which builds
+    each rectangle from the hull, on each pair of prefixes in turn."""
+    reasons = []
+    for k in range(max_depth + 1):
+        try:
+            return certify_rectangle(k1, k2, f, point[0].prefix(k), point[1].prefix(k))
+        except (CertificationFailure, DomainError) as exc:
+            reasons.append((k, f"{type(exc).__name__}: {exc}"))
+    raise ExhaustedDepth(reasons)
+
+
+def descent_outcome(descend, build, f, point, max_depth):
+    """What one descent over freshly built systems gives: the certificate's
+    to_obj, or its fields when an irrational margin has no JSON form, or the
+    ExhaustedDepth reasons.  Fresh systems give each descent its own
+    generator, since an enclosure depends on how far earlier comparisons
+    refined it."""
+    k1, k2 = build()
+    try:
+        cert = descend(k1, k2, f, point, max_depth)
+    except ExhaustedDepth as exc:
+        return "exhausted", exc.reasons
+    try:
+        return "certified", cert.to_obj()
+    except FractarithError:
+        return "certified", repr((cert.word1, cert.word2, cert.sign_case, cert.grad,
+                                  cert.orientation, cert.m_row, cert.m_gap,
+                                  cert.certified_interval))
+
+
+@st.composite
+def codes(draw, n):
+    digits = st.integers(1, n)
+    return Code(tuple(draw(st.lists(digits, max_size=3))),
+                tuple(draw(st.lists(digits, min_size=1, max_size=3))))
+
+
+@st.composite
+def rational_descents(draw):
+    """Two rational systems sharing the ratio 1/m, as in rectangle_problems."""
+    m = draw(st.integers(2, 5))
+    specs = [(sorted(draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=4))),
+              draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))) for _ in range(2)]
+
+    def build():
+        lam = Fraction(1, m)
+        return tuple(HomogeneousIfs(lam, [Fraction(d, m) + off * (1 - lam) for d in digits])
+                     for digits, off in specs)
+
+    point = (draw(codes(len(specs[0][0]))), draw(codes(len(specs[1][0]))))
+    return build, parse(draw(st.sampled_from(SIGN_MIXED))), point, draw(st.integers(0, 6))
+
+
+@st.composite
+def kq_descents(draw):
+    """K_q twice over sqrt(c), c in (13/4, 4), or the tribonacci base."""
+    if draw(st.booleans()):
+        den = draw(st.integers(2, 12))
+        c = Fraction(draw(st.integers(13 * den // 4 + 1, 4 * den - 1)), den)
+        assume(math.isqrt(c.numerator) ** 2 != c.numerator
+               or math.isqrt(c.denominator) ** 2 != c.denominator)
+        args = ((-c.numerator, 0, c.denominator), 1, 2)
+    else:
+        args = ((-1, -1, -1, 1), Fraction(7, 4), Fraction(15, 8))
+
+    def build():
+        kq = kq_ifs(AlgebraicReal(*args))
+        return kq, kq
+
+    f = parse(draw(st.sampled_from(["x*y", "x/y", "x^2+y^2", "x^(1/2)+y^(1/2)"])))
+    # the corner anchors of certify_uq_arith, the mixed ones most of all,
+    # certify far more often than random codes
+    point = draw(st.sampled_from(_ANCHORS) | st.sampled_from(_ANCHORS[:2])
+                 | st.tuples(codes(2), codes(2)))
+    return build, f, point, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational_descents(), kq_descents()))
+def test_auto_certify_matches_the_prefix_by_prefix_descent(problem):
+    build, f, point, max_depth = problem
+    assert (descent_outcome(auto_certify, build, f, point, max_depth)
+            == descent_outcome(old_descent, build, f, point, max_depth))
 
 
 def test_auto_certify_first_success_is_deterministic():

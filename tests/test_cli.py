@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import fractarith
 from fractarith.certifier import certify_rectangle
 from fractarith.cli import main
 from fractarith.empirics import image_cover, uq_cover
@@ -279,7 +283,15 @@ def _cert_text(**fields):
     (["certify", "--ifs1", "{bad", "--ifs2", "cantor", "--f", "x+y"], None,
      "Expecting property name"),
     (["certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
-      "--word1", "1a"], None, "invalid literal"),
+      "--word1", "1a"], None, "bad digit 'a' in word '1a'"),
+    (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--code1", "2a", "--code2", "(2)"], None, "bad digit 'a' in code '2a'"),
+    (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--code1", "(1)", "--code2", "1,,2"], None, "bad digit '' in code '1,,2'"),
+    (["check", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--point1", "-1", "--point2", "(2)"], None, "bad digit '-' in code '-1'"),
+    (["auto-certify", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y",
+      "--code1", "1(2,x)", "--code2", "(2)"], None, "bad digit 'x' in code '1(2,x)'"),
     (["qg", "--q", "abc"], None, "abc"),
     (["boxdim", "--ranks", "2:4"], None, "--q-grid"),
     (["uq-cover", "--q", "19/10", "--depth", "-1"], None, "non-negative"),
@@ -321,7 +333,8 @@ def _cert_text(**fields):
     (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x/y", "--depth", "3"], None,
      "interval contains 0"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
-        "word-not-digits", "base-not-a-number", "boxdim-without-input",
+        "word-not-digits", "code-letter", "code-empty-token", "code-negative-digit",
+        "code-letter-in-period", "base-not-a-number", "boxdim-without-input",
         "uq-cover-negative-depth", "replay-not-an-object", "replay-word-not-a-list",
         "ifs-base-not-an-object", "ifs-translation-without-coeffs", "ifs-base-without-hi",
         "ifs-ratio-without-lo", "replay-ifs-base-not-an-object", "ifs-zero-denominator",
@@ -389,6 +402,24 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-verb"])
     assert exc.value.code == 1
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # about 140 KB of failure reasons, more than a pipe buffers: the writer is
+    # still writing when the reader closes its end, as under `| head -c 200`
+    sparse = '{"ratio": "1/5", "translations": ["0", "4/5"]}'
+    argv = ["auto-certify", "--ifs1", sparse, "--ifs2", sparse, "--f", "x+y",
+            "--code1", "(1)", "--code2", "(2)", "--max-depth", "2000"]
+    src = os.path.dirname(os.path.dirname(fractarith.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-m", "fractarith.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(200)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        status = proc.wait()
+    assert head.startswith(b'{"certified":false,"reason":"no certificate')
+    assert err == "" and status == 1
 
 
 def test_pretty_flag(capsys):

@@ -5,9 +5,12 @@ import math
 import os
 import random
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fractarith.errors import (FractarithError, InvalidDigit, NotInCover,
                                ResourceBudget)
@@ -105,6 +108,70 @@ def test_basic_interval_length_scales():
 def test_basic_interval_bad_digit():
     with pytest.raises(InvalidDigit):
         cantor().basic_interval((3,))
+    with pytest.raises(InvalidDigit):
+        next(islice(cantor().cylinder_walk((1, 3)), 2, None))
+
+
+def reverse_replay(ifs, word):
+    """The basic interval of word as the composition of its maps applied to
+    the hull, the last digit's map first."""
+    hull = ifs.convex_hull()
+    lo, hi = hull.lo, hull.hi
+    for d in reversed(word):
+        lo = ifs.ratio * lo + ifs.translations[d - 1]
+        hi = ifs.ratio * hi + ifs.translations[d - 1]
+    return Interval(lo, hi)
+
+
+@st.composite
+def sqrt_bases(draw):
+    """sqrt(c) as an algebraic base, c rational in (13/4, 4) and not a square."""
+    den = draw(st.integers(2, 20))
+    c = Fraction(draw(st.integers(13 * den // 4 + 1, 4 * den - 1)), den)
+    assume(math.isqrt(c.numerator) ** 2 != c.numerator
+           or math.isqrt(c.denominator) ** 2 != c.denominator)
+    return AlgebraicReal((-c.numerator, 0, c.denominator), 1, 2)
+
+
+TRIBONACCI = AlgebraicReal((-1, -1, -1, 1), Fraction(7, 4), Fraction(15, 8))
+
+
+@st.composite
+def rational_systems(draw):
+    ratio = draw(st.fractions(Fraction(1, 20), Fraction(19, 20), max_denominator=20))
+    ts = draw(st.lists(st.fractions(-2, 2, max_denominator=12), min_size=2, max_size=4,
+                       unique=True))
+    return HomogeneousIfs(ratio, sorted(ts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_systems(), sqrt_bases().map(kq_ifs),
+                 st.just(TRIBONACCI).map(kq_ifs)),
+       st.data())
+def test_cylinder_walk_matches_reverse_replay(ifs, data):
+    word = tuple(data.draw(st.lists(st.integers(1, ifs.n), max_size=12)))
+    walk = list(ifs.cylinder_walk(word))
+    assert len(walk) == len(word) + 1
+    for k, iv in enumerate(walk):
+        assert iv == reverse_replay(ifs, word[:k]), k
+    assert ifs.basic_interval(word) == walk[-1]
+
+
+def test_locate_finds_the_word_of_a_cylinder_end():
+    # both systems have disjoint cylinders, so the left end of a basic
+    # interval, a point of the attractor, lies in that one cylinder
+    rng = random.Random(5)
+    for ifs in (cantor(), _kq_sqrt_ifs()):
+        for _ in range(10):
+            word = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 8)))
+            assert ifs.locate(ifs.basic_interval(word).lo, len(word)) == word
+
+
+def test_cylinder_walk_reads_an_endless_code_lazily():
+    ifs = cantor()
+    walk = ifs.cylinder_walk(Code.parse("2(1)").digits())
+    assert list(islice(walk, 4)) == [ifs.basic_interval(w)
+                                     for w in ((), (2,), (2, 1), (2, 1, 1))]
 
 
 def test_level_cover_examples():
@@ -225,14 +292,17 @@ def test_derived_geometry_is_computed_once_and_matches_a_fresh_system(build):
     ifs, fresh = build(), build()
     blob = ifs.to_obj()
     hull, profile = ifs.convex_hull(), ifs.gap_profile()
+    steps = ifs._cylinder_steps()
     assert ifs.convex_hull() is hull
     assert ifs.gap_profile() is profile
+    assert ifs._cylinder_steps() is steps
     assert profile.hull is hull
     assert hull == fresh.convex_hull()
     assert profile == fresh.gap_profile()
+    assert steps == fresh._cylinder_steps()
     # the caches are never serialised and the system stays immutable
     assert ifs.to_obj() == blob == fresh.to_obj()
-    for name in ("ratio", "translations", "_hull", "_gaps"):
+    for name in ("ratio", "translations", "_hull", "_gaps", "_steps"):
         with pytest.raises(AttributeError):
             setattr(ifs, name, None)
     assert ifs.convex_hull() is hull
