@@ -30,7 +30,7 @@ from .exactnum import (Interval, Scalar, rat_from_str, scalar_sign,
                        scalar_to_obj, scalar_to_str)
 from .exprfn import (Expr, GradEnclosure, eval_grid, eval_interval, eval_point,
                      grad_enclosure, parse, to_text)
-from .ifs_core import Code, HomogeneousIfs, Word, get_budget, locate
+from .ifs_core import Code, HomogeneousIfs, Word, get_budget
 
 FORMAT_TAG = "fractarith-cert-v1"
 
@@ -215,8 +215,8 @@ def check_pointwise(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     """Pointwise three-way ratio test, with the ratio enclosed over the
     rank-`depth` cylinder rectangle containing the point; the df/dx
     enclosure there must exclude 0."""
-    w1 = locate(k1, point[0], depth)
-    w2 = locate(k2, point[1], depth)
+    w1 = k1.locate(point[0], depth)
+    w2 = k2.locate(point[1], depth)
     rect = (k1.basic_interval(w1), k2.basic_interval(w2))
     grad = grad_enclosure(f, rect)
     if grad.dx.contains_zero():

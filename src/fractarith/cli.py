@@ -16,7 +16,7 @@ from .errors import CertificationFailure, DomainError, FractarithError
 from .exactnum import Interval, rat_from_str, scalar_to_obj
 from .exprfn import parse as parse_expr
 from .ifs_core import Code, HomogeneousIfs, cantor, parse_word
-from .qexp import (DigitSeq, QgPrefix, certify_uq_arith, is_univoque_seq,
+from .qexp import (CORNERS, DigitSeq, QgPrefix, certify_uq_arith, is_univoque_seq,
                    kq_ifs, qstar, quasi_greedy_one, verify_kq_in_uq)
 
 EXIT_OK = 0
@@ -62,19 +62,28 @@ def _load_ifs_pair(spec1: str, spec2: str) -> tuple[HomogeneousIfs, HomogeneousI
     return k1, k1 if spec2.strip() == spec1.strip() else _load_ifs(spec2)
 
 
-def _parse_window(text: str) -> Interval:
-    lo, _, hi = text.partition(",")
+def _number(option: str, token: str, read=rat_from_str):
+    """read(token), or a one-line error that names the option and the token."""
+    try:
+        return read(token)
+    except ValueError:
+        raise FractarithError(f"bad {option} value {token!r}") from None
+    except FractarithError as exc:
+        raise FractarithError(f"bad {option} value {token!r}: {exc}") from None
+
+
+def _read_window(text: str) -> Interval:
+    lo, comma, hi = text.partition(",")
+    if not comma:
+        raise FractarithError("use <lo>,<hi>")
     return Interval(rat_from_str(lo), rat_from_str(hi))
 
 
 def _parse_ranks(text: str) -> list[int]:
     if ":" in text:
         lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",")]
-
-
-_CORNERS = {"left": Code((), (1,)), "right": Code((), (2,))}
+        return list(range(_number("--ranks", lo, int), _number("--ranks", hi, int) + 1))
+    return [_number("--ranks", t, int) for t in text.split(",")]
 
 
 def _load_cert(path: str) -> Certificate:
@@ -122,9 +131,8 @@ def _resolve_pair(args):
 
 def _resolve_point(args):
     if args.point_corner:
-        c1, _, c2 = args.point_corner.partition("-")
         try:
-            return _CORNERS[c1], _CORNERS[c2]
+            return CORNERS[args.point_corner]
         except KeyError:
             raise FractarithError(f"unknown corner pair {args.point_corner!r}")
     if args.point1 and args.point2:
@@ -186,8 +194,8 @@ def _cmd_cover(args):
     f = parse_expr(args.f)
     union = empirics.image_cover(
         k1, k2, f, args.depth,
-        x_window=_parse_window(args.x_window) if args.x_window else None,
-        y_window=_parse_window(args.y_window) if args.y_window else None)
+        x_window=_number("--x-window", args.x_window, _read_window) if args.x_window else None,
+        y_window=_number("--y-window", args.y_window, _read_window) if args.y_window else None)
     _write_artifacts(args, union)
     return {"depth": args.depth, "intervals": union.to_obj()}, EXIT_OK
 
@@ -204,7 +212,7 @@ def _cmd_boxdim(args):
         f = parse_expr(args.f or "x*y")
         rows = []
         for q_text in args.q_grid.split(","):
-            q = rat_from_str(q_text)
+            q = _number("--q-grid", q_text)
             counts = empirics.uq_product_counts(q, f, ranks)
             est = empirics.box_dim_estimate(counts, 1 / q)
             rows.append({"q": q_text, "counts": [[k, n] for k, n in counts],

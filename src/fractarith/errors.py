@@ -73,9 +73,5 @@ class NotContained(CertificationFailure):
     """The embedded self-similar set is not verified inside the univoque set."""
 
 
-class UndecidableComparison(FractarithError):
-    """Lexicographic comparison could not be decided within the digit budget."""
-
-
 class DegenerateFit(FractarithError):
     """Box-count regression is degenerate (constant counts)."""

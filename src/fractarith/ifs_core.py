@@ -268,9 +268,19 @@ class HomogeneousIfs:
         return len(self.cylinders(k))
 
     def locate(self, point, k: int) -> Word:
-        """Rank-k word whose basic interval contains the point; leftmost word
-        on ties.  Raises NotInCover when the point falls in a gap."""
+        """Rank-k word addressing the point.  A Code or a digit tuple (at
+        least k long) gives its first k digits; an exact scalar gives the
+        word whose basic interval contains it, leftmost on ties, and raises
+        NotInCover when it falls in a gap."""
         _check_rank(k)
+        if isinstance(point, Code):
+            point = point.prefix(k)
+        if isinstance(point, tuple):
+            if len(point) < k:
+                raise NotInCover(f"code of length {len(point)} cannot address rank {k}")
+            for d in point[:k]:
+                self._check_digit(d)
+            return point[:k]
         x = as_scalar(point)
         hull = self.convex_hull()
         if not hull.contains(x):
@@ -324,23 +334,6 @@ class HomogeneousIfs:
         ratio = obj["ratio"]
         ratio = AlgebraicReal.from_obj(ratio) if isinstance(ratio, dict) else rat_from_str(ratio)
         return HomogeneousIfs(ratio, [rat_from_str(t) for t in obj["translations"]])
-
-
-def locate(ifs: HomogeneousIfs, point, k: int) -> Word:
-    """Rank-k word addressing the point; accepts an exact scalar, a Code, or
-    a digit tuple (which must be at least k long)."""
-    if isinstance(point, Code):
-        word = point.prefix(k)
-    elif isinstance(point, tuple):
-        _check_rank(k)
-        if len(point) < k:
-            raise NotInCover(f"code of length {len(point)} cannot address rank {k}")
-        word = point[:k]
-    else:
-        return ifs.locate(point, k)
-    for d in word:
-        ifs._check_digit(d)
-    return word
 
 
 def cantor() -> HomogeneousIfs:

@@ -16,7 +16,7 @@ from typing import Union
 
 from .certifier import Certificate, auto_certify
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
-                     FractarithError, NotContained, UndecidableComparison)
+                     FractarithError, NotContained)
 from .exactnum import (AlgebraicReal, FieldElement, Scalar, as_scalar,
                        rat_from_str, scalar_sign)
 from .exprfn import Expr
@@ -149,30 +149,33 @@ def _canonical(pre: str, per: str) -> tuple[str, str]:
     return pre, per
 
 
-def lex_less(s, t) -> bool:
-    """Exact strict lexicographic comparison.
+def lex_less(s: DigitSeq, t: DigitSeq) -> bool:
+    """Exact strict lexicographic comparison of two eventually periodic
+    sequences, decided within preperiods + lcm of periods + 1 positions."""
+    return _lex_cmp(s, t) < 0
 
-    Two eventually periodic sequences are decided within preperiods + lcm of
-    periods + 1 positions.  Verified prefixes (QgPrefix) are accepted too and
-    compared on the known window; if that window cannot separate them the
-    comparison is undecidable and raises.
-    """
-    if isinstance(s, DigitSeq) and isinstance(t, DigitSeq):
-        window = len(s.preperiod) + len(t.preperiod) + \
-            lcm(len(s.period), len(t.period)) + 1
-        for i in range(window):
-            a, b = s.digit(i), t.digit(i)
-            if a != b:
-                return a < b
-        return False
-    window = min(len(x.digits) for x in (s, t) if isinstance(x, QgPrefix))
-    for i in range(window):
-        a = int(s.digits[i]) if isinstance(s, QgPrefix) else s.digit(i)
-        b = int(t.digits[i]) if isinstance(t, QgPrefix) else t.digit(i)
+
+def _lex_cmp(seq: DigitSeq, other: DigitSeq | QuasiGreedyStream) -> int | None:
+    """Three-way lexicographic comparison of an eventually periodic sequence
+    with a DigitSeq or a QuasiGreedyStream, digit by digit.  Once the other
+    side is known to be periodic the two are decided within preperiods + lcm
+    of periods + 1 positions; before that the comparison is undecided (None)
+    after STREAM_WINDOW digits or when the stream's budget runs out."""
+    i = 0
+    while True:
+        per = other if isinstance(other, DigitSeq) else other.seq
+        if per is None:
+            if i >= STREAM_WINDOW:
+                return None
+        elif i > len(seq.preperiod) + len(per.preperiod) + lcm(len(seq.period), len(per.period)):
+            return 0
+        b = other.digit(i)
+        if b is None:
+            return None
+        a = seq.digit(i)
         if a != b:
-            return a < b
-    raise UndecidableComparison(
-        f"sequences agree on the {window} known positions")
+            return -1 if a < b else 1
+        i += 1
 
 
 def pi_q(seq: DigitSeq, q: Scalar) -> Scalar:
@@ -282,27 +285,6 @@ def quasi_greedy_one(q, budget: int = DEFAULT_QG_BUDGET) -> Union[DigitSeq, QgPr
     return QuasiGreedyStream(q, budget=budget).result()
 
 
-def _cmp_seq_stream(seq: DigitSeq, eta: QuasiGreedyStream) -> int | None:
-    """Three-way comparison of an eventually periodic sequence against the
-    quasi-greedy stream; None when undecided within STREAM_WINDOW digits."""
-    if eta.seq is not None:
-        if seq == eta.seq:
-            return 0
-        return -1 if lex_less(seq, eta.seq) else 1
-    for i in range(STREAM_WINDOW):
-        d = eta.digit(i)
-        if d is None:
-            return None
-        a = seq.digit(i)
-        if a != d:
-            return -1 if a < d else 1
-        if eta.seq is not None:
-            if seq == eta.seq:
-                return 0
-            return -1 if lex_less(seq, eta.seq) else 1
-    return None
-
-
 def is_univoque_seq(a: DigitSeq, q) -> str:
     """Lexicographic criterion: at every position with digit 0 the tail must
     be strictly below the quasi-greedy expansion of 1; with digit 1 the
@@ -313,7 +295,7 @@ def is_univoque_seq(a: DigitSeq, q) -> str:
     for k in range(len(a.preperiod) + len(a.period)):
         tail = a.tail_from(k + 1)
         probe = tail if a.digit(k) == 0 else tail.complement()
-        c = _cmp_seq_stream(probe, eta)
+        c = _lex_cmp(probe, eta)
         if c is None:
             verdict = "unknown"
         elif c >= 0:
@@ -364,36 +346,20 @@ def kq_ifs(q) -> HomogeneousIfs:
     return HomogeneousIfs(lam, (lam, 1 / q))
 
 
-#: Extremal tails of the block language {01,10}: the largest tail seen after
-#: a 0 digit and the largest complemented tail after a 1 digit is 1(10)^inf,
-#: with (10)^inf the next candidate below it.
-_EXTREMAL_TAILS = (DigitSeq("1", "10"), DigitSeq("", "10"))
-
-
 def verify_kq_in_uq(q) -> str:
-    """Decide K_q inside U_q by checking the finitely many extremal tails of
-    the block coding strictly below the quasi-greedy expansion of 1.  Yields
+    """Decide K_q inside U_q as the univoque criterion at 01(10)^inf.  Every
+    tail that the criterion compares with eta on a coding in blocks {01, 10}
+    is at most 1(10)^inf, and the tails of 01(10)^inf reach it.  Yields
     "yes" exactly for bases above q*."""
-    q = as_base(q)
-    eta = QuasiGreedyStream(q)
-    verdict = "yes"
-    for tail in _EXTREMAL_TAILS:
-        c = _cmp_seq_stream(tail, eta)
-        if c is None:
-            verdict = "unknown"
-        elif c >= 0:
-            return "no"
-    return verdict
+    return is_univoque_seq(DigitSeq("01", "10"), q)
 
 
-#: Corner anchor codes tried by certify_uq_arith: left and right fixed points
-#: of K_q in the four combinations.
-_ANCHORS = (
-    (Code((), (1,)), Code((), (2,))),
-    (Code((), (2,)), Code((), (1,))),
-    (Code((), (1,)), Code((), (1,))),
-    (Code((), (2,)), Code((), (2,))),
-)
+_LEFT, _RIGHT = Code((), (1,)), Code((), (2,))
+
+#: Corner anchor codes, by name: the left and right fixed points of K_q in
+#: the four combinations.  certify_uq_arith tries them in this order.
+CORNERS = {"left-right": (_LEFT, _RIGHT), "right-left": (_RIGHT, _LEFT),
+           "left-left": (_LEFT, _LEFT), "right-right": (_RIGHT, _RIGHT)}
 
 
 def certify_uq_arith(q, f: Expr, max_depth: int = 12) -> Certificate:
@@ -406,7 +372,7 @@ def certify_uq_arith(q, f: Expr, max_depth: int = 12) -> Certificate:
         raise NotContained(f"K_q inside U_q not established (verdict: {contained})")
     kq = kq_ifs(q)
     reasons: list[tuple[int, str]] = []
-    for anchor in _ANCHORS:
+    for anchor in CORNERS.values():
         try:
             return auto_certify(kq, kq, f, anchor, max_depth)
         except ExhaustedDepth as exc:

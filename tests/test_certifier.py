@@ -24,7 +24,7 @@ from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth
 from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
 from fractarith.exprfn import eval_point, grad_enclosure, parse
 from fractarith.ifs_core import Code, HomogeneousIfs, cantor
-from fractarith.qexp import _ANCHORS, kq_ifs
+from fractarith.qexp import CORNERS, kq_ifs
 
 C = cantor()
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))
@@ -400,7 +400,8 @@ def kq_descents(draw):
     f = parse(draw(st.sampled_from(["x*y", "x/y", "x^2+y^2", "x^(1/2)+y^(1/2)"])))
     # the corner anchors of certify_uq_arith, the mixed ones most of all,
     # certify far more often than random codes
-    point = draw(st.sampled_from(_ANCHORS) | st.sampled_from(_ANCHORS[:2])
+    anchors = tuple(CORNERS.values())
+    point = draw(st.sampled_from(anchors) | st.sampled_from(anchors[:2])
                  | st.tuples(codes(2), codes(2)))
     return build, f, point, draw(st.integers(1, 5))
 

@@ -332,6 +332,17 @@ def _cert_text(**fields):
     (["uq-cover", "--q", "root:-2,0,1", "--depth", "2"], None, "root:<c0>,<c1>,...@<lo>,<hi>"),
     (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x/y", "--depth", "3"], None,
      "interval contains 0"),
+    (["boxdim", "--ifs", "cantor", "--ranks", "a:3"], None, "bad --ranks value 'a'"),
+    (["boxdim", "--ifs", "cantor", "--ranks", "2,,4"], None, "bad --ranks value ''"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth", "2",
+      "--x-window", "0"], None, "bad --x-window value '0': use <lo>,<hi>"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth", "2",
+      "--y-window", "0,a"], None, "bad --y-window value '0,a'"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth", "2",
+      "--y-window", "1,0"], None, "bad --y-window value '1,0'"),
+    (["boxdim", "--q-grid", "17/10,x", "--ranks", "1:3"], None, "bad --q-grid value 'x'"),
+    (["check", "--q", "19/10", "--f", "x*y", "--point-corner", "left"], None,
+     "unknown corner pair 'left'"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "code-letter", "code-empty-token", "code-negative-digit",
         "code-letter-in-period", "base-not-a-number", "boxdim-without-input",
@@ -344,7 +355,9 @@ def _cert_text(**fields):
         "auto-certify-digit-outside-alphabet", "auto-certify-period-digit-outside-alphabet",
         "univoque-unclosed-period", "auto-certify-unclosed-period", "root-bad-coefficient",
         "root-bad-interval", "root-no-root", "root-empty-interval", "root-without-interval",
-        "cover-quotient-over-zero"])
+        "cover-quotient-over-zero", "ranks-not-a-number", "ranks-empty-token",
+        "x-window-without-comma", "y-window-not-a-number", "y-window-out-of-order",
+        "q-grid-not-a-number", "unknown-corner-pair"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

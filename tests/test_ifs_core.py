@@ -16,7 +16,7 @@ from fractarith.errors import (FractarithError, InvalidDigit, NotInCover,
                                ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
                                  scalar_to_obj)
-from fractarith.ifs_core import Code, HomogeneousIfs, cantor, get_budget, locate
+from fractarith.ifs_core import Code, HomogeneousIfs, cantor, get_budget
 from fractarith.qexp import kq_ifs
 
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))  # attractor [0,1]
@@ -259,14 +259,17 @@ def test_locate_examples():
 
 def test_locate_code_and_tuple_inputs():
     c = cantor()
-    assert locate(c, Code.parse("21(1)"), 4) == (2, 1, 1, 1)
-    assert locate(c, (2, 1, 2, 1), 3) == (2, 1, 2)
+    assert c.locate(Code.parse("21(1)"), 4) == (2, 1, 1, 1)
+    assert c.locate((2, 1, 2, 1), 3) == (2, 1, 2)
     with pytest.raises(NotInCover):
-        locate(c, (2, 1), 3)
-    assert locate(c, (2, 1), 0) == ()
+        c.locate((2, 1), 3)
+    assert c.locate((2, 1), 0) == ()
+    for point in (Code((), (3,)), (2, 3)):
+        with pytest.raises(InvalidDigit):
+            c.locate(point, 2)
     for point in (Code.parse("(2)"), (2, 1), Fraction(1)):
         with pytest.raises(FractarithError, match="non-negative"):
-            locate(c, point, -1)
+            c.locate(point, -1)
 
 
 def test_thickness_examples():

@@ -15,10 +15,10 @@ from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
                                  rat_from_str, root_isolate)
 from fractarith.exprfn import parse
 from fractarith.ifs_core import Code
-from fractarith.qexp import (DigitSeq, QgPrefix, as_base, base_above_qstar,
-                             certify_uq_arith, count_expansions_bruteforce,
-                             is_univoque_seq, kq_ifs, lex_less, pi_q, qstar,
-                             quasi_greedy_one, verify_kq_in_uq)
+from fractarith.qexp import (QSTAR_POLY, STREAM_WINDOW, DigitSeq, QgPrefix, QuasiGreedyStream,
+                             as_base, base_above_qstar, certify_uq_arith,
+                             count_expansions_bruteforce, is_univoque_seq, kq_ifs,
+                             lex_less, pi_q, qstar, quasi_greedy_one, verify_kq_in_uq)
 
 Q19 = Fraction(19, 10)
 
@@ -50,14 +50,16 @@ def test_lex_less_examples():
     assert not lex_less(DigitSeq.parse("0(11)"), DigitSeq.parse("(01)"))
 
 
-def test_lex_less_accepts_prefixes():
-    from fractarith.errors import UndecidableComparison
-    prefix = quasi_greedy_one(Q19, budget=12)  # 111010011011
-    assert isinstance(prefix, QgPrefix)
-    assert lex_less(DigitSeq.parse("1(10)"), prefix)
-    assert not lex_less(prefix, DigitSeq.parse("1(10)"))
-    with pytest.raises(UndecidableComparison):
-        lex_less(prefix, DigitSeq(prefix.digits, "0"))
+DIGIT_SEQS = st.builds(DigitSeq, st.text("01", max_size=6), st.text("01", min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIGIT_SEQS, DIGIT_SEQS)
+def test_lex_less_is_a_string_comparison_on_the_window(s, t):
+    n = len(s.preperiod) + len(t.preperiod) + math.lcm(len(s.period), len(t.period)) + 1
+    assert lex_less(s, t) == (s.digits(n) < t.digits(n))
+    # the window separates any two distinct sequences
+    assert lex_less(s, t) or lex_less(t, s) or s == t
 
 
 def test_pi_q_values():
@@ -282,6 +284,75 @@ def test_verify_kq_in_uq_verdicts():
     assert verify_kq_in_uq(qstar()) == "no"
     assert verify_kq_in_uq(Fraction(3, 2)) == "no"
     assert verify_kq_in_uq(Fraction(95, 50)) == verify_kq_in_uq(Q19)
+
+
+def _sqrt_base(c: Fraction) -> FieldElement:
+    return FieldElement.generator(AlgebraicReal((-c, 0, 1), 1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.fractions(min_value=1, max_value=2, max_denominator=1000)
+                 .filter(lambda q: 1 < q < 2),
+                 SQRT_BASES.map(_sqrt_base)))
+@example(Fraction(9, 5))
+@example(Fraction(101, 56))
+@example(_sqrt_base(Fraction(185, 57)))
+@example(_sqrt_base(Fraction(13, 4)))
+@example(FieldElement.generator(qstar()))
+def test_verify_kq_in_uq_is_the_threshold(q):
+    assert (verify_kq_in_uq(q) == "yes") == base_above_qstar(q)
+
+
+def _stream_cmp_oracle(seq: DigitSeq, eta: QuasiGreedyStream) -> int | None:
+    """Three-way comparison of seq with eta: read the stream until the digits
+    differ or eta turns periodic, then compare both as strings over
+    preperiods + lcm of periods + 1 digits."""
+    def periodic_cmp():
+        per = eta.seq
+        n = len(seq.preperiod) + len(per.preperiod) + math.lcm(len(seq.period), len(per.period)) + 1
+        a, b = seq.digits(n), per.digits(n)
+        return (a > b) - (a < b)
+
+    if eta.seq is not None:
+        return periodic_cmp()
+    for i in range(STREAM_WINDOW):
+        d = eta.digit(i)
+        if d is None:
+            return None
+        if seq.digit(i) != d:
+            return -1 if seq.digit(i) < d else 1
+        if eta.seq is not None:
+            return periodic_cmp()
+    return None
+
+
+def _two_tail_verdict(q) -> str:
+    """K_q inside U_q by the extremal tails of the block coding {01, 10}:
+    1(10)^inf and (10)^inf must both lie strictly below eta."""
+    eta = QuasiGreedyStream(q)
+    verdict = "yes"
+    for tail in (DigitSeq("1", "10"), DigitSeq("", "10")):
+        c = _stream_cmp_oracle(tail, eta)
+        if c is None:
+            verdict = "unknown"
+        elif c >= 0:
+            return "no"
+    return verdict
+
+
+# sqrt(c) bases, and the roots in (1, 2) of x^n - x^(n-1) - ... - 1: the
+# golden ratio for n = 2, the tribonacci constant for n = 3
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(SQRT_BASES.map(lambda c: ((-c, 0, 1), 1, 2)),
+                 st.integers(2, 6).map(lambda n: ((-1,) * n + (1,), 1, 2))))
+@example(((-1, -1, -1, 1), 1, 2))
+@example((QSTAR_POLY, Fraction(9, 5), Fraction(181, 100)))
+def test_verify_kq_in_uq_matches_the_two_tail_check(args):
+    # both sides read eta's digits in the same order, so they leave the
+    # generator's isolating interval in the same place
+    q, q_oracle = (FieldElement.generator(AlgebraicReal(*args)) for _ in range(2))
+    assert verify_kq_in_uq(q) == _two_tail_verdict(q_oracle)
+    assert (q.gen._a, q.gen._b, q.gen._q) == (q_oracle.gen._a, q_oracle.gen._b, q_oracle.gen._q)
 
 
 def test_qstar_boundary_bracket():
