@@ -28,8 +28,8 @@ from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      SignIndefinite)
 from .exactnum import (Interval, Scalar, rat_from_str, scalar_sign,
                        scalar_to_obj, scalar_to_str)
-from .exprfn import (Expr, GradEnclosure, eval_grid, eval_interval, eval_point,
-                     grad_enclosure, parse, to_text)
+from .exprfn import (Expr, GradEnclosure, compile_expr, eval_grid, grad_enclosure,
+                     parse, to_text)
 from .ifs_core import Code, HomogeneousIfs, Word, get_budget
 
 FORMAT_TAG = "fractarith-cert-v1"
@@ -356,8 +356,9 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
 def _certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, word1: Word, word2: Word,
              rect: tuple[Interval, Interval]) -> Certificate:
     """certify_rectangle, given the rectangle of word1 x word2."""
-    eval_interval(f, *rect)  # DomainError if f itself is undefined somewhere
-    grad = grad_enclosure(f, rect)  # likewise for the partials
+    program = compile_expr(f)
+    # DomainError if f or a partial is undefined somewhere on the rectangle
+    grad = program.gradient(*rect, with_f=True)
     sign_case = sign_case_of(grad)
 
     margins = _margins(k1, k2, grad.dx.abs(), grad.dy.abs())
@@ -379,8 +380,8 @@ def _certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, word1: Word, word2
     x_min, x_max = _extremes(rect[0], sign_case.sx)
     y_min, y_max = _extremes(rect[1], sign_case.sy)
     # inward rounding keeps the certified interval inside the true image
-    lo_val = eval_point(f, x_min, y_min).hi
-    hi_val = eval_point(f, x_max, y_max).lo
+    lo_val = program.value(Interval.point(x_min), Interval.point(y_min)).hi
+    hi_val = program.value(Interval.point(x_max), Interval.point(y_max)).lo
     if hi_val < lo_val:
         raise CertificationFailure("rectangle too small to certify after rounding")
     certified = Interval(lo_val, hi_val)

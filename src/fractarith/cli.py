@@ -72,6 +72,11 @@ def _number(option: str, token: str, read=rat_from_str):
         raise FractarithError(f"bad {option} value {token!r}: {exc}") from None
 
 
+def _base(args):
+    """The --q option as an exact base, read once."""
+    return _number("--q", args.q, qexp.as_base)
+
+
 def _read_window(text: str) -> Interval:
     lo, comma, hi = text.partition(",")
     if not comma:
@@ -122,7 +127,7 @@ def _cmd_thickness(args):
 
 def _resolve_pair(args):
     if args.q is not None:
-        ifs = kq_ifs(args.q)
+        ifs = kq_ifs(_base(args))
         return ifs, ifs
     if not (args.ifs1 and args.ifs2):
         raise FractarithError("need --ifs1 and --ifs2 (or --q for the kq preset)")
@@ -233,31 +238,32 @@ def _cmd_boxdim(args):
 
 
 def _cmd_qg(args):
-    res = quasi_greedy_one(args.q, budget=args.budget)
+    res = quasi_greedy_one(_base(args), budget=args.budget)
     if isinstance(res, QgPrefix):
         return {"periodic": False, "prefix": res.digits}, EXIT_OK
     return {"periodic": True, "digits": str(res)}, EXIT_OK
 
 
 def _cmd_univoque(args):
-    verdict = is_univoque_seq(DigitSeq.parse(args.seq), args.q)
+    verdict = is_univoque_seq(DigitSeq.parse(args.seq), _base(args))
     return {"verdict": verdict}, EXIT_OK if verdict == "yes" else EXIT_NOT_ESTABLISHED
 
 
 def _cmd_kq(args):
-    return {"ifs": kq_ifs(args.q).to_obj(),
-            "kq_in_uq": verify_kq_in_uq(args.q)}, EXIT_OK
+    q = _base(args)
+    return {"ifs": kq_ifs(q).to_obj(), "kq_in_uq": verify_kq_in_uq(q)}, EXIT_OK
 
 
 def _cmd_uq_cover(args):
-    union = empirics.uq_cover(args.q, args.depth)
+    union = empirics.uq_cover(_base(args), args.depth)
     _write_artifacts(args, union)
     return {"depth": args.depth, "intervals": union.to_obj()}, EXIT_OK
 
 
 def _cmd_uq_certify(args):
     f = parse_expr(args.f)
-    return _certificate_or_reason(lambda: certify_uq_arith(args.q, f, max_depth=args.max_depth))
+    q = _base(args)
+    return _certificate_or_reason(lambda: certify_uq_arith(q, f, max_depth=args.max_depth))
 
 
 def _cmd_qstar(args):

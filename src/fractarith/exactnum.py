@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -66,13 +66,16 @@ def _coeff_from_obj(obj) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _iroot(n: int, k: int) -> int:
-    """Floor k-th root of a non-negative integer, by Newton iteration."""
+    """Floor k-th root of a non-negative integer: math.isqrt for k = 2,
+    Newton iteration from above otherwise."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
     if k == 1:
         return n
+    if k == 2:
+        return isqrt(n)
     x = 1 << (n.bit_length() // k + 1)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -81,33 +84,31 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def fraction_root_bounds(r: Fraction, v: int) -> tuple[Fraction, Fraction]:
-    """Outward rational bounds on r**(1/v) for r >= 0, with denominators
-    dividing DENOMINATOR_BOUND."""
-    if r < 0:
-        raise DomainError("even/fractional root of a negative rational")
-    if r == 0:
-        return Fraction(0), Fraction(0)
-    num = r.numerator * DENOMINATOR_BOUND ** v
-    lo_int = _iroot(num // r.denominator, v)
-    lo = Fraction(lo_int, DENOMINATOR_BOUND)
-    hi_int = _iroot(-(-num // r.denominator), v)
-    if hi_int ** v * r.denominator < num:
-        hi_int += 1
-    hi = Fraction(hi_int, DENOMINATOR_BOUND)
-    if lo ** v == r:
-        hi = lo
+def pow_numerators(n: int, d: int, e: Fraction) -> tuple[int, int]:
+    """Outward bounds on (n/d)**e for n/d > 0 (d > 0) and a fractional
+    exponent e, as numerators over DENOMINATOR_BOUND.  The fraction n/d need
+    not be in lowest terms; the bounds depend on its value alone, and
+    coincide when the power is exact at that denominator."""
+    if n <= 0:
+        raise DomainError("fractional power of a non-positive base")
+    u, v = e.numerator, e.denominator
+    rn, rd = (n ** u, d ** u) if u >= 0 else (d ** -u, n ** -u)
+    num = rn * DENOMINATOR_BOUND ** v
+    lo = _iroot(num // rd, v)
+    if lo ** v * rd == num:
+        return lo, lo
+    hi = _iroot(-(-num // rd), v)
+    if hi ** v * rd < num:
+        hi += 1
     return lo, hi
 
 
 def fraction_pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
     """Outward rational bounds on x**e for x > 0 and a fractional exponent e
-    (integer exponents go through Interval.pow_int, which is exact)."""
-    if x <= 0:
-        raise DomainError("fractional power of a non-positive base")
-    u, v = e.numerator, e.denominator
-    r = x ** u if u >= 0 else Fraction(1) / x ** (-u)
-    return fraction_root_bounds(r, v)
+    (integer exponents go through Interval.pow_int, which is exact), with
+    denominators dividing DENOMINATOR_BOUND."""
+    lo, hi = pow_numerators(x.numerator, x.denominator, e)
+    return Fraction(lo, DENOMINATOR_BOUND), Fraction(hi, DENOMINATOR_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +594,14 @@ Scalar = Union[Fraction, FieldElement]
 
 
 def scalar_sign(x: Scalar) -> int:
+    """The sign of an exact scalar: a Fraction, an int or a FieldElement.
+    A float is refused, so that no verdict rests on one."""
+    if isinstance(x, (Fraction, int)):
+        n = x.numerator
+        return (n > 0) - (n < 0)
     if isinstance(x, FieldElement):
         return x.sign()
-    x = Fraction(x)
-    return (x > 0) - (x < 0)
+    raise TypeError(f"not an exact scalar: {x!r}")
 
 
 def as_scalar(x) -> Scalar:

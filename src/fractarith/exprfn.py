@@ -1,5 +1,6 @@
 """Two-variable function expressions: parsing, symbolic partial derivatives,
-and rigorous interval enclosures over rectangles and over grids of them.
+one compiled program per expression that encloses f and both partials over
+a rectangle, and rigorous interval enclosures over grids of rectangles.
 
 Grammar (left associative, '^' binds tightest)::
 
@@ -24,8 +25,8 @@ from math import lcm
 from operator import floordiv, mul
 from typing import Callable, Iterator, Sequence, Union
 
-from .errors import DomainError, ExprSyntaxError, ZeroExponentError
-from .exactnum import FieldElement, Interval, as_scalar
+from .errors import DivByZeroInterval, DomainError, ExprSyntaxError, ZeroExponentError
+from .exactnum import DENOMINATOR_BOUND, FieldElement, Interval, pow_numerators
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +368,6 @@ def _operation(e: Expr) -> tuple[Callable[..., Interval], tuple[Expr, ...]]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_interval(e: Expr, rx: Interval, ry: Interval) -> Interval:
-    """Sound enclosure of f over the rectangle rx x ry.
-
-    Exact at the corners for expressions monotone in each variable on the
-    rectangle (each variable occurring once, as in the whole built-in
-    function family).
-    """
-    t = type(e)
-    if t is Var:
-        return rx if e.name == "x" else ry
-    if t is Const:
-        return Interval.point(e.value)
-    op, operands = _operation(e)
-    if len(operands) == 1:
-        return op(eval_interval(operands[0], rx, ry))
-    left, right = operands
-    return op(eval_interval(left, rx, ry), eval_interval(right, rx, ry))
-
-
 # variable sets of a subtree, as bit masks
 _NONE, _X, _Y, _XY = 0, 1, 2, 3
 
@@ -641,11 +623,9 @@ def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
     return _grid_products(grid, dx, dy), pairs
 
 
-def eval_point(e: Expr, x, y) -> Interval:
-    """Enclosure of f at an exact point; degenerate except through fractional
-    powers, whose irrational values are outward-rounded."""
-    return eval_interval(e, Interval.point(as_scalar(x)), Interval.point(as_scalar(y)))
-
+# ---------------------------------------------------------------------------
+# Compiled programs: f and both partials as one straight-line program
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GradEnclosure:
@@ -656,12 +636,239 @@ class GradEnclosure:
     rect: tuple[Interval, Interval]
 
 
+# An instruction is (opcode, destination, operand, arg): arg is the second
+# operand of a binary operation, the exponent of a power (an int for an
+# integer power, a Fraction for a fractional one), None for a negation.
+# All are registers but the exponents.
+_ADD, _SUB, _MUL, _DIV, _NEG, _IPOW, _FPOW = range(7)
+_OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+_INTERVAL_BINARY = tuple(_BINARY_OPS[t] for t in (Add, Sub, Mul, Div))
+
+
+def _triple(iv: Interval) -> tuple[int, int, int] | None:
+    """A rational interval as (lo, hi, d), the interval [lo/d, hi/d] with
+    d > 0; None when an endpoint is a FieldElement."""
+    lo, hi = iv.lo, iv.hi
+    if isinstance(lo, FieldElement) or isinstance(hi, FieldElement):
+        return None
+    ld, hd = lo.denominator, hi.denominator
+    if ld == hd:
+        return lo.numerator, hi.numerator, ld
+    return lo.numerator * hd, hi.numerator * ld, ld * hd
+
+
+def _interval(t: tuple[int, int, int]) -> Interval:
+    lo, hi, d = t
+    return Interval(Fraction(lo, d), Fraction(hi, d))
+
+
+def _triple_pow(lo: int, hi: int, d: int, n: int) -> tuple[int, int, int]:
+    """Interval.pow_int on a triple."""
+    if n == 0:
+        return 1, 1, 1
+    m = abs(n)
+    plo, phi = lo ** m, hi ** m
+    if m % 2 == 0 and lo < 0:
+        plo, phi = (phi, plo) if hi < 0 else (0, max(plo, phi))
+    dm = d ** m
+    if n > 0:
+        return plo, phi, dm
+    if plo <= 0 <= phi:
+        raise DivByZeroInterval("interval contains 0")
+    return dm * plo, dm * phi, plo * phi
+
+
+def _run_triples(code: Sequence[tuple], regs: list) -> None:
+    """Run instructions on rational triples (see _triple), in place.  No gcd
+    is taken: a sum or a product is over the product of its operands'
+    denominators, a sum over equal ones over that one.  Each operation
+    raises what its Interval counterpart raises on the same operands."""
+    for op, dst, a, b in code:
+        lo, hi, d = regs[a]
+        if op >= _NEG:
+            if op == _NEG:
+                regs[dst] = (-hi, -lo, d)
+            elif op == _IPOW:
+                regs[dst] = _triple_pow(lo, hi, d, b)
+            else:
+                if lo <= 0:
+                    raise DomainError("fractional power of an interval touching <= 0")
+                lo_lo, lo_hi = pow_numerators(lo, d, b)
+                hi_lo, hi_hi = (lo_lo, lo_hi) if lo == hi else pow_numerators(hi, d, b)
+                regs[dst] = ((lo_lo, hi_hi, DENOMINATOR_BOUND) if b.numerator > 0
+                             else (hi_lo, lo_hi, DENOMINATOR_BOUND))
+            continue
+        blo, bhi, bd = regs[b]
+        if op == _DIV:  # times the reciprocal [bd/bhi, bd/blo]
+            if blo <= 0 <= bhi:
+                raise DivByZeroInterval("interval contains 0")
+            blo, bhi, bd = bd * blo, bd * bhi, blo * bhi
+            op = _MUL
+        if op == _MUL:
+            if lo >= 0 and blo >= 0:
+                regs[dst] = (lo * blo, hi * bhi, d * bd)
+            else:
+                c = (lo * blo, lo * bhi, hi * blo, hi * bhi)
+                regs[dst] = (min(c), max(c), d * bd)
+            continue
+        if d != bd:
+            lo, hi, blo, bhi, d = lo * bd, hi * bd, blo * d, bhi * d, d * bd
+        regs[dst] = (lo + blo, hi + bhi, d) if op == _ADD else (lo - bhi, hi - blo, d)
+
+
+def _run_intervals(code: Sequence[tuple], regs: list) -> None:
+    """Run instructions on Intervals, in place: each is the Interval
+    operation a recursive walk would apply to the same node."""
+    for op, dst, a, b in code:
+        if op == _NEG:
+            regs[dst] = -regs[a]
+        elif op >= _IPOW:
+            regs[dst] = regs[a].pow_rational(b)
+        else:
+            regs[dst] = _INTERVAL_BINARY[op](regs[a], regs[b])
+
+
+class Program:
+    """f, f_x and f_y of one expression as straight-line code.
+
+    Registers 0 and 1 hold x and y; each distinct constant and operator node
+    of the three expressions has one more.  `code` computes all three: f's
+    operator nodes in the postorder of a recursive walk, then those of the
+    partials that f has not computed, in theirs.  Its first instructions,
+    `f_code`, compute f; `grad_code` computes the partials alone, in the
+    order of walking f_x and then f_y.
+
+    There are two number domains.  A rectangle with rational ends runs that
+    shared code on integer triples (see _triple), and only the enclosures it
+    returns become Fractions.  Every operation there is exact but a
+    fractional power, whose bounds (pow_numerators) depend on the value of
+    its operand alone, so each enclosure equals the one the recursive walk
+    of Interval operations gives.  Each node computes the same value
+    wherever it occurs, so the first instruction that fails is the walk's
+    first failing node, and the error is the same.
+
+    A rectangle with a FieldElement end runs Interval operations in the
+    order of that walk: `walks` holds each output's full postorder, with
+    repeats, so only leaves are shared.  Comparing or rounding field
+    elements refines their shared generator, and later enclosures depend on
+    the order of those refinements.
+    """
+
+    __slots__ = ("outputs", "code", "f_code", "grad_code", "walks", "_triples", "_points")
+
+    def __init__(self, e: Expr):
+        regs: dict[Expr, int] = {}
+        consts: list = [None, None]  # per register: its constant, or None
+        instrs: dict[int, tuple] = {}
+        code: list[tuple] = []
+
+        def visit(node: Expr, walk: list) -> int:
+            t = type(node)
+            if t is Var:
+                return 0 if node.name == "x" else 1
+            if t is Const:
+                r = regs.get(node)
+                if r is None:
+                    r = regs[node] = len(consts)
+                    consts.append(node.value)
+                return r
+            if t is Pow:
+                ex = node.exponent
+                op, arg = (_IPOW, ex.numerator) if ex.denominator == 1 else (_FPOW, ex)
+                a = visit(node.base, walk)
+            elif t is Neg:
+                op, arg = _NEG, None
+                a = visit(node.operand, walk)
+            elif t in _OPCODES:
+                op = _OPCODES[t]
+                a = visit(node.left, walk)
+                arg = visit(node.right, walk)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            r = regs.get(node)
+            if r is None:
+                r = regs[node] = len(consts)
+                consts.append(None)
+                instrs[r] = (op, r, a, arg)
+                code.append(instrs[r])
+            walk.append(instrs[r])
+            return r
+
+        outputs, walks = [], []
+        for out in (e, differentiate(e, "x"), differentiate(e, "y")):
+            walk: list[tuple] = []
+            outputs.append(visit(out, walk))
+            walks.append(tuple(walk))
+            if len(walks) == 1:
+                self.f_code = tuple(code)
+        self.outputs = tuple(outputs)
+        self.code = tuple(code)
+        self.grad_code = tuple(dict.fromkeys(walks[1] + walks[2]))
+        self.walks = tuple(walks)
+        self._triples = [None if c is None else (c.numerator, c.numerator, c.denominator)
+                         for c in consts]
+        self._points = [None if c is None else Interval.point(c) for c in consts]
+
+    def _registers(self, rx: Interval, ry: Interval) -> tuple[list, bool]:
+        """Fresh registers for the rectangle rx x ry, and whether they hold
+        triples (rational ends) or Intervals."""
+        tx, ty = _triple(rx), _triple(ry)
+        if tx is None or ty is None:
+            regs = self._points.copy()
+            regs[0], regs[1] = rx, ry
+            return regs, False
+        regs = self._triples.copy()
+        regs[0], regs[1] = tx, ty
+        return regs, True
+
+    def value(self, rx: Interval, ry: Interval) -> Interval:
+        """Enclosure of f over the rectangle rx x ry."""
+        regs, rational = self._registers(rx, ry)
+        if rational:
+            _run_triples(self.f_code, regs)
+            return _interval(regs[self.outputs[0]])
+        _run_intervals(self.walks[0], regs)
+        return regs[self.outputs[0]]
+
+    def gradient(self, rx: Interval, ry: Interval, with_f: bool = False) -> GradEnclosure:
+        """Enclosures of both partials over the rectangle rx x ry.  With
+        with_f, f is evaluated there first, so that a DomainError of f
+        comes before one of a partial."""
+        regs, rational = self._registers(rx, ry)
+        _, ox, oy = self.outputs
+        if rational:
+            _run_triples(self.code if with_f else self.grad_code, regs)
+            dx, dy = _interval(regs[ox]), _interval(regs[oy])
+        else:
+            for walk in self.walks[0 if with_f else 1:]:
+                _run_intervals(walk, regs)
+            dx, dy = regs[ox], regs[oy]
+        return GradEnclosure(dx=dx, dy=dy, rect=(rx, ry))
+
+
+@lru_cache(maxsize=4096)
+def compile_expr(e: Expr) -> Program:
+    """The program of e and its partials; compiled once per expression."""
+    return Program(e)
+
+
+def eval_interval(e: Expr, rx: Interval, ry: Interval) -> Interval:
+    """Sound enclosure of f over the rectangle rx x ry.
+
+    Exact at the corners for expressions monotone in each variable on the
+    rectangle (each variable occurring once, as in the whole built-in
+    function family).
+    """
+    return compile_expr(e).value(rx, ry)
+
+
+def eval_point(e: Expr, x, y) -> Interval:
+    """Enclosure of f at an exact point; degenerate except through fractional
+    powers, whose irrational values are outward-rounded."""
+    return compile_expr(e).value(Interval.point(x), Interval.point(y))
+
+
 def grad_enclosure(f: Expr, rect: tuple[Interval, Interval]) -> GradEnclosure:
     """Enclose both partials of f over the rectangle; raises DomainError if a
     partial is undefined somewhere on it."""
-    rx, ry = rect
-    fx = differentiate(f, "x")
-    fy = differentiate(f, "y")
-    return GradEnclosure(dx=eval_interval(fx, rx, ry),
-                         dy=eval_interval(fy, rx, ry),
-                         rect=(rx, ry))
+    return compile_expr(f).gradient(*rect)

@@ -237,9 +237,12 @@ class HomogeneousIfs:
         return self._interval(lo, scale)
 
     def cylinders(self, k: int, within: Word = ()) -> list[Interval]:
-        """All distinct rank-k basic intervals (sorted), optionally restricted
-        to descendants of a given word.  Rank counts from the hull, so k must
-        be at least len(within)."""
+        """The rank-k basic intervals, optionally restricted to descendants of
+        a given word.  Rank counts from the hull, so k must be at least
+        len(within).  Over a rational ratio they are sorted and distinct.
+        Over a FieldElement ratio they come in reversed-word order (the last
+        digit varies slowest) and coincident ones are kept: sorting would
+        compare field elements and refine their shared generator."""
         _check_rank(k)
         if k < len(within):
             raise FractarithError("rank below the restricting word length")

@@ -343,6 +343,15 @@ def _cert_text(**fields):
     (["boxdim", "--q-grid", "17/10,x", "--ranks", "1:3"], None, "bad --q-grid value 'x'"),
     (["check", "--q", "19/10", "--f", "x*y", "--point-corner", "left"], None,
      "unknown corner pair 'left'"),
+    (["qg", "--q", "abc"], None, "bad --q value 'abc'"),
+    (["kq", "--q", "5/2"], None, "bad --q value '5/2': base must satisfy 1 < q < 2"),
+    (["univoque", "--seq", "01(10)", "--q", "1"], None,
+     "bad --q value '1': base must satisfy 1 < q < 2"),
+    (["uq-cover", "--q", "x", "--depth", "2"], None, "bad --q value 'x'"),
+    (["uq-certify", "--q", "root:-2,0,1@3/2,2", "--f", "x*y"], None,
+     "bad --q value 'root:-2,0,1@3/2,2': interval does not isolate exactly one root"),
+    (["check", "--q", "2", "--f", "x*y", "--point-corner", "left-right"], None,
+     "bad --q value '2': base must satisfy 1 < q < 2"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "code-letter", "code-empty-token", "code-negative-digit",
         "code-letter-in-period", "base-not-a-number", "boxdim-without-input",
@@ -357,7 +366,9 @@ def _cert_text(**fields):
         "root-bad-interval", "root-no-root", "root-empty-interval", "root-without-interval",
         "cover-quotient-over-zero", "ranks-not-a-number", "ranks-empty-token",
         "x-window-without-comma", "y-window-not-a-number", "y-window-out-of-order",
-        "q-grid-not-a-number", "unknown-corner-pair"])
+        "q-grid-not-a-number", "unknown-corner-pair", "qg-q-not-a-number",
+        "kq-q-above-two", "univoque-q-one", "uq-cover-q-not-a-number",
+        "uq-certify-q-root-not-isolated", "check-q-two"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

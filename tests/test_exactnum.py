@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import fraction_poly as fpoly
 from fractarith import exactnum, poly
 from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
-from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
-                                 IntervalUnion, fraction_pow_bounds,
-                                 rat_from_str, rat_to_str, root_isolate,
-                                 scalar_to_obj)
+from fractarith.exactnum import (DENOMINATOR_BOUND, AlgebraicReal, FieldElement,
+                                 Interval, IntervalUnion, fraction_pow_bounds,
+                                 pow_numerators, rat_from_str, rat_to_str,
+                                 root_isolate, scalar_sign, scalar_to_obj)
 
 QSTAR = (1, -2, -1, 1)  # x^3 - x^2 - 2x + 1, constant first
 
@@ -95,6 +95,39 @@ def test_fraction_pow_bounds_exact_cases():
     assert lo == hi == 2
     lo, hi = fraction_pow_bounds(Fraction(27, 8), Fraction(2, 3))
     assert lo == hi == Fraction(9, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12), st.integers(1, 10 ** 6),
+       st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2),
+                        Fraction(-1, 2), Fraction(-5, 3), Fraction(7, 4)]))
+def test_pow_numerators_bound_the_value_whatever_its_terms(n, d, k, e):
+    lo, hi = pow_numerators(n, d, e)
+    assert pow_numerators(n * k, d * k, e) == (lo, hi)
+    assert (Fraction(lo, DENOMINATOR_BOUND), Fraction(hi, DENOMINATOR_BOUND)) == \
+        fraction_pow_bounds(Fraction(n, d), e)
+    # lo/B <= (n/d)^e <= hi/B, one grid step apart unless exact
+    power = Fraction(n, d) ** e.numerator
+    v = e.denominator
+    assert Fraction(lo, DENOMINATOR_BOUND) ** v <= power <= Fraction(hi, DENOMINATOR_BOUND) ** v
+    assert hi - lo in (0, 1)
+    assert (hi == lo) == (Fraction(lo, DENOMINATOR_BOUND) ** v == power)
+
+
+@given(st.integers(0, 10 ** 80), st.integers(1, 5))
+def test_iroot_is_the_floor_root(n, k):
+    r = exactnum._iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+def test_scalar_sign_reads_exact_scalars_and_refuses_floats():
+    signs = [scalar_sign(v) for v in (Fraction(-3, 7), 0, Fraction(0), 5, Fraction(1, 10 ** 30))]
+    assert signs == [-1, 0, 0, 1, 1]
+    root2 = FieldElement.generator(AlgebraicReal([-2, 0, 1], 1, 2))
+    assert (scalar_sign(root2 - 2), scalar_sign(root2 - root2), scalar_sign(root2)) == (-1, 0, 1)
+    for bad in (0.5, -0.0, "1/2"):
+        with pytest.raises(TypeError):
+            scalar_sign(bad)
 
 
 def test_enclosure_soundness_bulk():

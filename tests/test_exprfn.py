@@ -1,17 +1,24 @@
 """Tests for the expression DSL: parser, derivatives, interval evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import recursive_eval as oracle
+from fractarith.certifier import auto_certify
 from fractarith.errors import (DivByZeroInterval, DomainError, ExprSyntaxError,
                                ZeroExponentError)
 from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
 from fractarith.exprfn import (Add, Const, Div, Mul, Neg, Pow, Sub, Var,
-                               differentiate, eval_grid, eval_interval,
-                               eval_lattice, eval_point, grad_enclosure, parse,
-                               to_text)
+                               compile_expr, differentiate, eval_grid,
+                               eval_interval, eval_lattice, eval_point,
+                               grad_enclosure, parse, to_text)
+from fractarith.ifs_core import Code, cantor
+from fractarith.qexp import kq_ifs
 
 X, Y = Var("x"), Var("y")
 
@@ -231,6 +238,144 @@ def test_grad_enclosure_examples():
     assert g2.dx == block and g2.dy == block
     g3 = grad_enclosure(parse("x-y"), (UNIT, UNIT))
     assert g3.dx == iv(1, 1) and g3.dy == iv(-1, -1)
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the recursive walk
+# ---------------------------------------------------------------------------
+
+def test_program_shares_subterms_and_puts_f_first():
+    # f = x/(y+1), f_x = 1/(y+1), f_y = -(x/(y+1)^2): y+1 is computed once
+    program = compile_expr(parse("x/(y+1)"))
+    assert len(program.code) == 6
+    assert program.f_code == program.code[:2]
+    assert len(program.grad_code) == 5
+    assert [len(walk) for walk in program.walks] == [2, 2, 4]
+
+
+def test_each_expression_compiles_once():
+    compile_expr.cache_clear()
+    f = parse("x/(y+1)")
+    program = compile_expr(f)
+    assert compile_expr(parse("x/(y+1)")) is program
+    c = cantor()
+    cert = auto_certify(c, c, f, (Code.parse("(2)"), Code.parse("(2)")), 6)
+    assert len(cert.word1) == 2  # three attempts
+    eval_interval(f, UNIT, UNIT)
+    eval_point(f, 1, 2)
+    grad_enclosure(f, (UNIT, UNIT))
+    info = compile_expr.cache_info()
+    assert info.misses == 1 and info.hits >= 7
+
+
+def test_gradient_alone_fails_where_the_walk_of_f_x_then_f_y_does():
+    # y^(1/2) fails and comes first in f's code, but f_y needs it only after
+    # f_x has met x^(-2), which fails first
+    f = parse("x^-1 + y^(1/2)*y^(1/2)")
+    with pytest.raises(DivByZeroInterval):
+        grad_enclosure(f, (iv(-1, 1), iv(-1, 1)))
+    with pytest.raises(DivByZeroInterval):
+        compile_expr(f).gradient(iv(-1, 1), iv(-1, 1), with_f=True)
+    with pytest.raises(DomainError, match="fractional power"):
+        compile_expr(f).gradient(iv(1, 2), iv(-1, 1), with_f=True)
+
+
+def _outcome(fn):
+    """fn()'s value, or the class and message of its DomainError."""
+    try:
+        return "ok", fn()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+_LEAVES = st.sampled_from([X, Y]) | st.fractions(-3, 3, max_denominator=4).map(Const)
+_EXPONENTS = (st.integers(-3, 3).map(Fraction)
+              | st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                                 Fraction(3, 2), Fraction(-1, 2), Fraction(-5, 3)]))
+
+
+def _extend(children):
+    binary = st.tuples(st.sampled_from([Add, Sub, Mul, Div]), children, children)
+    return (binary.map(lambda t: t[0](t[1], t[2]))
+            | st.builds(Pow, children, _EXPONENTS) | st.builds(Neg, children))
+
+
+def expressions(max_leaves):
+    """The whole grammar, plus the zero exponents that derivatives produce."""
+    return st.recursive(_LEAVES, _extend, max_leaves=max_leaves)
+
+
+@st.composite
+def rational_intervals(draw):
+    lo = draw(st.fractions(-3, 3, max_denominator=12))
+    return Interval(lo, lo + draw(st.fractions(0, 3, max_denominator=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(8), rational_intervals(), rational_intervals())
+def test_program_matches_recursive_walk_on_rational_rectangles(f, rx, ry):
+    program = compile_expr(f)
+
+    def gradient(with_f):
+        g = program.gradient(rx, ry, with_f=with_f)
+        assert g.rect == (rx, ry)
+        return g.dx, g.dy
+
+    assert _outcome(lambda: program.value(rx, ry)) == _outcome(
+        lambda: oracle.eval_interval(f, rx, ry))
+    assert _outcome(lambda: gradient(False)) == _outcome(
+        lambda: oracle.grad_enclosure(f, rx, ry))
+    assert _outcome(lambda: gradient(True)) == _outcome(
+        lambda: oracle.certify_walk(f, rx, ry))
+    corner = Interval.point(rx.hi), Interval.point(ry.lo)
+    assert _outcome(lambda: program.value(*corner)) == _outcome(
+        lambda: oracle.eval_interval(f, *corner))
+
+
+def _field_key(iv: Interval):
+    """An enclosure's ends, comparable across generator objects."""
+    return tuple(v.coeffs if isinstance(v, FieldElement) else v for v in (iv.lo, iv.hi))
+
+
+@st.composite
+def kq_bases(draw):
+    """sqrt(c), c in (13/4, 4) not a square, or the tribonacci base."""
+    if draw(st.booleans()):
+        den = draw(st.integers(2, 12))
+        c = Fraction(draw(st.integers(13 * den // 4 + 1, 4 * den - 1)), den)
+        assume(math.isqrt(c.numerator) ** 2 != c.numerator
+               or math.isqrt(c.denominator) ** 2 != c.denominator)
+        return (-c.numerator, 0, c.denominator), 1, 2
+    return (-1, -1, -1, 1), Fraction(7, 4), Fraction(15, 8)
+
+
+words = st.lists(st.integers(1, 2), max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kq_bases(), expressions(4), words, words)
+def test_program_matches_recursive_walk_on_kq_cylinders(base, f, w1, w2):
+    """Over FieldElement ends the program runs the walk's operations in the
+    walk's order, so it leaves the shared generator as the walk does."""
+    runs = []
+    for check in (compile_expr(f), None):
+        gen = AlgebraicReal(*base)
+        k = kq_ifs(gen)
+        rx, ry = k.basic_interval(w1), k.basic_interval(w2)
+        corner = Interval.point(rx.lo), Interval.point(ry.hi)
+        if check is None:
+            grad = _outcome(lambda: oracle.certify_walk(f, rx, ry))
+            value = _outcome(lambda: oracle.eval_interval(f, *corner))
+        else:
+            grad = _outcome(lambda: (lambda g: (g.dx, g.dy))(
+                check.gradient(rx, ry, with_f=True)))
+            value = _outcome(lambda: check.value(*corner))
+        if grad[0] == "ok":
+            grad = "ok", tuple(map(_field_key, grad[1]))
+        if value[0] == "ok":
+            value = "ok", _field_key(value[1])
+        runs.append((grad, value, gen.lo, gen.hi))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
