@@ -85,9 +85,13 @@ def _read_window(text: str) -> Interval:
 
 
 def _parse_ranks(text: str) -> list[int]:
+    """"lo:hi", a range that must not be empty, or a comma list."""
     if ":" in text:
         lo, _, hi = text.partition(":")
-        return list(range(_number("--ranks", lo, int), _number("--ranks", hi, int) + 1))
+        ranks = list(range(_number("--ranks", lo, int), _number("--ranks", hi, int) + 1))
+        if not ranks:
+            raise FractarithError(f"bad --ranks value {text!r}")
+        return ranks
     return [_number("--ranks", t, int) for t in text.split(",")]
 
 

@@ -37,19 +37,26 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
     part of K1 x K2 that shrinks onto it as the depth grows.
 
     Windows keep only cylinders contained in them; words restrict to
-    descendants of fixed cylinders.
+    descendants of fixed cylinders.  Over rational data each axis stays an
+    IntervalLattice, on integers from the cylinder walk to the merged union.
     """
     budget = get_budget()
-    xs = k1.cylinders(depth, within=word1)
-    ys = k2.cylinders(depth, within=word2)
-    if x_window is not None:
-        xs = [iv for iv in xs if iv.is_subset(x_window)]
-    if y_window is not None:
-        ys = [iv for iv in ys if iv.is_subset(y_window)]
+    xs = _axis_cylinders(k1, depth, word1, x_window)
+    ys = _axis_cylinders(k2, depth, word2, y_window)
     if len(xs) * len(ys) > budget:
         raise ResourceBudget(
             f"{len(xs)}x{len(ys)} rectangles exceed budget {budget}")
     return grid_cover(f, xs, ys)
+
+
+def _axis_cylinders(k: HomogeneousIfs, depth: int, word: Word,
+                    window: Interval | None) -> Sequence[Interval]:
+    """The rank-depth cylinders of k below word that lie inside window."""
+    if k.rational:
+        lattice = k.cylinder_lattice(depth, within=word)
+        return lattice if window is None else lattice.within(window)
+    ivs = k.cylinders(depth, within=word)
+    return ivs if window is None else [iv for iv in ivs if iv.is_subset(window)]
 
 
 def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> IntervalUnion:

@@ -11,8 +11,10 @@ enclosure contains 0.  Floating point never enters.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
@@ -721,6 +723,41 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
+@dataclass(frozen=True)
+class IntervalLattice(Sequence):
+    """The intervals [l/den, (l + span)/den] for l in lefts: equal-width
+    rational intervals on integer numerators over one denominator den > 0,
+    lefts strictly increasing.  A sequence of Intervals, each built when
+    it is read, so that a caller working on integers never forms a
+    Fraction."""
+
+    den: int
+    lefts: tuple[int, ...]
+    span: int
+
+    def __len__(self) -> int:
+        return len(self.lefts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return IntervalLattice(self.den, self.lefts[i], self.span)
+        lo = self.lefts[i]
+        return Interval(Fraction(lo, self.den), Fraction(lo + self.span, self.den))
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """(l, l + span) per interval: its endpoints' numerators over den."""
+        span = self.span
+        return [(lo, lo + span) for lo in self.lefts]
+
+    def within(self, window: Interval) -> "IntervalLattice":
+        """The intervals that lie inside the window.  lefts and their right
+        ends both increase, so they form one run, found by bisection."""
+        den, span = self.den, self.span
+        start = bisect_left(self.lefts, window.lo, key=lambda lo: Fraction(lo, den))
+        stop = bisect_right(self.lefts, window.hi, key=lambda lo: Fraction(lo + span, den))
+        return self[start:max(start, stop)]
+
+
 def _horner_enclosure(num: Sequence[int], den: int,
                       gen: AlgebraicReal) -> tuple[int, int, int]:
     """Horner's scheme in interval arithmetic for the polynomial
@@ -823,17 +860,24 @@ def scalar_to_obj(x):
 
 def _merge_sorted(pairs: Iterable[tuple]) -> tuple[tuple, ...]:
     """Closed intervals given in order of their left endpoints, with
-    overlapping and touching ones merged in one pass."""
-    merged: list[list] = []
-    for lo, hi in pairs:
+    overlapping and touching ones merged in one pass.  The open piece is
+    kept in locals; only finished pieces are stored."""
+    pairs = iter(pairs)
+    first = next(pairs, None)
+    if first is None:
+        return ()
+    merged: list[tuple] = []
+    open_lo, open_hi = first
+    for lo, hi in chain([first], pairs):
         if hi < lo:
             raise FractarithError("interval endpoints out of order")
-        if merged and not (merged[-1][1] < lo):
-            if merged[-1][1] < hi:
-                merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+        if open_hi < lo:
+            merged.append((open_lo, open_hi))
+            open_lo, open_hi = lo, hi
+        elif open_hi < hi:
+            open_hi = hi
+    merged.append((open_lo, open_hi))
+    return tuple(merged)
 
 
 @dataclass(frozen=True)

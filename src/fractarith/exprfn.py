@@ -26,7 +26,8 @@ from operator import floordiv, mul
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import DivByZeroInterval, DomainError, ExprSyntaxError, ZeroExponentError
-from .exactnum import DENOMINATOR_BOUND, FieldElement, Interval, pow_numerators
+from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattice,
+                       pow_numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +381,11 @@ class _GridWalk:
     whole grid) in order.  A subtree that uses only x runs its Interval
     operation once per interval of xs, one that uses only y once per
     interval of ys, and a constant one once.  A subtree that uses both runs
-    per rectangle, through `mixed` when one is given.
+    per rectangle.
     """
 
-    def __init__(self, xs: Sequence[Interval], ys: Sequence[Interval], mixed=None):
-        self.xs, self.ys, self.mixed = xs, ys, mixed
+    def __init__(self, xs: Sequence, ys: Sequence):
+        self.xs, self.ys = xs, ys
         self.size = {_NONE: 1, _X: len(xs), _Y: len(ys), _XY: len(xs) * len(ys)}
 
     def spread(self, mask: int, vals, to: int):
@@ -410,8 +411,6 @@ class _GridWalk:
             mask |= m
         if mask == _NONE:
             return _NONE, op(*[v for _, v in parts])
-        if mask == _XY and self.mixed is not None:
-            return mask, self.mixed(self, node, parts)
         return mask, map(op, *[self.spread(m, v, mask) for m, v in parts])
 
 
@@ -467,23 +466,21 @@ def _fold(pairs: list, own: list[int], other: list[int]) -> tuple[list, list[int
     return pairs, other
 
 
-def _lift(grid: _GridWalk, mask: int, vals) -> tuple:
-    """A walked subtree as (mask, dx, dy, numerators), its value on rectangle
-    (i, j) being a pair of numerators over dx[i]*dy[j]: a list of pairs, one
-    per interval of xs or of ys, for a subtree in one variable (a constant
-    counts as one in x), a stream over the grid for one in both.
+def _axis(ivs: Sequence[Interval]) -> tuple[int | list[int], list[tuple[int, int]]] | None:
+    """One axis of a grid on integers: (den, pairs), the i-th interval being
+    [lo/d, hi/d] for the i-th pair (lo, hi), d being den itself when it is
+    an int and den[i] otherwise; None when an endpoint is a FieldElement.
 
-    Each Interval value is lifted over the lcm of its own endpoints'
-    denominators, so a reciprocal keeps the size of its cylinder's
-    denominator.  When one of those is a multiple of all the others, as for
-    the cylinders of a rational IFS and their powers, the subtree shares it
-    instead; a shared denominator sits in dx, so that sums of shared values
-    stay over the lcm of their denominators."""
-    if mask == _XY:
-        return (mask, *vals)
-    if mask == _NONE:
-        mask, vals = _X, repeat(vals, grid.size[_X])
-    ivs = list(vals)
+    An IntervalLattice gives its own numerators over its one denominator.
+    Any other sequence is lifted once, each interval over the lcm of its
+    endpoints' denominators; when one of those is a multiple of all the
+    others, as for the cylinders of a rational IFS, the axis shares it."""
+    if isinstance(ivs, IntervalLattice):
+        return ivs.den, ivs.pairs()
+    if any(isinstance(v, FieldElement) for iv in ivs for v in (iv.lo, iv.hi)):
+        return None
+    if not ivs:
+        return 1, []
     ends = {v.denominator for iv in ivs for v in (iv.lo, iv.hi)}
     top = lcm(*ends)
     shared = top in ends
@@ -494,10 +491,7 @@ def _lift(grid: _GridWalk, mask: int, vals) -> tuple:
         dens = repeat(top)
     pairs = [(iv.lo.numerator * (d // iv.lo.denominator),
               iv.hi.numerator * (d // iv.hi.denominator)) for iv, d in zip(ivs, dens)]
-    ones_x, ones_y = [1] * grid.size[_X], [1] * grid.size[_Y]
-    if shared:
-        return mask, [top] * len(ones_x), ones_y, pairs
-    return (mask, dens, ones_y, pairs) if mask == _X else (mask, ones_x, dens, pairs)
+    return (top if shared else dens), pairs
 
 
 def _rescaled(grid: _GridWalk, lifted: tuple, tx: list[int], ty: list[int]) -> Iterator:
@@ -528,6 +522,8 @@ def _rescaled(grid: _GridWalk, lifted: tuple, tx: list[int], ty: list[int]) -> I
 def _imul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     a0, a1 = a
     b0, b1 = b
+    if a0 >= 0 and b0 >= 0:
+        return a0 * b0, a1 * b1
     cands = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
     return min(cands), max(cands)
 
@@ -542,44 +538,111 @@ def _ipow(a: tuple[int, int], n: int) -> tuple[int, int]:
     return 0, max(plo, phi)
 
 
-class _Declined(Exception):
-    """A subtree in both variables that eval_lattice leaves to eval_grid."""
+@lru_cache(maxsize=4096)
+def _variables(e: Expr) -> int:
+    """The variable mask of e."""
+    t = type(e)
+    if t is Var:
+        return _X if e.name == "x" else _Y
+    if t is Const:
+        return _NONE
+    mask = _NONE
+    for a in _operation(e)[1]:
+        mask |= _variables(a)
+    return mask
 
 
-def _lattice_node(grid: _GridWalk, node: Expr, parts) -> tuple[list[int], list[int], Iterator]:
-    """A subtree in both variables on integer numerators: (dx, dy, stream),
-    the pair of the stream for rectangle (i, j) being the Interval
-    operation's enclosure there times dx[i]*dy[j].  Operands in one
-    variable, or none, are lifted per cylinder first, a divisor as its
-    reciprocal, so that dividing is multiplying.  Raises _Declined for a
-    divisor in both variables, and for a power other than a positive
-    integer."""
-    t = type(node)
-    if t is Pow and (node.exponent <= 0 or node.exponent.denominator != 1):
-        raise _Declined
-    if t is Div:
-        m, v = parts[1]
-        if m == _XY:
-            raise _Declined
-        parts = [parts[0], (m, v.reciprocal() if m == _NONE else map(Interval.reciprocal, v))]
-    ops = [_lift(grid, m, v) for m, v in parts]
-    if t is Add or t is Sub:
-        (_, ax, ay, _), (_, bx, by, _) = ops
-        tx, ty = list(map(lcm, ax, bx)), list(map(lcm, ay, by))
-        a, b = (_rescaled(grid, op, tx, ty) for op in ops)
-        if t is Add:
-            return tx, ty, ((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(a, b))
-        return tx, ty, ((a0 - b1, a1 - b0) for (a0, a1), (b0, b1) in zip(a, b))
-    streams = [grid.spread(m, v, _XY) for m, _, _, v in ops]
-    if t is Mul or t is Div:
-        (_, ax, ay, _), (_, bx, by, _) = ops
-        return list(map(mul, ax, bx)), list(map(mul, ay, by)), map(_imul, *streams)
-    _, dx, dy, _ = ops[0]
-    if t is Neg:
-        return dx, dy, ((-hi, -lo) for lo, hi in streams[0])
-    n = node.exponent.numerator  # Pow: a positive integer here
-    return (list(map(pow, dx, repeat(n))), list(map(pow, dy, repeat(n))),
-            map(partial(_ipow, n=n), streams[0]))
+@lru_cache(maxsize=4096)
+def _on_lattice(e: Expr) -> bool:
+    """Whether eval_lattice runs e: no subtree in both variables is divided
+    by one in both or raised to a power other than a positive integer."""
+    t = type(e)
+    if t is Var or t is Const:
+        return True
+    if _variables(e) == _XY:
+        if t is Div and _variables(e.right) == _XY:
+            return False
+        if t is Pow and (e.exponent <= 0 or e.exponent.denominator != 1):
+            return False
+    return all(map(_on_lattice, _operation(e)[1]))
+
+
+class _LatticeWalk(_GridWalk):
+    """The walk of eval_lattice over two axes given as (den, pairs) (see
+    _axis).  lift(node) returns (mask, dx, dy, numerators), the subtree's
+    value on rectangle (i, j) being a pair of numerators over dx[i]*dy[j]: a
+    list of pairs, one per interval of its axis, for a subtree in one
+    variable (a constant counts as one in x), a stream over the grid for one
+    in both.  A shared denominator sits in dx, so that sums of shared values
+    stay over the lcm of their denominators."""
+
+    def __init__(self, ax: tuple, ay: tuple):
+        super().__init__(ax[1], ay[1])
+        self.axes = {_X: ax, _Y: ay}
+
+    def _lifted(self, mask: int, den, pairs: list) -> tuple:
+        ones_x, ones_y = [1] * self.size[_X], [1] * self.size[_Y]
+        if isinstance(den, int):
+            return mask, [den] * len(ones_x), ones_y, pairs
+        return (mask, den, ones_y, pairs) if mask == _X else (mask, ones_x, den, pairs)
+
+    def leaf(self, node: Expr, mask: int) -> tuple:
+        """A subtree in one variable, or none, lifted: its compiled code run
+        on integer triples once per interval of its axis, or once for a
+        constant.  The interval's denominator is the triples' shared one
+        when all agree, else one per interval."""
+        if type(node) is Var:
+            return self._lifted(mask, *self.axes[mask])
+        template, code, out = _triple_code(node)
+        if mask == _NONE:
+            regs = template.copy()
+            _run_triples(code, regs)
+            lo, hi, d = regs[out]
+            return self._lifted(_X, d, [(lo, hi)] * self.size[_X])
+        den, pairs = self.axes[mask]
+        var = 0 if mask == _X else 1
+        triples = []
+        for (lo, hi), d in zip(pairs, repeat(den) if isinstance(den, int) else den):
+            regs = template.copy()
+            regs[var] = (lo, hi, d)
+            _run_triples(code, regs)
+            triples.append(regs[out])
+        dens = [d for _, _, d in triples]
+        shared = _common(dens)
+        return self._lifted(mask, dens if shared is None else shared,
+                            [(lo, hi) for lo, hi, _ in triples])
+
+    def lift(self, node: Expr) -> tuple:
+        """A subtree, lifted.  In both variables it adds, subtracts,
+        multiplies, negates and takes positive integer powers on integers;
+        a divisor, in one variable here, is lifted as its reciprocal, so
+        that dividing is multiplying."""
+        mask = _variables(node)
+        if mask != _XY:
+            return self.leaf(node, mask)
+        t = type(node)
+        if t is Div:
+            ops = [self.lift(node.left),
+                   self.leaf(Pow(node.right, Fraction(-1)), _variables(node.right))]
+        else:
+            ops = [self.lift(a) for a in _operation(node)[1]]
+        if t is Add or t is Sub:
+            (_, ax, ay, _), (_, bx, by, _) = ops
+            tx, ty = list(map(lcm, ax, bx)), list(map(lcm, ay, by))
+            a, b = (_rescaled(self, op, tx, ty) for op in ops)
+            if t is Add:
+                return _XY, tx, ty, ((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(a, b))
+            return _XY, tx, ty, ((a0 - b1, a1 - b0) for (a0, a1), (b0, b1) in zip(a, b))
+        streams = [self.spread(m, v, _XY) for m, _, _, v in ops]
+        if t is Mul or t is Div:
+            (_, ax, ay, _), (_, bx, by, _) = ops
+            return _XY, list(map(mul, ax, bx)), list(map(mul, ay, by)), map(_imul, *streams)
+        _, dx, dy, _ = ops[0]
+        if t is Neg:
+            return _XY, dx, dy, ((-hi, -lo) for lo, hi in streams[0])
+        n = node.exponent.numerator  # Pow: a positive integer here
+        return (_XY, list(map(pow, dx, repeat(n))), list(map(pow, dy, repeat(n))),
+                map(partial(_ipow, n=n), streams[0]))
 
 
 def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
@@ -589,38 +652,37 @@ def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
     den when every rectangle shares one denominator and the n-th entry of
     the iterable den otherwise.
 
-    Subtrees in one variable, or none, are evaluated as in eval_grid, once
-    per cylinder, and lifted to integers per cylinder (see _lift); a divisor
-    among them becomes its Interval.reciprocal, also once per cylinder.
-    Subtrees in both variables add, subtract, multiply, negate and take
-    positive integer powers on integers, their value on rectangle (i, j)
-    being over dx[i]*dy[j]: a sum brings its operands onto the per-cylinder
-    lcms of their denominators, a product multiplies them.  Returns None,
-    leaving the grid to eval_grid, when an endpoint is a FieldElement, or
-    when a subtree in both variables is divided by one in both or raised to
-    a power other than a positive integer.
+    Each axis is read once onto integers (see _axis): an IntervalLattice,
+    such as the cylinders of a rational IFS, as it stands.  Subtrees in one
+    variable, or none, then run their compiled code on integer triples once
+    per interval of their axis, or once, and subtrees in both variables
+    run per rectangle on integers (see _LatticeWalk).  Returns None, leaving
+    the grid to eval_grid, when an endpoint is a FieldElement, or when a
+    subtree in both variables is divided by one in both or raised to a power
+    other than a positive integer.
 
     Every operation that can fail runs before this returns.  On a failure
     the DomainError raised is the one eval_grid raises at its first failing
     rectangle, so both paths fail alike.
     """
-    if any(isinstance(v, FieldElement) for iv in chain(xs, ys) for v in (iv.lo, iv.hi)):
+    ax, ay = _axis(xs), _axis(ys)
+    if ax is None or ay is None:
         return None
     if not xs or not ys:
         return 1, iter(())
-    grid = _GridWalk(xs, ys, _lattice_node)
-    try:
-        mask, dx, dy, vals = _lift(grid, *grid.walk(e))
-    except _Declined:
+    if not _on_lattice(e):
         return None
+    walk = _LatticeWalk(ax, ay)
+    try:
+        mask, dx, dy, vals = walk.lift(e)
     except DomainError:
         deque(eval_grid(e, xs, ys), maxlen=0)
         raise
-    pairs = grid.spread(mask, vals, _XY)
+    pairs = walk.spread(mask, vals, _XY)
     cx, cy = _common(dx), _common(dy)
     if cx is not None and cy is not None:
         return cx * cy, pairs
-    return _grid_products(grid, dx, dy), pairs
+    return _grid_products(walk, dx, dy), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -728,15 +790,81 @@ def _run_intervals(code: Sequence[tuple], regs: list) -> None:
             regs[dst] = _INTERVAL_BINARY[op](regs[a], regs[b])
 
 
-class Program:
-    """f, f_x and f_y of one expression as straight-line code.
+def _compile(exprs: Sequence[Expr]) -> tuple[list, list[int], list[tuple]]:
+    """Straight-line code for exprs with shared subterms: (consts, outputs,
+    walks).  Registers 0 and 1 hold x and y; each distinct constant and
+    operator node has one more, consts[r] being the constant of register r
+    or None.  outputs[i] is the register of exprs[i], and walks[i] the
+    instructions of its full postorder, with repeats; each node's
+    instruction is the same tuple in every walk."""
+    regs: dict[Expr, int] = {}
+    consts: list = [None, None]
+    instrs: dict[int, tuple] = {}
 
-    Registers 0 and 1 hold x and y; each distinct constant and operator node
-    of the three expressions has one more.  `code` computes all three: f's
-    operator nodes in the postorder of a recursive walk, then those of the
-    partials that f has not computed, in theirs.  Its first instructions,
-    `f_code`, compute f; `grad_code` computes the partials alone, in the
-    order of walking f_x and then f_y.
+    def visit(node: Expr, walk: list) -> int:
+        t = type(node)
+        if t is Var:
+            return 0 if node.name == "x" else 1
+        if t is Const:
+            r = regs.get(node)
+            if r is None:
+                r = regs[node] = len(consts)
+                consts.append(node.value)
+            return r
+        if t is Pow:
+            ex = node.exponent
+            op, arg = (_IPOW, ex.numerator) if ex.denominator == 1 else (_FPOW, ex)
+            a = visit(node.base, walk)
+        elif t is Neg:
+            op, arg = _NEG, None
+            a = visit(node.operand, walk)
+        elif t in _OPCODES:
+            op = _OPCODES[t]
+            a = visit(node.left, walk)
+            arg = visit(node.right, walk)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        r = regs.get(node)
+        if r is None:
+            r = regs[node] = len(consts)
+            consts.append(None)
+            instrs[r] = (op, r, a, arg)
+        walk.append(instrs[r])
+        return r
+
+    outputs, walks = [], []
+    for e in exprs:
+        walk: list[tuple] = []
+        outputs.append(visit(e, walk))
+        walks.append(tuple(walk))
+    return consts, outputs, walks
+
+
+def _code(*walks: tuple) -> tuple:
+    """The instructions of the walks, each once, in the order first met."""
+    return tuple(dict.fromkeys(chain.from_iterable(walks)))
+
+
+def _triple_registers(consts: list) -> list:
+    return [None if c is None else (c.numerator, c.numerator, c.denominator) for c in consts]
+
+
+@lru_cache(maxsize=4096)
+def _triple_code(e: Expr) -> tuple[list, tuple, int]:
+    """(registers, code, output) for running e alone on triples: the
+    registers hold e's constants and must be copied before a run."""
+    consts, (out,), (walk,) = _compile((e,))
+    return _triple_registers(consts), _code(walk), out
+
+
+class Program:
+    """f, f_x and f_y of one expression as straight-line code (see
+    _compile).
+
+    `code` computes all three: f's operator nodes in the postorder of a
+    recursive walk, then those of the partials that f has not computed, in
+    theirs.  Its first instructions, `f_code`, compute f; `grad_code`
+    computes the partials alone, in the order of walking f_x and then f_y.
 
     There are two number domains.  A rectangle with rational ends runs that
     shared code on integer triples (see _triple), and only the enclosures it
@@ -757,56 +885,13 @@ class Program:
     __slots__ = ("outputs", "code", "f_code", "grad_code", "walks", "_triples", "_points")
 
     def __init__(self, e: Expr):
-        regs: dict[Expr, int] = {}
-        consts: list = [None, None]  # per register: its constant, or None
-        instrs: dict[int, tuple] = {}
-        code: list[tuple] = []
-
-        def visit(node: Expr, walk: list) -> int:
-            t = type(node)
-            if t is Var:
-                return 0 if node.name == "x" else 1
-            if t is Const:
-                r = regs.get(node)
-                if r is None:
-                    r = regs[node] = len(consts)
-                    consts.append(node.value)
-                return r
-            if t is Pow:
-                ex = node.exponent
-                op, arg = (_IPOW, ex.numerator) if ex.denominator == 1 else (_FPOW, ex)
-                a = visit(node.base, walk)
-            elif t is Neg:
-                op, arg = _NEG, None
-                a = visit(node.operand, walk)
-            elif t in _OPCODES:
-                op = _OPCODES[t]
-                a = visit(node.left, walk)
-                arg = visit(node.right, walk)
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-            r = regs.get(node)
-            if r is None:
-                r = regs[node] = len(consts)
-                consts.append(None)
-                instrs[r] = (op, r, a, arg)
-                code.append(instrs[r])
-            walk.append(instrs[r])
-            return r
-
-        outputs, walks = [], []
-        for out in (e, differentiate(e, "x"), differentiate(e, "y")):
-            walk: list[tuple] = []
-            outputs.append(visit(out, walk))
-            walks.append(tuple(walk))
-            if len(walks) == 1:
-                self.f_code = tuple(code)
+        consts, outputs, walks = _compile((e, differentiate(e, "x"), differentiate(e, "y")))
         self.outputs = tuple(outputs)
-        self.code = tuple(code)
-        self.grad_code = tuple(dict.fromkeys(walks[1] + walks[2]))
         self.walks = tuple(walks)
-        self._triples = [None if c is None else (c.numerator, c.numerator, c.denominator)
-                         for c in consts]
+        self.code = _code(*walks)
+        self.f_code = _code(walks[0])
+        self.grad_code = _code(walks[1], walks[2])
+        self._triples = _triple_registers(consts)
         self._points = [None if c is None else Interval.point(c) for c in consts]
 
     def _registers(self, rx: Interval, ry: Interval) -> tuple[list, bool]:

@@ -12,11 +12,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, islice, starmap
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FractarithError, InvalidDigit, NotInCover, ResourceBudget
-from .exactnum import (AlgebraicReal, FieldElement, Interval, Scalar, as_scalar,
-                       rat_from_str, scalar_sign, scalar_to_obj)
+from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalLattice, Scalar,
+                       as_scalar, rat_from_str, scalar_sign, scalar_to_obj)
 
 #: Hard cap on enumerated rectangles/intervals unless overridden.
 DEFAULT_BUDGET = 2 ** 24
@@ -128,7 +129,7 @@ class HomogeneousIfs:
 
     # the derived geometry (hull, gap profile, cylinder steps) is computed on
     # first use and kept: the system never changes, and is asked for it often
-    __slots__ = ("ratio", "translations", "_hull", "_gaps", "_steps")
+    __slots__ = ("ratio", "translations", "rational", "_hull", "_gaps", "_steps")
 
     def __init__(self, ratio, translations: Iterable):
         ratio = as_scalar(ratio)
@@ -142,6 +143,9 @@ class HomogeneousIfs:
                 raise FractarithError("translations must be strictly increasing (duplicate maps rejected)")
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "translations", ts)
+        # ratio and translations all rational: cylinders walk on integers
+        object.__setattr__(self, "rational",
+                           not any(isinstance(v, FieldElement) for v in (ratio, *ts)))
         for cache in ("_hull", "_gaps", "_steps"):
             object.__setattr__(self, cache, None)
 
@@ -236,13 +240,9 @@ class HomogeneousIfs:
         *_, (lo, scale) = self._maps(word)
         return self._interval(lo, scale)
 
-    def cylinders(self, k: int, within: Word = ()) -> list[Interval]:
-        """The rank-k basic intervals, optionally restricted to descendants of
-        a given word.  Rank counts from the hull, so k must be at least
-        len(within).  Over a rational ratio they are sorted and distinct.
-        Over a FieldElement ratio they come in reversed-word order (the last
-        digit varies slowest) and coincident ones are kept: sorting would
-        compare field elements and refine their shared generator."""
+    def _below(self, k: int, within: Word) -> tuple[int, Scalar, Scalar]:
+        """(k - len(within), left end and scale of the map of within) for
+        the rank-k cylinders below within, after the rank and budget checks."""
         _check_rank(k)
         if k < len(within):
             raise FractarithError("rank below the restricting word length")
@@ -250,25 +250,60 @@ class HomogeneousIfs:
         extra = k - len(within)
         if self.n ** extra > budget:
             raise ResourceBudget(f"{self.n}^{extra} cylinders exceed budget {budget}")
-        *_, (lo_w, scale) = self._maps(within)
+        *_, (lo, scale) = self._maps(within)
+        return extra, lo, scale
+
+    def cylinder_lattice(self, k: int, within: Word = ()) -> IntervalLattice:
+        """The rank-k basic intervals below the word within, sorted and
+        distinct, on integer numerators over one denominator D.  D is the
+        lcm of the denominators of within's left end, of every level's steps
+        scale * (t_d - t_1) and of the final width scale * (b - a), so each
+        level adds integer steps to integer left ends, and coincident
+        cylinders collapse in a set of integers.  Rational data only."""
+        if not self.rational:
+            raise FractarithError("a cylinder lattice requires rational data")
+        extra, lo, scale = self._below(k, within)
         deltas, width = self._cylinder_steps()
-        lefts = [lo_w]
+        levels = []
+        for _ in range(extra):
+            levels.append([scale * delta for delta in deltas])
+            scale *= self.ratio
+        span = scale * width
+        den = lcm(lo.denominator, span.denominator,
+                  *(step.denominator for steps in levels for step in steps))
+        lefts = [lo.numerator * (den // lo.denominator)]
+        for steps in levels:
+            ints = [step.numerator * (den // step.denominator) for step in steps]
+            lefts = sorted({left + step for step in ints for left in lefts})
+        return IntervalLattice(den, tuple(lefts), span.numerator * (den // span.denominator))
+
+    def cylinders(self, k: int, within: Word = ()) -> list[Interval]:
+        """The rank-k basic intervals, optionally restricted to descendants of
+        a given word.  Rank counts from the hull, so k must be at least
+        len(within).  Over rational data they are sorted and distinct: those
+        of cylinder_lattice, walked on integers, as Intervals.  Over
+        algebraic data they come in reversed-word order (the last digit
+        varies slowest) and coincident ones are kept: sorting would compare
+        field elements and refine their shared generator."""
+        if self.rational:
+            return list(self.cylinder_lattice(k, within))
+        extra, lo, scale = self._below(k, within)
+        deltas, width = self._cylinder_steps()
+        lefts = [lo]
         for _ in range(extra):
             steps = [scale * delta for delta in deltas]
             scale *= self.ratio
             # the last digit varies slowest, as when each level applied the
-            # maps to the previous one: algebraic data keeps that order
-            lefts = [lo + step for step in steps for lo in lefts]
-            if not isinstance(self.ratio, FieldElement):
-                lefts = sorted(set(lefts))  # maps may produce coincident cylinders
+            # maps to the previous one
+            lefts = [left + step for step in steps for left in lefts]
         span = scale * width
-        return [Interval(lo, lo + span) for lo in lefts]
+        return [Interval(left, left + span) for left in lefts]
 
     def cylinder_count(self, k: int) -> int:
         """Number of distinct rank-k basic intervals (natural-scale box count)."""
-        if isinstance(self.ratio, FieldElement):
+        if not self.rational:
             raise FractarithError("cylinder counting requires rational data")
-        return len(self.cylinders(k))
+        return len(self.cylinder_lattice(k))
 
     def locate(self, point, k: int) -> Word:
         """Rank-k word addressing the point.  A Code or a digit tuple (at

@@ -334,6 +334,7 @@ def _cert_text(**fields):
      "interval contains 0"),
     (["boxdim", "--ifs", "cantor", "--ranks", "a:3"], None, "bad --ranks value 'a'"),
     (["boxdim", "--ifs", "cantor", "--ranks", "2,,4"], None, "bad --ranks value ''"),
+    (["boxdim", "--ifs", "cantor", "--ranks", "3:1"], None, "bad --ranks value '3:1'"),
     (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth", "2",
       "--x-window", "0"], None, "bad --x-window value '0': use <lo>,<hi>"),
     (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth", "2",
@@ -365,6 +366,7 @@ def _cert_text(**fields):
         "univoque-unclosed-period", "auto-certify-unclosed-period", "root-bad-coefficient",
         "root-bad-interval", "root-no-root", "root-empty-interval", "root-without-interval",
         "cover-quotient-over-zero", "ranks-not-a-number", "ranks-empty-token",
+        "ranks-descending",
         "x-window-without-comma", "y-window-not-a-number", "y-window-out-of-order",
         "q-grid-not-a-number", "unknown-corner-pair", "qg-q-not-a-number",
         "kq-q-above-two", "univoque-q-one", "uq-cover-q-not-a-number",

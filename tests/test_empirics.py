@@ -21,7 +21,8 @@ from fractarith.empirics import (DimEstimate, box_dim_estimate,
                                  write_intervals_csv, write_union_svg)
 from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
                                FractarithError, ResourceBudget)
-from fractarith.exactnum import AlgebraicReal, Interval, IntervalUnion, as_scalar
+from fractarith.exactnum import (AlgebraicReal, Interval, IntervalLattice, IntervalUnion,
+                                 as_scalar)
 from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub,
                                eval_grid, eval_interval, eval_lattice, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
@@ -331,6 +332,35 @@ def test_lattice_path_is_grid_path(f, xs, ys):
         assert lattice is grid
     want = grid if isinstance(grid, type) else IntervalUnion.from_intervals(grid)
     assert outcome(lambda: grid_cover(f, xs, ys)) == want
+
+
+@st.composite
+def lattices(draw):
+    """1 to 5 equal-width intervals on integer numerators over one
+    denominator, of both signs, some containing 0."""
+    lefts = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=5, unique=True))
+    return IntervalLattice(draw(st.integers(1, 7)), tuple(sorted(lefts)),
+                           draw(st.integers(0, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs(3), lattices(), lattices())
+def test_lattice_axes_are_interval_axes(f, xs, ys):
+    """A grid given as IntervalLattices is evaluated as the same grid given
+    as lists of Intervals."""
+    def enclosures(xs, ys):
+        lattice = eval_lattice(f, xs, ys)
+        if lattice is None:
+            return None
+        den, pairs = lattice
+        pairs = list(pairs)
+        dens = [den] * len(pairs) if isinstance(den, int) else list(den)
+        return [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)]
+
+    ivs_x, ivs_y = list(xs), list(ys)
+    assert outcome(lambda: enclosures(xs, ys)) == outcome(lambda: enclosures(ivs_x, ivs_y))
+    assert outcome(lambda: grid_cover(f, xs, ys)) == outcome(
+        lambda: grid_cover(f, ivs_x, ivs_y))
 
 
 def test_oracle_check_matches_per_rectangle_reference():

@@ -848,6 +848,53 @@ def test_from_int_pairs_and_inflate_match_from_intervals(raw, den, r):
         lambda: IntervalUnion.from_intervals((lo - radius, hi + radius) for lo, hi in u))
 
 
+def naive_union(pairs) -> tuple[tuple[int, int], ...]:
+    """The closed integer intervals merged as point sets: each covers the
+    points 2*lo..2*hi, so touching ones share a point, disjoint ones leave
+    an odd point out, and each maximal run of points is one piece."""
+    covered = sorted({p for lo, hi in pairs for p in range(2 * lo, 2 * hi + 1)})
+    runs: list[list[int]] = []
+    for p in covered:
+        if runs and runs[-1][1] == p - 1:
+            runs[-1][1] = p
+        else:
+            runs.append([p, p])
+    return tuple((lo // 2, hi // 2) for lo, hi in runs)
+
+
+# pieces on a small range, so that touching, nested and equal ones are common
+small_pieces = st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 5)).map(
+    lambda t: (t[0], t[0] + t[1])), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_pieces, st.integers(1, 9), st.data())
+def test_merge_matches_the_naive_union(pairs, den, data):
+    want = naive_union(pairs)
+    assert exactnum._merge_sorted(sorted(pairs, key=operator.itemgetter(0))) == want
+    assert IntervalUnion.from_int_pairs(pairs, den) == IntervalUnion(
+        tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in want))
+    assert IntervalUnion.from_intervals(pairs).intervals == want
+    # one piece out of order anywhere is refused, whatever the others are
+    lo = data.draw(st.integers(-8, 8))
+    bad = list(pairs)
+    bad.insert(data.draw(st.integers(0, len(pairs))), (lo, lo - data.draw(st.integers(1, 3))))
+    for merge in (lambda: exactnum._merge_sorted(sorted(bad, key=operator.itemgetter(0))),
+                  lambda: IntervalUnion.from_int_pairs(bad, den),
+                  lambda: IntervalUnion.from_intervals(bad)):
+        with pytest.raises(FractarithError, match="interval endpoints out of order"):
+            merge()
+
+
+def test_merge_examples():
+    assert exactnum._merge_sorted([]) == ()
+    assert exactnum._merge_sorted([(0, 1), (1, 2), (3, 3)]) == ((0, 2), (3, 3))
+    assert exactnum._merge_sorted([(0, 5), (1, 2), (2, 6)]) == ((0, 6),)
+    assert exactnum._merge_sorted([(1, 2), (1, 2)]) == ((1, 2),)
+    with pytest.raises(FractarithError, match="interval endpoints out of order"):
+        exactnum._merge_sorted([(2, 1)])
+
+
 def test_from_int_pairs_examples():
     with pytest.raises(FractarithError):
         IntervalUnion.from_int_pairs([(2, 1)], 3)

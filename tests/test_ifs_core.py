@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_cylinders
 from fractarith.errors import (FractarithError, InvalidDigit, NotInCover,
                                ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
@@ -213,6 +214,71 @@ def test_level_cover_budget_guard():
     with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": "1000"}):
         with pytest.raises(ResourceBudget):
             cantor().cylinders(30)
+
+
+@st.composite
+def coincident_systems(draw):
+    """Three maps (s, s + ratio*c, s + c), whose words 13 and 21 share a
+    cylinder, like ratio 1/3 with translations 0, 1/3, 1."""
+    ratio = draw(st.fractions(Fraction(1, 9), Fraction(1, 2), max_denominator=9))
+    c = draw(st.fractions(Fraction(1, 4), 3, max_denominator=6))
+    s = draw(st.fractions(-1, 1, max_denominator=4))
+    return HomogeneousIfs(ratio, (s, s + ratio * c, s + c))
+
+
+def _outcome(run):
+    """What run() returns, or the class and message of the error it raises."""
+    try:
+        return run()
+    except FractarithError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_systems(), coincident_systems()), st.data())
+def test_integer_cylinders_match_the_fraction_walk(ifs, data):
+    within = tuple(data.draw(st.lists(st.integers(1, ifs.n), max_size=2)))
+    k = data.draw(st.integers(-1, len(within) + 3))
+    budget = str(data.draw(st.sampled_from([1, 8, 2 ** 24])))
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": budget}):
+        want = _outcome(lambda: fraction_cylinders.cylinders(ifs, k, within))
+        assert _outcome(lambda: ifs.cylinders(k, within)) == want
+        assert _outcome(lambda: list(ifs.cylinder_lattice(k, within))) == want
+        if not within:
+            count = _outcome(lambda: fraction_cylinders.cylinder_count(ifs, k))
+            assert _outcome(lambda: ifs.cylinder_count(k)) == count
+
+
+def test_coincident_cylinders_collapse():
+    ifs = HomogeneousIfs(Fraction(1, 3), (0, Fraction(1, 3), 1))
+    assert ifs.cylinder_count(2) == 8 and ifs.n ** 2 == 9
+    lattice = ifs.cylinder_lattice(2)
+    assert (lattice.den, lattice.span) == (18, 3)
+    assert lattice.lefts == (0, 2, 6, 8, 12, 18, 20, 24)
+    assert [iv.to_obj() for iv in ifs.cylinders(2, within=(2,))] == \
+        [["1/3", "1/2"], ["4/9", "11/18"], ["2/3", "5/6"]]
+    assert [iv.to_obj() for iv in lattice.within(Interval(Fraction(1, 3), Fraction(3, 4)))] == \
+        [["1/3", "1/2"], ["4/9", "11/18"]]
+    assert len(lattice.within(Interval(Fraction(1, 10), Fraction(1, 5)))) == 0
+
+
+_ROOT2 = FieldElement.generator(AlgebraicReal((-2, 0, 1), 1, 2))
+
+
+@pytest.mark.parametrize("ifs", [
+    HomogeneousIfs.from_obj({"ratio": {"poly": [-1, 0, 2], "lo": "0", "hi": "1"},
+                             "translations": ["0", "1"]}),
+    HomogeneousIfs(Fraction(1, 3), (0, _ROOT2 - 1, 1)),
+], ids=["algebraic-ratio", "algebraic-translation"])
+def test_algebraic_cylinders_keep_reversed_word_order(ifs):
+    # over algebraic data the last digit varies slowest and the walk stays
+    # on field elements, also when only a translation is irrational
+    assert not ifs.rational
+    words = [(d1, d2) for d2 in range(1, ifs.n + 1) for d1 in range(1, ifs.n + 1)]
+    assert ifs.cylinders(2) == [ifs.basic_interval(w) for w in words]
+    for build in (lambda: ifs.cylinder_count(2), lambda: ifs.cylinder_lattice(2)):
+        with pytest.raises(FractarithError, match="requires rational data"):
+            build()
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
