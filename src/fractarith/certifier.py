@@ -20,9 +20,9 @@ serialized form alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Value, setfield
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, MarginNegative, ResourceBudget,
                      SignIndefinite)
@@ -37,25 +37,32 @@ FORMAT_TAG = "fractarith-cert-v1"
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class SignCase:
+class SignCase(Value):
     """Signs of the two partials over a rectangle, each +1 or -1."""
 
-    sx: int
-    sy: int
+    __slots__ = ("sx", "sy")
+
+    def __init__(self, sx: int, sy: int):
+        setfield(self, "sx", sx)
+        setfield(self, "sy", sy)
 
     def __str__(self) -> str:
         return ("+" if self.sx > 0 else "-") + ("+" if self.sy > 0 else "-")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the pointwise ratio condition over one cylinder rectangle."""
+class ConditionReport(Value):
+    """Outcome of the pointwise ratio condition over one cylinder rectangle.
+    upper_bound is math.inf when the second set is gapless; holds is "yes",
+    "no" or "undecided"."""
 
-    ratio_enclosure: Interval
-    lower_bound: Scalar
-    upper_bound: object  # Scalar, or math.inf when the second set is gapless
-    holds: str  # "yes" | "no" | "undecided"
+    __slots__ = ("ratio_enclosure", "lower_bound", "upper_bound", "holds")
+
+    def __init__(self, ratio_enclosure: Interval, lower_bound: Scalar, upper_bound,
+                 holds: str):
+        setfield(self, "ratio_enclosure", ratio_enclosure)
+        setfield(self, "lower_bound", lower_bound)
+        setfield(self, "upper_bound", upper_bound)
+        setfield(self, "holds", holds)
 
     def to_obj(self) -> dict:
         return {
@@ -66,8 +73,7 @@ class ConditionReport:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Replayable proof that certified_interval is contained in f(K1, K2)
     restricted to the cylinder rectangle word1 x word2.
 
@@ -78,17 +84,24 @@ class Certificate:
     corners of the rectangle, which are attractor points.
     """
 
-    ifs1: HomogeneousIfs
-    ifs2: HomogeneousIfs
-    f: Expr
-    word1: Word
-    word2: Word
-    sign_case: SignCase
-    grad: GradEnclosure
-    orientation: str  # "k1-blocks" | "k2-blocks"
-    m_row: Scalar
-    m_gap: Scalar
-    certified_interval: Interval
+    __slots__ = ("ifs1", "ifs2", "f", "word1", "word2", "sign_case", "grad",
+                 "orientation", "m_row", "m_gap", "certified_interval")
+
+    def __init__(self, ifs1: HomogeneousIfs, ifs2: HomogeneousIfs, f: Expr,
+                 word1: Word, word2: Word, sign_case: SignCase, grad: GradEnclosure,
+                 orientation: str, m_row: Scalar, m_gap: Scalar,
+                 certified_interval: Interval):
+        setfield(self, "ifs1", ifs1)
+        setfield(self, "ifs2", ifs2)
+        setfield(self, "f", f)
+        setfield(self, "word1", word1)
+        setfield(self, "word2", word2)
+        setfield(self, "sign_case", sign_case)
+        setfield(self, "grad", grad)
+        setfield(self, "orientation", orientation)  # "k1-blocks" | "k2-blocks"
+        setfield(self, "m_row", m_row)
+        setfield(self, "m_gap", m_gap)
+        setfield(self, "certified_interval", certified_interval)
 
     def to_obj(self) -> dict:
         return {
@@ -233,13 +246,16 @@ def check_pointwise(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
                            upper_bound=upper, holds=holds)
 
 
-@dataclass(frozen=True)
-class GlobalConditionReport:
-    holds: bool
-    lambda_b_minus_a: Scalar
-    kappa2: Scalar
-    kappa1: Scalar
-    d_minus_c: Scalar
+class GlobalConditionReport(Value):
+    __slots__ = ("holds", "lambda_b_minus_a", "kappa2", "kappa1", "d_minus_c")
+
+    def __init__(self, holds: bool, lambda_b_minus_a: Scalar, kappa2: Scalar,
+                 kappa1: Scalar, d_minus_c: Scalar):
+        setfield(self, "holds", holds)
+        setfield(self, "lambda_b_minus_a", lambda_b_minus_a)
+        setfield(self, "kappa2", kappa2)
+        setfield(self, "kappa1", kappa1)
+        setfield(self, "d_minus_c", d_minus_c)
 
     def to_obj(self) -> dict:
         return {

@@ -7,15 +7,14 @@ estimates, which are explicitly estimates.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
+from ._value import Value, setfield
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
 from .exactnum import FieldElement, Interval, IntervalUnion, scalar_to_obj
@@ -181,14 +180,16 @@ def uq_cover(q, depth: int) -> IntervalUnion:
 # Box-counting dimension estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimEstimate:
+class DimEstimate(Value):
     """Least-squares slope of log N_k against -k*log(lambda), with the RMS
     residual as an honesty metric."""
 
-    counts: tuple[tuple[int, int], ...]
-    slope: float
-    residual: float
+    __slots__ = ("counts", "slope", "residual")
+
+    def __init__(self, counts: tuple[tuple[int, int], ...], slope: float, residual: float):
+        setfield(self, "counts", counts)
+        setfield(self, "slope", slope)
+        setfield(self, "residual", residual)
 
 
 def box_dim_estimate(counts: Iterable[tuple[int, int]], ratio) -> DimEstimate:
@@ -269,6 +270,7 @@ def _csv_cell(x) -> str:
 
 
 def write_intervals_csv(path: str, u: IntervalUnion) -> None:
+    import csv  # imported here: only the CSV writers need it
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lo", "hi"])
@@ -277,6 +279,7 @@ def write_intervals_csv(path: str, u: IntervalUnion) -> None:
 
 
 def write_counts_csv(path: str, pairs: Iterable[tuple[int, int]]) -> None:
+    import csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "count"])

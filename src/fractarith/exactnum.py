@@ -12,7 +12,6 @@ enclosure contains 0.  Floating point never enters.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
@@ -20,6 +19,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from . import poly
+from ._value import Value, setfield
 from .errors import DivByZeroInterval, DomainError, FractarithError
 
 #: Denominator of the rational bounds that an irrational endpoint is
@@ -618,8 +618,7 @@ def as_scalar(x) -> Scalar:
 # Rational intervals with enclosure semantics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """Closed interval with exact endpoints.
 
     Every operation returns an enclosure of the exact image set; the only
@@ -627,12 +626,13 @@ class Interval:
     exponent, where irrational endpoints are rounded out to rationals.
     """
 
-    lo: Scalar
-    hi: Scalar
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise FractarithError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo: Scalar, hi: Scalar):
+        if hi < lo:
+            raise FractarithError(f"interval endpoints out of order: {lo} > {hi}")
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
 
     @staticmethod
     def point(x) -> "Interval":
@@ -723,17 +723,19 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class IntervalLattice(Sequence):
+class IntervalLattice(Value, Sequence):
     """The intervals [l/den, (l + span)/den] for l in lefts: equal-width
     rational intervals on integer numerators over one denominator den > 0,
     lefts strictly increasing.  A sequence of Intervals, each built when
     it is read, so that a caller working on integers never forms a
     Fraction."""
 
-    den: int
-    lefts: tuple[int, ...]
-    span: int
+    __slots__ = ("den", "lefts", "span")
+
+    def __init__(self, den: int, lefts: tuple[int, ...], span: int):
+        setfield(self, "den", den)
+        setfield(self, "lefts", lefts)
+        setfield(self, "span", span)
 
     def __len__(self) -> int:
         return len(self.lefts)
@@ -880,12 +882,14 @@ def _merge_sorted(pairs: Iterable[tuple]) -> tuple[tuple, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(Value):
     """Sorted union of pairwise-disjoint closed intervals; touching intervals
     are merged at construction, so the representation is canonical."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]):
+        setfield(self, "intervals", intervals)
 
     @staticmethod
     def empty() -> "IntervalUnion":

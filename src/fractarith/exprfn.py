@@ -17,7 +17,6 @@ of 0 is rejected outright.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
@@ -25,6 +24,7 @@ from math import lcm
 from operator import floordiv, mul
 from typing import Callable, Iterator, Sequence, Union
 
+from ._value import Value, setfield
 from .errors import DivByZeroInterval, DomainError, ExprSyntaxError, ZeroExponentError
 from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattice,
                        pow_numerators)
@@ -34,49 +34,59 @@ from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattic
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # 'x' or 'y'
+class Var(Value):
+    __slots__ = ("name",)  # 'x' or 'y'
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+class Const(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class _Binary(Value):
+    """The __init__ of the binary nodes, whose fields are left and right."""
+
+    __slots__ = ()
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: Fraction
+class Div(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Pow(Value):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Expr", exponent: Fraction):
+        setfield(self, "base", base)
+        setfield(self, "exponent", exponent)
+
+
+class Neg(Value):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        setfield(self, "operand", operand)
 
 
 Expr = Union[Var, Const, Add, Sub, Mul, Div, Pow, Neg]
@@ -689,13 +699,15 @@ def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
 # Compiled programs: f and both partials as one straight-line program
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradEnclosure:
+class GradEnclosure(Value):
     """Interval enclosures of both partial derivatives over one rectangle."""
 
-    dx: Interval
-    dy: Interval
-    rect: tuple[Interval, Interval]
+    __slots__ = ("dx", "dy", "rect")
+
+    def __init__(self, dx: Interval, dy: Interval, rect: tuple[Interval, Interval]):
+        setfield(self, "dx", dx)
+        setfield(self, "dy", dy)
+        setfield(self, "rect", rect)
 
 
 # An instruction is (opcode, destination, operand, arg): arg is the second

@@ -9,12 +9,12 @@ relations decided downstream are never floating-point artifacts.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, islice, starmap
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
+from ._value import Value, setfield
 from .errors import FractarithError, InvalidDigit, NotInCover, ResourceBudget
 from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalLattice, Scalar,
                        as_scalar, rat_from_str, scalar_sign, scalar_to_obj)
@@ -60,16 +60,16 @@ def parse_word(text: str, source: str = "") -> Word:
     return tuple(map(int, tokens))
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Value):
     """Eventually periodic digit code addressing a point of the attractor."""
 
-    preperiod: Word
-    period: Word
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: Word, period: Word):
+        if not period:
             raise FractarithError("code period must be nonempty")
+        setfield(self, "preperiod", preperiod)
+        setfield(self, "period", period)
 
     def digits(self) -> Iterator[int]:
         """The preperiod, then the period forever, read lazily."""
@@ -103,20 +103,24 @@ class Code:
         return f"{pre}({per})"
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class GapProfile(Value):
     """Rank-1 geometry: the hull and its width, the width of one rank-1
     piece (ratio * width), which consecutive pieces leave empty space
     between them, and the largest such gap (kappa)."""
 
-    hull: Interval
-    width: Scalar
-    piece: Scalar
-    gap_set: tuple[tuple[int, Scalar], ...]  # (index i, length of gap after piece i)
-    kappa: Scalar
-    # min over rank-1 gaps of piece/gap: the exact Newhouse thickness when all
-    # rank-1 gaps are equal, a lower bound otherwise; math.inf when gapless
-    thickness_lb: object
+    __slots__ = ("hull", "width", "piece", "gap_set", "kappa", "thickness_lb")
+
+    def __init__(self, hull: Interval, width: Scalar, piece: Scalar,
+                 gap_set: tuple[tuple[int, Scalar], ...], kappa: Scalar, thickness_lb):
+        setfield(self, "hull", hull)
+        setfield(self, "width", width)
+        setfield(self, "piece", piece)
+        # (index i, length of gap after piece i)
+        setfield(self, "gap_set", gap_set)
+        setfield(self, "kappa", kappa)
+        # min over rank-1 gaps of piece/gap: the exact Newhouse thickness when all
+        # rank-1 gaps are equal, a lower bound otherwise; math.inf when gapless
+        setfield(self, "thickness_lb", thickness_lb)
 
 
 class HomogeneousIfs:

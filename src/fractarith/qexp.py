@@ -9,11 +9,11 @@ sits inside the univoque set for every base above the threshold q*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Union
 
+from ._value import Value, setfield
 from .certifier import Certificate, auto_certify
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, NotContained)
@@ -80,22 +80,20 @@ def base_above_qstar(q) -> bool:
 # Digit sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DigitSeq:
+class DigitSeq(Value):
     """Eventually periodic 0-1 sequence in canonical form: minimal period,
     then minimal preperiod.  Period "0" encodes terminating sequences."""
 
-    preperiod: str
-    period: str
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: str, period: str):
+        if not period:
             raise FractarithError("period must be nonempty")
-        if set(self.preperiod + self.period) - {"0", "1"}:
+        if set(preperiod + period) - {"0", "1"}:
             raise FractarithError("digits must be 0 or 1")
-        pre, per = _canonical(self.preperiod, self.period)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        pre, per = _canonical(preperiod, period)
+        setfield(self, "preperiod", pre)
+        setfield(self, "period", per)
 
     @staticmethod
     def parse(text: str) -> "DigitSeq":
@@ -206,12 +204,14 @@ def pi_q(seq: DigitSeq, q: Scalar) -> Scalar:
 # Quasi-greedy expansion of 1
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QgPrefix:
+class QgPrefix(Value):
     """Verified prefix of a quasi-greedy expansion whose tail is unknown
     because the step budget ran out before the remainders repeated."""
 
-    digits: str
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: str):
+        setfield(self, "digits", digits)
 
 
 class QuasiGreedyStream:
