@@ -30,7 +30,7 @@ from .exactnum import (Interval, Scalar, rat_from_str, scalar_sign,
                        scalar_to_obj, scalar_to_str)
 from .exprfn import (Expr, GradEnclosure, compile_expr, eval_grid, grad_enclosure,
                      parse, to_text)
-from .ifs_core import Code, HomogeneousIfs, Word, get_budget
+from .ifs_core import Code, CodeWalk, HomogeneousIfs, Word, get_budget
 
 FORMAT_TAG = "fractarith-cert-v1"
 
@@ -408,23 +408,25 @@ def _certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, word1: Word, word2
 
 
 def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
-                 point: tuple[Code, Code], max_depth: int) -> Certificate:
+                 point: tuple[Code | CodeWalk, Code | CodeWalk],
+                 max_depth: int) -> Certificate:
     """Descend the cylinder pair around the coded point, returning the first
     rank at which certify_rectangle succeeds.  Deterministic.  Both codes
     must address points of their sets: a digit outside an alphabet raises
-    InvalidDigit before any descent.  Each rank's rectangle is one more step
-    of a cylinder walk per code, so a descent to rank k costs O(k) maps."""
+    InvalidDigit before any descent.  Each rank's words and rectangle are one
+    more step of a walk per code, so a descent to rank k costs O(k) maps.  A
+    coordinate of the point may be given as the CodeWalk of its code through
+    its system, which descents along the same code then share."""
     if max_depth < 0:
         raise FractarithError(f"max depth must be non-negative, got {max_depth}")
-    code1, code2 = point
-    k1.check_code(code1)
-    k2.check_code(code2)
+    walks = [p if isinstance(p, CodeWalk) else CodeWalk(k, p) for k, p in zip((k1, k2), point)]
+    if walks[0].ifs is not k1 or walks[1].ifs is not k2:
+        raise FractarithError("a walk must run through the system it is certified over")
     require_shared_ratio(k1, k2)
-    rects = zip(k1.cylinder_walk(code1.digits()), k2.cylinder_walk(code2.digits()))
     reasons: list[tuple[int, str]] = []
-    for k, rect in zip(range(max_depth + 1), rects):
+    for k, ((word1, iv1), (word2, iv2)) in zip(range(max_depth + 1), zip(*walks)):
         try:
-            return _certify(k1, k2, f, code1.prefix(k), code2.prefix(k), rect)
+            return _certify(k1, k2, f, word1, word2, (iv1, iv2))
         except (CertificationFailure, DomainError) as exc:
             reasons.append((k, f"{type(exc).__name__}: {exc}"))
     raise ExhaustedDepth(reasons)

@@ -26,6 +26,9 @@ from .errors import DivByZeroInterval, DomainError, FractarithError
 #: outward-rounded to.
 DENOMINATOR_BOUND = 2 ** 64
 
+# the width of the enclosure a field-element endpoint is rounded out from
+_ROUNDING_WIDTH = Fraction(1, DENOMINATOR_BOUND)
+
 _UNICODE_MINUS = "−"
 
 
@@ -113,6 +116,19 @@ def fraction_pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(lo, DENOMINATOR_BOUND), Fraction(hi, DENOMINATOR_BOUND)
 
 
+def _end_pow_bounds(x, end: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
+    """fraction_pow_bounds(end, e) for an interval end x rounded out to the
+    rational end; kept in the generator's memo when x is a field element."""
+    if not isinstance(x, FieldElement):
+        return fraction_pow_bounds(end, e)
+    memo = x.gen._memo
+    key = (end.numerator, end.denominator, e.numerator, e.denominator)
+    bounds = memo.get(key)
+    if bounds is None:
+        bounds = memo[key] = fraction_pow_bounds(end, e)
+    return bounds
+
+
 # ---------------------------------------------------------------------------
 # Algebraic reals
 # ---------------------------------------------------------------------------
@@ -132,9 +148,17 @@ class AlgebraicReal:
     [_a/_q, _b/_q] with _q > 0 the least common denominator of its
     endpoints, and _sign_lo is the sign of _p at _a/_q, which stays fixed
     while the interval isolates the root (0 once it is degenerate).
+
+    _memo holds results computed in this state (_p and the isolating
+    interval), and is emptied whenever the state changes: the enclosure
+    bounds of field elements per (reduced numerators, denominator, width),
+    and the fraction_pow_bounds pair of their rounded ends per (end,
+    exponent), each Fraction in a key as its numerator and denominator.
+    An entry is read only in the state it was computed in, where
+    recomputing it would neither bisect nor give anything else.
     """
 
-    __slots__ = ("_p", "_a", "_b", "_q", "_sign_lo")
+    __slots__ = ("_p", "_a", "_b", "_q", "_sign_lo", "_memo")
 
     def __init__(self, coeffs: Iterable, lo, hi):
         p = poly.primitive(coeffs)
@@ -168,6 +192,11 @@ class AlgebraicReal:
         self._p = p
         self._a, self._b, self._q = a, b, q
         self._sign_lo = poly.sign_at(p, a, q)
+        self._memo = {}
+
+    def __reduce__(self):
+        # copy and pickle rebuild the state alone: a fresh, empty memo
+        return AlgebraicReal._isolated, (self._p, self._a, self._b, self._q)
 
     @property
     def poly(self) -> tuple[Fraction, ...]:
@@ -198,6 +227,7 @@ class AlgebraicReal:
             return
         a, m, b, q = _halve(a, b, q)
         s = poly.sign_at(self._p, m, q)
+        self._memo.clear()  # either way the interval moves
         if not s:
             g = gcd(m, q)
             self._a = self._b = m // g
@@ -525,16 +555,28 @@ class FieldElement:
         return 1 if lo > 0 else -1
 
     def enclosure(self, width) -> tuple[Fraction, Fraction]:
-        """Rational bounds of the value, at most `width` apart."""
+        """Rational bounds of the value, at most `width` apart: the first
+        interval-Horner enclosure that narrow over the generator's isolating
+        interval, bisecting it until there is one.  The bounds therefore
+        depend on the generator's current isolating interval, not on the
+        value and the width alone; they are kept in the generator's memo
+        until its state changes."""
         width = Fraction(width)
         if width <= 0:
             raise FractarithError("enclosure width must be positive")
         num, den = self._reduced()
-        while True:
-            lo, hi, d = _horner_enclosure(num, den, self.gen)
-            if hi - lo <= width * d:
-                return Fraction(lo, d), Fraction(hi, d)
-            self.gen._bisect_once()
+        gen = self.gen
+        # integer keys: a Fraction hashes and compares in Python code
+        key = (num, den, width.numerator, width.denominator)
+        bounds = gen._memo.get(key)
+        if bounds is None:
+            while True:
+                lo, hi, d = _horner_enclosure(num, den, gen)
+                if hi - lo <= width * d:
+                    break
+                gen._bisect_once()
+            bounds = gen._memo[key] = Fraction(lo, d), Fraction(hi, d)
+        return bounds
 
     def is_fraction(self) -> bool:
         return len(self._reduced()[0]) <= 1
@@ -704,14 +746,12 @@ class Interval(Value):
             return self.pow_int(e.numerator)
         lo, hi = self.lo, self.hi
         # round field-element endpoints out to rationals first; still an enclosure
-        flo = lo.enclosure(Fraction(1, DENOMINATOR_BOUND))[0] \
-            if isinstance(lo, FieldElement) else Fraction(lo)
-        fhi = hi.enclosure(Fraction(1, DENOMINATOR_BOUND))[1] \
-            if isinstance(hi, FieldElement) else Fraction(hi)
+        flo = lo.enclosure(_ROUNDING_WIDTH)[0] if isinstance(lo, FieldElement) else Fraction(lo)
+        fhi = hi.enclosure(_ROUNDING_WIDTH)[1] if isinstance(hi, FieldElement) else Fraction(hi)
         if flo <= 0:
             raise DomainError("fractional power of an interval touching <= 0")
-        lo_lo, lo_hi = fraction_pow_bounds(flo, e)
-        hi_lo, hi_hi = fraction_pow_bounds(fhi, e)
+        lo_lo, lo_hi = _end_pow_bounds(lo, flo, e)
+        hi_lo, hi_hi = _end_pow_bounds(hi, fhi, e)
         if e > 0:
             return Interval(lo_lo, hi_hi)
         return Interval(hi_lo, lo_hi)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import chain, cycle, islice, starmap
+from itertools import accumulate, chain, cycle, islice, starmap
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -103,6 +103,35 @@ class Code(Value):
         return f"{pre}({per})"
 
 
+def _append(word: Word, digit: int) -> Word:
+    return word + (digit,)
+
+
+class CodeWalk:
+    """The descent of one code through one system: (w, basic interval of w)
+    for each prefix w of the code, the empty word first.  A step is computed
+    when an iteration first reads it, and kept; every iteration starts at
+    rank 0, so descents along the same code share one walk."""
+
+    __slots__ = ("ifs", "_steps", "_kept")
+
+    def __init__(self, ifs: "HomogeneousIfs", code: Code):
+        ifs.check_code(code)
+        self.ifs = ifs
+        self._steps = zip(accumulate(code.digits(), _append, initial=()),
+                          ifs.cylinder_walk(code.digits()))
+        self._kept: list[tuple[Word, Interval]] = []
+
+    def __iter__(self) -> Iterator[tuple[Word, Interval]]:
+        kept = self._kept
+        k = 0
+        while True:
+            if k == len(kept):
+                kept.append(next(self._steps))
+            yield kept[k]
+            k += 1
+
+
 class GapProfile(Value):
     """Rank-1 geometry: the hull and its width, the width of one rank-1
     piece (ratio * width), which consecutive pieces leave empty space
@@ -155,6 +184,11 @@ class HomogeneousIfs:
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("HomogeneousIfs is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as assignment is refused;
+        # the derived geometry is recomputed on demand
+        return HomogeneousIfs, (self.ratio, self.translations)
 
     @property
     def n(self) -> int:

@@ -20,7 +20,7 @@ from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
 from .exactnum import (AlgebraicReal, FieldElement, Scalar, as_scalar,
                        rat_from_str, scalar_sign)
 from .exprfn import Expr
-from .ifs_core import Code, HomogeneousIfs
+from .ifs_core import Code, CodeWalk, HomogeneousIfs
 
 #: Default step budget for the quasi-greedy recurrence.
 DEFAULT_QG_BUDGET = 10_000
@@ -365,16 +365,18 @@ CORNERS = {"left-right": (_LEFT, _RIGHT), "right-left": (_RIGHT, _LEFT),
 def certify_uq_arith(q, f: Expr, max_depth: int = 12) -> Certificate:
     """Full pipeline: verify K_q inside U_q, then certify an interval inside
     f(K_q, K_q) by descending cylinders around corner anchor points.  The
-    certified interval is therefore contained in f(U_q, U_q)."""
+    certified interval is therefore contained in f(U_q, U_q).  The four
+    anchors descend along two codes, whose walks they share."""
     q = as_base(q)
     contained = verify_kq_in_uq(q)
     if contained != "yes":
         raise NotContained(f"K_q inside U_q not established (verdict: {contained})")
     kq = kq_ifs(q)
+    walks = {code: CodeWalk(kq, code) for code in (_LEFT, _RIGHT)}
     reasons: list[tuple[int, str]] = []
-    for anchor in CORNERS.values():
+    for code1, code2 in CORNERS.values():
         try:
-            return auto_certify(kq, kq, f, anchor, max_depth)
+            return auto_certify(kq, kq, f, (walks[code1], walks[code2]), max_depth)
         except ExhaustedDepth as exc:
             reasons.extend(exc.reasons)
         except (CertificationFailure, DomainError) as exc:

@@ -22,7 +22,7 @@ from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth
                                SignIndefinite)
 from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
 from fractarith.exprfn import eval_point, grad_enclosure, parse
-from fractarith.ifs_core import Code, HomogeneousIfs, cantor
+from fractarith.ifs_core import Code, CodeWalk, HomogeneousIfs, cantor
 from fractarith.qexp import CORNERS, kq_ifs
 
 C = cantor()
@@ -314,6 +314,20 @@ def test_auto_certify_reads_code_digits_lazily():
     cert = auto_certify(C, C, parse("x+y"), point, 10 ** 9)
     assert (cert.word1, cert.word2) == ((), ())
     assert cert.certified_interval == iv(0, 2)
+
+
+def test_auto_certify_descends_along_shared_walks():
+    code1, code2 = Code.parse("(12)"), Code.parse("(21)")
+    walk1 = CodeWalk(C, code1)
+    f = parse("x*y^2")
+    cert = auto_certify(C, C, f, (walk1, code2), 5)
+    assert cert == auto_certify(C, C, f, (code1, code2), 5)
+    assert len(walk1._kept) == len(cert.word1) + 1
+    # a second descent along the walk reads the kept steps
+    again = auto_certify(C, C, f, (walk1, CodeWalk(C, code2)), 5)
+    assert again.word1 is cert.word1 and again.grad.rect[0] is cert.grad.rect[0]
+    with pytest.raises(FractarithError, match="through the system"):
+        auto_certify(C, C, f, (CodeWalk(cantor(), code1), code2), 5)
 
 
 def test_auto_certify_checks_codes_and_ratios_once_before_descending():

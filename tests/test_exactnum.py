@@ -1,9 +1,11 @@
 """Tests for the exact scalar tower: intervals, algebraic reals, field
 elements."""
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -790,6 +792,102 @@ def test_pow_rational_of_field_endpoints_matches_fraction_reference(coeffs, lo, 
     hi_lo, hi_hi = fraction_pow_bounds(fhi, e)
     assert (got.lo, got.hi) == ((lo_lo, hi_hi) if e > 0 else (hi_lo, lo_hi))
     assert (gen.lo, gen.hi) == (ref.lo, ref.hi)
+
+
+# The generator's memo of enclosures and fractional-power bounds: after the
+# generator's state changes, every reading must be what a fresh twin in the
+# same state gives.
+
+def _state(gen):
+    return gen._p, gen._a, gen._b, gen._q
+
+
+def _fresh_twin(gen):
+    twin = AlgebraicReal(gen.poly, gen.lo, gen.hi)
+    assert _state(twin) == _state(gen) and not twin._memo
+    return twin
+
+
+def _memo_elements(gen):
+    x = FieldElement.generator(gen)
+    return [x, x * x + x, (x + 1) / 3]
+
+
+def _coarse_readings(gen):
+    """Enclosures wide enough to need no bisection over the intervals used
+    below: they fill the memo and leave the generator where it is."""
+    return [el.enclosure(8) for el in _memo_elements(gen)]
+
+
+def _readings(gen, elements=None, uncached=False):
+    """Every enclosure and fractional power of the elements, each twice, so
+    that the second reading comes from the memo, unless it is emptied before
+    every reading; these readings bisect."""
+    els = elements or _memo_elements(gen)
+
+    def read(reading):
+        if uncached:
+            gen._memo.clear()
+        return reading()
+
+    out = []
+    for _ in range(2):
+        for width in (Fraction(1, 2 ** 10), Fraction(1, 2 ** 40)):
+            out += [read(lambda: el.enclosure(width)) for el in els]
+        for e in (Fraction(1, 2), Fraction(-1, 3)):
+            out += [read(lambda: Interval(el + 1, el * el + 2).pow_rational(e)) for el in els]
+    return out
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", [((Fraction(-7, 2), 0, 1), 1, 2),
+                                            (TRIBONACCI, Fraction(7, 4), 2),
+                                            (REDUCIBLE, 1, 2)])
+def test_memo_is_emptied_when_a_bisection_moves_the_interval(coeffs, lo, hi):
+    gen = AlgebraicReal(coeffs, lo, hi)
+    _readings(gen)
+    assert gen._memo
+    before = _state(gen)
+    gen._bisect_once()
+    assert _state(gen) != before and not gen._memo
+    twin = _fresh_twin(gen)
+    assert _readings(gen) == _readings(twin, uncached=True)
+    assert _state(gen) == _state(twin)
+
+
+def test_memo_is_emptied_when_a_bisection_lands_on_the_root():
+    # the first midpoint of [0, 1] is the root 1/2 of 4x^2 - 1
+    gen = AlgebraicReal((-1, 0, 4), 0, 1)
+    coarse = _coarse_readings(gen)
+    assert gen._memo and (gen.lo, gen.hi) == (0, 1)
+    gen._bisect_once()
+    assert gen.is_rational and gen.lo == Fraction(1, 2) and not gen._memo
+    twin = _fresh_twin(gen)
+    assert _coarse_readings(gen) == _coarse_readings(twin) != coarse
+    assert _readings(gen) == _readings(twin, uncached=True)
+
+
+def test_memo_is_emptied_when_the_defining_polynomial_shrinks():
+    # x^2 + x is (0, 1, 1) modulo (x^2 - 7/2)(x - 3) and 7/2 + x modulo its
+    # factor x^2 - 7/2, whose interval-Horner enclosure is narrower
+    gen = AlgebraicReal((Fraction(21, 2), Fraction(-7, 2), -3, 1), 1, 2)
+    els = _memo_elements(gen)
+    coarse = _coarse_readings(gen)
+    gen.replace_defining_factor((Fraction(-7, 2), 0, 1))
+    assert gen._p == (-7, 0, 2) and not gen._memo
+    twin = _fresh_twin(gen)
+    twin_els = [FieldElement.of(twin, el.coeffs) for el in els]
+    assert [el.enclosure(8) for el in els] == _coarse_readings(twin) != coarse
+    assert _readings(gen, els) == _readings(twin, twin_els, uncached=True)
+    assert _state(gen) == _state(twin)
+
+
+def test_copies_of_a_generator_start_with_an_empty_memo():
+    gen = AlgebraicReal(TRIBONACCI, Fraction(7, 4), 2)
+    _readings(gen)
+    for twin in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
+        assert twin is not gen and _state(twin) == _state(gen)
+        assert not twin._memo and gen._memo
+        assert twin._sign_lo == gen._sign_lo
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractarith.errors import (FractarithError, InvalidDigit, NotInCover,
                                ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
                                  scalar_to_obj)
-from fractarith.ifs_core import Code, HomogeneousIfs, cantor, get_budget
+from fractarith.ifs_core import Code, CodeWalk, HomogeneousIfs, cantor, get_budget
 from fractarith.qexp import kq_ifs
 
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))  # attractor [0,1]
@@ -173,6 +173,27 @@ def test_cylinder_walk_reads_an_endless_code_lazily():
     walk = ifs.cylinder_walk(Code.parse("2(1)").digits())
     assert list(islice(walk, 4)) == [ifs.basic_interval(w)
                                      for w in ((), (2,), (2, 1), (2, 1, 1))]
+
+
+def test_code_walk_keeps_its_steps_for_every_iteration():
+    for ifs in (cantor(), _kq_sqrt_ifs()):
+        walk = CodeWalk(ifs, Code.parse("2(1)"))
+        first, second = iter(walk), iter(walk)
+        head = list(islice(first, 3))
+        assert len(walk._kept) == 3
+        # a second iteration starts at rank 0 and reads the kept steps, then
+        # extends them for both
+        assert [next(second) for _ in range(4)][:3] == head
+        assert next(first) is walk._kept[3] and len(walk._kept) == 4
+        words = ((), (2,), (2, 1), (2, 1, 1))
+        assert [w for w, _ in walk._kept] == list(words)
+        assert [iv.to_obj() for _, iv in walk._kept] \
+            == [ifs.basic_interval(w).to_obj() for w in words]
+
+
+def test_code_walk_checks_the_code():
+    with pytest.raises(InvalidDigit):
+        CodeWalk(cantor(), Code.parse("2(13)"))
 
 
 def test_level_cover_examples():

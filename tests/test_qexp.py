@@ -3,20 +3,22 @@ criterion, the embedded set K_q, and the threshold q*."""
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractarith.certifier import check_global_condition, check_pointwise, replay
-from fractarith.errors import FractarithError, NotContained
+from fractarith.certifier import auto_certify, check_global_condition, check_pointwise, replay
+from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth,
+                               FractarithError, NotContained)
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
-                                 rat_from_str, root_isolate)
+                                 rat_from_str, root_isolate, scalar_to_obj)
 from fractarith.exprfn import parse
 from fractarith.ifs_core import Code
-from fractarith.qexp import (QSTAR_POLY, STREAM_WINDOW, DigitSeq, QgPrefix, QuasiGreedyStream,
-                             as_base, base_above_qstar, certify_uq_arith,
+from fractarith.qexp import (CORNERS, QSTAR_POLY, STREAM_WINDOW, DigitSeq, QgPrefix,
+                             QuasiGreedyStream, as_base, base_above_qstar, certify_uq_arith,
                              count_expansions_bruteforce, is_univoque_seq, kq_ifs,
                              lex_less, pi_q, qstar, quasi_greedy_one, verify_kq_in_uq)
 
@@ -450,3 +452,96 @@ def test_certify_uq_arith_below_threshold():
 def test_certify_uq_arith_sign_case():
     cert = certify_uq_arith(Q19, parse("x^2-y^2"))
     assert {cert.sign_case.sx, cert.sign_case.sy} == {1, -1}
+
+
+# certify_uq_arith against a copy of its loop before the corner walks were
+# shared and field enclosures memoised: one auto_certify per anchor, each
+# walking its codes afresh, with the generator's memo emptied before every
+# enclosure
+
+@contextmanager
+def _memo_emptied_before_every_enclosure():
+    enclosure = FieldElement.enclosure
+
+    def uncached(self, width):
+        self.gen._memo.clear()
+        return enclosure(self, width)
+
+    FieldElement.enclosure = uncached
+    try:
+        yield
+    finally:
+        FieldElement.enclosure = enclosure
+
+
+def _certify_uq_arith_oracle(q, f, max_depth):
+    q = as_base(q)
+    assert verify_kq_in_uq(q) == "yes"
+    kq = kq_ifs(q)
+    reasons = []
+    for anchor in CORNERS.values():
+        try:
+            return auto_certify(kq, kq, f, anchor, max_depth)
+        except ExhaustedDepth as exc:
+            reasons.extend(exc.reasons)
+        except (CertificationFailure, DomainError) as exc:
+            reasons.append((-1, str(exc)))
+    raise ExhaustedDepth(reasons)
+
+
+def _uq_outcome(certify, q, f, max_depth):
+    """The certificate's fields as JSON values, or the ExhaustedDepth reasons."""
+    try:
+        cert = certify(q, f, max_depth)
+    except ExhaustedDepth as exc:
+        return exc.reasons
+    return {"ifs1": cert.ifs1.to_obj(), "ifs2": cert.ifs2.to_obj(),
+            "word1": cert.word1, "word2": cert.word2, "sign_case": str(cert.sign_case),
+            "grad": [cert.grad.dx.to_obj(), cert.grad.dy.to_obj(),
+                     [iv.to_obj() for iv in cert.grad.rect]],
+            "orientation": cert.orientation, "m_row": scalar_to_obj(cert.m_row),
+            "m_gap": scalar_to_obj(cert.m_gap),
+            "certified_interval": cert.certified_interval.to_obj()}
+
+
+# the f pool and the isolating intervals of the uq-algebraic benchmark workload
+UQ_F_POOL = ["x*y", "x/y", "x^2-y^2", "x+y", "x^(1/2)+y^(1/2)"]
+UQ_SQRT_BASES = st.tuples(
+    st.fractions(min_value=Fraction(13, 4), max_value=4, max_denominator=40)
+    .filter(lambda c: Fraction(13, 4) < c < 4).map(lambda c: (-c, 0, 1)),
+    st.sampled_from([Fraction(3, 2), Fraction(7, 4), Fraction(9, 5)]),
+    st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(3)]))
+UQ_TRIBONACCI_BASES = st.tuples(
+    st.just((-1, -1, -1, 1)),
+    st.sampled_from([Fraction(7, 4), Fraction(9, 5), Fraction(11, 6)]),
+    st.sampled_from([Fraction(15, 8), Fraction(19, 10), Fraction(2)]))
+# both isolate sqrt(7/2) with a reducible defining polynomial:
+# (x^2 - 7/2)(x - 3) keeps it through the pipeline, and (x^2 - 7/2)(x + 1)
+# is shrunk to x^2 - 7/2 inside the first walk, whose hull inverts
+# 1 - q^-2, a zero divisor that vanishes at -1
+UQ_REDUCIBLE_BASES = [((Fraction(21, 2), Fraction(-7, 2), -3, 1), 1, 2),
+                      ((Fraction(-7, 2), Fraction(-7, 2), 1, 1), 1, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.one_of(UQ_SQRT_BASES, UQ_TRIBONACCI_BASES, st.sampled_from(UQ_REDUCIBLE_BASES)),
+       ftext=st.sampled_from(UQ_F_POOL), max_depth=st.integers(0, 12))
+@example(base=UQ_REDUCIBLE_BASES[0], ftext="x^(1/2)+y^(1/2)", max_depth=12)
+@example(base=UQ_REDUCIBLE_BASES[1], ftext="x^(1/2)+y^(1/2)", max_depth=12)
+@example(base=UQ_REDUCIBLE_BASES[1], ftext="x/y", max_depth=12)
+@example(base=((Fraction(-7, 2), 0, 1), 1, 2), ftext="x+y", max_depth=12)
+def test_certify_uq_arith_matches_one_uncached_descent_per_anchor(base, ftext, max_depth):
+    f = parse(ftext)
+    q, q_oracle = AlgebraicReal(*base), AlgebraicReal(*base)
+    got = _uq_outcome(certify_uq_arith, q, f, max_depth)
+    with _memo_emptied_before_every_enclosure():
+        want = _uq_outcome(_certify_uq_arith_oracle, q_oracle, f, max_depth)
+    assert got == want
+    assert (q._p, q._a, q._b, q._q) == (q_oracle._p, q_oracle._a, q_oracle._b, q_oracle._q)
+
+
+def test_the_second_reducible_base_shrinks_its_defining_polynomial():
+    q = AlgebraicReal(*UQ_REDUCIBLE_BASES[1])
+    with pytest.raises(ExhaustedDepth):
+        certify_uq_arith(q, parse("x+y"), max_depth=0)
+    assert q._p == (-7, 0, 2)

@@ -18,10 +18,11 @@ from fractarith.certifier import (Certificate, ConditionReport, GlobalConditionR
                                   SignCase, certify_rectangle)
 from fractarith.empirics import DimEstimate
 from fractarith.errors import FractarithError
-from fractarith.exactnum import Interval, IntervalLattice, IntervalUnion
+from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, IntervalLattice,
+                                 IntervalUnion, scalar_to_obj)
 from fractarith.exprfn import X, Y, Add, Const, Div, GradEnclosure, Mul, Neg, Pow, Sub, Var, parse
-from fractarith.ifs_core import Code, GapProfile, cantor
-from fractarith.qexp import DigitSeq, QgPrefix
+from fractarith.ifs_core import Code, GapProfile, HomogeneousIfs, cantor
+from fractarith.qexp import DigitSeq, QgPrefix, certify_uq_arith, kq_ifs
 
 I = Interval(F(1, 3), F(1, 2))
 J = Interval(F(-1), F(2))
@@ -112,9 +113,54 @@ def test_value_semantics(cls, fields, other, text):
             delattr(a, name)
     assert a == b
     assert copy.copy(a) == a
-    if cls is not Certificate:  # HomogeneousIfs refuses the setattr both restore with
+    if cls is not Certificate:  # a deep copy's systems are new, and they compare by identity
         assert copy.deepcopy(a) == a
         assert pickle.loads(pickle.dumps(a)) == a
+
+
+def _deep_copies(x):
+    return [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+def test_copies_of_a_rational_certificate():
+    cert = certify_rectangle(cantor(), cantor(), parse("x*y^2"), (1, 2, 1), (2, 1, 2))
+    assert copy.copy(cert) == cert
+    for twin in _deep_copies(cert):
+        assert twin.to_json() == cert.to_json()
+        assert twin.ifs1 is not cert.ifs1 and isinstance(twin.ifs1, HomogeneousIfs)
+        assert twin.grad == cert.grad and twin.certified_interval == cert.certified_interval
+
+
+def test_copies_of_kq_over_an_algebraic_base():
+    """A deep copy of K_q over sqrt(7/2) holds a new generator, with its own
+    memo, shared by all its field elements; a shallow copy shares the
+    original's field elements, and with them its generator."""
+    kq = kq_ifs(AlgebraicReal((F(-7, 2), 0, 1), 1, 2))
+    gen = kq.ratio.gen
+    FieldElement.generator(gen).enclosure(F(1, 2 ** 30))  # fills the memo
+    shallow = copy.copy(kq)
+    assert shallow.to_obj() == kq.to_obj() and shallow.ratio is kq.ratio
+    for twin in _deep_copies(kq):
+        assert twin.to_obj() == kq.to_obj()
+        twin_gen = twin.ratio.gen
+        assert twin_gen is not gen and twin_gen._memo is not gen._memo
+        assert all(t.gen is twin_gen for t in twin.translations)
+        assert not twin_gen._memo and gen._memo
+        # the derived geometry is recomputed on the copy
+        assert twin.convex_hull().to_obj() == kq.convex_hull().to_obj()
+        assert twin.gap_profile().kappa.coeffs == kq.gap_profile().kappa.coeffs
+
+
+def test_deep_copies_of_an_algebraic_certificate_share_one_new_generator():
+    cert = certify_uq_arith(AlgebraicReal((F(-7, 2), 0, 1), 1, 2), parse("x*y"))
+    gen = cert.ifs1.ratio.gen
+    for twin in _deep_copies(cert):
+        twin_gen = twin.ifs1.ratio.gen
+        assert twin_gen is not gen and twin.ifs2 is twin.ifs1
+        assert twin.m_row.gen is twin_gen and twin.certified_interval.lo.gen is twin_gen
+        assert (twin.word1, twin.word2) == (cert.word1, cert.word2)
+        assert scalar_to_obj(twin.m_row) == scalar_to_obj(cert.m_row)
+        assert twin.certified_interval.to_obj() == cert.certified_interval.to_obj()
 
 
 def test_binary_nodes_of_equal_fields_differ_by_class():
