@@ -10,8 +10,7 @@ from .exprfn import (GradEnclosure, compile_expr, differentiate, eval_grid,
                      eval_interval, eval_lattice, eval_point, grad_enclosure, parse,
                      to_text)
 from .ifs_core import Code, GapProfile, HomogeneousIfs, cantor
-from .qexp import (DigitSeq, QgPrefix, certify_uq_arith,
-                   count_expansions_bruteforce, is_univoque_seq, kq_ifs,
+from .qexp import (DigitSeq, QgPrefix, certify_uq_arith, is_univoque_seq, kq_ifs,
                    lex_less, pi_q, qstar, quasi_greedy_one, verify_kq_in_uq)
 from .empirics import (DimEstimate, box_dim_estimate, grid_box_count,
                        ifs_box_counts, image_cover, oracle_check, uq_cover)

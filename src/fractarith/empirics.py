@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -18,7 +18,7 @@ from ._value import Value, setfield
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
 from .exactnum import FieldElement, Interval, IntervalUnion, scalar_to_obj
-from .exprfn import Expr, eval_grid, eval_lattice
+from .exprfn import Expr, eval_grid, lattice_cover
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
 
@@ -59,12 +59,23 @@ def _axis_cylinders(k: HomogeneousIfs, depth: int, word: Word,
 
 
 def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> IntervalUnion:
-    """The enclosures of f over the grid xs x ys, merged: on integer
-    numerators (over one denominator, or one per rectangle) when
-    eval_lattice applies, otherwise through eval_grid and
-    IntervalUnion.from_intervals.  The union, or the error raised, is the
-    same either way."""
-    lattice = eval_lattice(f, xs, ys)
+    """The union of the enclosures of f over the rectangles of xs x ys,
+    merged.
+
+    Where x and y meet in f at one +, -, * or / node o, f is
+    outer(ex(x) o ey(y)) with only constants in outer.  Interval +, -, *
+    and / and the constant operations of outer give the exact images of
+    their operands, so
+
+        U_ij f(X_i, Y_j) = outer((U_i ex(X_i)) o (U_j ey(Y_j)))
+
+    and over rational data lattice_cover merges each side on integers
+    before combining them: the work scales with merged pieces, not with
+    rectangles.  Any other f over rational data is evaluated per rectangle
+    on integers and merged once, and over field elements through eval_grid
+    and IntervalUnion.from_intervals.  The union, or the error raised, is
+    the same on every path."""
+    lattice = lattice_cover(f, xs, ys)
     if lattice is None:
         return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
     den, pairs = lattice
@@ -98,24 +109,60 @@ def oracle_check(cert: Certificate, depth: int) -> bool:
 # Univoque-set covers
 # ---------------------------------------------------------------------------
 
+def _union(a: list, b: list) -> list:
+    """The union of two sorted lists of disjoint, non-touching closed
+    pieces, in the same form.  Two pieces of one list never meet, so a
+    piece is compared with the last one out only when that one's right end
+    came from the other list."""
+    out: list = []
+    src = -1  # the list that gave out[-1] its right end
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na or j < nb:
+        if j == nb or (i < na and not (b[j][0] < a[i][0])):
+            piece, s = a[i], 0
+            i += 1
+        else:
+            piece, s = b[j], 1
+            j += 1
+        if s == src or not out or out[-1][1] < piece[0]:
+            out.append(piece)
+            src = s
+        elif out[-1][1] < piece[1]:
+            out[-1] = (out[-1][0], piece[1])
+            src = s
+    return out
+
+
 def uq_cover(q, depth: int) -> IntervalUnion:
-    """Superset of the univoque set from the binary prefix tree pruned by the
-    lexicographic conditions against the computed quasi-greedy window: at a
-    0 digit the following digits may not exceed eta, the quasi-greedy
-    expansion of 1, and at a 1 digit their complements may not.
+    """Superset of the univoque set: the union of [v, v + q^-depth/(q-1)]
+    over the binary prefixes of length depth that survive the
+    lexicographic conditions against the computed quasi-greedy window, v
+    being the prefix's value.  At a 0 digit the following digits may not
+    exceed eta, the quasi-greedy expansion of 1, and at a 1 digit their
+    complements may not.
 
-    A prefix's state is the tuple of its positions whose condition is still
-    tied with eta over all the digits after them, each as (age, digit) with
-    age the number of digits after it; a new digit is compared only at those
-    positions, and a position leaves the state for good once its digits fall
-    below eta (or eta's budget runs out).  The transitions of a state depend
-    on eta alone, so each state is interned once as an integer and its
-    successors on 0 and 1 are tabulated the first time it is met; extending
-    a prefix is one table lookup.
+    The conditions run as an automaton.  A prefix's state is the tuple of
+    its positions whose condition is still tied with eta over all the
+    digits after them, each as (age, digit) with age the number of digits
+    after it; a new digit is compared only at those positions, and a
+    position leaves the state for good once its digits fall below eta (or
+    eta's budget runs out).  The transitions of a state depend on eta
+    alone, so each state is interned once as an integer and its successors
+    s0 and s1 on 0 and 1 are tabulated the first time it is met.
 
-    Each surviving prefix also carries its value: for a rational base a/b as
-    the integer numerator over a^depth, so that the final pieces share the
-    denominator a^depth * (a - b), otherwise as an exact field element.
+    A forward pass counts the prefixes in each state at each length and
+    raises ResourceBudget at the first length whose survivors exceed the
+    budget.  A backward pass then merges, for each state s met at length n,
+    the union of the pieces its surviving continuations reach:
+
+        U_depth(s) = [0, q^-depth / (q - 1)]
+        U_n(s) = U_{n+1}(s0) | (U_{n+1}(s1) + q^-(n+1))
+
+    over the successors that survive.  The cover is U_0 of the empty
+    prefix, and the work scales with merged pieces, not with prefixes.  For
+    a rational base a/b the endpoints are integers over a^depth * (a - b),
+    otherwise exact field elements.
     """
     if depth < 0:
         raise FractarithError("depth must be non-negative")
@@ -145,35 +192,43 @@ def uq_cover(q, depth: int) -> IntervalUnion:
             table.append(None)
         return sid
 
-    rational = isinstance(q, Fraction)
-    if rational:
-        a, b = q.numerator, q.denominator
-        steps = [b ** n * a ** (depth - n) for n in range(1, depth + 1)]  # q^-n * a^depth
-    else:
-        inv = 1 / q
-        steps = list(accumulate(repeat(inv, depth), mul))  # q^-n
-    survivors = [(0, 0)]  # (value, state id) per surviving prefix
-    for p in steps:
-        nxt = []
-        for val, sid in survivors:
+    levels = [{0: 1}]  # per length: state id -> prefixes in that state
+    for _ in range(depth):
+        counts: dict[int, int] = {}
+        for sid, n in levels[-1].items():
             succ = table[sid]
             if succ is None:
                 succ = table[sid] = (successor(keys[sid], 0), successor(keys[sid], 1))
-            s0, s1 = succ
-            if s0 >= 0:
-                nxt.append((val, s0))
-            if s1 >= 0:
-                nxt.append((val + p, s1))
-        if len(nxt) > budget:
-            raise ResourceBudget(f"{len(nxt)} surviving prefixes exceed budget")
-        survivors = nxt
+            for s in succ:
+                if s >= 0:
+                    counts[s] = counts.get(s, 0) + n
+        total = sum(counts.values())
+        if total > budget:
+            raise ResourceBudget(f"{total} surviving prefixes exceed budget")
+        levels.append(counts)
+
+    rational = isinstance(q, Fraction)
     if rational:
-        # [N / a^depth, N / a^depth + q^-depth / (q - 1)] over a^depth * (a - b)
+        a, b = q.numerator, q.denominator
+        # q^-n over a^depth * (a - b)
+        steps = [b ** n * a ** (depth - n) * (a - b) for n in range(1, depth + 1)]
         tail = b ** (depth + 1)
-        return IntervalUnion.from_int_pairs(
-            ((n * (a - b), n * (a - b) + tail) for n, _ in survivors), a ** depth * (a - b))
-    tail = inv ** depth / (q - 1)
-    return IntervalUnion.from_intervals((val, val + tail) for val, _ in survivors)
+    else:
+        inv = 1 / q
+        steps = list(accumulate(repeat(inv, depth), mul))  # q^-n
+        tail = inv ** depth / (q - 1)
+    unions = dict.fromkeys(levels[depth], ((0, tail),))
+    for n in range(depth - 1, -1, -1):
+        p = steps[n]
+        merged = {}
+        for sid in levels[n]:
+            s0, s1 = table[sid]
+            shifted = [(lo + p, hi + p) for lo, hi in unions[s1]] if s1 >= 0 else []
+            merged[sid] = _union(unions[s0], shifted) if s0 >= 0 else shifted
+        unions = merged
+    if rational:
+        return IntervalUnion.from_int_pairs(unions[0], a ** depth * (a - b))
+    return IntervalUnion.from_intervals(unions[0])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +277,9 @@ def ifs_box_counts(k: HomogeneousIfs, ranks: Iterable[int]) -> list[tuple[int, i
 
 def grid_box_count(u: IntervalUnion, size: Fraction) -> int:
     """Boxes [j*size, (j+1)*size] needed to cover the union (boundary-only
-    touching not counted); exact index arithmetic."""
+    touching not counted); exact index arithmetic on rational endpoints."""
+    if any(isinstance(v, FieldElement) for v in chain([size], *u)):
+        raise FractarithError("grid box counts require rational endpoints and box size")
     size = Fraction(size)
     if size <= 0:
         raise FractarithError("box size must be positive")

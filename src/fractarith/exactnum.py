@@ -922,6 +922,56 @@ def _merge_sorted(pairs: Iterable[tuple]) -> tuple[tuple, ...]:
     return tuple(merged)
 
 
+def _merge_ends(pairs: Iterable[tuple[int, int]], dens: Iterable[int]) -> list[list[int]]:
+    """The pieces [lo/d, hi/d], d > 0 being each piece's own entry of dens,
+    sorted and merged on integers: [lo, lo's d, hi, hi's d] per merged
+    piece.
+
+    They sort on the floor key lo*2^p // d, with 2^p at least the square of
+    the largest d: two distinct endpoints with denominators d and d' differ
+    by at least 1/(d*d'), so distinct left endpoints get distinct keys, and
+    pieces whose keys tie share their left endpoint, which merges them
+    alike in any order.  They merge by cross-multiplication."""
+    pieces = [(lo, hi, d) for (lo, hi), d in zip(pairs, dens)]
+    if not pieces:
+        return []
+    p = 2 * max(map(itemgetter(2), pieces)).bit_length()
+    pieces.sort(key=lambda piece: (piece[0] << p) // piece[2])
+    merged: list[list[int]] = []
+    for lo, hi, d in pieces:
+        if hi < lo:
+            raise FractarithError("interval endpoints out of order")
+        if merged:
+            last = merged[-1]
+            if not (last[2] * d < lo * last[3]):
+                if last[2] * d < hi * last[3]:
+                    last[2], last[3] = hi, d
+                continue
+        merged.append([lo, d, hi, d])
+    return merged
+
+
+def merge_int_pairs(pairs: Iterable[tuple[int, int]], den: int | Iterable[int]
+                    ) -> tuple[int | list[int], list[tuple[int, int]]]:
+    """The union of the pieces [lo/d, hi/d] as sorted, disjoint, merged
+    pieces in the same form: d > 0 is den itself or, when den is an
+    iterable, the piece's own entry of it.  Returns (den, pairs), den being
+    the given int, or else a list with one denominator per merged piece,
+    the lcm of its ends' own.  With one shared denominator the pieces sort
+    on lo and merge on their numerators, forming no key and no product;
+    otherwise see _merge_ends."""
+    if isinstance(den, int):
+        return den, list(_merge_sorted(sorted(pairs, key=itemgetter(0))))
+    dens, out = [], []
+    for lo, dlo, hi, dhi in _merge_ends(pairs, den):
+        if dlo != dhi:
+            d = lcm(dlo, dhi)
+            lo, hi, dlo = lo * (d // dlo), hi * (d // dhi), d
+        dens.append(dlo)
+        out.append((lo, hi))
+    return dens, out
+
+
 class IntervalUnion(Value):
     """Sorted union of pairwise-disjoint closed intervals; touching intervals
     are merged at construction, so the representation is canonical."""
@@ -945,39 +995,16 @@ class IntervalUnion(Value):
     @staticmethod
     def from_int_pairs(pairs: Iterable[tuple[int, int]],
                        den: int | Iterable[int]) -> "IntervalUnion":
-        """from_intervals of the pieces [lo/d, hi/d], sorted and merged on
-        integers, where d > 0 is den itself or, when den is an iterable, the
-        piece's own entry of it; only the merged pieces become Fractions.
-
-        With one shared denominator the pieces sort on lo and merge on their
-        numerators, forming no key and no product.  Otherwise they sort on
-        the floor key lo*2^p // d, with 2^p at least the square of the
-        largest d: two distinct endpoints with denominators d and d' differ
-        by at least 1/(d*d'), so distinct left endpoints get distinct keys,
-        and pieces whose keys tie share their left endpoint, which merges
-        them alike in any order.  They merge by cross-multiplication."""
+        """from_intervals of the pieces [lo/d, hi/d], where d > 0 is den
+        itself or, when den is an iterable, the piece's own entry of it:
+        sorted and merged on integers as in merge_int_pairs, so that only
+        the merged pieces become Fractions."""
         if isinstance(den, int):
             return IntervalUnion(tuple(
                 (Fraction(lo, den), Fraction(hi, den))
                 for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))))
-        pieces = [(lo, hi, d) for (lo, hi), d in zip(pairs, den)]
-        if not pieces:
-            return IntervalUnion.empty()
-        p = 2 * max(map(itemgetter(2), pieces)).bit_length()
-        pieces.sort(key=lambda piece: (piece[0] << p) // piece[2])
-        merged: list[list[int]] = []  # [lo, its d, hi, its d]
-        for lo, hi, d in pieces:
-            if hi < lo:
-                raise FractarithError("interval endpoints out of order")
-            if merged:
-                last = merged[-1]
-                if not (last[2] * d < lo * last[3]):
-                    if last[2] * d < hi * last[3]:
-                        last[2], last[3] = hi, d
-                    continue
-            merged.append([lo, d, hi, d])
         return IntervalUnion(tuple((Fraction(lo, dlo), Fraction(hi, dhi))
-                                   for lo, dlo, hi, dhi in merged))
+                                   for lo, dlo, hi, dhi in _merge_ends(pairs, den)))
 
     def __iter__(self):
         return iter(self.intervals)

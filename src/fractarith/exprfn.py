@@ -22,12 +22,12 @@ from functools import lru_cache, partial
 from itertools import chain, repeat
 from math import lcm
 from operator import floordiv, mul
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._value import Value, setfield
 from .errors import DivByZeroInterval, DomainError, ExprSyntaxError, ZeroExponentError
 from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattice,
-                       pow_numerators)
+                       merge_int_pairs, pow_numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +577,28 @@ def _on_lattice(e: Expr) -> bool:
     return all(map(_on_lattice, _operation(e)[1]))
 
 
+def _leaf_axis(node: Expr, mask: int, axis: tuple) -> tuple[int | list[int], list]:
+    """A subtree in the one variable `mask` over a non-empty axis (den,
+    pairs) of that variable (see _axis), in the same form: its compiled
+    code run on integer triples once per interval, the axis itself for the
+    variable alone.  The denominator is the triples' shared one when all
+    agree, else one per interval."""
+    if type(node) is Var:
+        return axis
+    template, code, out = _triple_code(node)
+    den, pairs = axis
+    var = 0 if mask == _X else 1
+    triples = []
+    for (lo, hi), d in zip(pairs, repeat(den) if isinstance(den, int) else den):
+        regs = template.copy()
+        regs[var] = (lo, hi, d)
+        _run_triples(code, regs)
+        triples.append(regs[out])
+    dens = [d for _, _, d in triples]
+    shared = _common(dens)
+    return (dens if shared is None else shared), [(lo, hi) for lo, hi, _ in triples]
+
+
 class _LatticeWalk(_GridWalk):
     """The walk of eval_lattice over two axes given as (den, pairs) (see
     _axis).  lift(node) returns (mask, dx, dy, numerators), the subtree's
@@ -598,29 +620,15 @@ class _LatticeWalk(_GridWalk):
 
     def leaf(self, node: Expr, mask: int) -> tuple:
         """A subtree in one variable, or none, lifted: its compiled code run
-        on integer triples once per interval of its axis, or once for a
-        constant.  The interval's denominator is the triples' shared one
-        when all agree, else one per interval."""
-        if type(node) is Var:
-            return self._lifted(mask, *self.axes[mask])
+        on integer triples once per interval of its axis (see _leaf_axis),
+        or once for a constant."""
+        if mask != _NONE:
+            return self._lifted(mask, *_leaf_axis(node, mask, self.axes[mask]))
         template, code, out = _triple_code(node)
-        if mask == _NONE:
-            regs = template.copy()
-            _run_triples(code, regs)
-            lo, hi, d = regs[out]
-            return self._lifted(_X, d, [(lo, hi)] * self.size[_X])
-        den, pairs = self.axes[mask]
-        var = 0 if mask == _X else 1
-        triples = []
-        for (lo, hi), d in zip(pairs, repeat(den) if isinstance(den, int) else den):
-            regs = template.copy()
-            regs[var] = (lo, hi, d)
-            _run_triples(code, regs)
-            triples.append(regs[out])
-        dens = [d for _, _, d in triples]
-        shared = _common(dens)
-        return self._lifted(mask, dens if shared is None else shared,
-                            [(lo, hi) for lo, hi, _ in triples])
+        regs = template.copy()
+        _run_triples(code, regs)
+        lo, hi, d = regs[out]
+        return self._lifted(_X, d, [(lo, hi)] * self.size[_X])
 
     def lift(self, node: Expr) -> tuple:
         """A subtree, lifted.  In both variables it adds, subtracts,
@@ -682,17 +690,95 @@ def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
         return 1, iter(())
     if not _on_lattice(e):
         return None
-    walk = _LatticeWalk(ax, ay)
     try:
-        mask, dx, dy, vals = walk.lift(e)
+        return _lattice_pairs(e, ax, ay)
     except DomainError:
         deque(eval_grid(e, xs, ys), maxlen=0)
         raise
+
+
+def _lattice_pairs(e: Expr, ax: tuple, ay: tuple) -> tuple:
+    """eval_lattice's (den, pairs) for e over two non-empty axes (see
+    _axis).  Every operation that can fail runs before this returns."""
+    walk = _LatticeWalk(ax, ay)
+    mask, dx, dy, vals = walk.lift(e)
     pairs = walk.spread(mask, vals, _XY)
     cx, cy = _common(dx), _common(dy)
     if cx is not None and cy is not None:
         return cx * cy, pairs
     return _grid_products(walk, dx, dy), pairs
+
+
+@lru_cache(maxsize=4096)
+def _split(e: Expr) -> tuple[Expr, Expr, Expr, Expr] | None:
+    """(outer, inner, ex, ey) when x and y meet in e at exactly one +, -, *
+    or / node, with one operand in x alone and one in y alone, and every
+    node above it combines only with constants (a constant operand, a
+    negation or a power, a positive integer one under _on_lattice): ex and
+    ey are the operands in x and in y, a divisor being taken as its
+    reciprocal; inner is the meeting node on x and y in their places, a
+    division becoming a multiplication; outer is e with the meeting node
+    replaced by x.  None otherwise."""
+    if _variables(e) != _XY:
+        return None
+    t = type(e)
+    if t is Neg or t is Pow:
+        split = _split(e.operand if t is Neg else e.base)
+        if split is None:
+            return None
+        outer, *rest = split
+        return (Neg(outer) if t is Neg else Pow(outer, e.exponent)), *rest
+    left, right = e.left, e.right
+    ml, mr = _variables(left), _variables(right)
+    if {ml, mr} == {_X, _Y}:
+        if t is Div:
+            t, right = Mul, Pow(right, Fraction(-1))
+        sides = {ml: left, mr: right}
+        return X, t(X if ml == _X else Y, X if mr == _X else Y), sides[_X], sides[_Y]
+    if _NONE not in (ml, mr):
+        return None
+    split = _split(left if mr == _NONE else right)
+    if split is None:
+        return None
+    outer, *rest = split
+    return (t(outer, right) if mr == _NONE else t(left, outer)), *rest
+
+
+def _merged_leaf(node: Expr, mask: int, axis: tuple) -> tuple:
+    """_leaf_axis with its pieces merged on integers, or unmerged when no
+    two of them meet."""
+    den, pairs = _leaf_axis(node, mask, axis)
+    merged = merge_int_pairs(pairs, den)
+    return (den, pairs) if len(merged[1]) == len(pairs) else merged
+
+
+def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
+                  ) -> tuple[int | Iterable[int], Iterable[tuple[int, int]]] | None:
+    """Pieces (den, pairs), in eval_lattice's form, whose union is the
+    union of the enclosures eval_grid gives over xs x ys; None when
+    eval_lattice returns None.
+
+    When e splits (see _split) as outer(inner(ex(x), ey(y))), each side
+    runs once per interval of its axis, as in eval_lattice, and is merged
+    on integers; inner runs over the merged axes, and outer once per piece
+    of inner's merged union.  The union is the same because all of these
+    operations give exact images (see empirics.grid_cover).  Otherwise,
+    and on a DomainError, this is eval_lattice, which raises the error
+    eval_grid raises."""
+    split = _split(e) if xs and ys and _on_lattice(e) else None
+    if split is None:
+        return eval_lattice(e, xs, ys)
+    ax, ay = _axis(xs), _axis(ys)
+    if ax is None or ay is None:
+        return None
+    outer, inner, ex, ey = split
+    try:
+        den, pairs = _lattice_pairs(inner, _merged_leaf(ex, _X, ax), _merged_leaf(ey, _Y, ay))
+        if type(outer) is Var:  # the caller merges inner's pieces
+            return den, pairs
+        return _leaf_axis(outer, _X, merge_int_pairs(pairs, den))
+    except DomainError:
+        return eval_lattice(e, xs, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+from expansion_count import count_expansions_bruteforce
 from fractarith.certifier import (Certificate, auto_certify, certify_rectangle,
                                   replay)
 from fractarith.empirics import (box_dim_estimate, ifs_box_counts, image_cover,
@@ -21,10 +22,8 @@ from fractarith.empirics import (box_dim_estimate, ifs_box_counts, image_cover,
 from fractarith.exactnum import Interval, IntervalUnion
 from fractarith.exprfn import grad_enclosure, parse
 from fractarith.ifs_core import Code, cantor
-from fractarith.qexp import (DigitSeq, certify_uq_arith,
-                             count_expansions_bruteforce, is_univoque_seq,
-                             kq_ifs, pi_q, qstar, quasi_greedy_one,
-                             verify_kq_in_uq)
+from fractarith.qexp import (DigitSeq, certify_uq_arith, is_univoque_seq, kq_ifs,
+                             pi_q, qstar, quasi_greedy_one, verify_kq_in_uq)
 
 C = cantor()
 Q19 = Fraction(19, 10)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+from collections import deque
 from fractions import Fraction
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import uq_walk
 from fractarith.certifier import Certificate, certify_rectangle
 from fractarith.empirics import (DimEstimate, box_dim_estimate,
                                  grid_box_count, grid_cover, ifs_box_counts, image_cover,
@@ -22,11 +24,11 @@ from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
                                FractarithError, ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, Interval, IntervalLattice, IntervalUnion,
                                  as_scalar)
-from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub,
+from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _split,
                                eval_grid, eval_interval, eval_lattice, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
-from fractarith.qexp import (DigitSeq, QuasiGreedyStream, as_base, is_univoque_seq, kq_ifs,
-                              pi_q, qstar)
+from fractarith.qexp import (DigitSeq, QuasiGreedyStream, as_base, base_above_qstar,
+                              is_univoque_seq, kq_ifs, pi_q, qstar)
 
 C = cantor()
 HALF = HomogeneousIfs(Fraction(1, 2), (Fraction(0), Fraction(1, 2)))
@@ -369,6 +371,75 @@ def test_lattice_axes_are_interval_axes(f, xs, ys):
         lambda: grid_cover(f, ivs_x, ivs_y))
 
 
+def cover_bytes(run):
+    """The canonical JSON of the union run() returns, or the class and
+    message of the FractarithError it raises."""
+    try:
+        return json.dumps(run().to_obj())
+    except FractarithError as exc:
+        return type(exc), str(exc)
+
+
+def full_grid_cover(f, xs, ys):
+    """The grid merged per rectangle: eval_lattice over every rectangle of
+    xs x ys, then one from_int_pairs (eval_grid and from_intervals off the
+    lattice)."""
+    lattice = eval_lattice(f, xs, ys)
+    if lattice is None:
+        return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
+    den, pairs = lattice
+    return IntervalUnion.from_int_pairs(pairs, den)
+
+
+SEPARABLE = ["x+y", "x-y", "y-x", "x*y", "x/y", "y/x", "2*x+3*y", "x^2-y^2", "x^3+y",
+             "x^(-1)+y", "x^(1/2)+y^(1/2)", "x^(1/3)*y", "x/(y+1)", "(x+y)^2", "2*(x-y)",
+             "-(x*y)", "((x-y)^3)/2+1", "1-(x^2+y)^2", "(x*y+1)*(2^(1/2))"]
+NOT_SEPARABLE = ["x*y-x", "x/(x+y)", "(x+y)*(x-y)", "x^2+y+x"]
+
+
+def test_split_applies_to_exactly_the_separable_forms():
+    assert all(_split(parse(text)) is not None for text in SEPARABLE)
+    assert all(_split(parse(text)) is None for text in NOT_SEPARABLE + ["x^2", "y+1", "3"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_problems(), st.sampled_from(SEPARABLE + NOT_SEPARABLE))
+def test_split_cover_is_the_full_grid_merge(problem, text):
+    """grid_cover, which merges each side of a separable f before combining
+    them, against every rectangle merged at once, over windows and words:
+    the same bytes, or the same error class and message (x/y over a hull
+    holding 0, for one)."""
+    k1, k2, depth = problem["k1"], problem["k2"], problem["depth"]
+    xs = k1.cylinder_lattice(depth, within=problem["word1"])
+    ys = k2.cylinder_lattice(depth, within=problem["word2"])
+    if problem["x_window"] is not None:
+        xs = xs.within(problem["x_window"])
+    if problem["y_window"] is not None:
+        ys = ys.within(problem["y_window"])
+    f = parse(text)
+    assert cover_bytes(lambda: grid_cover(f, xs, ys)) == \
+        cover_bytes(lambda: full_grid_cover(f, xs, ys))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x/y", DivByZeroInterval),
+    ("y/x", DivByZeroInterval),
+    ("x^(-1)+y", DivByZeroInterval),
+    ("(x+y)/0", DivByZeroInterval),
+    ("x^(1/2)+y^(1/2)", DomainError),
+    ("y^(-1)+x^(1/2)", DivByZeroInterval),  # the y side fails first in eval_grid
+])
+def test_split_cover_raises_the_grid_error(text, error):
+    """Over Cantor cylinders, whose first one holds 0: the error of the
+    first failing rectangle of eval_grid."""
+    xs = C.cylinder_lattice(4)
+    f = parse(text)
+    with pytest.raises(DomainError) as first:
+        deque(eval_grid(f, xs, xs), maxlen=0)
+    assert type(first.value) is error
+    assert cover_bytes(lambda: grid_cover(f, xs, xs)) == (error, str(first.value))
+
+
 def test_oracle_check_matches_per_rectangle_reference():
     cert = certify_rectangle(C, C, parse("x*y"), (1, 2, 2), (2, 1))
     cover = reference_image_cover(C, C, cert.f, 6, word1=cert.word1, word2=cert.word2)
@@ -479,6 +550,48 @@ def test_uq_cover_budget_matches_reference_survivors(q, depth, data):
             uq_cover(q, depth)
 
 
+# uq_cover against the survivor walk it replaced (tests/uq_walk.py): each
+# side gets its own generator, so that neither sees the other's bisections
+
+@st.composite
+def uq_bases(draw):
+    """(a zero-argument base maker, the largest depth to draw): a rational
+    base in (q*, 2), sqrt(c), tribonacci, or sqrt(7/2) isolated on the
+    reducible (x^2 - 7/2)(x - 3)."""
+    kind = draw(st.sampled_from(["rational", "sqrt", "tribonacci", "reducible"]))
+    if kind == "rational":
+        q = draw(st.fractions(min_value=Fraction(9, 5), max_value=2, max_denominator=60)
+                 .filter(lambda q: q < 2 and base_above_qstar(q)))
+        return (lambda: q), 16
+    if kind == "sqrt":
+        base = draw(sqrt_bases())
+        spec = (base.poly, base.lo, base.hi)
+    elif kind == "tribonacci":
+        spec = ((-1, -1, -1, 1), Fraction(7, 4), Fraction(15, 8))
+    else:
+        spec = ((Fraction(21, 2), Fraction(-7, 2), -3, 1), 1, 2)
+    return (lambda: AlgebraicReal(*spec)), 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(uq_bases(), st.data(), st.one_of(st.none(), st.integers(1, 600)))
+def test_uq_cover_matches_the_survivor_walk(base, data, budget):
+    make, max_depth = base
+    depth = data.draw(st.integers(0, max_depth))
+    env = {} if budget is None else {"FRACTARITH_BUDGET": str(budget)}
+    with mock.patch.dict(os.environ, env):
+        got = cover_bytes(lambda: uq_cover(make(), depth))
+        want = cover_bytes(lambda: uq_walk.uq_cover(make(), depth))
+    assert got == want
+
+
+def test_uq_cover_refuses_a_deep_cover_from_its_counts():
+    # the survivor walk raises the same message only once it holds all
+    # 24388110 surviving prefixes of that length
+    with pytest.raises(ResourceBudget, match="^24388110 surviving prefixes exceed budget$"):
+        uq_cover(Q19, 40)
+
+
 # piece counts and sha256 of the canonical to_obj JSON, recorded with the
 # tuple-carrying walk that the automaton replaced, at depths the rescanning
 # reference is too slow for
@@ -560,6 +673,16 @@ def test_grid_box_count_unit_cases():
     assert grid_box_count(full, Fraction(1, 8)) == 8
     point = IntervalUnion.from_intervals([(Fraction(1, 2), Fraction(1, 2))])
     assert grid_box_count(point, Fraction(1, 4)) == 1
+
+
+@pytest.mark.parametrize("union, size", [
+    (lambda: uq_cover(qstar(), 6), lambda: Fraction(1, 8)),
+    (lambda: IntervalUnion.from_intervals([(0, 1)]), lambda: 1 / as_scalar(qstar())),
+], ids=["field-element-endpoints", "field-element-size"])
+def test_grid_box_count_refuses_field_elements(union, size):
+    with pytest.raises(FractarithError,
+                       match="^grid box counts require rational endpoints and box size$"):
+        grid_box_count(union(), size())
 
 
 def test_uq_product_counts_trend_rows():

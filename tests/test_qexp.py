@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expansion_count import count_expansions_bruteforce
 from fractarith.certifier import auto_certify, check_global_condition, check_pointwise, replay
 from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth,
                                FractarithError, NotContained)
@@ -19,8 +20,8 @@ from fractarith.exprfn import parse
 from fractarith.ifs_core import Code
 from fractarith.qexp import (CORNERS, QSTAR_POLY, STREAM_WINDOW, DigitSeq, QgPrefix,
                              QuasiGreedyStream, as_base, base_above_qstar, certify_uq_arith,
-                             count_expansions_bruteforce, is_univoque_seq, kq_ifs,
-                             lex_less, pi_q, qstar, quasi_greedy_one, verify_kq_in_uq)
+                             is_univoque_seq, kq_ifs, lex_less, pi_q, qstar, quasi_greedy_one,
+                             verify_kq_in_uq)
 
 Q19 = Fraction(19, 10)
 
