@@ -69,9 +69,15 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Inter
 
         U_ij f(X_i, Y_j) = outer((U_i ex(X_i)) o (U_j ey(Y_j)))
 
-    and over rational data lattice_cover merges each side on integers
-    before combining them: the work scales with merged pieces, not with
-    rectangles.  Any other f over rational data is evaluated per rectangle
+    and over rational data lattice_cover merges and bridges each side on
+    integers before combining them.  Bridging closes a gap [u, v] of one
+    side A when the other side B spans it: for +, v - u <= d - c for every
+    piece [c, d] of B gives (A U [u, v]) + B = A + B, the gap lemma behind
+    Newhouse's thickness theorem and Simon and Taylor's tau1*tau2 >= 1
+    (for *, v*c <= u*d over nonnegative sides).  The work scales with
+    bridged pieces, not with rectangles: Cantor x+y at any depth pairs one
+    piece with one.  image_cover's budget still counts the rectangles.
+    Any other f over rational data is evaluated per rectangle
     on integers and merged once, and over field elements through eval_grid
     and IntervalUnion.from_intervals.  The union, or the error raised, is
     the same on every path."""

@@ -962,8 +962,14 @@ def merge_int_pairs(pairs: Iterable[tuple[int, int]], den: int | Iterable[int]
     otherwise see _merge_ends."""
     if isinstance(den, int):
         return den, list(_merge_sorted(sorted(pairs, key=itemgetter(0))))
+    return on_own_lcms(_merge_ends(pairs, den))
+
+
+def on_own_lcms(pieces: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """The pieces [lo/dlo, hi/dhi], given as (lo, dlo, hi, dhi), as (dens,
+    pairs): each piece over the lcm of its ends' denominators."""
     dens, out = [], []
-    for lo, dlo, hi, dhi in _merge_ends(pairs, den):
+    for lo, dlo, hi, dhi in pieces:
         if dlo != dhi:
             d = lcm(dlo, dhi)
             lo, hi, dlo = lo * (d // dlo), hi * (d // dhi), d

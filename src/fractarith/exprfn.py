@@ -19,15 +19,15 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import lcm
-from operator import floordiv, mul
+from operator import add, floordiv, gt, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._value import Value, setfield
 from .errors import DivByZeroInterval, DomainError, ExprSyntaxError, ZeroExponentError
 from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattice,
-                       merge_int_pairs, pow_numerators)
+                       merge_int_pairs, on_own_lcms, pow_numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +744,83 @@ def _split(e: Expr) -> tuple[Expr, Expr, Expr, Expr] | None:
     return (t(outer, right) if mr == _NONE else t(left, outer)), *rest
 
 
-def _merged_leaf(node: Expr, mask: int, axis: tuple) -> tuple:
-    """_leaf_axis with its pieces merged on integers, or unmerged when no
-    two of them meet."""
-    den, pairs = _leaf_axis(node, mask, axis)
-    merged = merge_int_pairs(pairs, den)
-    return (den, pairs) if len(merged[1]) == len(pairs) else merged
+def _gauge(t: type, side: tuple) -> tuple[int, int, int, int]:
+    """What the pieces of a sorted, merged side (see _axis) let the other
+    operand of t close: (a, b, g, e), a gap (u, v) of the other operand
+    closing when v*a <= u*b + g/e.
+
+    For + and - this is a = b = 1 and g/e the width of the narrowest piece:
+    [u, v] + [c, d] lies in (u + [c, d]) U (v + [c, d]) iff v - u <= d - c,
+    and a piece of -B is as wide as the piece of B it mirrors.  For * over
+    nonnegative operands it is g = 0 and (a, b) the numerators (c, d) of the
+    piece with the smallest ratio d/c, c > 0: [u, v]*[c, d] lies in
+    u*[c, d] U v*[c, d] iff v*c <= u*d.  A piece with c = 0 imposes no
+    condition, so when every piece starts at 0, a = b = 0 and every gap
+    closes."""
+    den, pairs = side
+    if t is Mul:
+        a = b = 0
+        for lo, hi in pairs:
+            if lo > 0 and (a == 0 or hi * a < b * lo):
+                a, b = lo, hi
+        return a, b, 0, 1
+    if isinstance(den, int):
+        return 1, 1, min(hi - lo for lo, hi in pairs), den
+    g, e = None, 1
+    for (lo, hi), d in zip(pairs, den):
+        if g is None or (hi - lo) * e < g * d:
+            g, e = hi - lo, d
+    return 1, 1, g, e
+
+
+def _close(side: tuple, gauge: tuple) -> tuple:
+    """A sorted, merged side (see _axis) with every gap (u, v) closed that
+    the gauge (a, b, g, e) closes (see _gauge): v*a <= u*b + g/e, on
+    integers.  The gauge is fixed, so each gap is tested on its own, all in
+    one pass of mapped products.  A merged piece whose ends have different
+    denominators is brought onto their lcm."""
+    den, pairs = side
+    if len(pairs) < 2:
+        return side
+    a, b, g, e = gauge
+    lows, highs = zip(*pairs)
+    vs, us = lows[1:], highs[:-1]
+    if isinstance(den, int):  # v*a - u*b <= g*den // e on the numerators
+        if a != 1 or b != 1:
+            vs, us = map(mul, vs, repeat(a)), map(mul, us, repeat(b))
+        opens = list(map(gt, map(sub, vs, us), repeat(g * den // e)))
+    else:  # v*a*e*du <= (u*b*e + g*du)*dv over the ends' own du and dv
+        du, dv = den[:-1], den[1:]
+        vs, us = map(mul, vs, repeat(a * e)), map(mul, us, repeat(b * e))
+        opens = list(map(gt, map(mul, vs, du),
+                         map(mul, map(add, us, map(mul, du, repeat(g))), dv)))
+    if all(opens):
+        return side
+    lows = (lows[0], *compress(lows[1:], opens))
+    highs = (*compress(highs[:-1], opens), highs[-1])
+    if isinstance(den, int):
+        return den, list(zip(lows, highs))
+    return on_own_lcms(zip(lows, (den[0], *compress(dv, opens)),
+                           highs, (*compress(du, opens), den[-1])))
+
+
+def _bridged(t: type, ax: tuple, ay: tuple) -> tuple[tuple, tuple]:
+    """The two operands of t, each an axis in _axis's form, sorted, merged
+    and bridged: every gap of one side that the other side's pieces span
+    is closed (see _gauge), alternately, until neither side changes.  Each
+    closing leaves A t B as it was, since the gap's ends lie in the side,
+    so the pair of axes has the image of the given pair under t.  Merging
+    is the case of a gap of width 0.  A product with a negative piece on
+    either side is only merged."""
+    a, b = (merge_int_pairs(pairs, den) for den, pairs in (ax, ay))
+    if t is Mul and (a[1][0][0] < 0 or b[1][0][0] < 0):
+        return a, b
+    while True:
+        a = _close(a, _gauge(t, b))
+        closed = _close(b, _gauge(t, a))
+        if closed is b:
+            return a, b
+        b = closed
 
 
 def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
@@ -759,12 +830,19 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
     eval_lattice returns None.
 
     When e splits (see _split) as outer(inner(ex(x), ey(y))), each side
-    runs once per interval of its axis, as in eval_lattice, and is merged
-    on integers; inner runs over the merged axes, and outer once per piece
-    of inner's merged union.  The union is the same because all of these
-    operations give exact images (see empirics.grid_cover).  Otherwise,
-    and on a DomainError, this is eval_lattice, which raises the error
-    eval_grid raises."""
+    runs once per interval of its axis, as in eval_lattice.  The two sides
+    are then sorted, merged and bridged on integers (see _bridged): a gap
+    of one side no wider than the narrowest piece of the other is closed,
+    since for + and - A + B = (A U [u, v]) + B when [u, v] is a gap of A
+    and v - u <= d - c for every piece [c, d] of B (the gap lemma behind
+    Newhouse's thickness theorem and Simon and Taylor's tau1*tau2 >= 1),
+    and likewise v*c <= u*d for * over nonnegative sides.  inner runs over
+    the bridged axes, and outer once per piece of inner's merged union, so
+    the work scales with bridged pieces, not with rectangles: Cantor x+y
+    closes to one piece on each side.  The union is the same because all
+    of these operations give exact images (see empirics.grid_cover).
+    Otherwise, and on a DomainError, this is eval_lattice, which raises the
+    error eval_grid raises."""
     split = _split(e) if xs and ys and _on_lattice(e) else None
     if split is None:
         return eval_lattice(e, xs, ys)
@@ -773,7 +851,8 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
         return None
     outer, inner, ex, ey = split
     try:
-        den, pairs = _lattice_pairs(inner, _merged_leaf(ex, _X, ax), _merged_leaf(ey, _Y, ay))
+        ax, ay = _bridged(type(inner), _leaf_axis(ex, _X, ax), _leaf_axis(ey, _Y, ay))
+        den, pairs = _lattice_pairs(inner, ax, ay)
         if type(outer) is Var:  # the caller merges inner's pieces
             return den, pairs
         return _leaf_axis(outer, _X, merge_int_pairs(pairs, den))

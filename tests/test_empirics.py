@@ -24,7 +24,7 @@ from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
                                FractarithError, ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, Interval, IntervalLattice, IntervalUnion,
                                  as_scalar)
-from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _split,
+from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _bridged, _split,
                                eval_grid, eval_interval, eval_lattice, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
 from fractarith.qexp import (DigitSeq, QuasiGreedyStream, as_base, base_above_qstar,
@@ -438,6 +438,70 @@ def test_split_cover_raises_the_grid_error(text, error):
         deque(eval_grid(f, xs, xs), maxlen=0)
     assert type(first.value) is error
     assert cover_bytes(lambda: grid_cover(f, xs, xs)) == (error, str(first.value))
+
+
+# thick: two maps at the ends of the hull with gap 1 - 2*ratio no wider than
+# a piece, or three with (1 - 3*ratio)/2; thin: gaps wider than the pieces
+THICK = [(Fraction(1, 3), 2), (Fraction(2, 5), 2), (Fraction(3, 7), 2), (Fraction(1, 2), 2),
+         (Fraction(1, 4), 3), (Fraction(1, 5), 3), (Fraction(2, 7), 3), (Fraction(1, 3), 3)]
+THIN = [(Fraction(1, 4), 2), (Fraction(1, 5), 2), (Fraction(2, 9), 2), (Fraction(1, 7), 3)]
+BRIDGED_FORMS = ["x+y", "x-y", "y-x", "2*x+3*y", "x*y", "x/y", "y/x", "x^(-1)+y",
+                 "y^(-1)-x^(-1)", "x^2-y^2", "x^(-1)*y^2", "(x+1)*y", "x*(1-y)", "(x+y)^2"]
+
+
+@st.composite
+def bridge_axes(draw):
+    """The cylinders of a rational IFS at one depth, thick or thin, scaled
+    and shifted so that the set is nonnegative, touches 0 from above or
+    below, has mixed sign or is negative; sometimes only a run of them."""
+    ratio, n = draw(st.sampled_from(THICK + THIN))
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
+    shift = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 2), -scale,
+                                  -2 * scale]))
+    k = HomogeneousIfs(ratio, [scale * i * (1 - ratio) / (n - 1) + shift * (1 - ratio)
+                               for i in range(n)])
+    lattice = k.cylinder_lattice(draw(st.integers(1, 6 if n == 2 else 4)))
+    cut = draw(st.integers(1, len(lattice)))
+    return draw(st.sampled_from([lattice, lattice[:cut], lattice[cut - 1:]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BRIDGED_FORMS), bridge_axes(), bridge_axes())
+def test_bridged_cover_is_the_full_grid_merge(text, xs, ys):
+    """grid_cover, which closes every gap of one side that the other
+    side's pieces span before combining them, against every rectangle
+    merged at once: the same bytes, or the same error class and message.
+    Reciprocals give one denominator per piece, and products over sides
+    with a negative piece are only merged."""
+    f = parse(text)
+    assert cover_bytes(lambda: grid_cover(f, xs, ys)) == \
+        cover_bytes(lambda: full_grid_cover(f, xs, ys))
+
+
+@pytest.mark.parametrize("t, xs, ys, bridged_xs", [
+    (Add, (6, [(2, 3), (4, 6)]), (6, [(0, 1)]), (6, [(2, 6)])),
+    (Add, ([6, 3], [(2, 3), (2, 3)]), (6, [(0, 1)]), ([6], [(2, 6)])),
+    (Mul, (1, [(1, 2), (4, 8)]), (1, [(1, 2)]), (1, [(1, 8)])),
+    (Mul, ([1, 3], [(1, 2), (12, 24)]), (1, [(1, 2)]), ([3], [(3, 24)])),
+], ids=["sum", "sum-per-piece", "product", "product-per-piece"])
+def test_a_gap_exactly_as_wide_as_the_gauge_closes(t, xs, ys, bridged_xs):
+    """[1/3, 1/2] U [2/3, 1] + [0, 1/6] = [1/3, 7/6], and
+    ([1, 2] U [4, 8]) * [1, 2] = [1, 16]: the condition holds with equality,
+    over one denominator and over one per piece."""
+    assert _bridged(t, xs, ys) == (bridged_xs, ys)
+
+
+@pytest.mark.parametrize("text, hull", [("x+y", ["0", "2"]), ("x-y", ["-1", "1"])])
+def test_cantor_pairs_at_depth_12_bridge_to_one_piece(text, hull):
+    """Cantor's gaps are exactly as wide as its pieces at the next rank, so
+    bridging closes both sides of x+y and x-y to [0, 1]: one rectangle of
+    the 4096 x 4096."""
+    xs = C.cylinder_lattice(12)
+    axis = (xs.den, xs.pairs())
+    f = parse(text)
+    bridged = _bridged(type(_split(f)[1]), axis, axis)
+    assert bridged == ((xs.den, [(0, xs.den)]),) * 2
+    assert image_cover(C, C, f, 12).to_obj() == [hull]
 
 
 def test_oracle_check_matches_per_rectangle_reference():
