@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
 from ._value import Value, setfield
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
-from .exactnum import FieldElement, Interval, IntervalUnion, scalar_to_obj
+from .exactnum import FieldElement, Interval, IntervalUnion
 from .exprfn import Expr, eval_grid, lattice_cover
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
@@ -38,14 +38,15 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
     Windows keep only cylinders contained in them; words restrict to
     descendants of fixed cylinders.  Over rational data each axis stays an
     IntervalLattice, on integers from the cylinder walk to the merged union.
+
+    The budget bounds each axis's cylinders (HomogeneousIfs raises at n^k
+    of them) and the rectangles paired: the bridged pieces of both sides
+    for a separable f, the whole grid otherwise (see grid_cover).
     """
     budget = get_budget()
     xs = _axis_cylinders(k1, depth, word1, x_window)
     ys = _axis_cylinders(k2, depth, word2, y_window)
-    if len(xs) * len(ys) > budget:
-        raise ResourceBudget(
-            f"{len(xs)}x{len(ys)} rectangles exceed budget {budget}")
-    return grid_cover(f, xs, ys)
+    return grid_cover(f, xs, ys, budget)
 
 
 def _axis_cylinders(k: HomogeneousIfs, depth: int, word: Word,
@@ -58,7 +59,8 @@ def _axis_cylinders(k: HomogeneousIfs, depth: int, word: Word,
     return ivs if window is None else [iv for iv in ivs if iv.is_subset(window)]
 
 
-def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> IntervalUnion:
+def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
+               budget: int | None = None) -> IntervalUnion:
     """The union of the enclosures of f over the rectangles of xs x ys,
     merged.
 
@@ -76,12 +78,13 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Inter
     Newhouse's thickness theorem and Simon and Taylor's tau1*tau2 >= 1
     (for *, v*c <= u*d over nonnegative sides).  The work scales with
     bridged pieces, not with rectangles: Cantor x+y at any depth pairs one
-    piece with one.  image_cover's budget still counts the rectangles.
+    piece with one, and a budget (None for none) counts those pairs.
     Any other f over rational data is evaluated per rectangle
     on integers and merged once, and over field elements through eval_grid
-    and IntervalUnion.from_intervals.  The union, or the error raised, is
-    the same on every path."""
-    lattice = lattice_cover(f, xs, ys)
+    and IntervalUnion.from_intervals; the budget counts the whole grid,
+    before any evaluation.  The union, or the error raised, is the same on
+    every path."""
+    lattice = lattice_cover(f, xs, ys, budget)
     if lattice is None:
         return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
     den, pairs = lattice
@@ -283,26 +286,26 @@ def ifs_box_counts(k: HomogeneousIfs, ranks: Iterable[int]) -> list[tuple[int, i
 
 def grid_box_count(u: IntervalUnion, size: Fraction) -> int:
     """Boxes [j*size, (j+1)*size] needed to cover the union (boundary-only
-    touching not counted); exact index arithmetic on rational endpoints."""
-    if any(isinstance(v, FieldElement) for v in chain([size], *u)):
+    touching not counted); exact index arithmetic on the integers of the
+    rational endpoints and box size."""
+    ends = u.int_ends()
+    if ends is None or isinstance(size, FieldElement):
         raise FractarithError("grid box counts require rational endpoints and box size")
     size = Fraction(size)
     if size <= 0:
         raise FractarithError("box size must be positive")
+    sn, sd = size.numerator, size.denominator
     count = 0
     last: int | None = None
-    for lo, hi in u:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi == lo:
-            j_min = j_max = lo // size
-        else:
-            j_min = lo // size
-            j_max = hi // size - 1 if hi % size == 0 else hi // size
+    for lo, dlo, hi, dhi in ends:
+        j_min = lo * sd // (dlo * sn)  # floor(lo / size)
+        # a point piece takes its own box; else the last box is ceil(hi / size) - 1
+        j_max = j_min if hi * dlo == lo * dhi else -(-hi * sd // (dhi * sn)) - 1
         if last is not None and j_min <= last:
             j_min = last + 1
         if j_max >= j_min:
-            count += int(j_max - j_min) + 1
-            last = int(j_max)
+            count += j_max - j_min + 1
+            last = j_max
     return count
 
 
@@ -325,10 +328,10 @@ def uq_product_counts(q, f: Expr, ranks: Iterable[int]) -> list[tuple[int, int]]
 # CSV / SVG emission
 # ---------------------------------------------------------------------------
 
-def _csv_cell(x) -> str:
-    """"p/q" for a rational endpoint; for an algebraic one the compact JSON of
-    the coefficient vector that the JSON output prints."""
-    obj = scalar_to_obj(x)
+def _csv_cell(obj) -> str:
+    """An endpoint's JSON value (see scalar_to_obj) as a cell: "p/q" for a
+    rational endpoint; for an algebraic one the compact JSON of the
+    coefficient vector that the JSON output prints."""
     return obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
 
 
@@ -337,7 +340,7 @@ def write_intervals_csv(path: str, u: IntervalUnion) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lo", "hi"])
-        for lo, hi in u:
+        for lo, hi in u.to_obj():
             writer.writerow([_csv_cell(lo), _csv_cell(hi)])
 
 

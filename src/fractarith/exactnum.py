@@ -108,24 +108,21 @@ def pow_numerators(n: int, d: int, e: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def fraction_pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
-    """Outward rational bounds on x**e for x > 0 and a fractional exponent e
-    (integer exponents go through Interval.pow_int, which is exact), with
-    denominators dividing DENOMINATOR_BOUND."""
-    lo, hi = pow_numerators(x.numerator, x.denominator, e)
-    return Fraction(lo, DENOMINATOR_BOUND), Fraction(hi, DENOMINATOR_BOUND)
-
-
 def _end_pow_bounds(x, end: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
-    """fraction_pow_bounds(end, e) for an interval end x rounded out to the
-    rational end; kept in the generator's memo when x is a field element."""
-    if not isinstance(x, FieldElement):
-        return fraction_pow_bounds(end, e)
-    memo = x.gen._memo
-    key = (end.numerator, end.denominator, e.numerator, e.denominator)
-    bounds = memo.get(key)
-    if bounds is None:
-        bounds = memo[key] = fraction_pow_bounds(end, e)
+    """Outward rational bounds on end**e, with denominators dividing
+    DENOMINATOR_BOUND (see pow_numerators), for an interval end x rounded
+    out to the rational end > 0; kept in the generator's memo when x is a
+    field element."""
+    memo = x.gen._memo if isinstance(x, FieldElement) else None
+    if memo is not None:
+        key = (end.numerator, end.denominator, e.numerator, e.denominator)
+        bounds = memo.get(key)
+        if bounds is not None:
+            return bounds
+    lo, hi = pow_numerators(end.numerator, end.denominator, e)
+    bounds = Fraction(lo, DENOMINATOR_BOUND), Fraction(hi, DENOMINATOR_BOUND)
+    if memo is not None:
+        memo[key] = bounds
     return bounds
 
 
@@ -152,7 +149,7 @@ class AlgebraicReal:
     _memo holds results computed in this state (_p and the isolating
     interval), and is emptied whenever the state changes: the enclosure
     bounds of field elements per (reduced numerators, denominator, width),
-    and the fraction_pow_bounds pair of their rounded ends per (end,
+    and the _end_pow_bounds pair of their rounded ends per (end,
     exponent), each Fraction in a key as its numerator and denominator.
     An entry is read only in the state it was computed in, where
     recomputing it would neither bisect nor give anything else.
@@ -931,23 +928,30 @@ def _merge_ends(pairs: Iterable[tuple[int, int]], dens: Iterable[int]) -> list[l
     the largest d: two distinct endpoints with denominators d and d' differ
     by at least 1/(d*d'), so distinct left endpoints get distinct keys, and
     pieces whose keys tie share their left endpoint, which merges them
-    alike in any order.  They merge by cross-multiplication."""
-    pieces = [(lo, hi, d) for (lo, hi), d in zip(pairs, dens)]
+    alike in any order.  They merge as in _merge_sorted_ends."""
+    pieces = [(lo, d, hi, d) for (lo, hi), d in zip(pairs, dens)]
     if not pieces:
         return []
-    p = 2 * max(map(itemgetter(2), pieces)).bit_length()
-    pieces.sort(key=lambda piece: (piece[0] << p) // piece[2])
+    if any(hi < lo for lo, _, hi, _ in pieces):
+        raise FractarithError("interval endpoints out of order")
+    p = 2 * max(map(itemgetter(1), pieces)).bit_length()
+    pieces.sort(key=lambda piece: (piece[0] << p) // piece[1])
+    return _merge_sorted_ends(pieces)
+
+
+def _merge_sorted_ends(pieces: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The pieces [lo/dlo, hi/dhi], given as (lo, dlo, hi, dhi) with dlo,
+    dhi > 0 in order of their left ends, with overlapping and touching ones
+    merged by cross-multiplication: [lo, dlo, hi, dhi] per merged piece."""
     merged: list[list[int]] = []
-    for lo, hi, d in pieces:
-        if hi < lo:
-            raise FractarithError("interval endpoints out of order")
+    for lo, dlo, hi, dhi in pieces:
         if merged:
             last = merged[-1]
-            if not (last[2] * d < lo * last[3]):
-                if last[2] * d < hi * last[3]:
-                    last[2], last[3] = hi, d
+            if not (last[2] * dlo < lo * last[3]):
+                if last[2] * dhi < hi * last[3]:
+                    last[2], last[3] = hi, dhi
                 continue
-        merged.append([lo, d, hi, d])
+        merged.append([lo, dlo, hi, dhi])
     return merged
 
 
@@ -978,14 +982,48 @@ def on_own_lcms(pieces: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[
     return dens, out
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """rat_to_str(Fraction(n, d)) for d > 0, formed without the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class IntervalUnion(Value):
     """Sorted union of pairwise-disjoint closed intervals; touching intervals
-    are merged at construction, so the representation is canonical."""
+    are merged at construction, so the representation is canonical.
 
-    __slots__ = ("intervals",)
+    Its one field, intervals, is a tuple of (lo, hi) pairs of scalars.  A
+    union from from_int_pairs, or inflated from one, keeps its pieces as the
+    integers (lo, dlo, hi, dhi) of [lo/dlo, hi/dhi], dlo and dhi > 0 and not
+    necessarily in lowest terms, and forms the Fractions of intervals only
+    when that field is read: by iteration, equality, hash, repr, copy or
+    pickle.  to_obj, hull, contains_point, contains_interval, inflate and
+    int_ends read the integers.  Unions from from_intervals, and any with a
+    field-element endpoint, keep their scalar pairs."""
+
+    __slots__ = ("_pairs", "_ends")
+    _fields = ("intervals",)
 
     def __init__(self, intervals: tuple[tuple[Fraction, Fraction], ...]):
-        setfield(self, "intervals", intervals)
+        setfield(self, "_pairs", intervals)
+        setfield(self, "_ends", None)
+
+    @staticmethod
+    def _on_ends(ends: Sequence[Sequence[int]]) -> "IntervalUnion":
+        """The union of sorted, disjoint, non-touching integer pieces."""
+        u = object.__new__(IntervalUnion)
+        setfield(u, "_pairs", None)
+        setfield(u, "_ends", ends)
+        return u
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        pairs = self._pairs
+        if pairs is None:
+            pairs = tuple((Fraction(lo, dlo), Fraction(hi, dhi))
+                          for lo, dlo, hi, dhi in self._ends)
+            setfield(self, "_pairs", pairs)
+        return pairs
 
     @staticmethod
     def empty() -> "IntervalUnion":
@@ -1003,35 +1041,69 @@ class IntervalUnion(Value):
                        den: int | Iterable[int]) -> "IntervalUnion":
         """from_intervals of the pieces [lo/d, hi/d], where d > 0 is den
         itself or, when den is an iterable, the piece's own entry of it:
-        sorted and merged on integers as in merge_int_pairs, so that only
-        the merged pieces become Fractions."""
+        sorted and merged on integers as in merge_int_pairs, and kept on
+        integers, so that no Fraction is formed until intervals is read."""
         if isinstance(den, int):
-            return IntervalUnion(tuple(
-                (Fraction(lo, den), Fraction(hi, den))
-                for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))))
-        return IntervalUnion(tuple((Fraction(lo, dlo), Fraction(hi, dhi))
-                                   for lo, dlo, hi, dhi in _merge_ends(pairs, den)))
+            return IntervalUnion._on_ends([
+                (lo, den, hi, den)
+                for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))])
+        return IntervalUnion._on_ends(_merge_ends(pairs, den))
+
+    def int_ends(self) -> Sequence[Sequence[int]] | None:
+        """The pieces as integers (lo, dlo, hi, dhi), the piece [lo/dlo,
+        hi/dhi] with dlo, dhi > 0, to be read only (they may be the union's
+        own); None when an endpoint is a FieldElement."""
+        if self._ends is not None:
+            return self._ends
+        if any(isinstance(v, FieldElement) for pair in self._pairs for v in pair):
+            return None
+        return [(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                for lo, hi in self._pairs]
 
     def __iter__(self):
         return iter(self.intervals)
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self._pairs if self._ends is None else self._ends)
 
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not len(self)
 
     def hull(self) -> Interval:
         if self.is_empty():
             raise FractarithError("empty union has no hull")
-        return Interval(self.intervals[0][0], self.intervals[-1][1])
+        if self._ends is None:
+            return Interval(self._pairs[0][0], self._pairs[-1][1])
+        (lo, dlo, _, _), (_, _, hi, dhi) = self._ends[0], self._ends[-1]
+        return Interval(Fraction(lo, dlo), Fraction(hi, dhi))
+
+    def _piece_from(self, x) -> Sequence[int] | None:
+        """The integer piece that contains the rational x if any piece does:
+        the last one whose left end is at most x, by bisection."""
+        n, d = x.numerator, x.denominator
+        ends = self._ends
+        a, b = 0, len(ends)
+        while a < b:
+            m = (a + b) // 2
+            if n * ends[m][1] < ends[m][0] * d:
+                b = m
+            else:
+                a = m + 1
+        return ends[a - 1] if a else None
+
+    def _contains(self, lo, hi) -> bool:
+        """Whether one piece contains [lo, hi], lo <= hi being scalars."""
+        if self._ends is None or isinstance(lo, FieldElement) or isinstance(hi, FieldElement):
+            return any(not (lo < a) and not (b < hi) for a, b in self.intervals)
+        piece = self._piece_from(lo)
+        return piece is not None and not (piece[2] * hi.denominator < hi.numerator * piece[3])
 
     def contains_point(self, x) -> bool:
         x = as_scalar(x)
-        return any(not (x < lo) and not (hi < x) for lo, hi in self.intervals)
+        return self._contains(x, x)
 
     def contains_interval(self, iv: Interval) -> bool:
-        return any(not (iv.lo < lo) and not (hi < iv.hi) for lo, hi in self.intervals)
+        return self._contains(iv.lo, iv.hi)
 
     def is_subset(self, other: "IntervalUnion") -> bool:
         return all(other.contains_interval(Interval(lo, hi)) for lo, hi in self.intervals)
@@ -1063,12 +1135,20 @@ class IntervalUnion(Value):
     def inflate(self, radius) -> "IntervalUnion":
         """Every piece widened by the radius on both sides, merged.  Shifting
         all left endpoints by one amount keeps them sorted, so one merging
-        pass suffices."""
+        pass suffices, on integers when the pieces and the radius are
+        rational and the radius is not negative."""
         r = as_scalar(radius)
-        return IntervalUnion(_merge_sorted((lo - r, hi + r) for lo, hi in self.intervals))
+        if self._ends is None or isinstance(r, FieldElement) or r < 0:
+            return IntervalUnion(_merge_sorted((lo - r, hi + r) for lo, hi in self.intervals))
+        rn, rd = r.numerator, r.denominator
+        return IntervalUnion._on_ends(_merge_sorted_ends(
+            (lo * rd - rn * dlo, dlo * rd, hi * rd + rn * dhi, dhi * rd)
+            for lo, dlo, hi, dhi in self._ends))
 
     def to_obj(self) -> list[list]:
-        return [[scalar_to_obj(lo), scalar_to_obj(hi)] for lo, hi in self.intervals]
+        if self._ends is None:
+            return [[scalar_to_obj(lo), scalar_to_obj(hi)] for lo, hi in self._pairs]
+        return [[_ratio_str(lo, dlo), _ratio_str(hi, dhi)] for lo, dlo, hi, dhi in self._ends]
 
     @staticmethod
     def from_obj(obj: Sequence[Sequence[str]]) -> "IntervalUnion":

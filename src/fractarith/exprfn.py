@@ -25,7 +25,8 @@ from operator import add, floordiv, gt, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from ._value import Value, setfield
-from .errors import DivByZeroInterval, DomainError, ExprSyntaxError, ZeroExponentError
+from .errors import (DivByZeroInterval, DomainError, ExprSyntaxError, ResourceBudget,
+                     ZeroExponentError)
 from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattice,
                        merge_int_pairs, on_own_lcms, pow_numerators)
 
@@ -823,7 +824,15 @@ def _bridged(t: type, ax: tuple, ay: tuple) -> tuple[tuple, tuple]:
         b = closed
 
 
-def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
+def _within_budget(n: int, m: int, budget: int | None) -> None:
+    """Refuse to pair n x m rectangles beyond the budget, None meaning no
+    limit."""
+    if budget is not None and n * m > budget:
+        raise ResourceBudget(f"{n}x{m} rectangles exceed budget {budget}")
+
+
+def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
+                  budget: int | None = None
                   ) -> tuple[int | Iterable[int], Iterable[tuple[int, int]]] | None:
     """Pieces (den, pairs), in eval_lattice's form, whose union is the
     union of the enclosures eval_grid gives over xs x ys; None when
@@ -842,21 +851,28 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
     closes to one piece on each side.  The union is the same because all
     of these operations give exact images (see empirics.grid_cover).
     Otherwise, and on a DomainError, this is eval_lattice, which raises the
-    error eval_grid raises."""
+    error eval_grid raises.
+
+    ResourceBudget is raised when the rectangles to be paired exceed the
+    budget, before they are: the bridged pieces of a split e, otherwise
+    the whole grid, before anything is evaluated.  A None return has passed
+    the grid's check too."""
     split = _split(e) if xs and ys and _on_lattice(e) else None
-    if split is None:
+    if split is not None:
+        ax, ay = _axis(xs), _axis(ys)
+    if split is None or ax is None or ay is None:
+        _within_budget(len(xs), len(ys), budget)
         return eval_lattice(e, xs, ys)
-    ax, ay = _axis(xs), _axis(ys)
-    if ax is None or ay is None:
-        return None
     outer, inner, ex, ey = split
     try:
         ax, ay = _bridged(type(inner), _leaf_axis(ex, _X, ax), _leaf_axis(ey, _Y, ay))
+        _within_budget(len(ax[1]), len(ay[1]), budget)
         den, pairs = _lattice_pairs(inner, ax, ay)
         if type(outer) is Var:  # the caller merges inner's pieces
             return den, pairs
         return _leaf_axis(outer, _X, merge_int_pairs(pairs, den))
     except DomainError:
+        _within_budget(len(xs), len(ys), budget)
         return eval_lattice(e, xs, ys)
 
 

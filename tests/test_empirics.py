@@ -97,12 +97,39 @@ def test_image_cover_budget():
             image_cover(C, C, parse("x+y"), 12)
 
 
+# (f, depth, the pieces paired on each side): the bridged pieces for a
+# separable f, which x^3+y keeps 19 of on x's side, and the whole grid for
+# x*y+x, which does not split
+@pytest.mark.parametrize("f, depth, n, m", [("x^3+y", 6, 19, 32), ("x*y+x", 5, 32, 32)])
+def test_image_cover_budget_counts_the_rectangles_paired(f, depth, n, m):
+    want = image_cover(C, C, parse(f), depth)
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": str(n * m - 1)}):
+        with pytest.raises(ResourceBudget, match=f"^{n}x{m} rectangles exceed budget {n * m - 1}$"):
+            image_cover(C, C, parse(f), depth)
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": str(n * m)}):
+        assert image_cover(C, C, parse(f), depth) == want
+
+
+def test_image_cover_budget_after_bridging():
+    # Cantor x+y bridges to one piece a side, so a budget that only admits
+    # each axis's 2^13 cylinders admits the cover, whose grid has 2^26
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": str(2 ** 13)}):
+        assert image_cover(C, C, parse("x+y"), 13).to_obj() == [["0", "2"]]
+        # a DomainError in one side falls back to the grid, whose size is
+        # then refused before any rectangle is evaluated
+        with pytest.raises(ResourceBudget, match="^128x128 rectangles exceed budget 8192$"):
+            image_cover(C, C, parse("x^(-1)+y"), 7)
+    with pytest.raises(DivByZeroInterval):
+        image_cover(C, C, parse("x^(-1)+y"), 7)
+
+
 # every enumeration reads FRACTARITH_BUDGET when it is sized; 3 is below the
-# size of each of these
+# size of each of these (x*y+x does not split, so its covers pair every
+# rectangle of the grid)
 @pytest.mark.parametrize("enumerate_", [
     lambda: C.cylinders(2),
-    lambda: image_cover(C, C, parse("x+y"), 1),
-    lambda: oracle_check(certify_rectangle(C, C, parse("x+y"), (), ()), 1),
+    lambda: image_cover(C, C, parse("x*y+x"), 1),
+    lambda: oracle_check(certify_rectangle(C, C, parse("x*y+x"), (2,), (2,)), 2),
     lambda: uq_cover(Q19, 6),
     lambda: ifs_box_counts(C, [1, 2]),
     lambda: uq_product_counts(Q19, parse("x+y"), [6]),

@@ -3,6 +3,7 @@ elements."""
 
 import copy
 import itertools
+import json
 import math
 import operator
 import pickle
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 import fraction_poly as fpoly
 from fractarith import exactnum, poly
+from fractarith.empirics import grid_box_count
 from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
 from fractarith.exactnum import (DENOMINATOR_BOUND, AlgebraicReal, FieldElement,
-                                 Interval, IntervalUnion, fraction_pow_bounds,
-                                 pow_numerators, rat_from_str, rat_to_str,
+                                 Interval, IntervalUnion, pow_numerators, rat_from_str, rat_to_str,
                                  root_isolate, scalar_sign, scalar_to_obj)
 
 QSTAR = (1, -2, -1, 1)  # x^3 - x^2 - 2x + 1, constant first
@@ -92,11 +93,17 @@ def test_interval_pow_rational_integer_and_root():
     assert out.lo ** 2 <= 2 and 3 <= out.hi ** 2
 
 
-def test_fraction_pow_bounds_exact_cases():
-    lo, hi = fraction_pow_bounds(Fraction(4), Fraction(1, 2))
-    assert lo == hi == 2
-    lo, hi = fraction_pow_bounds(Fraction(27, 8), Fraction(2, 3))
-    assert lo == hi == Fraction(9, 4)
+def pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
+    """pow_numerators' bounds on x**e as rationals."""
+    lo, hi = pow_numerators(x.numerator, x.denominator, e)
+    return Fraction(lo, DENOMINATOR_BOUND), Fraction(hi, DENOMINATOR_BOUND)
+
+
+def test_pow_numerators_exact_cases():
+    lo, hi = pow_numerators(4, 1, Fraction(1, 2))
+    assert lo == hi == 2 * DENOMINATOR_BOUND
+    lo, hi = pow_numerators(27, 8, Fraction(2, 3))
+    assert lo == hi == 9 * DENOMINATOR_BOUND // 4
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,8 +113,7 @@ def test_fraction_pow_bounds_exact_cases():
 def test_pow_numerators_bound_the_value_whatever_its_terms(n, d, k, e):
     lo, hi = pow_numerators(n, d, e)
     assert pow_numerators(n * k, d * k, e) == (lo, hi)
-    assert (Fraction(lo, DENOMINATOR_BOUND), Fraction(hi, DENOMINATOR_BOUND)) == \
-        fraction_pow_bounds(Fraction(n, d), e)
+    assert pow_numerators(*Fraction(n, d).as_integer_ratio(), e) == (lo, hi)
     # lo/B <= (n/d)^e <= hi/B, one grid step apart unless exact
     power = Fraction(n, d) ** e.numerator
     v = e.denominator
@@ -788,8 +794,8 @@ def test_pow_rational_of_field_endpoints_matches_fraction_reference(coeffs, lo, 
     width = Fraction(1, exactnum.DENOMINATOR_BOUND)
     flo = ref.enclosure(left.coeffs, width)[0]
     fhi = ref.enclosure(right.coeffs, width)[1]
-    lo_lo, lo_hi = fraction_pow_bounds(flo, e)
-    hi_lo, hi_hi = fraction_pow_bounds(fhi, e)
+    lo_lo, lo_hi = pow_bounds(flo, e)
+    hi_lo, hi_hi = pow_bounds(fhi, e)
     assert (got.lo, got.hi) == ((lo_lo, hi_hi) if e > 0 else (hi_lo, lo_hi))
     assert (gen.lo, gen.hi) == (ref.lo, ref.hi)
 
@@ -999,3 +1005,121 @@ def test_from_int_pairs_examples():
     assert IntervalUnion.from_int_pairs([], 5) == IntervalUnion.empty()
     assert IntervalUnion.from_int_pairs([(4, 6), (0, 2), (2, 3)], 6).to_obj() == \
         [["0", "1/2"], ["2/3", "1"]]
+
+
+# Integer-backed unions (from_int_pairs, and inflate of one) against the same
+# union built from Fractions by from_intervals, which keeps scalar pairs and
+# reads them with Fraction comparisons.
+
+def fraction_box_count(u: IntervalUnion, size: Fraction) -> int:
+    """grid_box_count on Fraction endpoints: the boxes [j*size, (j+1)*size]
+    from floor(lo/size) to ceil(hi/size) - 1 of each piece, a point piece
+    taking floor(lo/size) alone, each box counted once."""
+    count, last = 0, None
+    for lo, hi in u.intervals:
+        j_min = math.floor(lo / size)
+        j_max = j_min if lo == hi else math.ceil(hi / size) - 1
+        if last is not None and j_min <= last:
+            j_min = last + 1
+        if j_max >= j_min:
+            count += j_max - j_min + 1
+            last = j_max
+    return count
+
+
+def rationals(den_max: int = 12, num_max: int = 60):
+    return st.builds(Fraction, st.integers(-num_max, num_max), st.integers(1, den_max))
+
+
+def assert_same_union(u: IntervalUnion, ref: IntervalUnion, data) -> None:
+    """Every reading of u matches the Fraction reference ref."""
+    want = [[rat_to_str(lo), rat_to_str(hi)] for lo, hi in ref.intervals]
+    assert json.dumps(u.to_obj()) == json.dumps(ref.to_obj()) == json.dumps(want)
+    assert len(u) == len(ref) and u.is_empty() == ref.is_empty()
+    if ref.is_empty():
+        with pytest.raises(FractarithError, match="empty union has no hull"):
+            u.hull()
+    else:
+        assert u.hull() == ref.hull()
+    for x in data.draw(st.lists(rationals(), max_size=6)):
+        assert u.contains_point(x) == ref.contains_point(x)
+    for lo in data.draw(st.lists(rationals(), max_size=6)):
+        hi = lo + data.draw(rationals(num_max=20).map(abs))
+        assert u.contains_interval(Interval(lo, hi)) == ref.contains_interval(Interval(lo, hi))
+    # every end of every piece, and the points just beside them
+    eps = Fraction(1, 1000)
+    for a, b in ref.intervals:
+        assert u.contains_interval(Interval(a, b))
+        assert not u.contains_interval(Interval(a - eps, b))
+        assert not u.contains_interval(Interval(a, b + eps))
+        assert u.contains_point(a) and u.contains_point(b)
+        assert not u.contains_point(a - eps) and not u.contains_point(b + eps)
+    lo = data.draw(rationals())
+    window = Interval(lo, lo + data.draw(rationals(num_max=40).map(abs)))
+    assert u.intersect_window(window) == ref.intersect_window(window)
+    assert u.gaps(window) == ref.gaps(window)
+    size = data.draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)))
+    assert grid_box_count(u, size) == grid_box_count(ref, size) == fraction_box_count(ref, size)
+    r = data.draw(rationals(den_max=7, num_max=12))
+    assert _union_or_error(lambda: u.inflate(r)) == _union_or_error(lambda: ref.inflate(r))
+    # equality, hash, iteration, repr, copy and pickle read the Fractions,
+    # and agree with ref's whether or not they were formed before
+    assert u == ref and ref == u and not u != ref
+    assert hash(u) == hash(ref)
+    assert list(u) == list(ref) and u.intervals == ref.intervals
+    assert repr(u) == repr(ref)
+    for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert twin == ref and twin.to_obj() == want
+    assert pickle.dumps(u) == pickle.dumps(ref)
+
+
+# pieces (lo, hi) on a small range, negative ones included, so that touching,
+# nested, equal and point pieces are common
+int_pieces = st.lists(st.tuples(st.integers(-10, 10), st.integers(0, 6)).map(
+    lambda t: (t[0], t[0] + t[1])), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_pieces, st.data())
+def test_int_backed_union_matches_fraction_reference(pairs, data):
+    if data.draw(st.booleans(), "shared denominator"):
+        den = data.draw(st.integers(1, 12))
+        dens = [den] * len(pairs)
+    else:
+        den = dens = data.draw(st.lists(st.integers(1, 12), min_size=len(pairs),
+                                        max_size=len(pairs)))
+    u = IntervalUnion.from_int_pairs(pairs, den)
+    ref = IntervalUnion.from_intervals(
+        (Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens))
+    assert u._ends is not None and u._pairs is None
+    assert_same_union(u, ref, data)
+    # the radius is a Fraction >= 0, so inflate stays on integers
+    r = data.draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 7)))
+    inflated = u.inflate(r)
+    assert inflated._ends is not None
+    assert_same_union(inflated, ref.inflate(r), data)
+
+
+def test_int_backed_union_of_one_point():
+    u = IntervalUnion.from_int_pairs([(-3, -3)], 6)
+    assert u.to_obj() == [["-1/2", "-1/2"]]
+    assert u.hull() == Interval(Fraction(-1, 2), Fraction(-1, 2))
+    assert u.contains_point(Fraction(-1, 2)) and not u.contains_point(Fraction(-1, 3))
+    assert grid_box_count(u, Fraction(1, 2)) == 1
+    assert u.inflate(Fraction(1, 2)).to_obj() == [["-1", "0"]]
+    assert u == IntervalUnion.from_intervals([(Fraction(-1, 2), Fraction(-1, 2))])
+
+
+def test_int_backed_union_with_field_element_arguments():
+    # a field-element point or radius reads the Fraction pairs
+    u = IntervalUnion.from_int_pairs([(0, 3), (4, 6)], 3)  # [0, 1] U [4/3, 2]
+    root2 = FieldElement.generator(AlgebraicReal((-2, 0, 1), 1, 2))
+    ref = IntervalUnion.from_intervals([(0, 1), (Fraction(4, 3), 2)])
+    assert u.contains_point(root2) and ref.contains_point(root2)
+    assert u.contains_point(root2 - 1)
+    assert not u.contains_point(root2 - 1 + Fraction(2, 3))  # in the gap
+    assert u.contains_interval(Interval(root2 - 1, Fraction(1)))
+    assert not u.contains_interval(Interval(root2 - 1, root2))
+    grown = u.inflate(root2 / 8)
+    assert grown == ref.inflate(root2 / 8) and len(grown) == 1
+    assert grown._ends is None
