@@ -20,13 +20,14 @@ serialized form alone.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Sequence
 
 from ._value import Value, setfield
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, MarginNegative, ResourceBudget,
                      SignIndefinite)
-from .exactnum import (Interval, Scalar, rat_from_str, scalar_sign,
+from .exactnum import (Interval, Scalar, TripleInterval, rat_from_str, scalar_sign,
                        scalar_to_obj, scalar_to_str)
 from .exprfn import (Expr, GradEnclosure, compile_expr, eval_grid, grad_enclosure,
                      parse, to_text)
@@ -281,18 +282,26 @@ def check_global_condition(k1: HomogeneousIfs, k2: HomogeneousIfs) -> GlobalCond
 # Sign cases
 # ---------------------------------------------------------------------------
 
+def _indefinite(dx: Interval, dy: Interval) -> SignIndefinite:
+    return SignIndefinite(f"gradient enclosure dx={dx}, dy={dy} contains 0")
+
+
 def sign_case_of(grad: GradEnclosure) -> SignCase:
     if grad.dx.contains_zero() or grad.dy.contains_zero():
-        raise SignIndefinite(
-            f"gradient enclosure dx={grad.dx}, dy={grad.dy} contains 0")
+        raise _indefinite(grad.dx, grad.dy)
     return SignCase(sx=1 if grad.dx.strictly_positive() else -1,
                     sy=1 if grad.dy.strictly_positive() else -1)
 
 
-def _extremes(iv: Interval, s: int) -> tuple[Scalar, Scalar]:
-    """The ends of iv where a function increasing (s > 0) or decreasing
-    (s < 0) in that variable is smallest, then largest."""
-    return (iv.lo, iv.hi) if s > 0 else (iv.hi, iv.lo)
+def _triple_sign(t: tuple[int, int, int]) -> int:
+    """The sign of every point of the triple's interval, 0 if it holds 0."""
+    return 1 if t[0] > 0 else -1 if t[1] < 0 else 0
+
+
+def _extremes(lo, hi, s: int) -> tuple:
+    """The ends of [lo, hi] where a function increasing (s > 0) or
+    decreasing (s < 0) in that variable is smallest, then largest."""
+    return (lo, hi) if s > 0 else (hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +326,8 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     ys = k2.cylinders(k0, within=w2)
     if len(xs) * len(ys) > budget:
         raise ResourceBudget(f"{len(xs)}x{len(ys)} starting cells exceed budget")
-    x_ends = [_extremes(ix, sign_case.sx) for ix in xs]
-    y_ends = [_extremes(iy, sign_case.sy) for iy in ys]
+    x_ends = [_extremes(ix.lo, ix.hi, sign_case.sx) for ix in xs]
+    y_ends = [_extremes(iy.lo, iy.hi, sign_case.sy) for iy in ys]
     lo_corners = eval_grid(f, [Interval.point(a) for a, _ in x_ends],
                            [Interval.point(a) for a, _ in y_ends])
     hi_corners = eval_grid(f, [Interval.point(b) for _, b in x_ends],
@@ -333,19 +342,47 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
             reach = hi_enc.lo
 
 
-def _margins(k1: HomogeneousIfs, k2: HomogeneousIfs,
-             dx: Interval, dy: Interval) -> dict[str, tuple[Scalar, Scalar]]:
-    """Scale-free chaining slacks for both nesting orientations.  dx and dy
-    enclose the sizes |df/dx| and |df/dy|: the inequalities read the same in
-    every sign case, since they depend on the sets only through their
-    rank-1 piece widths, hull widths and largest gaps."""
-    p1 = k1.gap_profile()
-    p2 = k2.gap_profile()
+def _terms(k1: HomogeneousIfs, k2: HomogeneousIfs) -> tuple[tuple, tuple]:
+    """Each system's rank-1 piece width, hull width and largest gap (see
+    GapProfile) as (numerator, denominator) pairs: a Fraction's own when
+    both systems are rational, so that the margins run on integers, and
+    (x, 1) otherwise."""
+    rational = k1.rational and k2.rational
+    return tuple(tuple((v.numerator, v.denominator) if rational else (v, 1)
+                       for v in (p.piece, p.width, p.kappa))
+                 for p in (k1.gap_profile(), k2.gap_profile()))
+
+
+def _slack(a: tuple, u: tuple, b: tuple, v: tuple) -> tuple:
+    """a*u - b*v for (numerator, denominator) pairs, as such a pair.  No gcd
+    is taken; over equal denominators, as on the scalar path's 1s, the
+    products are subtracted as they stand."""
+    left, dl = a[0] * u[0], a[1] * u[1]
+    right, dr = b[0] * v[0], b[1] * v[1]
+    if dl == dr:
+        return left - right, dl
+    return left * dr - right * dl, dl * dr
+
+
+def _scalar(pair: tuple) -> Scalar:
+    """The value of a (numerator, denominator) pair: a Fraction for integers,
+    the numerator itself (over 1) for a scalar."""
+    n, d = pair
+    return Fraction(n, d) if isinstance(n, int) else n
+
+
+def _margins(t1: tuple, t2: tuple, dx: tuple, dy: tuple) -> dict[str, tuple[tuple, tuple]]:
+    """Scale-free chaining slacks for both nesting orientations, each an
+    (m_row, m_gap) of (numerator, denominator) pairs.  t1 and t2 are the
+    systems' _terms, and dx and dy the triples (lo, hi, d) of enclosures of
+    the sizes |df/dx| and |df/dy|, each end over d.  The inequalities read
+    the same in every sign case, since they depend on the sets only through
+    their rank-1 piece widths, hull widths and largest gaps."""
+    (piece1, width1, kappa1), (piece2, width2, kappa2) = t1, t2
+    xlo, xhi, ylo, yhi = (dx[0], dx[2]), (dx[1], dx[2]), (dy[0], dy[2]), (dy[1], dy[2])
     return {
-        "k1-blocks": (p1.piece * dx.lo - p2.kappa * dy.hi,
-                      p2.width * dy.lo - p1.kappa * dx.hi),
-        "k2-blocks": (p2.piece * dy.lo - p1.kappa * dx.hi,
-                      p1.width * dx.lo - p2.kappa * dy.hi),
+        "k1-blocks": (_slack(piece1, xlo, kappa2, yhi), _slack(width2, ylo, kappa1, xhi)),
+        "k2-blocks": (_slack(piece2, ylo, kappa1, xhi), _slack(width1, xlo, kappa2, yhi)),
     }
 
 
@@ -366,45 +403,78 @@ def certify_rectangle(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     require_shared_ratio(k1, k2)
     word1, word2 = tuple(word1), tuple(word2)
     return _certify(k1, k2, f, word1, word2,
-                    (k1.basic_interval(word1), k2.basic_interval(word2)))
+                    (k1.basic_interval(word1), k2.basic_interval(word2)), _terms(k1, k2))
 
 
 def _certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, word1: Word, word2: Word,
-             rect: tuple[Interval, Interval]) -> Certificate:
-    """certify_rectangle, given the rectangle of word1 x word2."""
-    program = compile_expr(f)
-    # DomainError if f or a partial is undefined somewhere on the rectangle
-    grad = program.gradient(*rect, with_f=True)
-    sign_case = sign_case_of(grad)
+             rect: tuple[Interval, Interval], terms: tuple[tuple, tuple]) -> Certificate:
+    """certify_rectangle, given the rectangle of word1 x word2, the
+    systems' basic intervals, and the systems' _terms.
 
-    margins = _margins(k1, k2, grad.dx.abs(), grad.dy.abs())
+    Over two rational systems the rectangle's sides are TripleIntervals,
+    and the partials, their signs, the margins and the corner values are
+    decided on integer triples.  Fractions are formed only for what leaves:
+    the fields of the certificate, the margin of a MarginNegative and the
+    enclosures of a SignIndefinite.  Otherwise the partials are Intervals of
+    scalars, and the margins run over them as pairs over 1."""
+    program = compile_expr(f)
+    rational = k1.rational and k2.rational
+    # DomainError if f or a partial is undefined somewhere on the rectangle
+    if rational:
+        tx, ty = rect[0].triple, rect[1].triple
+        dx, dy = program.gradient_triples(tx, ty, with_f=True)
+        sx, sy = _triple_sign(dx), _triple_sign(dy)
+        if not (sx and sy):
+            raise _indefinite(TripleInterval(dx), TripleInterval(dy))
+        sign_case = SignCase(sx, sy)
+        sizes = [t if s > 0 else (-t[1], -t[0], t[2]) for t, s in ((dx, sx), (dy, sy))]
+    else:
+        grad = program.gradient(*rect, with_f=True)
+        sign_case = sign_case_of(grad)
+        sizes = [(a.lo, a.hi, 1) for a in (grad.dx.abs(), grad.dy.abs())]
+
+    margins = _margins(*terms, *sizes)
     orientation = None
     for name in ("k1-blocks", "k2-blocks"):
         m_row, m_gap = margins[name]
-        if scalar_sign(m_row) >= 0 and scalar_sign(m_gap) >= 0:
+        if scalar_sign(m_row[0]) >= 0 and scalar_sign(m_gap[0]) >= 0:
             orientation = name
             break
     if orientation is None:
         m_row, m_gap = margins["k1-blocks"]
-        if scalar_sign(m_row) < 0:
-            raise MarginNegative("m_row", m_row)
-        raise MarginNegative("m_gap", m_gap)
+        if scalar_sign(m_row[0]) < 0:
+            raise MarginNegative("m_row", _scalar(m_row))
+        raise MarginNegative("m_gap", _scalar(m_gap))
     m_row, m_gap = margins[orientation]
 
     _initial_grid_chains(k1, k2, f, word1, word2, sign_case)
 
-    x_min, x_max = _extremes(rect[0], sign_case.sx)
-    y_min, y_max = _extremes(rect[1], sign_case.sy)
-    # inward rounding keeps the certified interval inside the true image
-    lo_val = program.value(Interval.point(x_min), Interval.point(y_min)).hi
-    hi_val = program.value(Interval.point(x_max), Interval.point(y_max)).lo
-    if hi_val < lo_val:
-        raise CertificationFailure("rectangle too small to certify after rounding")
-    certified = Interval(lo_val, hi_val)
+    # inward rounding keeps the certified interval inside the true image:
+    # f's enclosure at the smallest corner's upper end, at the largest one's
+    # lower end
+    if rational:
+        (xlo, xhi, xd), (ylo, yhi, yd) = tx, ty
+        x_min, x_max = _extremes(xlo, xhi, sign_case.sx)
+        y_min, y_max = _extremes(ylo, yhi, sign_case.sy)
+        _, lo_n, lo_d = program.value_triple((x_min, x_min, xd), (y_min, y_min, yd))
+        hi_n, _, hi_d = program.value_triple((x_max, x_max, xd), (y_max, y_max, yd))
+        if hi_n * lo_d < lo_n * hi_d:
+            raise CertificationFailure("rectangle too small to certify after rounding")
+        certified = TripleInterval((lo_n * hi_d, hi_n * lo_d, lo_d * hi_d))
+        grad = GradEnclosure(dx=TripleInterval(dx), dy=TripleInterval(dy), rect=rect)
+    else:
+        x_min, x_max = _extremes(rect[0].lo, rect[0].hi, sign_case.sx)
+        y_min, y_max = _extremes(rect[1].lo, rect[1].hi, sign_case.sy)
+        lo_val = program.value(Interval.point(x_min), Interval.point(y_min)).hi
+        hi_val = program.value(Interval.point(x_max), Interval.point(y_max)).lo
+        if hi_val < lo_val:
+            raise CertificationFailure("rectangle too small to certify after rounding")
+        certified = Interval(lo_val, hi_val)
 
     return Certificate(ifs1=k1, ifs2=k2, f=f, word1=word1, word2=word2,
                        sign_case=sign_case, grad=grad, orientation=orientation,
-                       m_row=m_row, m_gap=m_gap, certified_interval=certified)
+                       m_row=_scalar(m_row), m_gap=_scalar(m_gap),
+                       certified_interval=certified)
 
 
 def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
@@ -423,10 +493,11 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     if walks[0].ifs is not k1 or walks[1].ifs is not k2:
         raise FractarithError("a walk must run through the system it is certified over")
     require_shared_ratio(k1, k2)
+    terms = _terms(k1, k2)
     reasons: list[tuple[int, str]] = []
     for k, ((word1, iv1), (word2, iv2)) in zip(range(max_depth + 1), zip(*walks)):
         try:
-            return _certify(k1, k2, f, word1, word2, (iv1, iv2))
+            return _certify(k1, k2, f, word1, word2, (iv1, iv2), terms)
         except (CertificationFailure, DomainError) as exc:
             reasons.append((k, f"{type(exc).__name__}: {exc}"))
     raise ExhaustedDepth(reasons)

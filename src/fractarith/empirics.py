@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from ._value import Value, setfield
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
-from .exactnum import FieldElement, Interval, IntervalUnion
+from .exactnum import FieldElement, Interval, IntervalUnion, TripleInterval
 from .exprfn import Expr, eval_grid, lattice_cover
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
@@ -235,8 +235,9 @@ def uq_cover(q, depth: int) -> IntervalUnion:
             shifted = [(lo + p, hi + p) for lo, hi in unions[s1]] if s1 >= 0 else []
             merged[sid] = _union(unions[s0], shifted) if s0 >= 0 else shifted
         unions = merged
-    if rational:
-        return IntervalUnion.from_int_pairs(unions[0], a ** depth * (a - b))
+    if rational:  # _union's pieces are sorted, disjoint and non-touching
+        den = a ** depth * (a - b)
+        return IntervalUnion.from_merged_ends([(lo, den, hi, den) for lo, hi in unions[0]])
     return IntervalUnion.from_intervals(unions[0])
 
 
@@ -317,8 +318,9 @@ def uq_product_counts(q, f: Expr, ranks: Iterable[int]) -> list[tuple[int, int]]
         raise FractarithError("trend tables require a rational base")
     out = []
     for r in ranks:
-        cover = uq_cover(q, r)
-        cells = [Interval(lo, hi) for lo, hi in cover]
+        # the cover's integer pieces, each over uq_cover's one denominator,
+        # read by grid_cover as they stand
+        cells = [TripleInterval((lo, hi, d)) for lo, d, hi, _ in uq_cover(q, r).int_ends()]
         union = grid_cover(f, cells, cells)
         out.append((r, grid_box_count(union, q ** (-r))))
     return out

@@ -760,6 +760,49 @@ class Interval(Value):
         return f"[{self.lo}, {self.hi}]"
 
 
+# Interval's own slots, which a TripleInterval fills when an end is first read
+_LO_SLOT, _HI_SLOT = Interval.lo, Interval.hi
+
+
+def _form_end(self: "TripleInterval", slot) -> Fraction:
+    try:
+        return slot.__get__(self)
+    except AttributeError:
+        lo, hi, d = self.triple
+        _LO_SLOT.__set__(self, Fraction(lo, d))
+        _HI_SLOT.__set__(self, Fraction(hi, d))
+        return slot.__get__(self)
+
+
+class TripleInterval(Interval):
+    """The rational Interval [lo/d, hi/d] held as its integer triple
+    (lo, hi, d), with d > 0 and lo <= hi, not necessarily in lowest terms.
+    The Fractions of its ends are formed when one is first read, and kept;
+    a caller working on integers reads `triple` and never forms them.  It
+    equals and hashes as the Interval of its ends, and copies and pickles
+    as that Interval."""
+
+    __slots__ = ("triple",)
+    _fields = ("lo", "hi")
+
+    def __init__(self, triple: tuple[int, int, int]):
+        setfield(self, "triple", triple)
+
+    lo = property(lambda self: _form_end(self, _LO_SLOT))
+    hi = property(lambda self: _form_end(self, _HI_SLOT))
+
+    def __eq__(self, other):
+        # also serves Interval == TripleInterval, as Python asks the subclass first
+        if isinstance(other, Interval):
+            return self._values == other._values
+        return NotImplemented
+
+    __hash__ = Interval.__hash__
+
+    def __reduce__(self):
+        return Interval, self._values
+
+
 class IntervalLattice(Value, Sequence):
     """The intervals [l/den, (l + span)/den] for l in lefts: equal-width
     rational intervals on integer numerators over one denominator den > 0,
@@ -1009,8 +1052,9 @@ class IntervalUnion(Value):
         setfield(self, "_ends", None)
 
     @staticmethod
-    def _on_ends(ends: Sequence[Sequence[int]]) -> "IntervalUnion":
-        """The union of sorted, disjoint, non-touching integer pieces."""
+    def from_merged_ends(ends: Sequence[Sequence[int]]) -> "IntervalUnion":
+        """The union of integer pieces (lo, dlo, hi, dhi) that are already
+        sorted, disjoint and non-touching, kept as given."""
         u = object.__new__(IntervalUnion)
         setfield(u, "_pairs", None)
         setfield(u, "_ends", ends)
@@ -1044,10 +1088,10 @@ class IntervalUnion(Value):
         sorted and merged on integers as in merge_int_pairs, and kept on
         integers, so that no Fraction is formed until intervals is read."""
         if isinstance(den, int):
-            return IntervalUnion._on_ends([
+            return IntervalUnion.from_merged_ends([
                 (lo, den, hi, den)
                 for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))])
-        return IntervalUnion._on_ends(_merge_ends(pairs, den))
+        return IntervalUnion.from_merged_ends(_merge_ends(pairs, den))
 
     def int_ends(self) -> Sequence[Sequence[int]] | None:
         """The pieces as integers (lo, dlo, hi, dhi), the piece [lo/dlo,
@@ -1141,7 +1185,7 @@ class IntervalUnion(Value):
         if self._ends is None or isinstance(r, FieldElement) or r < 0:
             return IntervalUnion(_merge_sorted((lo - r, hi + r) for lo, hi in self.intervals))
         rn, rd = r.numerator, r.denominator
-        return IntervalUnion._on_ends(_merge_sorted_ends(
+        return IntervalUnion.from_merged_ends(_merge_sorted_ends(
             (lo * rd - rn * dlo, dlo * rd, hi * rd + rn * dhi, dhi * rd)
             for lo, dlo, hi, dhi in self._ends))
 

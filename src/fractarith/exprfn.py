@@ -28,7 +28,7 @@ from ._value import Value, setfield
 from .errors import (DivByZeroInterval, DomainError, ExprSyntaxError, ResourceBudget,
                      ZeroExponentError)
 from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattice,
-                       merge_int_pairs, on_own_lcms, pow_numerators)
+                       TripleInterval, merge_int_pairs, on_own_lcms, pow_numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -483,26 +483,21 @@ def _axis(ivs: Sequence[Interval]) -> tuple[int | list[int], list[tuple[int, int
     an int and den[i] otherwise; None when an endpoint is a FieldElement.
 
     An IntervalLattice gives its own numerators over its one denominator.
-    Any other sequence is lifted once, each interval over the lcm of its
-    endpoints' denominators; when one of those is a multiple of all the
+    Any other sequence is lifted once, each interval as its triple (see
+    _triple); when one triple's denominator is a multiple of all the
     others, as for the cylinders of a rational IFS, the axis shares it."""
     if isinstance(ivs, IntervalLattice):
         return ivs.den, ivs.pairs()
-    if any(isinstance(v, FieldElement) for iv in ivs for v in (iv.lo, iv.hi)):
+    triples = [_triple(iv) for iv in ivs]
+    if None in triples:
         return None
-    if not ivs:
+    if not triples:
         return 1, []
-    ends = {v.denominator for iv in ivs for v in (iv.lo, iv.hi)}
-    top = lcm(*ends)
-    shared = top in ends
-    if not shared:
-        dens = [lcm(iv.lo.denominator, iv.hi.denominator) for iv in ivs]
-        shared = max(dens) == top
-    if shared:
-        dens = repeat(top)
-    pairs = [(iv.lo.numerator * (d // iv.lo.denominator),
-              iv.hi.numerator * (d // iv.hi.denominator)) for iv, d in zip(ivs, dens)]
-    return (top if shared else dens), pairs
+    dens = [d for _, _, d in triples]
+    top = lcm(*dens)
+    if top in dens:
+        return top, [(lo * (top // d), hi * (top // d)) for lo, hi, d in triples]
+    return dens, [(lo, hi) for lo, hi, _ in triples]
 
 
 def _rescaled(grid: _GridWalk, lifted: tuple, tx: list[int], ty: list[int]) -> Iterator:
@@ -902,7 +897,10 @@ _INTERVAL_BINARY = tuple(_BINARY_OPS[t] for t in (Add, Sub, Mul, Div))
 
 def _triple(iv: Interval) -> tuple[int, int, int] | None:
     """A rational interval as (lo, hi, d), the interval [lo/d, hi/d] with
-    d > 0; None when an endpoint is a FieldElement."""
+    d > 0: a TripleInterval's own; None when an endpoint is a
+    FieldElement."""
+    if type(iv) is TripleInterval:
+        return iv.triple
     lo, hi = iv.lo, iv.hi
     if isinstance(lo, FieldElement) or isinstance(hi, FieldElement):
         return None
@@ -1060,13 +1058,15 @@ class Program:
     computes the partials alone, in the order of walking f_x and then f_y.
 
     There are two number domains.  A rectangle with rational ends runs that
-    shared code on integer triples (see _triple), and only the enclosures it
-    returns become Fractions.  Every operation there is exact but a
-    fractional power, whose bounds (pow_numerators) depend on the value of
-    its operand alone, so each enclosure equals the one the recursive walk
-    of Interval operations gives.  Each node computes the same value
-    wherever it occurs, so the first instruction that fails is the walk's
-    first failing node, and the error is the same.
+    shared code on integer triples (see _triple), and value_triple and
+    gradient_triples take and return the triples themselves.  Only the
+    enclosures that value and gradient return become Fractions.  Every
+    operation there is exact but a fractional power, whose bounds
+    (pow_numerators) depend on the value of its operand alone, so each
+    enclosure equals the one the recursive walk of Interval operations
+    gives.  Each node computes the same value wherever it occurs, so the
+    first instruction that fails is the walk's first failing node, and the
+    error is the same.
 
     A rectangle with a FieldElement end runs Interval operations in the
     order of that walk: `walks` holds each output's full postorder, with
@@ -1087,24 +1087,31 @@ class Program:
         self._triples = _triple_registers(consts)
         self._points = [None if c is None else Interval.point(c) for c in consts]
 
-    def _registers(self, rx: Interval, ry: Interval) -> tuple[list, bool]:
-        """Fresh registers for the rectangle rx x ry, and whether they hold
-        triples (rational ends) or Intervals."""
-        tx, ty = _triple(rx), _triple(ry)
-        if tx is None or ty is None:
-            regs = self._points.copy()
-            regs[0], regs[1] = rx, ry
-            return regs, False
+    def _run(self, tx: tuple, ty: tuple, code: tuple) -> list:
+        """The registers after running code on the rectangle of the triples
+        tx x ty."""
         regs = self._triples.copy()
         regs[0], regs[1] = tx, ty
-        return regs, True
+        _run_triples(code, regs)
+        return regs
+
+    def value_triple(self, tx: tuple, ty: tuple) -> tuple[int, int, int]:
+        """value over the rectangle of the triples tx x ty, as a triple."""
+        return self._run(tx, ty, self.f_code)[self.outputs[0]]
+
+    def gradient_triples(self, tx: tuple, ty: tuple, with_f: bool = False) -> tuple[tuple, tuple]:
+        """gradient's dx and dy over the rectangle of the triples tx x ty,
+        as triples."""
+        regs = self._run(tx, ty, self.code if with_f else self.grad_code)
+        return regs[self.outputs[1]], regs[self.outputs[2]]
 
     def value(self, rx: Interval, ry: Interval) -> Interval:
         """Enclosure of f over the rectangle rx x ry."""
-        regs, rational = self._registers(rx, ry)
-        if rational:
-            _run_triples(self.f_code, regs)
-            return _interval(regs[self.outputs[0]])
+        tx, ty = _triple(rx), _triple(ry)
+        if tx is not None and ty is not None:
+            return _interval(self.value_triple(tx, ty))
+        regs = self._points.copy()
+        regs[0], regs[1] = rx, ry
         _run_intervals(self.walks[0], regs)
         return regs[self.outputs[0]]
 
@@ -1112,15 +1119,15 @@ class Program:
         """Enclosures of both partials over the rectangle rx x ry.  With
         with_f, f is evaluated there first, so that a DomainError of f
         comes before one of a partial."""
-        regs, rational = self._registers(rx, ry)
-        _, ox, oy = self.outputs
-        if rational:
-            _run_triples(self.code if with_f else self.grad_code, regs)
-            dx, dy = _interval(regs[ox]), _interval(regs[oy])
+        tx, ty = _triple(rx), _triple(ry)
+        if tx is not None and ty is not None:
+            dx, dy = map(_interval, self.gradient_triples(tx, ty, with_f))
         else:
+            regs = self._points.copy()
+            regs[0], regs[1] = rx, ry
             for walk in self.walks[0 if with_f else 1:]:
                 _run_intervals(walk, regs)
-            dx, dy = regs[ox], regs[oy]
+            dx, dy = regs[self.outputs[1]], regs[self.outputs[2]]
         return GradEnclosure(dx=dx, dy=dy, rect=(rx, ry))
 
 

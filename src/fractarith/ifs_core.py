@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from ._value import Value, setfield
 from .errors import FractarithError, InvalidDigit, NotInCover, ResourceBudget
 from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalLattice, Scalar,
-                       as_scalar, rat_from_str, scalar_sign, scalar_to_obj)
+                       TripleInterval, as_scalar, rat_from_str, scalar_sign, scalar_to_obj)
 
 #: Hard cap on enumerated rectangles/intervals unless overridden.
 DEFAULT_BUDGET = 2 ** 24
@@ -111,7 +111,9 @@ class CodeWalk:
     """The descent of one code through one system: (w, basic interval of w)
     for each prefix w of the code, the empty word first.  A step is computed
     when an iteration first reads it, and kept; every iteration starts at
-    rank 0, so descents along the same code share one walk."""
+    rank 0, so descents along the same code share one walk.  Over rational
+    data each basic interval is a TripleInterval from the integer walk (see
+    HomogeneousIfs.cylinder_walk), so a step forms no Fraction."""
 
     __slots__ = ("ifs", "_steps", "_kept")
 
@@ -162,7 +164,7 @@ class HomogeneousIfs:
 
     # the derived geometry (hull, gap profile, cylinder steps) is computed on
     # first use and kept: the system never changes, and is asked for it often
-    __slots__ = ("ratio", "translations", "rational", "_hull", "_gaps", "_steps")
+    __slots__ = ("ratio", "translations", "rational", "_hull", "_gaps", "_steps", "_ints")
 
     def __init__(self, ratio, translations: Iterable):
         ratio = as_scalar(ratio)
@@ -179,7 +181,7 @@ class HomogeneousIfs:
         # ratio and translations all rational: cylinders walk on integers
         object.__setattr__(self, "rational",
                            not any(isinstance(v, FieldElement) for v in (ratio, *ts)))
-        for cache in ("_hull", "_gaps", "_steps"):
+        for cache in ("_hull", "_gaps", "_steps", "_ints"):
             object.__setattr__(self, cache, None)
 
     def __setattr__(self, *a):  # immutable value type
@@ -269,12 +271,54 @@ class HomogeneousIfs:
             return self.convex_hull()
         return Interval(lo, lo + scale * self._cylinder_steps()[1])
 
+    # -- the same walk on integers, for rational data with ratio a/b: over
+    # D, the lcm of the denominators of the hull's left end a_0, of its width
+    # W and of every t_d - t_1, a rank-k left end is an integer L over D*b^k.
+    # Appending digit d adds (a/b)^k*(t_d - t_1), so L becomes
+    # b*(L + a^k*(t_d - t_1)*D) over D*b^(k+1): a walk carries L, a^k and
+    # D*b^k, and takes no gcd.
+
+    def _integer_steps(self) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+        """(a, b, D, a_0*D, W*D, (t_d - t_1)*D for d = 1..n)."""
+        if self._ints is None:
+            deltas, width = self._cylinder_steps()
+            lo = self.convex_hull().lo
+            den = lcm(lo.denominator, width.denominator, *(s.denominator for s in deltas))
+            object.__setattr__(self, "_ints", (
+                self.ratio.numerator, self.ratio.denominator, den,
+                lo.numerator * (den // lo.denominator),
+                width.numerator * (den // width.denominator),
+                tuple(s.numerator * (den // s.denominator) for s in deltas)))
+        return self._ints
+
+    def _triples(self, digits: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+        """The basic interval of each prefix of digits, the hull first, as
+        the triple (L, L + a^k*W*D, D*b^k) of a rank-k one.  Rational data
+        only."""
+        a, b, d, lo, width, steps = self._integer_steps()
+        scale = 1  # a^k
+        yield lo, lo + width, d
+        for digit in digits:
+            self._check_digit(digit)
+            lo = (lo + scale * steps[digit - 1]) * b
+            scale *= a
+            d *= b
+            yield lo, lo + scale * width, d
+
     def cylinder_walk(self, digits: Iterable[int]) -> Iterator[Interval]:
         """The basic interval of each prefix of digits, the hull first.
-        Digits are read lazily, so they may run forever (Code.digits())."""
+        Digits are read lazily, so they may run forever (Code.digits()).
+        Over rational data each is a TripleInterval walked on integers."""
+        if self.rational:
+            return map(TripleInterval, self._triples(digits))
         return starmap(self._interval, self._maps(digits))
 
     def basic_interval(self, word: Sequence[int]) -> Interval:
+        """The basic interval of the word: a TripleInterval over rational
+        data."""
+        if self.rational:
+            *_, last = self._triples(word)
+            return TripleInterval(last)
         *_, (lo, scale) = self._maps(word)
         return self._interval(lo, scale)
 

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_certify
 from fractarith import certifier
-from fractarith.certifier import (Certificate, _margins, auto_certify, certify_rectangle,
+from fractarith.certifier import (Certificate, _margins, _scalar, _terms, auto_certify,
+                                  certify_rectangle,
                                   check_global_condition, check_pointwise,
                                   condition_bounds, replay,
                                   replay_explain, sign_case_of, SignCase)
@@ -117,10 +119,16 @@ def test_margins_bounds_and_global_condition_agree(pair, a, b):
     # a and b stand for |df/dx| and |df/dy| on a rectangle
     k1, k2 = pair
     lower, upper = condition_bounds(k1, k2)
-    m_row, m_gap = _margins(k1, k2, Interval.point(a), Interval.point(b))["k1-blocks"]
+
+    def k1_blocks(a, b):  # the margins at the point sizes a and b, as Fractions
+        point = (a.numerator, a.numerator, a.denominator)
+        other = (b.numerator, b.numerator, b.denominator)
+        return map(_scalar, _margins(*_terms(k1, k2), point, other)["k1-blocks"])
+
+    m_row, m_gap = k1_blocks(a, b)
     assert (m_row >= 0) == (upper == math.inf or b / a <= upper)
     assert (m_gap >= 0) == (b / a >= lower)
-    m_row1, m_gap1 = _margins(k1, k2, Interval.point(1), Interval.point(1))["k1-blocks"]
+    m_row1, m_gap1 = k1_blocks(Fraction(1), Fraction(1))
     assert check_global_condition(k1, k2).holds == (m_row1 > 0 and m_gap1 > 0)
 
 
@@ -329,6 +337,66 @@ def test_auto_certify_descends_along_shared_walks():
     with pytest.raises(FractarithError, match="through the system"):
         auto_certify(C, C, f, (CodeWalk(cantor(), code1), code2), 5)
 
+
+
+# ---------------------------------------------------------------------------
+# the descent on integer triples against the Fraction judge it replaced
+# ---------------------------------------------------------------------------
+
+# every f of the certify-rational benchmark's pool
+POOL_FUNCTIONS = ["x+y", "x-y", "x*y", "x/y", "2*x+3*y", "x^2+y^2", "x^2-y^2", "x*y^2",
+                  "x^3+y", "(x+y)^2", "x*y-x", "x/(y+1)", "x^(-1)+y", "x^(1/2)+y^(1/2)",
+                  "x^(1/3)*y", "x^(3/2)-y^(1/2)"]
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two rational systems sharing a ratio a/b, a > 1 too, with 2 to 4
+    translations each, negative and non-dyadic ones among them."""
+    b = draw(st.integers(2, 12))
+    lam = Fraction(draw(st.integers(1, b - 1)), b)
+
+    def ifs():
+        ts = draw(st.lists(st.fractions(-3, 3, max_denominator=15),
+                           min_size=2, max_size=4, unique=True))
+        return HomogeneousIfs(lam, sorted(ts))
+
+    return ifs(), ifs()
+
+
+def codes(n: int):
+    digits = st.integers(1, n)
+    return st.builds(lambda pre, per: Code(tuple(pre), tuple(per)),
+                     st.lists(digits, max_size=3), st.lists(digits, min_size=1, max_size=3))
+
+
+def outcome(run):
+    """The certificate and its bytes, or the type and message raised."""
+    try:
+        cert = run()
+    except FractarithError as exc:
+        return type(exc), str(exc)
+    return cert, cert.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_pairs(), st.sampled_from(POOL_FUNCTIONS), st.integers(0, 8), st.data())
+def test_integer_descent_matches_the_fraction_judge(pair, text, depth, data):
+    k1, k2 = pair
+    f = parse(text)
+    point = (data.draw(codes(k1.n)), data.draw(codes(k2.n)))
+    assert outcome(lambda: auto_certify(k1, k2, f, point, depth)) \
+        == outcome(lambda: fraction_certify.auto_certify(k1, k2, f, point, depth))
+    # walk rectangles are the basic intervals at every rank
+    for ifs, code in zip(pair, point):
+        steps = zip(range(depth + 1), CodeWalk(ifs, code), fraction_certify.code_walk(ifs, code))
+        for _, (word, iv), (old_word, old_iv) in steps:
+            assert word == old_word and iv == old_iv == ifs.basic_interval(word)
+    # unequal ranks too, with the seam check
+    word1 = tuple(data.draw(st.lists(st.integers(1, k1.n), max_size=3)))
+    word2 = tuple(data.draw(st.lists(st.integers(1, k2.n), max_size=3)))
+    assert outcome(lambda: certify_rectangle(k1, k2, f, word1, word2)) \
+        == outcome(lambda: fraction_certify.certify_rectangle(k1, k2, f, word1, word2))
 
 def test_auto_certify_checks_codes_and_ratios_once_before_descending():
     with mock.patch.object(certifier, "_certify",

@@ -721,6 +721,22 @@ def test_uq_product_counts_unchanged():
     assert uq_product_counts(Q19, parse("x*y"), range(2, 6)) == [(2, 5), (3, 9), (4, 17), (5, 31)]
     assert uq_product_counts(Fraction(17, 10), parse("x+y"), range(2, 6)) == \
         [(2, 9), (3, 15), (4, 24), (5, 41)]
+    # recorded while the cells were Intervals of Fractions
+    assert uq_product_counts(Q19, parse("x+y"), [8, 12, 16]) == \
+        [(8, 378), (12, 4919), (16, 64099)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_bases, st.integers(0, 14))
+def test_uq_cover_pieces_are_those_from_int_pairs_gives(q, depth):
+    # uq_cover keeps _union's pieces as they stand; merging them again
+    # changes nothing
+    cover = uq_cover(q, depth)
+    ends = cover.int_ends()
+    den = q.numerator ** depth * (q.numerator - q.denominator)
+    assert all(dlo == dhi == den for _, dlo, _, dhi in ends)
+    again = IntervalUnion.from_int_pairs([(lo, hi) for lo, _, hi, _ in ends], den)
+    assert again.int_ends() == ends and again == cover
 
 
 # ---------------------------------------------------------------------------

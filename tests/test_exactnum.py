@@ -20,8 +20,9 @@ from fractarith import exactnum, poly
 from fractarith.empirics import grid_box_count
 from fractarith.errors import DivByZeroInterval, DomainError, FractarithError
 from fractarith.exactnum import (DENOMINATOR_BOUND, AlgebraicReal, FieldElement,
-                                 Interval, IntervalUnion, pow_numerators, rat_from_str, rat_to_str,
-                                 root_isolate, scalar_sign, scalar_to_obj)
+                                 Interval, IntervalUnion, TripleInterval, pow_numerators,
+                                 rat_from_str, rat_to_str, root_isolate, scalar_sign,
+                                 scalar_to_obj)
 
 QSTAR = (1, -2, -1, 1)  # x^3 - x^2 - 2x + 1, constant first
 
@@ -91,6 +92,22 @@ def test_interval_pow_rational_integer_and_root():
     assert iv(2, 3).pow_rational(Fraction(2)) == iv(4, 9)
     out = iv(2, 3).pow_rational(Fraction(1, 2))
     assert out.lo ** 2 <= 2 and 3 <= out.hi ** 2
+
+
+@given(st.integers(-50, 50), st.integers(0, 50), st.integers(1, 60))
+def test_triple_interval_is_the_interval_of_its_ends(lo, width, d):
+    t = TripleInterval((lo, lo + width, d))
+    plain = Interval(Fraction(lo, d), Fraction(lo + width, d))
+    assert t.triple == (lo, lo + width, d)
+    # equality and hash both ways, then the ends, formed once and kept
+    assert t == plain and plain == t and not (t != plain) and hash(t) == hash(plain)
+    assert (t.lo, t.hi) == (plain.lo, plain.hi) and t.lo is t.lo
+    assert repr(t) == repr(plain) and t.to_obj() == plain.to_obj()
+    assert t != Interval(plain.lo, plain.hi + 1)
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(twin) is Interval and twin == plain
+    with pytest.raises(AttributeError):
+        t.lo = Fraction(0)
 
 
 def pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
