@@ -6,9 +6,8 @@ from .certifier import (Certificate, ConditionReport, SignCase, auto_certify,
                         replay, replay_explain)
 from .exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
                        rat_from_str, rat_to_str, root_isolate)
-from .exprfn import (GradEnclosure, compile_expr, differentiate, eval_grid,
-                     eval_interval, eval_lattice, eval_point, grad_enclosure, parse,
-                     to_text)
+from .exprfn import (GradEnclosure, compile_expr, differentiate, eval_interval,
+                     eval_point, grad_enclosure, parse, to_text)
 from .ifs_core import Code, GapProfile, HomogeneousIfs, cantor
 from .qexp import (DigitSeq, QgPrefix, certify_uq_arith, is_univoque_seq, kq_ifs,
                    lex_less, pi_q, qstar, quasi_greedy_one, verify_kq_in_uq)

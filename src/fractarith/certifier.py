@@ -29,7 +29,7 @@ from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      SignIndefinite)
 from .exactnum import (Interval, Scalar, TripleInterval, rat_from_str, scalar_sign,
                        scalar_to_obj, scalar_to_str)
-from .exprfn import (Expr, GradEnclosure, compile_expr, eval_grid, grad_enclosure,
+from .exprfn import (Expr, GradEnclosure, compile_expr, grad_enclosure, grid_values,
                      parse, to_text)
 from .ifs_core import Code, CodeWalk, HomogeneousIfs, Word, get_budget
 
@@ -328,10 +328,10 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
         raise ResourceBudget(f"{len(xs)}x{len(ys)} starting cells exceed budget")
     x_ends = [_extremes(ix.lo, ix.hi, sign_case.sx) for ix in xs]
     y_ends = [_extremes(iy.lo, iy.hi, sign_case.sy) for iy in ys]
-    lo_corners = eval_grid(f, [Interval.point(a) for a, _ in x_ends],
-                           [Interval.point(a) for a, _ in y_ends])
-    hi_corners = eval_grid(f, [Interval.point(b) for _, b in x_ends],
-                           [Interval.point(b) for _, b in y_ends])
+    lo_corners = grid_values(f, [Interval.point(a) for a, _ in x_ends],
+                             [Interval.point(a) for a, _ in y_ends])
+    hi_corners = grid_values(f, [Interval.point(b) for _, b in x_ends],
+                             [Interval.point(b) for _, b in y_ends])
     cells = list(zip(lo_corners, hi_corners))
     cells.sort(key=lambda c: (c[0].lo, c[1].lo))
     reach = cells[0][1].lo

@@ -18,7 +18,7 @@ from ._value import Value, setfield
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
 from .exactnum import FieldElement, Interval, IntervalUnion, TripleInterval
-from .exprfn import Expr, eval_grid, lattice_cover
+from .exprfn import Expr, grid_values, lattice_cover
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
 
@@ -67,7 +67,9 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     Where x and y meet in f at one +, -, * or / node o, f is
     outer(ex(x) o ey(y)) with only constants in outer.  Interval +, -, *
     and / and the constant operations of outer give the exact images of
-    their operands, so
+    their operands, or, for a fractional power, round an image's ends
+    outward as they round each rectangle's (the bounds of an end depend on
+    its value alone and grow with it), so
 
         U_ij f(X_i, Y_j) = outer((U_i ex(X_i)) o (U_j ey(Y_j)))
 
@@ -79,14 +81,16 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     (for *, v*c <= u*d over nonnegative sides).  The work scales with
     bridged pieces, not with rectangles: Cantor x+y at any depth pairs one
     piece with one, and a budget (None for none) counts those pairs.
-    Any other f over rational data is evaluated per rectangle
-    on integers and merged once, and over field elements through eval_grid
-    and IntervalUnion.from_intervals; the budget counts the whole grid,
-    before any evaluation.  The union, or the error raised, is the same on
-    every path."""
+    Any other f runs its compiled code column-wise over the grid, once per
+    interval for what uses one variable and per rectangle for what uses
+    both: on integers over rational data, merged once, and on Interval
+    operations over field elements (grid_values), merged by
+    IntervalUnion.from_intervals; the budget counts the whole grid, before
+    any evaluation.  The union, or the first failing rectangle's error, is
+    the same on every path."""
     lattice = lattice_cover(f, xs, ys, budget)
     if lattice is None:
-        return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
+        return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in grid_values(f, xs, ys))
     den, pairs = lattice
     return IntervalUnion.from_int_pairs(pairs, den)
 

@@ -16,13 +16,12 @@ of 0 is rejected outright.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import chain, compress, repeat
+from functools import lru_cache
+from itertools import chain, compress, repeat, tee
 from math import lcm
-from operator import add, floordiv, gt, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from operator import add, gt, itemgetter, mul, sub, truediv
+from typing import Iterable, Sequence, Union
 
 from ._value import Value, setfield
 from .errors import (DivByZeroInterval, DomainError, ExprSyntaxError, ResourceBudget,
@@ -359,122 +358,169 @@ def differentiate(e: Expr, name: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Interval evaluation
+# Grid runs: e's compiled code over every rectangle of a grid
 # ---------------------------------------------------------------------------
 
-_BINARY_OPS = {Add: Interval.__add__, Sub: Interval.__sub__,
-               Mul: Interval.__mul__, Div: Interval.__truediv__}
-
-
-def _operation(e: Expr) -> tuple[Callable[..., Interval], tuple[Expr, ...]]:
-    """The Interval operation of an operator node and its operands: the one
-    place where node types meet interval arithmetic."""
-    t = type(e)
-    op = _BINARY_OPS.get(t)
-    if op is not None:
-        return op, (e.left, e.right)
-    if t is Pow:
-        return partial(Interval.pow_rational, e=e.exponent), (e.base,)
-    if t is Neg:
-        return Interval.__neg__, (e.operand,)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# variable sets of a subtree, as bit masks
+# variable sets of a register or a subtree, as bit masks
 _NONE, _X, _Y, _XY = 0, 1, 2, 3
 
 
-class _GridWalk:
-    """One walk of an expression over the grid xs x ys, x-major.
+@lru_cache(maxsize=4096)
+def _grid_code(e: Expr) -> tuple[list, tuple, int, list[int], list[int]]:
+    """(consts, code, out, masks, uses) for running e alone (see _compile):
+    masks[r] is the variable mask of register r, the union of its
+    operands', and uses[r] counts the operands, and the output, that read
+    it."""
+    consts, (out,), (walk,) = _compile((e,))
+    code = _code(walk)
+    masks = [_X, _Y] + [_NONE] * (len(consts) - 2)
+    uses = [0] * len(consts)
+    uses[out] = 1
+    for op, dst, a, b in code:
+        for r in ((a, b) if op < _NEG else (a,)):
+            masks[dst] |= masks[r]
+            uses[r] += 1
+    return consts, code, out, masks, uses
 
-    walk(node) returns (variable mask, values): one value for a constant
-    subtree, else an iterator over the subtree's own grid (xs, ys or the
-    whole grid) in order.  A subtree that uses only x runs its Interval
-    operation once per interval of xs, one that uses only y once per
-    interval of ys, and a constant one once.  A subtree that uses both runs
-    per rectangle.
-    """
 
-    def __init__(self, xs: Sequence, ys: Sequence):
-        self.xs, self.ys = xs, ys
-        self.size = {_NONE: 1, _X: len(xs), _Y: len(ys), _XY: len(xs) * len(ys)}
+def _spread(mask: int, value, nx: int, ny: int):
+    """A register's value over the whole grid of nx x ny rectangles,
+    x-major, repeating references rather than copying: one value, a list
+    per x or per y interval, or already a stream over the grid."""
+    if mask == _X:
+        return chain.from_iterable(map(repeat, value, repeat(ny)))
+    if mask == _Y:
+        return chain.from_iterable(repeat(value, nx))
+    return repeat(value, nx * ny) if mask == _NONE else value
 
-    def spread(self, mask: int, vals, to: int):
-        """The values of a subtree over the wider variable set `to`, in its
-        order, repeating references rather than copying."""
-        if mask == to:
-            return vals
+
+def _shared(op: int, da: int | None, db: int | None, arg) -> int | None:
+    """The denominator that every triple of an instruction's result shares,
+    given its operands' (None where they vary), as _TRIPLE_OPS form it."""
+    if da is None or (op < _NEG and db is None) or op == _DIV:
+        return None
+    if op == _NEG:
+        return da
+    if op == _IPOW:
+        return da ** arg if arg >= 0 else None
+    if op == _FPOW:
+        return DENOMINATOR_BOUND
+    return da if da == db and op != _MUL else da * db
+
+
+def _run_grid(e: Expr, ops: tuple, regs: list, dens: list, nx: int, ny: int) -> tuple:
+    """Run e's code column-wise over a grid of nx x ny rectangles, in one
+    number domain (ops: _TRIPLE_OPS or _INTERVAL_OPS).  regs holds e's
+    constants and, in registers 0 and 1, the lists of x and y values;
+    dens[r] is the denominator all triples of register r share, else None.
+    Returns the output's (mask, value, den).
+
+    An instruction in x alone runs once per x interval, one in y alone
+    once per y interval and a constant one once; only one in both runs
+    per rectangle, as one lazy map of its opcode's function over its
+    operands spread over the grid, x-major.  A register in both variables
+    that several operands read is split with tee, so each stream is read
+    once.  The one-variable operands of a + or - whose triples each share a
+    denominator are brought onto the lcm of the two once per interval, so
+    that the sum need not cross-multiply per rectangle."""
+    _, code, out, masks, uses = _grid_code(e)
+
+    def operand(r: int, to: int):
+        if masks[r] == _XY:
+            return regs[r].pop()
+        return _spread(masks[r], regs[r], nx, ny) if to == _XY else (
+            repeat(regs[r]) if masks[r] == _NONE else regs[r])
+
+    for op, dst, a, b in code:
+        binary = op < _NEG
+        if op <= _SUB and None not in (dens[a], dens[b]) and dens[a] != dens[b]:
+            top = lcm(dens[a], dens[b])
+            for r in (a, b):
+                if masks[r] in (_X, _Y) and dens[r] != top:
+                    f = top // dens[r]
+                    regs[r] = [(lo * f, hi * f, d * f) for lo, hi, d in regs[r]]
+                    dens[r] = top
+        dens[dst] = _shared(op, dens[a], dens[b] if binary else None, b)
+        mask, fn = masks[dst], ops[op]
         if mask == _NONE:
-            return repeat(vals, self.size[to])
-        if mask == _X:
-            return chain.from_iterable(repeat(v, self.size[_Y]) for v in vals)
-        return chain.from_iterable(repeat(list(vals), self.size[_X]))
-
-    def walk(self, node: Expr):
-        if isinstance(node, Var):
-            return (_X, iter(self.xs)) if node.name == "x" else (_Y, iter(self.ys))
-        if isinstance(node, Const):
-            return _NONE, Interval.point(node.value)
-        op, operands = _operation(node)
-        parts = [self.walk(a) for a in operands]
-        mask = 0
-        for m, _ in parts:
-            mask |= m
-        if mask == _NONE:
-            return _NONE, op(*[v for _, v in parts])
-        return mask, map(op, *[self.spread(m, v, mask) for m, v in parts])
+            regs[dst] = fn(regs[a], regs[b] if binary else b)
+            continue
+        values = map(fn, operand(a, mask), operand(b, mask) if binary else repeat(b))
+        if mask != _XY:
+            regs[dst] = list(values)
+        else:
+            regs[dst] = list(tee(values, uses[dst])) if uses[dst] > 1 else [values]
+    mask = masks[out]
+    return mask, (regs[out].pop() if mask == _XY else regs[out]), dens[out]
 
 
-def eval_grid(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterator[Interval]:
-    """eval_interval(e, ix, iy) for every rectangle of the grid xs x ys,
-    x-major (ix outer, iy inner), as a lazy stream.
+def _on_triples(e: Expr, ax: tuple, ay: tuple) -> tuple:
+    """_run_grid of e on triples over two axes in _axis's form."""
+    consts = _grid_code(e)[0]
+    regs = _triple_registers(consts)
+    dens = [None if c is None else c.denominator for c in consts]
+    for r, (den, pairs) in enumerate((ax, ay)):
+        if isinstance(den, int):
+            regs[r], dens[r] = [(lo, hi, den) for lo, hi in pairs], den
+        else:
+            regs[r] = [(lo, hi, d) for (lo, hi), d in zip(pairs, den)]
+    return _run_grid(e, _TRIPLE_OPS, regs, dens, len(ax[1]), len(ay[1]))
 
-    A subtree that uses only x is evaluated once per interval of xs, one that
-    uses only y once per interval of ys, and a constant one once; only
-    subtrees that use both run per rectangle.  Each enclosure is the one
-    eval_interval returns, since the same operations meet the same operands,
-    and no operation runs that the per-rectangle loop would not run.
-    Per-rectangle values stream through without being stored.
-    """
+
+def _side(node: Expr, mask: int, axis: tuple) -> tuple:
+    """A subtree in the one variable `mask` over an axis of that variable,
+    both in _axis's form: its code run on triples once per interval."""
+    _, column, den = _on_triples(node, *((axis, (1, [])) if mask == _X else ((1, []), axis)))
+    pairs = [(lo, hi) for lo, hi, _ in column]
+    return (den, pairs) if den is not None else ([d for _, _, d in column], pairs)
+
+
+def _pairs(e: Expr, ax: tuple, ay: tuple) -> tuple:
+    """e over every rectangle of the grid of two non-empty axes in _axis's
+    form, x-major, as (den, pairs): the n-th enclosure is [lo/d, hi/d] for
+    the n-th pair (lo, hi), d being den when every rectangle shares it and
+    its own entry of the list den otherwise.  A shared den leaves the pairs
+    a lazy stream."""
+    mask, value, den = _on_triples(e, ax, ay)
+    stream = _spread(mask, value, len(ax[1]), len(ay[1]))
+    if den is not None:
+        return den, map(itemgetter(0, 1), stream)
+    triples = list(stream)
+    return [d for _, _, d in triples], [(lo, hi) for lo, hi, _ in triples]
+
+
+def _first_failure(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> None:
+    """Run compile_expr(e).value over the rectangles of xs x ys, x-major,
+    so that the first failing rectangle raises its DomainError, at its
+    first failing node in postorder."""
+    value = compile_expr(e).value
+    for rx in xs:
+        for ry in ys:
+            value(rx, ry)
+
+
+def grid_values(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> list[Interval]:
+    """compile_expr(e).value(rx, ry) for every rectangle of xs x ys, x-major,
+    by one column run of e's code on Interval operations (see _run_grid).
+    On a DomainError this raises the first failing rectangle's."""
     if not xs or not ys:
-        return iter(())
-    grid = _GridWalk(xs, ys)
-    mask, vals = grid.walk(e)
-    return grid.spread(mask, vals, _XY)
+        return []
+    consts = _grid_code(e)[0]
+    regs = [None if c is None else Interval.point(c) for c in consts]
+    regs[0], regs[1] = list(xs), list(ys)
+    try:
+        mask, value, _ = _run_grid(e, _INTERVAL_OPS, regs, [None] * len(regs),
+                                   len(xs), len(ys))
+        return list(_spread(mask, value, len(xs), len(ys)))
+    except DomainError:
+        _first_failure(e, xs, ys)
+        raise
 
 
-# ---------------------------------------------------------------------------
-# Grid evaluation on integer numerators
-# ---------------------------------------------------------------------------
-
-def _common(values: list[int]) -> int | None:
-    """The value all entries of a non-empty list share, or None."""
-    v = values[0]
-    return v if values.count(v) == len(values) else None
-
-
-def _grid_products(grid: _GridWalk, rows: list[int], cols: list[int]) -> Iterator[int]:
-    """rows[i]*cols[j] for each rectangle (i, j), x-major.  A list that is
-    the same throughout is folded into the other, so that a product is
-    formed per rectangle only when both vary."""
-    cx, cy = _common(rows), _common(cols)
-    if cy is not None:
-        return grid.spread(_X, list(map(mul, rows, repeat(cy))), _XY)
-    if cx is not None:
-        return grid.spread(_Y, list(map(mul, cols, repeat(cx))), _XY)
-    return (a * b for a in rows for b in cols)
-
-
-def _fold(pairs: list, own: list[int], other: list[int]) -> tuple[list, list[int] | None]:
-    """The pairs of a subtree in one variable times the factors `own` of its
-    axis, and times those of the other axis too when they are the same
-    throughout: (scaled pairs, the other axis's factors or None)."""
-    c = _common(other)
-    if c is not None:
-        own, other = list(map(mul, own, repeat(c))), None
-    if _common(own) != 1:
-        pairs = [(lo * f, hi * f) for (lo, hi), f in zip(pairs, own)]
-    return pairs, other
+def _variables(e: Expr) -> int:
+    """The variable mask of e: its output register's."""
+    _, _, out, masks, _ = _grid_code(e)
+    return masks[out]
 
 
 def _axis(ivs: Sequence[Interval]) -> tuple[int | list[int], list[tuple[int, int]]] | None:
@@ -500,218 +546,13 @@ def _axis(ivs: Sequence[Interval]) -> tuple[int | list[int], list[tuple[int, int
     return dens, [(lo, hi) for lo, hi, _ in triples]
 
 
-def _rescaled(grid: _GridWalk, lifted: tuple, tx: list[int], ty: list[int]) -> Iterator:
-    """The numerator stream of a lifted subtree over the grid, brought from
-    its denominators onto tx[i]*ty[j].  A factor along the subtree's own
-    axis, or one that is the same for every cylinder, is applied once per
-    cylinder; only a factor that varies along an axis the subtree does not
-    use costs a product per rectangle."""
-    mask, dx, dy, vals = lifted
-    rows = list(map(floordiv, tx, dx))
-    cols = list(map(floordiv, ty, dy))
-    if mask == _X:
-        vals, cols = _fold(vals, rows, cols)
-        factors = None if cols is None else grid.spread(_Y, cols, _XY)
-    elif mask == _Y:
-        vals, rows = _fold(vals, cols, rows)
-        factors = None if rows is None else grid.spread(_X, rows, _XY)
-    elif _common(rows) == 1 and _common(cols) == 1:
-        factors = None
-    else:
-        factors = _grid_products(grid, rows, cols)
-    stream = grid.spread(mask, vals, _XY)
-    if factors is None:
-        return stream
-    return ((lo * f, hi * f) for (lo, hi), f in zip(stream, factors))
-
-
-def _imul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    a0, a1 = a
-    b0, b1 = b
-    if a0 >= 0 and b0 >= 0:
-        return a0 * b0, a1 * b1
-    cands = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-    return min(cands), max(cands)
-
-
-def _ipow(a: tuple[int, int], n: int) -> tuple[int, int]:
-    lo, hi = a
-    plo, phi = lo ** n, hi ** n
-    if n % 2 == 1 or lo >= 0:
-        return plo, phi
-    if hi < 0:
-        return phi, plo
-    return 0, max(plo, phi)
-
-
-@lru_cache(maxsize=4096)
-def _variables(e: Expr) -> int:
-    """The variable mask of e."""
-    t = type(e)
-    if t is Var:
-        return _X if e.name == "x" else _Y
-    if t is Const:
-        return _NONE
-    mask = _NONE
-    for a in _operation(e)[1]:
-        mask |= _variables(a)
-    return mask
-
-
-@lru_cache(maxsize=4096)
-def _on_lattice(e: Expr) -> bool:
-    """Whether eval_lattice runs e: no subtree in both variables is divided
-    by one in both or raised to a power other than a positive integer."""
-    t = type(e)
-    if t is Var or t is Const:
-        return True
-    if _variables(e) == _XY:
-        if t is Div and _variables(e.right) == _XY:
-            return False
-        if t is Pow and (e.exponent <= 0 or e.exponent.denominator != 1):
-            return False
-    return all(map(_on_lattice, _operation(e)[1]))
-
-
-def _leaf_axis(node: Expr, mask: int, axis: tuple) -> tuple[int | list[int], list]:
-    """A subtree in the one variable `mask` over a non-empty axis (den,
-    pairs) of that variable (see _axis), in the same form: its compiled
-    code run on integer triples once per interval, the axis itself for the
-    variable alone.  The denominator is the triples' shared one when all
-    agree, else one per interval."""
-    if type(node) is Var:
-        return axis
-    template, code, out = _triple_code(node)
-    den, pairs = axis
-    var = 0 if mask == _X else 1
-    triples = []
-    for (lo, hi), d in zip(pairs, repeat(den) if isinstance(den, int) else den):
-        regs = template.copy()
-        regs[var] = (lo, hi, d)
-        _run_triples(code, regs)
-        triples.append(regs[out])
-    dens = [d for _, _, d in triples]
-    shared = _common(dens)
-    return (dens if shared is None else shared), [(lo, hi) for lo, hi, _ in triples]
-
-
-class _LatticeWalk(_GridWalk):
-    """The walk of eval_lattice over two axes given as (den, pairs) (see
-    _axis).  lift(node) returns (mask, dx, dy, numerators), the subtree's
-    value on rectangle (i, j) being a pair of numerators over dx[i]*dy[j]: a
-    list of pairs, one per interval of its axis, for a subtree in one
-    variable (a constant counts as one in x), a stream over the grid for one
-    in both.  A shared denominator sits in dx, so that sums of shared values
-    stay over the lcm of their denominators."""
-
-    def __init__(self, ax: tuple, ay: tuple):
-        super().__init__(ax[1], ay[1])
-        self.axes = {_X: ax, _Y: ay}
-
-    def _lifted(self, mask: int, den, pairs: list) -> tuple:
-        ones_x, ones_y = [1] * self.size[_X], [1] * self.size[_Y]
-        if isinstance(den, int):
-            return mask, [den] * len(ones_x), ones_y, pairs
-        return (mask, den, ones_y, pairs) if mask == _X else (mask, ones_x, den, pairs)
-
-    def leaf(self, node: Expr, mask: int) -> tuple:
-        """A subtree in one variable, or none, lifted: its compiled code run
-        on integer triples once per interval of its axis (see _leaf_axis),
-        or once for a constant."""
-        if mask != _NONE:
-            return self._lifted(mask, *_leaf_axis(node, mask, self.axes[mask]))
-        template, code, out = _triple_code(node)
-        regs = template.copy()
-        _run_triples(code, regs)
-        lo, hi, d = regs[out]
-        return self._lifted(_X, d, [(lo, hi)] * self.size[_X])
-
-    def lift(self, node: Expr) -> tuple:
-        """A subtree, lifted.  In both variables it adds, subtracts,
-        multiplies, negates and takes positive integer powers on integers;
-        a divisor, in one variable here, is lifted as its reciprocal, so
-        that dividing is multiplying."""
-        mask = _variables(node)
-        if mask != _XY:
-            return self.leaf(node, mask)
-        t = type(node)
-        if t is Div:
-            ops = [self.lift(node.left),
-                   self.leaf(Pow(node.right, Fraction(-1)), _variables(node.right))]
-        else:
-            ops = [self.lift(a) for a in _operation(node)[1]]
-        if t is Add or t is Sub:
-            (_, ax, ay, _), (_, bx, by, _) = ops
-            tx, ty = list(map(lcm, ax, bx)), list(map(lcm, ay, by))
-            a, b = (_rescaled(self, op, tx, ty) for op in ops)
-            if t is Add:
-                return _XY, tx, ty, ((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(a, b))
-            return _XY, tx, ty, ((a0 - b1, a1 - b0) for (a0, a1), (b0, b1) in zip(a, b))
-        streams = [self.spread(m, v, _XY) for m, _, _, v in ops]
-        if t is Mul or t is Div:
-            (_, ax, ay, _), (_, bx, by, _) = ops
-            return _XY, list(map(mul, ax, bx)), list(map(mul, ay, by)), map(_imul, *streams)
-        _, dx, dy, _ = ops[0]
-        if t is Neg:
-            return _XY, dx, dy, ((-hi, -lo) for lo, hi in streams[0])
-        n = node.exponent.numerator  # Pow: a positive integer here
-        return (_XY, list(map(pow, dx, repeat(n))), list(map(pow, dy, repeat(n))),
-                map(partial(_ipow, n=n), streams[0]))
-
-
-def eval_lattice(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]
-                 ) -> tuple[int | Iterator[int], Iterator[tuple[int, int]]] | None:
-    """eval_grid on integer numerators: (den, pairs), where the n-th pair
-    (lo, hi) gives the n-th enclosure of eval_grid as [lo/d, hi/d], d being
-    den when every rectangle shares one denominator and the n-th entry of
-    the iterable den otherwise.
-
-    Each axis is read once onto integers (see _axis): an IntervalLattice,
-    such as the cylinders of a rational IFS, as it stands.  Subtrees in one
-    variable, or none, then run their compiled code on integer triples once
-    per interval of their axis, or once, and subtrees in both variables
-    run per rectangle on integers (see _LatticeWalk).  Returns None, leaving
-    the grid to eval_grid, when an endpoint is a FieldElement, or when a
-    subtree in both variables is divided by one in both or raised to a power
-    other than a positive integer.
-
-    Every operation that can fail runs before this returns.  On a failure
-    the DomainError raised is the one eval_grid raises at its first failing
-    rectangle, so both paths fail alike.
-    """
-    ax, ay = _axis(xs), _axis(ys)
-    if ax is None or ay is None:
-        return None
-    if not xs or not ys:
-        return 1, iter(())
-    if not _on_lattice(e):
-        return None
-    try:
-        return _lattice_pairs(e, ax, ay)
-    except DomainError:
-        deque(eval_grid(e, xs, ys), maxlen=0)
-        raise
-
-
-def _lattice_pairs(e: Expr, ax: tuple, ay: tuple) -> tuple:
-    """eval_lattice's (den, pairs) for e over two non-empty axes (see
-    _axis).  Every operation that can fail runs before this returns."""
-    walk = _LatticeWalk(ax, ay)
-    mask, dx, dy, vals = walk.lift(e)
-    pairs = walk.spread(mask, vals, _XY)
-    cx, cy = _common(dx), _common(dy)
-    if cx is not None and cy is not None:
-        return cx * cy, pairs
-    return _grid_products(walk, dx, dy), pairs
-
-
 @lru_cache(maxsize=4096)
 def _split(e: Expr) -> tuple[Expr, Expr, Expr, Expr] | None:
     """(outer, inner, ex, ey) when x and y meet in e at exactly one +, -, *
     or / node, with one operand in x alone and one in y alone, and every
     node above it combines only with constants (a constant operand, a
-    negation or a power, a positive integer one under _on_lattice): ex and
-    ey are the operands in x and in y, a divisor being taken as its
+    negation or a power): ex and ey are the operands in x and in y, a
+    divisor being taken as its
     reciprocal; inner is the meeting node on x and y in their places, a
     division becoming a multiplication; outer is e with the meeting node
     replaced by x.  None otherwise."""
@@ -829,46 +670,46 @@ def _within_budget(n: int, m: int, budget: int | None) -> None:
 def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
                   budget: int | None = None
                   ) -> tuple[int | Iterable[int], Iterable[tuple[int, int]]] | None:
-    """Pieces (den, pairs), in eval_lattice's form, whose union is the
-    union of the enclosures eval_grid gives over xs x ys; None when
-    eval_lattice returns None.
+    """Pieces (den, pairs), in _pairs's form, whose union is the union of
+    the enclosures of e over the rectangles of xs x ys; None when an
+    endpoint is a FieldElement.
 
     When e splits (see _split) as outer(inner(ex(x), ey(y))), each side
-    runs once per interval of its axis, as in eval_lattice.  The two sides
-    are then sorted, merged and bridged on integers (see _bridged): a gap
-    of one side no wider than the narrowest piece of the other is closed,
-    since for + and - A + B = (A U [u, v]) + B when [u, v] is a gap of A
-    and v - u <= d - c for every piece [c, d] of B (the gap lemma behind
-    Newhouse's thickness theorem and Simon and Taylor's tau1*tau2 >= 1),
-    and likewise v*c <= u*d for * over nonnegative sides.  inner runs over
-    the bridged axes, and outer once per piece of inner's merged union, so
-    the work scales with bridged pieces, not with rectangles: Cantor x+y
-    closes to one piece on each side.  The union is the same because all
-    of these operations give exact images (see empirics.grid_cover).
-    Otherwise, and on a DomainError, this is eval_lattice, which raises the
-    error eval_grid raises.
+    runs once per interval of its axis, the two sides are bridged (see
+    _bridged), inner runs over the bridged axes, and outer once per piece
+    of inner's merged union (see empirics.grid_cover for why the union is
+    the same).  Otherwise, and on a DomainError, e runs over the whole
+    grid (see _run_grid), and a DomainError there is the first failing
+    rectangle's.
 
     ResourceBudget is raised when the rectangles to be paired exceed the
     budget, before they are: the bridged pieces of a split e, otherwise
     the whole grid, before anything is evaluated.  A None return has passed
     the grid's check too."""
-    split = _split(e) if xs and ys and _on_lattice(e) else None
+    if not xs or not ys:
+        return 1, []
+    ax, ay = _axis(xs), _axis(ys)
+    split = _split(e) if ax is not None and ay is not None else None
     if split is not None:
-        ax, ay = _axis(xs), _axis(ys)
-    if split is None or ax is None or ay is None:
-        _within_budget(len(xs), len(ys), budget)
-        return eval_lattice(e, xs, ys)
-    outer, inner, ex, ey = split
+        outer, inner, ex, ey = split
+        try:
+            bx, by = _bridged(type(inner), _side(ex, _X, ax), _side(ey, _Y, ay))
+            _within_budget(len(bx[1]), len(by[1]), budget)
+            den, pairs = _pairs(inner, bx, by)
+            if type(outer) is Var:  # the caller merges inner's pieces
+                return den, pairs
+            return _side(outer, _X, merge_int_pairs(pairs, den))
+        except DomainError:
+            pass
+    _within_budget(len(xs), len(ys), budget)
+    if ax is None or ay is None:
+        return None
     try:
-        ax, ay = _bridged(type(inner), _leaf_axis(ex, _X, ax), _leaf_axis(ey, _Y, ay))
-        _within_budget(len(ax[1]), len(ay[1]), budget)
-        den, pairs = _lattice_pairs(inner, ax, ay)
-        if type(outer) is Var:  # the caller merges inner's pieces
-            return den, pairs
-        return _leaf_axis(outer, _X, merge_int_pairs(pairs, den))
+        den, pairs = _pairs(e, ax, ay)
+        return den, list(pairs)
     except DomainError:
-        _within_budget(len(xs), len(ys), budget)
-        return eval_lattice(e, xs, ys)
+        _first_failure(e, xs, ys)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +733,6 @@ class GradEnclosure(Value):
 # All are registers but the exponents.
 _ADD, _SUB, _MUL, _DIV, _NEG, _IPOW, _FPOW = range(7)
 _OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
-_INTERVAL_BINARY = tuple(_BINARY_OPS[t] for t in (Add, Sub, Mul, Div))
 
 
 def _triple(iv: Interval) -> tuple[int, int, int] | None:
@@ -915,10 +755,55 @@ def _interval(t: tuple[int, int, int]) -> Interval:
     return Interval(Fraction(lo, d), Fraction(hi, d))
 
 
-def _triple_pow(lo: int, hi: int, d: int, n: int) -> tuple[int, int, int]:
-    """Interval.pow_int on a triple."""
+# The triple arithmetic: each function is the Interval operation of its
+# opcode on rational triples (see _triple), taking the operand and the arg,
+# and raising what that operation raises on the same operands.  No gcd is
+# taken: a sum or a product is over the product of its operands'
+# denominators, a sum over equal ones over that one.
+
+def t_add(a: tuple, b: tuple) -> tuple[int, int, int]:
+    lo, hi, d = a
+    blo, bhi, bd = b
+    if d != bd:
+        return lo * bd + blo * d, hi * bd + bhi * d, d * bd
+    return lo + blo, hi + bhi, d
+
+
+def t_sub(a: tuple, b: tuple) -> tuple[int, int, int]:
+    lo, hi, d = a
+    blo, bhi, bd = b
+    if d != bd:
+        return lo * bd - bhi * d, hi * bd - blo * d, d * bd
+    return lo - bhi, hi - blo, d
+
+
+def t_mul(a: tuple, b: tuple) -> tuple[int, int, int]:
+    lo, hi, d = a
+    blo, bhi, bd = b
+    if lo >= 0 and blo >= 0:
+        return lo * blo, hi * bhi, d * bd
+    c = (lo * blo, lo * bhi, hi * blo, hi * bhi)
+    return min(c), max(c), d * bd
+
+
+def t_div(a: tuple, b: tuple) -> tuple[int, int, int]:
+    """a times the reciprocal [bd/bhi, bd/blo] of b."""
+    blo, bhi, bd = b
+    if blo <= 0 <= bhi:
+        raise DivByZeroInterval("interval contains 0")
+    return t_mul(a, (bd * blo, bd * bhi, blo * bhi))
+
+
+def t_neg(a: tuple, _) -> tuple[int, int, int]:
+    lo, hi, d = a
+    return -hi, -lo, d
+
+
+def t_ipow(a: tuple, n: int) -> tuple[int, int, int]:
+    """Interval.pow_int."""
     if n == 0:
         return 1, 1, 1
+    lo, hi, d = a
     m = abs(n)
     plo, phi = lo ** m, hi ** m
     if m % 2 == 0 and lo < 0:
@@ -931,54 +816,29 @@ def _triple_pow(lo: int, hi: int, d: int, n: int) -> tuple[int, int, int]:
     return dm * plo, dm * phi, plo * phi
 
 
-def _run_triples(code: Sequence[tuple], regs: list) -> None:
-    """Run instructions on rational triples (see _triple), in place.  No gcd
-    is taken: a sum or a product is over the product of its operands'
-    denominators, a sum over equal ones over that one.  Each operation
-    raises what its Interval counterpart raises on the same operands."""
-    for op, dst, a, b in code:
-        lo, hi, d = regs[a]
-        if op >= _NEG:
-            if op == _NEG:
-                regs[dst] = (-hi, -lo, d)
-            elif op == _IPOW:
-                regs[dst] = _triple_pow(lo, hi, d, b)
-            else:
-                if lo <= 0:
-                    raise DomainError("fractional power of an interval touching <= 0")
-                lo_lo, lo_hi = pow_numerators(lo, d, b)
-                hi_lo, hi_hi = (lo_lo, lo_hi) if lo == hi else pow_numerators(hi, d, b)
-                regs[dst] = ((lo_lo, hi_hi, DENOMINATOR_BOUND) if b.numerator > 0
-                             else (hi_lo, lo_hi, DENOMINATOR_BOUND))
-            continue
-        blo, bhi, bd = regs[b]
-        if op == _DIV:  # times the reciprocal [bd/bhi, bd/blo]
-            if blo <= 0 <= bhi:
-                raise DivByZeroInterval("interval contains 0")
-            blo, bhi, bd = bd * blo, bd * bhi, blo * bhi
-            op = _MUL
-        if op == _MUL:
-            if lo >= 0 and blo >= 0:
-                regs[dst] = (lo * blo, hi * bhi, d * bd)
-            else:
-                c = (lo * blo, lo * bhi, hi * blo, hi * bhi)
-                regs[dst] = (min(c), max(c), d * bd)
-            continue
-        if d != bd:
-            lo, hi, blo, bhi, d = lo * bd, hi * bd, blo * d, bhi * d, d * bd
-        regs[dst] = (lo + blo, hi + bhi, d) if op == _ADD else (lo - bhi, hi - blo, d)
+def t_fpow(a: tuple, e: Fraction) -> tuple[int, int, int]:
+    """Interval.pow_rational for a fractional e, over DENOMINATOR_BOUND."""
+    lo, hi, d = a
+    if lo <= 0:
+        raise DomainError("fractional power of an interval touching <= 0")
+    lo_lo, lo_hi = pow_numerators(lo, d, e)
+    hi_lo, hi_hi = (lo_lo, lo_hi) if lo == hi else pow_numerators(hi, d, e)
+    if e.numerator > 0:
+        return lo_lo, hi_hi, DENOMINATOR_BOUND
+    return hi_lo, lo_hi, DENOMINATOR_BOUND
 
 
-def _run_intervals(code: Sequence[tuple], regs: list) -> None:
-    """Run instructions on Intervals, in place: each is the Interval
-    operation a recursive walk would apply to the same node."""
+# The two number domains, one function per opcode each: the Interval
+# operations, looked up when they run, and the triple arithmetic above.
+_INTERVAL_OPS = (add, sub, mul, truediv, lambda a, _: -a,
+                 lambda a, e: a.pow_rational(e), lambda a, e: a.pow_rational(e))
+_TRIPLE_OPS = (t_add, t_sub, t_mul, t_div, t_neg, t_ipow, t_fpow)
+
+
+def _run(code: Sequence[tuple], regs: list, ops: tuple) -> None:
+    """Run instructions in place in the number domain of ops."""
     for op, dst, a, b in code:
-        if op == _NEG:
-            regs[dst] = -regs[a]
-        elif op >= _IPOW:
-            regs[dst] = regs[a].pow_rational(b)
-        else:
-            regs[dst] = _INTERVAL_BINARY[op](regs[a], regs[b])
+        regs[dst] = ops[op](regs[a], regs[b] if op < _NEG else b)
 
 
 def _compile(exprs: Sequence[Expr]) -> tuple[list, list[int], list[tuple]]:
@@ -1040,14 +900,6 @@ def _triple_registers(consts: list) -> list:
     return [None if c is None else (c.numerator, c.numerator, c.denominator) for c in consts]
 
 
-@lru_cache(maxsize=4096)
-def _triple_code(e: Expr) -> tuple[list, tuple, int]:
-    """(registers, code, output) for running e alone on triples: the
-    registers hold e's constants and must be copied before a run."""
-    consts, (out,), (walk,) = _compile((e,))
-    return _triple_registers(consts), _code(walk), out
-
-
 class Program:
     """f, f_x and f_y of one expression as straight-line code (see
     _compile).
@@ -1087,22 +939,23 @@ class Program:
         self._triples = _triple_registers(consts)
         self._points = [None if c is None else Interval.point(c) for c in consts]
 
-    def _run(self, tx: tuple, ty: tuple, code: tuple) -> list:
-        """The registers after running code on the rectangle of the triples
-        tx x ty."""
-        regs = self._triples.copy()
-        regs[0], regs[1] = tx, ty
-        _run_triples(code, regs)
+    def _run(self, x, y, codes: tuple, triples: bool) -> list:
+        """The registers after running each of codes on the rectangle x x y,
+        of triples or of Intervals."""
+        regs = (self._triples if triples else self._points).copy()
+        regs[0], regs[1] = x, y
+        for code in codes:
+            _run(code, regs, _TRIPLE_OPS if triples else _INTERVAL_OPS)
         return regs
 
     def value_triple(self, tx: tuple, ty: tuple) -> tuple[int, int, int]:
         """value over the rectangle of the triples tx x ty, as a triple."""
-        return self._run(tx, ty, self.f_code)[self.outputs[0]]
+        return self._run(tx, ty, (self.f_code,), True)[self.outputs[0]]
 
     def gradient_triples(self, tx: tuple, ty: tuple, with_f: bool = False) -> tuple[tuple, tuple]:
         """gradient's dx and dy over the rectangle of the triples tx x ty,
         as triples."""
-        regs = self._run(tx, ty, self.code if with_f else self.grad_code)
+        regs = self._run(tx, ty, (self.code if with_f else self.grad_code,), True)
         return regs[self.outputs[1]], regs[self.outputs[2]]
 
     def value(self, rx: Interval, ry: Interval) -> Interval:
@@ -1110,10 +963,7 @@ class Program:
         tx, ty = _triple(rx), _triple(ry)
         if tx is not None and ty is not None:
             return _interval(self.value_triple(tx, ty))
-        regs = self._points.copy()
-        regs[0], regs[1] = rx, ry
-        _run_intervals(self.walks[0], regs)
-        return regs[self.outputs[0]]
+        return self._run(rx, ry, self.walks[:1], False)[self.outputs[0]]
 
     def gradient(self, rx: Interval, ry: Interval, with_f: bool = False) -> GradEnclosure:
         """Enclosures of both partials over the rectangle rx x ry.  With
@@ -1123,10 +973,7 @@ class Program:
         if tx is not None and ty is not None:
             dx, dy = map(_interval, self.gradient_triples(tx, ty, with_f))
         else:
-            regs = self._points.copy()
-            regs[0], regs[1] = rx, ry
-            for walk in self.walks[0 if with_f else 1:]:
-                _run_intervals(walk, regs)
+            regs = self._run(rx, ry, self.walks[0 if with_f else 1:], False)
             dx, dy = regs[self.outputs[1]], regs[self.outputs[2]]
         return GradEnclosure(dx=dx, dy=dy, rect=(rx, ry))
 

@@ -5,7 +5,8 @@ differential oracle.
 Each node applies its Interval operation to its operands' enclosures, left
 operand first, so the operations run in postorder and the first node that
 fails raises.  `certify_walk` is the sequence the certifier ran per
-rectangle: f, then f_x, then f_y, each walked in full.
+rectangle: f, then f_x, then f_y, each walked in full, and `walk_grid`
+the per-rectangle reference for grid runs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ def eval_interval(e: Expr, rx: Interval, ry: Interval) -> Interval:
     if t is Neg:
         return -eval_interval(e.operand, rx, ry)
     return _BINARY[t](eval_interval(e.left, rx, ry), eval_interval(e.right, rx, ry))
+
+
+def walk_grid(e: Expr, xs, ys) -> list[Interval]:
+    """eval_interval over every rectangle of xs x ys, x-major: it raises
+    the first failing rectangle's DomainError, at its first failing node in
+    postorder."""
+    return [eval_interval(e, rx, ry) for rx in xs for ry in ys]
 
 
 def grad_enclosure(f: Expr, rx: Interval, ry: Interval) -> tuple[Interval, Interval]:

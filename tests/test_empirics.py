@@ -5,7 +5,6 @@ import json
 import math
 import os
 import random
-from collections import deque
 from fractions import Fraction
 from unittest import mock
 
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import recursive_eval as oracle
 import uq_walk
 from fractarith.certifier import Certificate, certify_rectangle
 from fractarith.empirics import (DimEstimate, box_dim_estimate,
@@ -24,8 +24,9 @@ from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
                                FractarithError, ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, Interval, IntervalLattice, IntervalUnion,
                                  as_scalar)
-from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _bridged, _split,
-                               eval_grid, eval_interval, eval_lattice, parse)
+from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _axis, _bridged,
+                               _pairs, _split, eval_interval, grid_values, lattice_cover,
+                               parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
 from fractarith.qexp import (DigitSeq, QuasiGreedyStream, as_base, base_above_qstar,
                               is_univoque_seq, kq_ifs, pi_q, qstar)
@@ -344,29 +345,43 @@ def cylinder_lists(draw):
 
 
 def outcome(run):
-    """What run() returns, or the class of the DomainError it raises."""
+    """What run() returns, or the class and message of the DomainError it
+    raises."""
     try:
         return run()
     except DomainError as exc:
-        return type(exc)
+        return type(exc), str(exc)
+
+
+def run_enclosures(f, xs, ys):
+    """The enclosures of the column run on triples over xs x ys (see
+    exprfn._pairs), as Fraction pairs."""
+    if not xs or not ys:
+        return []
+    den, pairs = _pairs(f, _axis(xs), _axis(ys))
+    pairs = list(pairs)
+    dens = [den] * len(pairs) if isinstance(den, int) else list(den)
+    assert len(dens) == len(pairs)
+    return [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)]
+
+
+def check_grid_paths(f, xs, ys):
+    """The column runs on triples and on Intervals give the walk's
+    enclosures in its order, and grid_cover their union; on a DomainError
+    both grid_values and grid_cover raise the walk's, by class and
+    message."""
+    want = outcome(lambda: [(enc.lo, enc.hi) for enc in oracle.walk_grid(f, xs, ys)])
+    if isinstance(want, list):
+        assert run_enclosures(f, xs, ys) == want
+    assert outcome(lambda: [(enc.lo, enc.hi) for enc in grid_values(f, xs, ys)]) == want
+    union = want if isinstance(want, tuple) else IntervalUnion.from_intervals(want)
+    assert outcome(lambda: grid_cover(f, xs, ys)) == union
 
 
 @settings(max_examples=400, deadline=None)
 @given(exprs(3), cylinder_lists(), cylinder_lists())
 def test_lattice_path_is_grid_path(f, xs, ys):
-    grid = outcome(lambda: [(enc.lo, enc.hi) for enc in eval_grid(f, xs, ys)])
-    lattice = outcome(lambda: eval_lattice(f, xs, ys))
-    if isinstance(lattice, tuple):
-        assert not isinstance(grid, type)
-        den, pairs = lattice
-        pairs = list(pairs)
-        dens = [den] * len(pairs) if isinstance(den, int) else list(den)
-        assert [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)] == grid
-        assert len(dens) == len(pairs)
-    elif lattice is not None:
-        assert lattice is grid
-    want = grid if isinstance(grid, type) else IntervalUnion.from_intervals(grid)
-    assert outcome(lambda: grid_cover(f, xs, ys)) == want
+    check_grid_paths(f, xs, ys)
 
 
 @st.composite
@@ -382,20 +397,43 @@ def lattices(draw):
 @given(exprs(3), lattices(), lattices())
 def test_lattice_axes_are_interval_axes(f, xs, ys):
     """A grid given as IntervalLattices is evaluated as the same grid given
-    as lists of Intervals."""
-    def enclosures(xs, ys):
-        lattice = eval_lattice(f, xs, ys)
-        if lattice is None:
-            return None
-        den, pairs = lattice
-        pairs = list(pairs)
-        dens = [den] * len(pairs) if isinstance(den, int) else list(den)
-        return [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)]
-
+    as lists of Intervals, and both as the walk evaluates it."""
+    check_grid_paths(f, xs, ys)
     ivs_x, ivs_y = list(xs), list(ys)
-    assert outcome(lambda: enclosures(xs, ys)) == outcome(lambda: enclosures(ivs_x, ivs_y))
     assert outcome(lambda: grid_cover(f, xs, ys)) == outcome(
         lambda: grid_cover(f, ivs_x, ivs_y))
+
+
+def no_fractional_powers(e):
+    if isinstance(e, Pow):
+        return e.exponent.denominator == 1 and no_fractional_powers(e.base)
+    if isinstance(e, Neg):
+        return no_fractional_powers(e.operand)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return no_fractional_powers(e.left) and no_fractional_powers(e.right)
+    return True
+
+
+KQ_BASES = {"sqrt(7/2)": ((-7, 0, 2), 1, 2),
+            "tribonacci": ((-1, -1, -1, 1), Fraction(7, 4), Fraction(15, 8))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KQ_BASES)), exprs(3).filter(no_fractional_powers),
+       st.integers(1, 2), st.lists(st.integers(1, 2), max_size=1).map(tuple))
+def test_grid_path_over_field_elements_is_the_walk(base, f, depth, word):
+    """Over K_q cylinders, whose ends are field elements, the column run on
+    Intervals gives the walk's enclosures, and grid_cover their union.
+    Without fractional powers every operation is exact, so the order in
+    which the shared generator is refined does not change a value."""
+    k = kq_ifs(AlgebraicReal(*KQ_BASES[base]))
+    xs, ys = k.cylinders(depth, within=word), k.cylinders(depth)
+    assert lattice_cover(f, xs, ys) is None
+    want = outcome(lambda: oracle.walk_grid(f, xs, ys))
+    assert outcome(lambda: grid_values(f, xs, ys)) == want
+    union = want if isinstance(want, tuple) else IntervalUnion.from_intervals(
+        (enc.lo, enc.hi) for enc in want)
+    assert outcome(lambda: grid_cover(f, xs, ys)) == union
 
 
 def cover_bytes(run):
@@ -408,14 +446,9 @@ def cover_bytes(run):
 
 
 def full_grid_cover(f, xs, ys):
-    """The grid merged per rectangle: eval_lattice over every rectangle of
-    xs x ys, then one from_int_pairs (eval_grid and from_intervals off the
-    lattice)."""
-    lattice = eval_lattice(f, xs, ys)
-    if lattice is None:
-        return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
-    den, pairs = lattice
-    return IntervalUnion.from_int_pairs(pairs, den)
+    """The grid merged per rectangle: the walk over every rectangle of
+    xs x ys, then one from_intervals."""
+    return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in oracle.walk_grid(f, xs, ys))
 
 
 SEPARABLE = ["x+y", "x-y", "y-x", "x*y", "x/y", "y/x", "2*x+3*y", "x^2-y^2", "x^3+y",
@@ -454,15 +487,16 @@ def test_split_cover_is_the_full_grid_merge(problem, text):
     ("x^(-1)+y", DivByZeroInterval),
     ("(x+y)/0", DivByZeroInterval),
     ("x^(1/2)+y^(1/2)", DomainError),
-    ("y^(-1)+x^(1/2)", DivByZeroInterval),  # the y side fails first in eval_grid
+    ("y^(-1)+x^(1/2)", DivByZeroInterval),  # the y side comes first in postorder
+    ("x^(1/2)+y^(-1)", DomainError),
 ])
 def test_split_cover_raises_the_grid_error(text, error):
     """Over Cantor cylinders, whose first one holds 0: the error of the
-    first failing rectangle of eval_grid."""
+    first failing rectangle, at its first failing node in postorder."""
     xs = C.cylinder_lattice(4)
     f = parse(text)
     with pytest.raises(DomainError) as first:
-        deque(eval_grid(f, xs, xs), maxlen=0)
+        oracle.walk_grid(f, xs, xs)
     assert type(first.value) is error
     assert cover_bytes(lambda: grid_cover(f, xs, xs)) == (error, str(first.value))
 
@@ -543,22 +577,21 @@ SHIFTED = HomogeneousIfs(Fraction(1, 3), (Fraction(1), Fraction(5, 3)))  # hull 
 FIVE = HomogeneousIfs(Fraction(1, 5), (Fraction(1), Fraction(9, 5), Fraction(13, 5)))
 
 
-@pytest.mark.parametrize("k1, k2, text, depth, lattice", [
-    (C, C, "x+y", 8, True),
-    (SHIFTED, FIVE, "x^(1/2)+y^(1/2)", 4, True),
-    (C, SHIFTED, "x^3+y", 5, True),
-    (FIVE, SHIFTED, "x/y", 4, True),
-    (SHIFTED, FIVE, "x/(y+1)", 4, True),
-    (SHIFTED, FIVE, "x^(-1)+y", 4, True),
-    (SHIFTED, FIVE, "x/(x+y)", 4, False),
+@pytest.mark.parametrize("k1, k2, text, depth", [
+    (C, C, "x+y", 8),
+    (SHIFTED, FIVE, "x^(1/2)+y^(1/2)", 4),
+    (C, SHIFTED, "x^3+y", 5),
+    (FIVE, SHIFTED, "x/y", 4),
+    (SHIFTED, FIVE, "x/(y+1)", 4),
+    (SHIFTED, FIVE, "x^(-1)+y", 4),
+    (SHIFTED, FIVE, "x/(x+y)", 4),
 ], ids=["cantor-sum-depth8", "square-roots", "cube-plus-y", "quotient", "shifted-quotient",
         "reciprocal-plus-y", "mixed-divisor-falls-back"])
-def test_lattice_cover_equals_scalar_cover(k1, k2, text, depth, lattice):
+def test_lattice_cover_equals_scalar_cover(k1, k2, text, depth):
+    """x/(x+y) does not split, so it runs over the whole grid on triples."""
     f = parse(text)
     xs, ys = k1.cylinders(depth), k2.cylinders(depth)
-    assert (eval_lattice(f, xs, ys) is not None) == lattice
-    scalar = IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in eval_grid(f, xs, ys))
-    assert image_cover(k1, k2, f, depth) == scalar
+    assert image_cover(k1, k2, f, depth) == full_grid_cover(f, xs, ys)
 
 
 SQRT_7_2 = AlgebraicReal((-7, 0, 2), 1, 2)
@@ -568,7 +601,7 @@ SQRT_7_2 = AlgebraicReal((-7, 0, 2), 1, 2)
 def test_image_cover_over_field_elements_matches_reference(text):
     k = kq_ifs(SQRT_7_2)
     f = parse(text)
-    assert eval_lattice(f, k.cylinders(2), k.cylinders(2)) is None
+    assert lattice_cover(f, k.cylinders(2), k.cylinders(2)) is None
     want = reference_image_cover(k, k, f, 3, word2=(2,))
     assert image_cover(k, k, f, 3, word2=(2,)) == want
 
@@ -703,8 +736,7 @@ def test_uq_product_counts_of_quotients_match_the_grid_path():
         out = []
         for r in ranks:
             cells = [Interval(lo, hi) for lo, hi in uq_cover(Q19, r)]
-            union = IntervalUnion.from_intervals(
-                (enc.lo, enc.hi) for enc in eval_grid(f, cells, cells))
+            union = full_grid_cover(f, cells, cells)
             out.append((r, grid_box_count(union, Q19 ** (-r))))
         return out
 

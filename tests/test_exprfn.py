@@ -12,11 +12,11 @@ import recursive_eval as oracle
 from fractarith.certifier import auto_certify
 from fractarith.errors import (DivByZeroInterval, DomainError, ExprSyntaxError,
                                ZeroExponentError)
-from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
-from fractarith.exprfn import (Add, Const, Div, Mul, Neg, Pow, Sub, Var,
-                               compile_expr, differentiate, eval_grid,
-                               eval_interval, eval_lattice, eval_point,
-                               grad_enclosure, parse, to_text)
+from fractarith.exactnum import AlgebraicReal, FieldElement, Interval, IntervalUnion
+from fractarith import exprfn
+from fractarith.exprfn import (Add, Const, Div, Mul, Neg, Pow, Sub, Var, _axis, _pairs,
+                               compile_expr, differentiate, eval_interval, eval_point,
+                               grad_enclosure, grid_values, lattice_cover, parse, to_text)
 from fractarith.ifs_core import Code, cantor
 from fractarith.qexp import kq_ifs
 
@@ -141,15 +141,36 @@ def test_eval_grid_is_eval_interval_per_rectangle_in_x_major_order():
     xs = [iv(Fraction(k, 4), Fraction(k + 1, 4)) for k in range(1, 4)]
     ys = [iv(Fraction(k, 5), Fraction(k, 3)) for k in range(1, 3)]
     for text in ("x+y", "x*y-x", "y^2-x^(1/3)", "y/(x+y)^2", "x^(-1)+y", "2*3",
-                 "-y", "x/(y+1)", "x*y^2+2"):
+                 "-y", "x/(y+1)", "x*y^2+2", "(x*y)^2-x*y"):
         f = parse(text)
-        want = [eval_interval(f, ix, iy) for ix in xs for iy in ys]
-        assert list(eval_grid(f, xs, ys)) == want, text
-    assert list(eval_grid(parse("x+y"), xs, [])) == []
-    assert list(eval_grid(parse("x^(1/2)"), [], [iv(-1, 0)])) == []
+        assert grid_values(f, xs, ys) == oracle.walk_grid(f, xs, ys), text
+    assert grid_values(parse("x+y"), xs, []) == []
+    assert grid_values(parse("x^(1/2)"), [], [iv(-1, 0)]) == []
+
+
+# x and y meet at two nodes, so this runs over the whole grid, not per side
+HOISTED = "x^(1/2)*y^(1/3) + x*y + 2^(1/2)"
 
 
 def test_eval_grid_evaluates_single_variable_subtrees_once_per_interval(monkeypatch):
+    """A fractional power in one variable runs once per interval of its
+    axis, and a constant one once: on triples, where pow_numerators bounds
+    each end of a rational interval, and on Intervals over field
+    elements."""
+    ends = []
+    pow_numerators = exprfn.pow_numerators
+
+    def counted_ends(n, d, e):
+        ends.append(e)
+        return pow_numerators(n, d, e)
+
+    monkeypatch.setattr(exprfn, "pow_numerators", counted_ends)
+    xs = [iv(k, k + 1) for k in range(1, 5)]
+    ys = [iv(k, k + 2) for k in range(1, 6)]
+    cover = lattice_cover(parse(HOISTED), xs, ys)
+    assert len(list(cover[1])) == 20
+    assert sorted(ends) == [Fraction(1, 3)] * 10 + [Fraction(1, 2)] * 9
+
     calls = []
     pow_rational = Interval.pow_rational
 
@@ -158,23 +179,33 @@ def test_eval_grid_evaluates_single_variable_subtrees_once_per_interval(monkeypa
         return pow_rational(self, e, *args)
 
     monkeypatch.setattr(Interval, "pow_rational", counted)
-    xs = [iv(k, k + 1) for k in range(1, 5)]
-    ys = [iv(k, k + 2) for k in range(1, 6)]
-    out = list(eval_grid(parse("x^(1/2)*y^(1/3) + 2^(1/2)"), xs, ys))
-    assert len(out) == 20
-    assert sorted(calls) == [Fraction(1, 3)] * 5 + [Fraction(1, 2)] * 5
+    k = kq_ifs(AlgebraicReal((-7, 0, 2), 1, 2))
+    xs, ys = k.cylinders(2), k.cylinders(1)
+    assert len(grid_values(parse(HOISTED), xs, ys)) == 8
+    assert sorted(calls) == [Fraction(1, 3)] * 2 + [Fraction(1, 2)] * 5
 
 
 def test_eval_grid_raises_where_eval_interval_does():
-    with pytest.raises(DivByZeroInterval):
-        list(eval_grid(parse("x/y"), [UNIT], [iv(1, 2), iv(-1, 1)]))
-    with pytest.raises(DomainError):
-        list(eval_grid(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT]))
+    """The first failing rectangle's error, at its first failing node in
+    postorder, though a one-variable column fails first elsewhere."""
+    cases = [("x/y", [UNIT], [iv(1, 2), iv(-1, 1)]),
+             ("y+x^1/2", [UNIT, iv(-1, 1)], [UNIT]),
+             ("x^(1/2)+y^(-1)", [iv(-1, 1)], [iv(1, 2), iv(-1, 1)]),
+             ("y^(-1)*x^(1/2)", [iv(1, 2), iv(-1, 1)], [iv(1, 2), iv(-1, 1)]),
+             ("x^(1/2)*y/y", [iv(-1, 1)], [iv(1, 2), iv(-1, 1)])]
+    for text, xs, ys in cases:
+        f = parse(text)
+        with pytest.raises(DomainError) as want:
+            oracle.walk_grid(f, xs, ys)
+        for run in (grid_values, lattice_cover):
+            with pytest.raises(DomainError) as got:
+                run(f, xs, ys)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
-def lattice_enclosures(f, xs, ys):
-    """eval_lattice's pieces as Fractions, each over its own denominator."""
-    den, pairs = eval_lattice(f, xs, ys)
+def run_enclosures(f, xs, ys):
+    """The column run on triples (_pairs) as Fraction pairs."""
+    den, pairs = _pairs(f, _axis(xs), _axis(ys))
     pairs = list(pairs)
     dens = [den] * len(pairs) if isinstance(den, int) else list(den)
     assert len(dens) == len(pairs)
@@ -191,37 +222,44 @@ def test_eval_lattice_is_eval_grid_on_integer_numerators():
     positive = [iv(Fraction(1, 5), Fraction(1, 3)), iv(Fraction(1, 2), Fraction(9, 4))]
     negative = [iv(Fraction(-7, 3), Fraction(-3, 2)), iv(Fraction(-5, 4), Fraction(-6, 5))]
     quotients = ("x/y", "x^(-1)+y", "x*y/2", "x/(y+1)", "x^(-2)*y", "(x*y-1)/(y+3)",
-                 "x^(-1)*(x-y)^2 - 1/y^2")
+                 "x^(-1)*(x-y)^2 - 1/y^2", "(x*y)^(-1)")
     grids = [(xs, ys, ("x+y", "x-y", "x*y-x", "y^2-x^(1/3)", "2*3", "-y", "x^2", "x*y^2+2",
                        "(x-y)^3", "-(x*y)^2", "x^(1/2)*y+x", "(2*x+3)*(y-x)^2")),
-             (signed_xs, positive, quotients + ("y^(-1/2)*x",)),
-             (signed_xs, negative, quotients + ("y^(-3)*x",))]
+             (signed_xs, positive, quotients + ("y^(-1/2)*x", "((x*y)^2)^(1/3)-x")),
+             (signed_xs, negative, quotients + ("y^(-3)*x",)),
+             (positive, positive, ("(x+y)^(1/2)", "x/(x+y)", "(x*y)^(-2/3)+x/y"))]
     for gx, gy, texts in grids:
         for text in texts:
             f = parse(text)
-            want = [(enc.lo, enc.hi) for enc in eval_grid(f, gx, gy)]
-            assert lattice_enclosures(f, gx, gy) == want, (text, gy)
-    assert list(eval_lattice(parse("x+y"), xs, [])[1]) == []
+            want = [(enc.lo, enc.hi) for enc in oracle.walk_grid(f, gx, gy)]
+            assert run_enclosures(f, gx, gy) == want, (text, gy)
+    assert lattice_cover(parse("x+y"), xs, []) == (1, [])
 
 
-def test_eval_lattice_declines_division_and_field_elements():
+def test_lattice_cover_declines_only_field_elements():
+    """Division by a subtree in both variables, and fractional powers of
+    one, run on triples; a grid with a field-element end is left to the
+    Interval run."""
     xs = [iv(1, 2), iv(3, 4)]
     for text in ("(x+y)^(1/2)", "x/(x+y)", "(x*y)^(-1)", "y/(x*y+1)^2"):
-        assert eval_lattice(parse(text), xs, xs) is None, text
+        f = parse(text)
+        den, pairs = lattice_cover(f, xs, xs)
+        assert IntervalUnion.from_int_pairs(pairs, den) == IntervalUnion.from_intervals(
+            (enc.lo, enc.hi) for enc in oracle.walk_grid(f, xs, xs)), text
     root2 = FieldElement.generator(AlgebraicReal((-2, 0, 1), 1, 2))
-    assert eval_lattice(parse("x+y"), xs, [Interval(root2, root2 + 1)]) is None
-    assert eval_lattice(parse("x/y"), xs, [Interval(root2, root2 + 1)]) is None
+    assert lattice_cover(parse("x+y"), xs, [Interval(root2, root2 + 1)]) is None
+    assert lattice_cover(parse("x/y"), xs, [Interval(root2, root2 + 1)]) is None
 
 
 def test_eval_lattice_raises_where_eval_grid_does():
-    with pytest.raises(DomainError):
-        list(eval_lattice(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT])[1])
+    with pytest.raises(DomainError, match="fractional power"):
+        lattice_cover(parse("y+x^1/2"), [UNIT, iv(-1, 1)], [UNIT])
     with pytest.raises(DivByZeroInterval):
-        eval_lattice(parse("x/y"), [UNIT], [iv(1, 2), iv(-1, 1)])
-    # eval_grid meets x^(1/2) on [-1, 1] in its first rectangle, before it
+        lattice_cover(parse("x/y"), [UNIT], [iv(1, 2), iv(-1, 1)])
+    # the walk meets x^(1/2) on [-1, 1] in the first rectangle, before it
     # divides by the second y cylinder
     with pytest.raises(DomainError) as exc:
-        eval_lattice(parse("x^(1/2)*y/y"), [iv(-1, 1)], [iv(1, 2), iv(-1, 1)])
+        lattice_cover(parse("x^(1/2)*y/y"), [iv(-1, 1)], [iv(1, 2), iv(-1, 1)])
     assert type(exc.value) is DomainError
 
 
