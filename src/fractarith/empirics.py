@@ -41,7 +41,9 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
 
     The budget bounds each axis's cylinders (HomogeneousIfs raises at n^k
     of them) and the rectangles paired: the bridged pieces of both sides
-    for a separable f, the whole grid otherwise (see grid_cover).
+    for a separable f, one axis's cylinders times the other's merged pieces
+    when one variable occurs once, the whole grid otherwise (see
+    grid_cover).
     """
     budget = get_budget()
     xs = _axis_cylinders(k1, depth, word1, x_window)
@@ -81,6 +83,25 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     (for *, v*c <= u*d over nonnegative sides).  The work scales with
     bridged pieces, not with rectangles: Cantor x+y at any depth pairs one
     piece with one, and a budget (None for none) counts those pairs.
+
+    Where f does not split but one variable, say y, occurs in it once, let
+    ev be the largest subtree in y alone that holds it and s its sibling
+    at the node o above it.  Every node between ev and the root combines
+    it with a constant or a subtree in x, so over one X_i they form a chain
+    F_i of the operations above with fixed operands, each mapping a union
+    to the union of its images, and
+
+        U_j f(X_i, Y_j) = F_i(U_j ev(Y_j))
+
+    Over rational data lattice_cover merges ev's values and closes each
+    gap that s(X_i) spans for every i, as in bridging (for / either way
+    round the condition is that of *); the gauge reads s per X_i, since
+    its merged pieces are wider and would close gaps that a row keeps.
+    f with ev replaced by y then runs over the X_i times those pieces, and
+    the budget counts those pairs.  A DomainError there falls back to the
+    whole grid: a rectangle that fails also fails on the wider piece that
+    holds it, so the grid raises its first failing rectangle's error.
+
     Any other f runs its compiled code column-wise over the grid, once per
     interval for what uses one variable and per rectangle for what uses
     both: on integers over rational data, merged once, and on Interval

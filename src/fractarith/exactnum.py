@@ -940,17 +940,20 @@ def scalar_to_obj(x):
 # Unions of disjoint closed intervals
 # ---------------------------------------------------------------------------
 
-def _merge_sorted(pairs: Iterable[tuple]) -> tuple[tuple, ...]:
-    """Closed intervals given in order of their left endpoints, with
-    overlapping and touching ones merged in one pass.  The open piece is
-    kept in locals; only finished pieces are stored."""
-    pairs = iter(pairs)
-    first = next(pairs, None)
+def _merge_sorted(pieces: Iterable[Sequence]) -> tuple[tuple, ...]:
+    """Closed intervals given in order of their left endpoints, each as a
+    piece whose first two entries are lo and hi (a pair, or a triple of a
+    column run), with overlapping and touching ones merged in one pass into
+    (lo, hi) pairs.  The open piece is kept in locals; only finished pieces
+    are stored."""
+    pieces = iter(pieces)
+    first = next(pieces, None)
     if first is None:
         return ()
     merged: list[tuple] = []
-    open_lo, open_hi = first
-    for lo, hi in chain([first], pairs):
+    open_lo, open_hi = first[0], first[1]
+    for piece in chain([first], pieces):
+        lo, hi = piece[0], piece[1]
         if hi < lo:
             raise FractarithError("interval endpoints out of order")
         if open_hi < lo:
@@ -998,15 +1001,17 @@ def _merge_sorted_ends(pieces: Iterable[Sequence[int]]) -> list[list[int]]:
     return merged
 
 
-def merge_int_pairs(pairs: Iterable[tuple[int, int]], den: int | Iterable[int]
+def merge_int_pairs(pairs: Iterable[Sequence[int]], den: int | Iterable[int]
                     ) -> tuple[int | list[int], list[tuple[int, int]]]:
     """The union of the pieces [lo/d, hi/d] as sorted, disjoint, merged
-    pieces in the same form: d > 0 is den itself or, when den is an
-    iterable, the piece's own entry of it.  Returns (den, pairs), den being
-    the given int, or else a list with one denominator per merged piece,
-    the lcm of its ends' own.  With one shared denominator the pieces sort
-    on lo and merge on their numerators, forming no key and no product;
-    otherwise see _merge_ends."""
+    pairs (lo, hi): d > 0 is den itself or, when den is an iterable, the
+    piece's own entry of it.  Returns (den, pairs), den being the given
+    int, or else a list with one denominator per merged piece, the lcm of
+    its ends' own.  With one shared denominator the pieces sort on lo and
+    merge on their numerators, forming no key and no product, and a piece
+    is read by its first two entries, so a column's (lo, hi, d) triples
+    merge as they come (see _merge_sorted); otherwise each is a pair (lo,
+    hi) and see _merge_ends."""
     if isinstance(den, int):
         return den, list(_merge_sorted(sorted(pairs, key=itemgetter(0))))
     return on_own_lcms(_merge_ends(pairs, den))
@@ -1081,11 +1086,12 @@ class IntervalUnion(Value):
             ((as_scalar(lo), as_scalar(hi)) for lo, hi in items), key=itemgetter(0))))
 
     @staticmethod
-    def from_int_pairs(pairs: Iterable[tuple[int, int]],
+    def from_int_pairs(pairs: Iterable[Sequence[int]],
                        den: int | Iterable[int]) -> "IntervalUnion":
         """from_intervals of the pieces [lo/d, hi/d], where d > 0 is den
         itself or, when den is an iterable, the piece's own entry of it:
-        sorted and merged on integers as in merge_int_pairs, and kept on
+        sorted and merged on integers as in merge_int_pairs, which reads a
+        piece under a shared den by its first two entries, and kept on
         integers, so that no Fraction is formed until intervals is read."""
         if isinstance(den, int):
             return IntervalUnion.from_merged_ends([

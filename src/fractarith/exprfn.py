@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat, tee
 from math import lcm
-from operator import add, gt, itemgetter, mul, sub, truediv
+from operator import add, gt, mul, sub, truediv
 from typing import Iterable, Sequence, Union
 
 from ._value import Value, setfield
@@ -477,14 +477,15 @@ def _side(node: Expr, mask: int, axis: tuple) -> tuple:
 
 def _pairs(e: Expr, ax: tuple, ay: tuple) -> tuple:
     """e over every rectangle of the grid of two non-empty axes in _axis's
-    form, x-major, as (den, pairs): the n-th enclosure is [lo/d, hi/d] for
-    the n-th pair (lo, hi), d being den when every rectangle shares it and
-    its own entry of the list den otherwise.  A shared den leaves the pairs
-    a lazy stream."""
+    form, x-major, as (den, pieces): the n-th enclosure is [lo/d, hi/d] for
+    the first two entries lo and hi of the n-th piece, d being den when
+    every rectangle shares it and its own entry of the list den otherwise.
+    A shared den leaves the pieces a lazy stream of the column's own
+    triples, which merge_int_pairs reads as they are."""
     mask, value, den = _on_triples(e, ax, ay)
     stream = _spread(mask, value, len(ax[1]), len(ay[1]))
     if den is not None:
-        return den, map(itemgetter(0, 1), stream)
+        return den, stream
     triples = list(stream)
     return [d for _, _, d in triples], [(lo, hi) for lo, hi, _ in triples]
 
@@ -581,10 +582,57 @@ def _split(e: Expr) -> tuple[Expr, Expr, Expr, Expr] | None:
     return (t(outer, right) if mr == _NONE else t(left, outer)), *rest
 
 
+@lru_cache(maxsize=4096)
+def _occurrences(e: Expr) -> tuple[int, int]:
+    """How many leaves of e are x, and how many are y."""
+    t = type(e)
+    if t is Var:
+        return (1, 0) if e.name == "x" else (0, 1)
+    if t is Const:
+        return 0, 0
+    if t is Neg or t is Pow:
+        return _occurrences(e.operand if t is Neg else e.base)
+    (lx, ly), (rx, ry) = _occurrences(e.left), _occurrences(e.right)
+    return lx + rx, ly + ry
+
+
+@lru_cache(maxsize=4096)
+def _isolate(e: Expr) -> tuple[Expr, Expr, Expr, type, int] | None:
+    """(outer, ev, sibling, t, mask) when e is in both variables and the
+    variable v of the mask occurs in it exactly once (x when both do): ev
+    is the largest subtree in v alone that holds it, t the +, -, * or /
+    node above ev and sibling its other operand, in the other variable;
+    outer is e with ev replaced by v.  None otherwise."""
+    if _variables(e) != _XY:
+        return None
+    nx, ny = _occurrences(e)
+    if nx != 1 and ny != 1:
+        return None
+    mask, v = (_X, X) if nx == 1 else (_Y, Y)
+
+    def hoist(node: Expr) -> tuple:
+        t = type(node)
+        if t is Neg or t is Pow:
+            outer, *rest = hoist(node.operand if t is Neg else node.base)
+            return (Neg(outer) if t is Neg else Pow(outer, node.exponent)), *rest
+        left, right = node.left, node.right
+        if _variables(left) & mask:
+            if _variables(left) == mask:
+                return t(v, right), left, right, t
+            outer, *rest = hoist(left)
+            return t(outer, right), *rest
+        if _variables(right) == mask:
+            return t(left, v), right, left, t
+        outer, *rest = hoist(right)
+        return t(left, outer), *rest
+
+    return (*hoist(e), mask)
+
+
 def _gauge(t: type, side: tuple) -> tuple[int, int, int, int]:
-    """What the pieces of a sorted, merged side (see _axis) let the other
+    """What the pieces of a side (see _axis), in any order, let the other
     operand of t close: (a, b, g, e), a gap (u, v) of the other operand
-    closing when v*a <= u*b + g/e.
+    closing when v*a <= u*b + g/e, for every piece at once.
 
     For + and - this is a = b = 1 and g/e the width of the narrowest piece:
     [u, v] + [c, d] lies in (u + [c, d]) U (v + [c, d]) iff v - u <= d - c,
@@ -669,8 +717,8 @@ def _within_budget(n: int, m: int, budget: int | None) -> None:
 
 def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
                   budget: int | None = None
-                  ) -> tuple[int | Iterable[int], Iterable[tuple[int, int]]] | None:
-    """Pieces (den, pairs), in _pairs's form, whose union is the union of
+                  ) -> tuple[int | Iterable[int], Iterable[tuple]] | None:
+    """Pieces (den, pieces), in _pairs's form, whose union is the union of
     the enclosures of e over the rectangles of xs x ys; None when an
     endpoint is a FieldElement.
 
@@ -678,27 +726,47 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     runs once per interval of its axis, the two sides are bridged (see
     _bridged), inner runs over the bridged axes, and outer once per piece
     of inner's merged union (see empirics.grid_cover for why the union is
-    the same).  Otherwise, and on a DomainError, e runs over the whole
-    grid (see _run_grid), and a DomainError there is the first failing
-    rectangle's.
+    the same).  Otherwise, when one variable v occurs in e once (see
+    _isolate), its subtree ev runs once per interval of v's axis and is
+    merged, its gaps are closed that every value of ev's sibling over the
+    other axis spans (see _gauge; a product or quotient with a negative
+    value on either side is only merged), and e with ev replaced by v runs
+    over the other axis x those pieces.  Otherwise, and on a DomainError,
+    e runs over the whole grid (see _run_grid), and a DomainError there is
+    the first failing rectangle's.
 
     ResourceBudget is raised when the rectangles to be paired exceed the
-    budget, before they are: the bridged pieces of a split e, otherwise
-    the whole grid, before anything is evaluated.  A None return has passed
-    the grid's check too."""
+    budget, before they are: the bridged pieces of a split e, the other
+    axis times v's pieces, otherwise the whole grid, before anything is
+    evaluated.  A None return has passed the grid's check too."""
     if not xs or not ys:
         return 1, []
     ax, ay = _axis(xs), _axis(ys)
-    split = _split(e) if ax is not None and ay is not None else None
-    if split is not None:
-        outer, inner, ex, ey = split
+    if ax is not None and ay is not None:
+        split = _split(e)
         try:
-            bx, by = _bridged(type(inner), _side(ex, _X, ax), _side(ey, _Y, ay))
-            _within_budget(len(bx[1]), len(by[1]), budget)
-            den, pairs = _pairs(inner, bx, by)
-            if type(outer) is Var:  # the caller merges inner's pieces
-                return den, pairs
-            return _side(outer, _X, merge_int_pairs(pairs, den))
+            if split is not None:
+                outer, inner, ex, ey = split
+                bx, by = _bridged(type(inner), _side(ex, _X, ax), _side(ey, _Y, ay))
+                _within_budget(len(bx[1]), len(by[1]), budget)
+                den, pieces = _pairs(inner, bx, by)
+                if type(outer) is Var:  # the caller merges inner's pieces
+                    return den, pieces
+                return _side(outer, _X, merge_int_pairs(pieces, den))
+            hoisted = _isolate(e)
+            if hoisted is not None:
+                outer, ev, sibling, t, mask = hoisted
+                av, au = (ax, ay) if mask == _X else (ay, ax)
+                values = _side(sibling, _XY ^ mask, au)
+                den, pairs = _side(ev, mask, av)
+                side = merge_int_pairs(pairs, den)
+                t = Mul if t is Div else t
+                if t is not Mul or (side[1][0][0] >= 0 and min(values[1])[0] >= 0):
+                    side = _close(side, _gauge(t, values))
+                bx, by = (side, au) if mask == _X else (au, side)
+                _within_budget(len(bx[1]), len(by[1]), budget)
+                den, pieces = _pairs(outer, bx, by)
+                return den, list(pieces)  # run here, where a DomainError falls back
         except DomainError:
             pass
     _within_budget(len(xs), len(ys), budget)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, starmap
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value, setfield
@@ -149,8 +149,10 @@ class GapProfile(Value):
         # (index i, length of gap after piece i)
         setfield(self, "gap_set", gap_set)
         setfield(self, "kappa", kappa)
-        # min over rank-1 gaps of piece/gap: the exact Newhouse thickness when all
-        # rank-1 gaps are equal, a lower bound otherwise; math.inf when gapless
+        # min over rank-1 gaps of piece/gap, a lower bound on the Newhouse
+        # thickness only (one rank-1 gap does not make it exact: the system
+        # 1/5; 0, 1/5, 3/5, 4/5 has 1 here and thickness 2); math.inf when
+        # gapless
         setfield(self, "thickness_lb", thickness_lb)
 
 
@@ -322,9 +324,9 @@ class HomogeneousIfs:
         *_, (lo, scale) = self._maps(word)
         return self._interval(lo, scale)
 
-    def _below(self, k: int, within: Word) -> tuple[int, Scalar, Scalar]:
-        """(k - len(within), left end and scale of the map of within) for
-        the rank-k cylinders below within, after the rank and budget checks."""
+    def _below(self, k: int, within: Word) -> int:
+        """k - len(within) for the rank-k cylinders below within, after the
+        rank and budget checks."""
         _check_rank(k)
         if k < len(within):
             raise FractarithError("rank below the restricting word length")
@@ -332,32 +334,37 @@ class HomogeneousIfs:
         extra = k - len(within)
         if self.n ** extra > budget:
             raise ResourceBudget(f"{self.n}^{extra} cylinders exceed budget {budget}")
-        *_, (lo, scale) = self._maps(within)
-        return extra, lo, scale
+        return extra
 
     def cylinder_lattice(self, k: int, within: Word = ()) -> IntervalLattice:
         """The rank-k basic intervals below the word within, sorted and
-        distinct, on integer numerators over one denominator D.  D is the
-        lcm of the denominators of within's left end, of every level's steps
+        distinct, on integer numerators over one denominator: the lcm of the
+        reduced denominators of within's left end, of every level's steps
         scale * (t_d - t_1) and of the final width scale * (b - a), so each
         level adds integer steps to integer left ends, and coincident
-        cylinders collapse in a set of integers.  Rational data only."""
+        cylinders collapse in a set of integers.  Rational data only.
+
+        All of them are integers over D*b^k, within's left end from the
+        integer walk (see _triples) and the steps at rank r being
+        a^r*b^(k-r)*(t_d - t_1)*D; that lcm is D*b^k over the gcd of D*b^k
+        and every numerator."""
         if not self.rational:
             raise FractarithError("a cylinder lattice requires rational data")
-        extra, lo, scale = self._below(k, within)
-        deltas, width = self._cylinder_steps()
+        extra = self._below(k, within)
+        a, b, _, _, width, deltas = self._integer_steps()
+        *_, (lo, _, den) = self._triples(within)
+        scale = a ** len(within)  # a^r at rank r
         levels = []
-        for _ in range(extra):
-            levels.append([scale * delta for delta in deltas])
-            scale *= self.ratio
-        span = scale * width
-        den = lcm(lo.denominator, span.denominator,
-                  *(step.denominator for steps in levels for step in steps))
-        lefts = [lo.numerator * (den // lo.denominator)]
+        for j in range(extra, 0, -1):
+            levels.append([scale * b ** j * delta for delta in deltas])
+            scale *= a
+        lo, den, span = lo * b ** extra, den * b ** extra, scale * width
+        g = gcd(den, lo, span, *chain.from_iterable(levels))
+        lefts = [lo // g]
         for steps in levels:
-            ints = [step.numerator * (den // step.denominator) for step in steps]
+            ints = [step // g for step in steps]
             lefts = sorted({left + step for step in ints for left in lefts})
-        return IntervalLattice(den, tuple(lefts), span.numerator * (den // span.denominator))
+        return IntervalLattice(den // g, tuple(lefts), span // g)
 
     def cylinders(self, k: int, within: Word = ()) -> list[Interval]:
         """The rank-k basic intervals, optionally restricted to descendants of
@@ -369,7 +376,8 @@ class HomogeneousIfs:
         field elements and refine their shared generator."""
         if self.rational:
             return list(self.cylinder_lattice(k, within))
-        extra, lo, scale = self._below(k, within)
+        extra = self._below(k, within)
+        *_, (lo, scale) = self._maps(within)
         deltas, width = self._cylinder_steps()
         lefts = [lo]
         for _ in range(extra):

@@ -25,8 +25,8 @@ from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
 from fractarith.exactnum import (AlgebraicReal, Interval, IntervalLattice, IntervalUnion,
                                  as_scalar)
 from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _axis, _bridged,
-                               _pairs, _split, eval_interval, grid_values, lattice_cover,
-                               parse)
+                               _isolate, _pairs, _split, eval_interval, grid_values,
+                               lattice_cover, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
 from fractarith.qexp import (DigitSeq, QuasiGreedyStream, as_base, base_above_qstar,
                               is_univoque_seq, kq_ifs, pi_q, qstar)
@@ -99,8 +99,9 @@ def test_image_cover_budget():
 
 
 # (f, depth, the pieces paired on each side): the bridged pieces for a
-# separable f, which x^3+y keeps 19 of on x's side, and the whole grid for
-# x*y+x, which does not split
+# separable f, which x^3+y keeps 19 of on x's side, and for x*y+x, in which
+# y occurs once, x's 32 cylinders times y's 32 merged pieces, none of whose
+# gaps every x cylinder spans
 @pytest.mark.parametrize("f, depth, n, m", [("x^3+y", 6, 19, 32), ("x*y+x", 5, 32, 32)])
 def test_image_cover_budget_counts_the_rectangles_paired(f, depth, n, m):
     want = image_cover(C, C, parse(f), depth)
@@ -125,8 +126,7 @@ def test_image_cover_budget_after_bridging():
 
 
 # every enumeration reads FRACTARITH_BUDGET when it is sized; 3 is below the
-# size of each of these (x*y+x does not split, so its covers pair every
-# rectangle of the grid)
+# size of each of these (x*y+x pairs x's 2 cylinders with y's 2 pieces)
 @pytest.mark.parametrize("enumerate_", [
     lambda: C.cylinders(2),
     lambda: image_cover(C, C, parse("x*y+x"), 1),
@@ -358,11 +358,11 @@ def run_enclosures(f, xs, ys):
     exprfn._pairs), as Fraction pairs."""
     if not xs or not ys:
         return []
-    den, pairs = _pairs(f, _axis(xs), _axis(ys))
-    pairs = list(pairs)
-    dens = [den] * len(pairs) if isinstance(den, int) else list(den)
-    assert len(dens) == len(pairs)
-    return [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)]
+    den, pieces = _pairs(f, _axis(xs), _axis(ys))
+    pieces = list(pieces)
+    dens = [den] * len(pieces) if isinstance(den, int) else list(den)
+    assert len(dens) == len(pieces)
+    return [(Fraction(p[0], d), Fraction(p[1], d)) for p, d in zip(pieces, dens)]
 
 
 def check_grid_paths(f, xs, ys):
@@ -511,17 +511,24 @@ BRIDGED_FORMS = ["x+y", "x-y", "y-x", "2*x+3*y", "x*y", "x/y", "y/x", "x^(-1)+y"
 
 
 @st.composite
-def bridge_axes(draw):
-    """The cylinders of a rational IFS at one depth, thick or thin, scaled
-    and shifted so that the set is nonnegative, touches 0 from above or
-    below, has mixed sign or is negative; sometimes only a run of them."""
+def bridge_systems(draw):
+    """A rational IFS, thick or thin, scaled and shifted so that the set is
+    nonnegative, touches 0 from above or below, has mixed sign or is
+    negative."""
     ratio, n = draw(st.sampled_from(THICK + THIN))
     scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
     shift = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 2), -scale,
                                   -2 * scale]))
-    k = HomogeneousIfs(ratio, [scale * i * (1 - ratio) / (n - 1) + shift * (1 - ratio)
-                               for i in range(n)])
-    lattice = k.cylinder_lattice(draw(st.integers(1, 6 if n == 2 else 4)))
+    return HomogeneousIfs(ratio, [scale * i * (1 - ratio) / (n - 1) + shift * (1 - ratio)
+                                  for i in range(n)])
+
+
+@st.composite
+def bridge_axes(draw):
+    """The cylinders of a bridge_systems IFS at one depth; sometimes only a
+    run of them."""
+    k = draw(bridge_systems())
+    lattice = k.cylinder_lattice(draw(st.integers(1, 6 if k.n == 2 else 4)))
     cut = draw(st.integers(1, len(lattice)))
     return draw(st.sampled_from([lattice, lattice[:cut], lattice[cut - 1:]]))
 
@@ -563,6 +570,50 @@ def test_cantor_pairs_at_depth_12_bridge_to_one_piece(text, hull):
     bridged = _bridged(type(_split(f)[1]), axis, axis)
     assert bridged == ((xs.den, [(0, xs.den)]),) * 2
     assert image_cover(C, C, f, 12).to_obj() == [hull]
+
+
+# one variable occurs once, x or y: f is not separable, and the variable
+# that occurs once sits under a +, -, * or / node with either operand order
+ISOLATED_FORMS = ["x*y-x", "y*x-y", "x*y+x", "y*x+y", "x/(x+y)", "y/(y+x)", "(x*y-x)^(1/2)",
+                  "(y*x-y)^(1/2)", "x/(y-1)+x", "y/(x-1)+y", "(x+1)/y-x", "x-(y+1)/x"]
+
+
+def test_isolate_hoists_the_subtree_of_the_variable_that_occurs_once():
+    assert all(_split(parse(text)) is None for text in ISOLATED_FORMS)
+    assert _isolate(parse("x*y-x"))[:4] == (parse("x*y-x"), Y, X, Mul)
+    assert _isolate(parse("x/(y-1)+x"))[:4] == (parse("x/y+x"), parse("y-1"), X, Div)
+    assert _isolate(parse("-(x-(2*y+1)/x)^2"))[:4] == (parse("-(x-y/x)^2"), parse("2*y+1"),
+                                                        X, Div)
+    assert _isolate(parse("x-(y+1)/x"))[:4] == (parse("x-y/x"), parse("y+1"), X, Div)
+    assert _isolate(parse("y^2*x-x^3")) == (parse("y*x-x^3"), parse("y^2"), X, Mul, 2)
+    assert all(_isolate(parse(text)) is None
+               for text in ("(x+y)*(x-y)", "x*y*(x+y)", "x^2", "y+1", "3"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ISOLATED_FORMS), bridge_systems(), bridge_systems(), st.data())
+def test_isolated_cover_is_the_full_grid_merge(text, k1, k2, data):
+    """image_cover, which merges the once-occurring variable's subtree and
+    closes the gaps that every value of its sibling spans, against every
+    rectangle merged at once: the same bytes, or the same error class and
+    message.  Tiling systems merge to one piece, thick ones close gaps."""
+    depth = data.draw(st.integers(1, 5 if k1.n == k2.n == 2 else 3), "depth")
+    f = parse(text)
+    assert cover_bytes(lambda: image_cover(k1, k2, f, depth)) == \
+        cover_bytes(lambda: full_grid_cover(f, k1.cylinders(depth), k2.cylinders(depth)))
+
+
+def test_isolated_cover_gauges_each_sibling_value():
+    """x's cylinders of T, which tile [3/2, 5/2], against Cantor's y in
+    x*y-x: a gap of y closes only when every x cylinder spans it, so the
+    cover keeps 3 pieces.  Against x's merged piece it would close too
+    many."""
+    t = HomogeneousIfs.from_obj({"ratio": "1/3", "translations": ["1", "4/3", "5/3"]})
+    f = parse("x*y-x")
+    cover = image_cover(t, C, f, 4)
+    assert cover.to_obj() == [["-5/2", "-242/243"], ["-409/486", "-236/729"],
+                              ["-421/1458", "1/81"]]
+    assert cover == full_grid_cover(f, t.cylinders(4), C.cylinders(4))
 
 
 def test_oracle_check_matches_per_rectangle_reference():

@@ -205,11 +205,11 @@ def test_eval_grid_raises_where_eval_interval_does():
 
 def run_enclosures(f, xs, ys):
     """The column run on triples (_pairs) as Fraction pairs."""
-    den, pairs = _pairs(f, _axis(xs), _axis(ys))
-    pairs = list(pairs)
-    dens = [den] * len(pairs) if isinstance(den, int) else list(den)
-    assert len(dens) == len(pairs)
-    return [(Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens)]
+    den, pieces = _pairs(f, _axis(xs), _axis(ys))
+    pieces = list(pieces)
+    dens = [den] * len(pieces) if isinstance(den, int) else list(den)
+    assert len(dens) == len(pieces)
+    return [(Fraction(p[0], d), Fraction(p[1], d)) for p, d in zip(pieces, dens)]
 
 
 def test_eval_lattice_is_eval_grid_on_integer_numerators():
