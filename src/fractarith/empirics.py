@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from ._value import Value, setfield
 from .certifier import Certificate
 from .errors import DegenerateFit, FractarithError, ResourceBudget
-from .exactnum import FieldElement, Interval, IntervalUnion, TripleInterval
+from .exactnum import FieldElement, Interval, IntervalUnion, TripleInterval, merge_triples
 from .exprfn import Expr, grid_values, lattice_cover
 from .ifs_core import HomogeneousIfs, Word, get_budget
 from .qexp import QuasiGreedyStream, as_base
@@ -76,7 +76,7 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
         U_ij f(X_i, Y_j) = outer((U_i ex(X_i)) o (U_j ey(Y_j)))
 
     and over rational data lattice_cover merges and bridges each side on
-    integers before combining them.  Bridging closes a gap [u, v] of one
+    integer triples before combining them.  Bridging closes a gap [u, v] of one
     side A when the other side B spans it: for +, v - u <= d - c for every
     piece [c, d] of B gives (A U [u, v]) + B = A + B, the gap lemma behind
     Newhouse's thickness theorem and Simon and Taylor's tau1*tau2 >= 1
@@ -104,16 +104,15 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
 
     Any other f runs its compiled code column-wise over the grid, once per
     interval for what uses one variable and per rectangle for what uses
-    both: on integers over rational data, merged once, and on Interval
-    operations over field elements (grid_values), merged by
-    IntervalUnion.from_intervals; the budget counts the whole grid, before
-    any evaluation.  The union, or the first failing rectangle's error, is
-    the same on every path."""
+    both: on integer triples over rational data, merged once by
+    merge_triples, and on Interval operations over field elements
+    (grid_values), merged by IntervalUnion.from_intervals; the budget
+    counts the whole grid, before any evaluation.  The union, or the first
+    failing rectangle's error, is the same on every path."""
     lattice = lattice_cover(f, xs, ys, budget)
     if lattice is None:
         return IntervalUnion.from_intervals((enc.lo, enc.hi) for enc in grid_values(f, xs, ys))
-    den, pairs = lattice
-    return IntervalUnion.from_int_pairs(pairs, den)
+    return IntervalUnion.from_merged_triples(merge_triples(lattice))
 
 
 def oscillation_radius(cert: Certificate, depth: int) -> Fraction:
@@ -262,7 +261,7 @@ def uq_cover(q, depth: int) -> IntervalUnion:
         unions = merged
     if rational:  # _union's pieces are sorted, disjoint and non-touching
         den = a ** depth * (a - b)
-        return IntervalUnion.from_merged_ends([(lo, den, hi, den) for lo, hi in unions[0]])
+        return IntervalUnion.from_merged_triples([(lo, hi, den) for lo, hi in unions[0]])
     return IntervalUnion.from_intervals(unions[0])
 
 
@@ -323,10 +322,10 @@ def grid_box_count(u: IntervalUnion, size: Fraction) -> int:
     sn, sd = size.numerator, size.denominator
     count = 0
     last: int | None = None
-    for lo, dlo, hi, dhi in ends:
-        j_min = lo * sd // (dlo * sn)  # floor(lo / size)
+    for lo, hi, d in ends:
+        j_min = lo * sd // (d * sn)  # floor(lo / size)
         # a point piece takes its own box; else the last box is ceil(hi / size) - 1
-        j_max = j_min if hi * dlo == lo * dhi else -(-hi * sd // (dhi * sn)) - 1
+        j_max = j_min if hi == lo else -(-hi * sd // (d * sn)) - 1
         if last is not None and j_min <= last:
             j_min = last + 1
         if j_max >= j_min:
@@ -343,9 +342,9 @@ def uq_product_counts(q, f: Expr, ranks: Iterable[int]) -> list[tuple[int, int]]
         raise FractarithError("trend tables require a rational base")
     out = []
     for r in ranks:
-        # the cover's integer pieces, each over uq_cover's one denominator,
-        # read by grid_cover as they stand
-        cells = [TripleInterval((lo, hi, d)) for lo, d, hi, _ in uq_cover(q, r).int_ends()]
+        # the cover's triples, over uq_cover's one denominator, read by
+        # grid_cover as they stand
+        cells = [TripleInterval(t) for t in uq_cover(q, r).int_ends()]
         union = grid_cover(f, cells, cells)
         out.append((r, grid_box_count(union, q ** (-r))))
     return out

@@ -760,6 +760,23 @@ class Interval(Value):
         return f"[{self.lo}, {self.hi}]"
 
 
+def ends_triple(lo: int, dlo: int, hi: int, dhi: int) -> tuple[int, int, int]:
+    """The interval [lo/dlo, hi/dhi], dlo and dhi > 0, as the triple (lo,
+    hi, d) of [lo/d, hi/d]: over the lcm d of its ends' denominators."""
+    if dlo == dhi:
+        return lo, hi, dlo
+    d = lcm(dlo, dhi)
+    return lo * (d // dlo), hi * (d // dhi), d
+
+
+def rational_triple(lo: Scalar, hi: Scalar) -> tuple[int, int, int] | None:
+    """The interval [lo, hi] as a triple (see ends_triple); None when an
+    end is a FieldElement."""
+    if isinstance(lo, FieldElement) or isinstance(hi, FieldElement):
+        return None
+    return ends_triple(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
 # Interval's own slots, which a TripleInterval fills when an end is first read
 _LO_SLOT, _HI_SLOT = Interval.lo, Interval.hi
 
@@ -792,10 +809,15 @@ class TripleInterval(Interval):
     hi = property(lambda self: _form_end(self, _HI_SLOT))
 
     def __eq__(self, other):
-        # also serves Interval == TripleInterval, as Python asks the subclass first
-        if isinstance(other, Interval):
+        # also serves Interval == TripleInterval, as Python asks the subclass
+        # first; rational ends compare by cross-multiplication, unformed
+        if not isinstance(other, Interval):
+            return NotImplemented
+        t = other.triple if type(other) is TripleInterval else rational_triple(other.lo, other.hi)
+        if t is None:
             return self._values == other._values
-        return NotImplemented
+        lo, hi, d = self.triple
+        return lo * t[2] == t[0] * d and hi * t[2] == t[1] * d
 
     __hash__ = Interval.__hash__
 
@@ -825,11 +847,6 @@ class IntervalLattice(Value, Sequence):
             return IntervalLattice(self.den, self.lefts[i], self.span)
         lo = self.lefts[i]
         return Interval(Fraction(lo, self.den), Fraction(lo + self.span, self.den))
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """(l, l + span) per interval: its endpoints' numerators over den."""
-        span = self.span
-        return [(lo, lo + span) for lo in self.lefts]
 
     def within(self, window: Interval) -> "IntervalLattice":
         """The intervals that lie inside the window.  lefts and their right
@@ -942,10 +959,10 @@ def scalar_to_obj(x):
 
 def _merge_sorted(pieces: Iterable[Sequence]) -> tuple[tuple, ...]:
     """Closed intervals given in order of their left endpoints, each as a
-    piece whose first two entries are lo and hi (a pair, or a triple of a
-    column run), with overlapping and touching ones merged in one pass into
-    (lo, hi) pairs.  The open piece is kept in locals; only finished pieces
-    are stored."""
+    piece whose first two entries are lo and hi (a pair of scalars, or a
+    triple that merge_triples passes on), with overlapping and touching
+    ones merged in one pass into (lo, hi) pairs.  The open piece is kept in
+    locals; only finished pieces are stored."""
     pieces = iter(pieces)
     first = next(pieces, None)
     if first is None:
@@ -965,69 +982,48 @@ def _merge_sorted(pieces: Iterable[Sequence]) -> tuple[tuple, ...]:
     return tuple(merged)
 
 
-def _merge_ends(pairs: Iterable[tuple[int, int]], dens: Iterable[int]) -> list[list[int]]:
-    """The pieces [lo/d, hi/d], d > 0 being each piece's own entry of dens,
-    sorted and merged on integers: [lo, lo's d, hi, hi's d] per merged
-    piece.
+def shared_den(dens: Sequence[int]) -> int | None:
+    """The one denominator of a sequence of them, the d of triples (lo, hi,
+    d), when they are all equal; None when they differ or there are none."""
+    return dens[0] if dens and dens.count(dens[0]) == len(dens) else None
 
-    They sort on the floor key lo*2^p // d, with 2^p at least the square of
-    the largest d: two distinct endpoints with denominators d and d' differ
-    by at least 1/(d*d'), so distinct left endpoints get distinct keys, and
-    pieces whose keys tie share their left endpoint, which merges them
-    alike in any order.  They merge as in _merge_sorted_ends."""
-    pieces = [(lo, d, hi, d) for (lo, hi), d in zip(pairs, dens)]
+
+def merge_triples(pieces: Iterable[Sequence[int]]) -> list[tuple[int, int, int]]:
+    """The union of the pieces [lo/d, hi/d], given as triples (lo, hi, d)
+    with d > 0, as sorted, disjoint, non-touching triples.
+
+    When the pieces share one d, which they tell themselves, they sort on
+    lo and merge on their numerators (see _merge_sorted), forming no key
+    and no product.  Otherwise they sort on the floor key lo*2^p // d, with
+    2^p at least the square of the largest d: two distinct endpoints with
+    denominators d and d' differ by at least 1/(d*d'), so distinct left
+    endpoints get distinct keys, and pieces whose keys tie share their
+    left endpoint, which merges them alike in any order.  They merge by
+    cross-multiplication, and a merged piece whose ends come from
+    different denominators is put over their lcm (see ends_triple)."""
+    pieces = list(pieces)
+    den = shared_den([d for _, _, d in pieces])
+    if den is not None:
+        pieces.sort(key=itemgetter(0))
+        return [(lo, hi, den) for lo, hi in _merge_sorted(pieces)]
     if not pieces:
         return []
-    if any(hi < lo for lo, _, hi, _ in pieces):
+    if any(hi < lo for lo, hi, _ in pieces):
         raise FractarithError("interval endpoints out of order")
-    p = 2 * max(map(itemgetter(1), pieces)).bit_length()
-    pieces.sort(key=lambda piece: (piece[0] << p) // piece[1])
-    return _merge_sorted_ends(pieces)
-
-
-def _merge_sorted_ends(pieces: Iterable[Sequence[int]]) -> list[list[int]]:
-    """The pieces [lo/dlo, hi/dhi], given as (lo, dlo, hi, dhi) with dlo,
-    dhi > 0 in order of their left ends, with overlapping and touching ones
-    merged by cross-multiplication: [lo, dlo, hi, dhi] per merged piece."""
-    merged: list[list[int]] = []
-    for lo, dlo, hi, dhi in pieces:
-        if merged:
-            last = merged[-1]
-            if not (last[2] * dlo < lo * last[3]):
-                if last[2] * dhi < hi * last[3]:
-                    last[2], last[3] = hi, dhi
-                continue
-        merged.append([lo, dlo, hi, dhi])
+    p = 2 * max(map(itemgetter(2), pieces)).bit_length()
+    pieces.sort(key=lambda t: (t[0] << p) // t[2])
+    merged = []
+    pieces = iter(pieces)
+    lo, hi, dlo = next(pieces)
+    dhi = dlo
+    for a, b, d in pieces:
+        if hi * d < a * dhi:
+            merged.append(ends_triple(lo, dlo, hi, dhi))
+            lo, hi, dlo, dhi = a, b, d, d
+        elif hi * d < b * dhi:
+            hi, dhi = b, d
+    merged.append(ends_triple(lo, dlo, hi, dhi))
     return merged
-
-
-def merge_int_pairs(pairs: Iterable[Sequence[int]], den: int | Iterable[int]
-                    ) -> tuple[int | list[int], list[tuple[int, int]]]:
-    """The union of the pieces [lo/d, hi/d] as sorted, disjoint, merged
-    pairs (lo, hi): d > 0 is den itself or, when den is an iterable, the
-    piece's own entry of it.  Returns (den, pairs), den being the given
-    int, or else a list with one denominator per merged piece, the lcm of
-    its ends' own.  With one shared denominator the pieces sort on lo and
-    merge on their numerators, forming no key and no product, and a piece
-    is read by its first two entries, so a column's (lo, hi, d) triples
-    merge as they come (see _merge_sorted); otherwise each is a pair (lo,
-    hi) and see _merge_ends."""
-    if isinstance(den, int):
-        return den, list(_merge_sorted(sorted(pairs, key=itemgetter(0))))
-    return on_own_lcms(_merge_ends(pairs, den))
-
-
-def on_own_lcms(pieces: Iterable[Sequence[int]]) -> tuple[list[int], list[tuple[int, int]]]:
-    """The pieces [lo/dlo, hi/dhi], given as (lo, dlo, hi, dhi), as (dens,
-    pairs): each piece over the lcm of its ends' denominators."""
-    dens, out = [], []
-    for lo, dlo, hi, dhi in pieces:
-        if dlo != dhi:
-            d = lcm(dlo, dhi)
-            lo, hi, dlo = lo * (d // dlo), hi * (d // dhi), d
-        dens.append(dlo)
-        out.append((lo, hi))
-    return dens, out
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -1041,12 +1037,12 @@ class IntervalUnion(Value):
     are merged at construction, so the representation is canonical.
 
     Its one field, intervals, is a tuple of (lo, hi) pairs of scalars.  A
-    union from from_int_pairs, or inflated from one, keeps its pieces as the
-    integers (lo, dlo, hi, dhi) of [lo/dlo, hi/dhi], dlo and dhi > 0 and not
+    union from from_merged_triples, or inflated from one, keeps its pieces
+    as the integer triples (lo, hi, d) of [lo/d, hi/d], d > 0 and not
     necessarily in lowest terms, and forms the Fractions of intervals only
     when that field is read: by iteration, equality, hash, repr, copy or
     pickle.  to_obj, hull, contains_point, contains_interval, inflate and
-    int_ends read the integers.  Unions from from_intervals, and any with a
+    int_ends read the triples.  Unions from from_intervals, and any with a
     field-element endpoint, keep their scalar pairs."""
 
     __slots__ = ("_pairs", "_ends")
@@ -1057,20 +1053,19 @@ class IntervalUnion(Value):
         setfield(self, "_ends", None)
 
     @staticmethod
-    def from_merged_ends(ends: Sequence[Sequence[int]]) -> "IntervalUnion":
-        """The union of integer pieces (lo, dlo, hi, dhi) that are already
-        sorted, disjoint and non-touching, kept as given."""
+    def from_merged_triples(triples: Sequence[Sequence[int]]) -> "IntervalUnion":
+        """The union of triples (lo, hi, d) that are already sorted, disjoint
+        and non-touching, as merge_triples gives them, kept as given."""
         u = object.__new__(IntervalUnion)
         setfield(u, "_pairs", None)
-        setfield(u, "_ends", ends)
+        setfield(u, "_ends", triples)
         return u
 
     @property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         pairs = self._pairs
         if pairs is None:
-            pairs = tuple((Fraction(lo, dlo), Fraction(hi, dhi))
-                          for lo, dlo, hi, dhi in self._ends)
+            pairs = tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in self._ends)
             setfield(self, "_pairs", pairs)
         return pairs
 
@@ -1085,30 +1080,14 @@ class IntervalUnion(Value):
         return IntervalUnion(_merge_sorted(sorted(
             ((as_scalar(lo), as_scalar(hi)) for lo, hi in items), key=itemgetter(0))))
 
-    @staticmethod
-    def from_int_pairs(pairs: Iterable[Sequence[int]],
-                       den: int | Iterable[int]) -> "IntervalUnion":
-        """from_intervals of the pieces [lo/d, hi/d], where d > 0 is den
-        itself or, when den is an iterable, the piece's own entry of it:
-        sorted and merged on integers as in merge_int_pairs, which reads a
-        piece under a shared den by its first two entries, and kept on
-        integers, so that no Fraction is formed until intervals is read."""
-        if isinstance(den, int):
-            return IntervalUnion.from_merged_ends([
-                (lo, den, hi, den)
-                for lo, hi in _merge_sorted(sorted(pairs, key=itemgetter(0)))])
-        return IntervalUnion.from_merged_ends(_merge_ends(pairs, den))
-
     def int_ends(self) -> Sequence[Sequence[int]] | None:
-        """The pieces as integers (lo, dlo, hi, dhi), the piece [lo/dlo,
-        hi/dhi] with dlo, dhi > 0, to be read only (they may be the union's
-        own); None when an endpoint is a FieldElement."""
+        """The pieces as triples (lo, hi, d), the piece [lo/d, hi/d] with
+        d > 0, to be read only (they may be the union's own); None when an
+        endpoint is a FieldElement."""
         if self._ends is not None:
             return self._ends
-        if any(isinstance(v, FieldElement) for pair in self._pairs for v in pair):
-            return None
-        return [(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-                for lo, hi in self._pairs]
+        triples = [rational_triple(lo, hi) for lo, hi in self._pairs]
+        return None if None in triples else triples
 
     def __iter__(self):
         return iter(self.intervals)
@@ -1124,7 +1103,7 @@ class IntervalUnion(Value):
             raise FractarithError("empty union has no hull")
         if self._ends is None:
             return Interval(self._pairs[0][0], self._pairs[-1][1])
-        (lo, dlo, _, _), (_, _, hi, dhi) = self._ends[0], self._ends[-1]
+        (lo, _, dlo), (_, hi, dhi) = self._ends[0], self._ends[-1]
         return Interval(Fraction(lo, dlo), Fraction(hi, dhi))
 
     def _piece_from(self, x) -> Sequence[int] | None:
@@ -1135,7 +1114,7 @@ class IntervalUnion(Value):
         a, b = 0, len(ends)
         while a < b:
             m = (a + b) // 2
-            if n * ends[m][1] < ends[m][0] * d:
+            if n * ends[m][2] < ends[m][0] * d:
                 b = m
             else:
                 a = m + 1
@@ -1146,7 +1125,7 @@ class IntervalUnion(Value):
         if self._ends is None or isinstance(lo, FieldElement) or isinstance(hi, FieldElement):
             return any(not (lo < a) and not (b < hi) for a, b in self.intervals)
         piece = self._piece_from(lo)
-        return piece is not None and not (piece[2] * hi.denominator < hi.numerator * piece[3])
+        return piece is not None and not (piece[1] * hi.denominator < hi.numerator * piece[2])
 
     def contains_point(self, x) -> bool:
         x = as_scalar(x)
@@ -1185,20 +1164,19 @@ class IntervalUnion(Value):
     def inflate(self, radius) -> "IntervalUnion":
         """Every piece widened by the radius on both sides, merged.  Shifting
         all left endpoints by one amount keeps them sorted, so one merging
-        pass suffices, on integers when the pieces and the radius are
-        rational and the radius is not negative."""
+        pass suffices, by merge_triples on integers when the pieces and the
+        radius are rational and the radius is not negative."""
         r = as_scalar(radius)
         if self._ends is None or isinstance(r, FieldElement) or r < 0:
             return IntervalUnion(_merge_sorted((lo - r, hi + r) for lo, hi in self.intervals))
         rn, rd = r.numerator, r.denominator
-        return IntervalUnion.from_merged_ends(_merge_sorted_ends(
-            (lo * rd - rn * dlo, dlo * rd, hi * rd + rn * dhi, dhi * rd)
-            for lo, dlo, hi, dhi in self._ends))
+        return IntervalUnion.from_merged_triples(merge_triples(
+            (lo * rd - rn * d, hi * rd + rn * d, d * rd) for lo, hi, d in self._ends))
 
     def to_obj(self) -> list[list]:
         if self._ends is None:
             return [[scalar_to_obj(lo), scalar_to_obj(hi)] for lo, hi in self._pairs]
-        return [[_ratio_str(lo, dlo), _ratio_str(hi, dhi)] for lo, dlo, hi, dhi in self._ends]
+        return [[_ratio_str(lo, d), _ratio_str(hi, d)] for lo, hi, d in self._ends]
 
     @staticmethod
     def from_obj(obj: Sequence[Sequence[str]]) -> "IntervalUnion":

@@ -20,14 +20,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat, tee
 from math import lcm
-from operator import add, gt, mul, sub, truediv
+from operator import add, gt, itemgetter, mul, sub, truediv
 from typing import Iterable, Sequence, Union
 
 from ._value import Value, setfield
 from .errors import (DivByZeroInterval, DomainError, ExprSyntaxError, ResourceBudget,
                      ZeroExponentError)
-from .exactnum import (DENOMINATOR_BOUND, FieldElement, Interval, IntervalLattice,
-                       TripleInterval, merge_int_pairs, on_own_lcms, pow_numerators)
+from .exactnum import (DENOMINATOR_BOUND, Interval, IntervalLattice, TripleInterval,
+                       ends_triple, merge_triples, pow_numerators, rational_triple,
+                       shared_den)
 
 
 # ---------------------------------------------------------------------------
@@ -454,40 +455,29 @@ def _run_grid(e: Expr, ops: tuple, regs: list, dens: list, nx: int, ny: int) -> 
     return mask, (regs[out].pop() if mask == _XY else regs[out]), dens[out]
 
 
-def _on_triples(e: Expr, ax: tuple, ay: tuple) -> tuple:
-    """_run_grid of e on triples over two axes in _axis's form."""
+def _on_triples(e: Expr, ax: list, ay: list) -> tuple:
+    """_run_grid of e on triples over two axes of triples (see _axis), the
+    denominator that each axis shares read from its own triples."""
     consts = _grid_code(e)[0]
     regs = _triple_registers(consts)
     dens = [None if c is None else c.denominator for c in consts]
-    for r, (den, pairs) in enumerate((ax, ay)):
-        if isinstance(den, int):
-            regs[r], dens[r] = [(lo, hi, den) for lo, hi in pairs], den
-        else:
-            regs[r] = [(lo, hi, d) for (lo, hi), d in zip(pairs, den)]
-    return _run_grid(e, _TRIPLE_OPS, regs, dens, len(ax[1]), len(ay[1]))
+    regs[0], regs[1] = ax, ay
+    dens[0], dens[1] = (shared_den([d for _, _, d in axis]) for axis in (ax, ay))
+    return _run_grid(e, _TRIPLE_OPS, regs, dens, len(ax), len(ay))
 
 
-def _side(node: Expr, mask: int, axis: tuple) -> tuple:
+def _side(node: Expr, mask: int, axis: list) -> list:
     """A subtree in the one variable `mask` over an axis of that variable,
-    both in _axis's form: its code run on triples once per interval."""
-    _, column, den = _on_triples(node, *((axis, (1, [])) if mask == _X else ((1, []), axis)))
-    pairs = [(lo, hi) for lo, hi, _ in column]
-    return (den, pairs) if den is not None else ([d for _, _, d in column], pairs)
+    both triples (see _axis): its code run once per interval."""
+    return _on_triples(node, *((axis, []) if mask == _X else ([], axis)))[1]
 
 
-def _pairs(e: Expr, ax: tuple, ay: tuple) -> tuple:
-    """e over every rectangle of the grid of two non-empty axes in _axis's
-    form, x-major, as (den, pieces): the n-th enclosure is [lo/d, hi/d] for
-    the first two entries lo and hi of the n-th piece, d being den when
-    every rectangle shares it and its own entry of the list den otherwise.
-    A shared den leaves the pieces a lazy stream of the column's own
-    triples, which merge_int_pairs reads as they are."""
-    mask, value, den = _on_triples(e, ax, ay)
-    stream = _spread(mask, value, len(ax[1]), len(ay[1]))
-    if den is not None:
-        return den, stream
-    triples = list(stream)
-    return [d for _, _, d in triples], [(lo, hi) for lo, hi, _ in triples]
+def _pairs(e: Expr, ax: list, ay: list) -> Iterable[tuple[int, int, int]]:
+    """e over every rectangle, every pair of intervals, of the grid of two
+    non-empty axes of triples (see _axis), x-major, as a lazy stream of
+    triples: the n-th (lo, hi, d) is the n-th enclosure [lo/d, hi/d]."""
+    mask, value, _ = _on_triples(e, ax, ay)
+    return _spread(mask, value, len(ax), len(ay))
 
 
 def _first_failure(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval]) -> None:
@@ -524,27 +514,27 @@ def _variables(e: Expr) -> int:
     return masks[out]
 
 
-def _axis(ivs: Sequence[Interval]) -> tuple[int | list[int], list[tuple[int, int]]] | None:
-    """One axis of a grid on integers: (den, pairs), the i-th interval being
-    [lo/d, hi/d] for the i-th pair (lo, hi), d being den itself when it is
-    an int and den[i] otherwise; None when an endpoint is a FieldElement.
+def _axis(ivs: Sequence[Interval]) -> list[tuple[int, int, int]] | None:
+    """One axis of a grid on integers: a triple (lo, hi, d) per interval,
+    the interval [lo/d, hi/d] with d > 0; None when an endpoint is a
+    FieldElement.
 
     An IntervalLattice gives its own numerators over its one denominator.
     Any other sequence is lifted once, each interval as its triple (see
     _triple); when one triple's denominator is a multiple of all the
-    others, as for the cylinders of a rational IFS, the axis shares it."""
+    others, as for the cylinders of a rational IFS, every triple is put
+    over it."""
     if isinstance(ivs, IntervalLattice):
-        return ivs.den, ivs.pairs()
+        den, span = ivs.den, ivs.span
+        return [(lo, lo + span, den) for lo in ivs.lefts]
     triples = [_triple(iv) for iv in ivs]
     if None in triples:
         return None
-    if not triples:
-        return 1, []
     dens = [d for _, _, d in triples]
     top = lcm(*dens)
     if top in dens:
-        return top, [(lo * (top // d), hi * (top // d)) for lo, hi, d in triples]
-    return dens, [(lo, hi) for lo, hi, _ in triples]
+        return [(lo * (top // d), hi * (top // d), top) for lo, hi, d in triples]
+    return triples
 
 
 @lru_cache(maxsize=4096)
@@ -629,8 +619,8 @@ def _isolate(e: Expr) -> tuple[Expr, Expr, Expr, type, int] | None:
     return (*hoist(e), mask)
 
 
-def _gauge(t: type, side: tuple) -> tuple[int, int, int, int]:
-    """What the pieces of a side (see _axis), in any order, let the other
+def _gauge(t: type, side: list) -> tuple[int, int, int, int]:
+    """What the pieces of a side, triples in any order, let the other
     operand of t close: (a, b, g, e), a gap (u, v) of the other operand
     closing when v*a <= u*b + g/e, for every piece at once.
 
@@ -642,40 +632,42 @@ def _gauge(t: type, side: tuple) -> tuple[int, int, int, int]:
     u*[c, d] U v*[c, d] iff v*c <= u*d.  A piece with c = 0 imposes no
     condition, so when every piece starts at 0, a = b = 0 and every gap
     closes."""
-    den, pairs = side
     if t is Mul:
         a = b = 0
-        for lo, hi in pairs:
+        for lo, hi, _ in side:
             if lo > 0 and (a == 0 or hi * a < b * lo):
                 a, b = lo, hi
         return a, b, 0, 1
-    if isinstance(den, int):
-        return 1, 1, min(hi - lo for lo, hi in pairs), den
+    den = shared_den([d for _, _, d in side])
+    if den is not None:
+        return 1, 1, min(map(sub, map(itemgetter(1), side), map(itemgetter(0), side))), den
     g, e = None, 1
-    for (lo, hi), d in zip(pairs, den):
+    for lo, hi, d in side:
         if g is None or (hi - lo) * e < g * d:
             g, e = hi - lo, d
     return 1, 1, g, e
 
 
-def _close(side: tuple, gauge: tuple) -> tuple:
-    """A sorted, merged side (see _axis) with every gap (u, v) closed that
+def _close(side: list, gauge: tuple) -> list:
+    """A sorted, merged side of triples with every gap (u, v) closed that
     the gauge (a, b, g, e) closes (see _gauge): v*a <= u*b + g/e, on
     integers.  The gauge is fixed, so each gap is tested on its own, all in
-    one pass of mapped products.  A merged piece whose ends have different
-    denominators is brought onto their lcm."""
-    den, pairs = side
-    if len(pairs) < 2:
+    one pass of mapped products: on the numerators when the side's triples
+    share one denominator, by cross-multiplication otherwise.  A merged
+    piece whose ends have different denominators is put over their lcm
+    (see ends_triple)."""
+    if len(side) < 2:
         return side
     a, b, g, e = gauge
-    lows, highs = zip(*pairs)
+    lows, highs, dens = zip(*side)
     vs, us = lows[1:], highs[:-1]
-    if isinstance(den, int):  # v*a - u*b <= g*den // e on the numerators
+    den = shared_den(dens)
+    if den is not None:  # v*a - u*b <= g*den // e on the numerators
         if a != 1 or b != 1:
             vs, us = map(mul, vs, repeat(a)), map(mul, us, repeat(b))
         opens = list(map(gt, map(sub, vs, us), repeat(g * den // e)))
     else:  # v*a*e*du <= (u*b*e + g*du)*dv over the ends' own du and dv
-        du, dv = den[:-1], den[1:]
+        du, dv = dens[:-1], dens[1:]
         vs, us = map(mul, vs, repeat(a * e)), map(mul, us, repeat(b * e))
         opens = list(map(gt, map(mul, vs, du),
                          map(mul, map(add, us, map(mul, du, repeat(g))), dv)))
@@ -683,22 +675,22 @@ def _close(side: tuple, gauge: tuple) -> tuple:
         return side
     lows = (lows[0], *compress(lows[1:], opens))
     highs = (*compress(highs[:-1], opens), highs[-1])
-    if isinstance(den, int):
-        return den, list(zip(lows, highs))
-    return on_own_lcms(zip(lows, (den[0], *compress(dv, opens)),
-                           highs, (*compress(du, opens), den[-1])))
+    if den is not None:
+        return list(zip(lows, highs, repeat(den)))
+    return list(map(ends_triple, lows, (dens[0], *compress(dv, opens)),
+                    highs, (*compress(du, opens), dens[-1])))
 
 
-def _bridged(t: type, ax: tuple, ay: tuple) -> tuple[tuple, tuple]:
-    """The two operands of t, each an axis in _axis's form, sorted, merged
-    and bridged: every gap of one side that the other side's pieces span
-    is closed (see _gauge), alternately, until neither side changes.  Each
-    closing leaves A t B as it was, since the gap's ends lie in the side,
-    so the pair of axes has the image of the given pair under t.  Merging
-    is the case of a gap of width 0.  A product with a negative piece on
-    either side is only merged."""
-    a, b = (merge_int_pairs(pairs, den) for den, pairs in (ax, ay))
-    if t is Mul and (a[1][0][0] < 0 or b[1][0][0] < 0):
+def _bridged(t: type, ax: list, ay: list) -> tuple[list, list]:
+    """The two operands of t, each an axis of triples (see _axis), sorted,
+    merged and bridged: every gap of one side that the other side's pieces
+    span is closed (see _gauge), alternately, until neither side changes.
+    Each closing leaves A t B as it was, since the gap's ends lie in the
+    side, so the pair of axes has the image of the given pair under t.
+    Merging is the case of a gap of width 0.  A product with a negative
+    piece on either side is only merged."""
+    a, b = merge_triples(ax), merge_triples(ay)
+    if t is Mul and (a[0][0] < 0 or b[0][0] < 0):
         return a, b
     while True:
         a = _close(a, _gauge(t, b))
@@ -716,11 +708,10 @@ def _within_budget(n: int, m: int, budget: int | None) -> None:
 
 
 def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
-                  budget: int | None = None
-                  ) -> tuple[int | Iterable[int], Iterable[tuple]] | None:
-    """Pieces (den, pieces), in _pairs's form, whose union is the union of
-    the enclosures of e over the rectangles of xs x ys; None when an
-    endpoint is a FieldElement.
+                  budget: int | None = None) -> Iterable[tuple[int, int, int]] | None:
+    """Triples (lo, hi, d), in any order, whose pieces [lo/d, hi/d] have the
+    union of the enclosures of e over the rectangles of xs x ys; None when
+    an endpoint is a FieldElement.
 
     When e splits (see _split) as outer(inner(ex(x), ey(y))), each side
     runs once per interval of its axis, the two sides are bridged (see
@@ -740,7 +731,7 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     axis times v's pieces, otherwise the whole grid, before anything is
     evaluated.  A None return has passed the grid's check too."""
     if not xs or not ys:
-        return 1, []
+        return []
     ax, ay = _axis(xs), _axis(ys)
     if ax is not None and ay is not None:
         split = _split(e)
@@ -748,33 +739,30 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
             if split is not None:
                 outer, inner, ex, ey = split
                 bx, by = _bridged(type(inner), _side(ex, _X, ax), _side(ey, _Y, ay))
-                _within_budget(len(bx[1]), len(by[1]), budget)
-                den, pieces = _pairs(inner, bx, by)
+                _within_budget(len(bx), len(by), budget)
+                pieces = _pairs(inner, bx, by)
                 if type(outer) is Var:  # the caller merges inner's pieces
-                    return den, pieces
-                return _side(outer, _X, merge_int_pairs(pieces, den))
+                    return pieces
+                return _side(outer, _X, merge_triples(pieces))
             hoisted = _isolate(e)
             if hoisted is not None:
                 outer, ev, sibling, t, mask = hoisted
                 av, au = (ax, ay) if mask == _X else (ay, ax)
                 values = _side(sibling, _XY ^ mask, au)
-                den, pairs = _side(ev, mask, av)
-                side = merge_int_pairs(pairs, den)
+                side = merge_triples(_side(ev, mask, av))
                 t = Mul if t is Div else t
-                if t is not Mul or (side[1][0][0] >= 0 and min(values[1])[0] >= 0):
+                if t is not Mul or (side[0][0] >= 0 and min(values)[0] >= 0):
                     side = _close(side, _gauge(t, values))
                 bx, by = (side, au) if mask == _X else (au, side)
-                _within_budget(len(bx[1]), len(by[1]), budget)
-                den, pieces = _pairs(outer, bx, by)
-                return den, list(pieces)  # run here, where a DomainError falls back
+                _within_budget(len(bx), len(by), budget)
+                return list(_pairs(outer, bx, by))  # run here, where a DomainError falls back
         except DomainError:
             pass
     _within_budget(len(xs), len(ys), budget)
     if ax is None or ay is None:
         return None
     try:
-        den, pairs = _pairs(e, ax, ay)
-        return den, list(pairs)
+        return list(_pairs(e, ax, ay))
     except DomainError:
         _first_failure(e, xs, ys)
         raise
@@ -805,17 +793,11 @@ _OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 
 def _triple(iv: Interval) -> tuple[int, int, int] | None:
     """A rational interval as (lo, hi, d), the interval [lo/d, hi/d] with
-    d > 0: a TripleInterval's own; None when an endpoint is a
-    FieldElement."""
+    d > 0: a TripleInterval's own, else rational_triple of its ends; None
+    when an endpoint is a FieldElement."""
     if type(iv) is TripleInterval:
         return iv.triple
-    lo, hi = iv.lo, iv.hi
-    if isinstance(lo, FieldElement) or isinstance(hi, FieldElement):
-        return None
-    ld, hd = lo.denominator, hi.denominator
-    if ld == hd:
-        return lo.numerator, hi.numerator, ld
-    return lo.numerator * hd, hi.numerator * ld, ld * hd
+    return rational_triple(iv.lo, iv.hi)
 
 
 def _interval(t: tuple[int, int, int]) -> Interval:

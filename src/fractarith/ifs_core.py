@@ -198,10 +198,6 @@ class HomogeneousIfs:
     def n(self) -> int:
         return len(self.translations)
 
-    def map_point(self, digit: int, x: Scalar) -> Scalar:
-        self._check_digit(digit)
-        return self.ratio * x + self.translations[digit - 1]
-
     def _check_digit(self, digit: int) -> None:
         if not 1 <= digit <= self.n:
             raise InvalidDigit(f"digit {digit} outside alphabet 1..{self.n}")

@@ -23,7 +23,7 @@ from fractarith.empirics import (DimEstimate, box_dim_estimate,
 from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
                                FractarithError, ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, Interval, IntervalLattice, IntervalUnion,
-                                 as_scalar)
+                                 as_scalar, merge_triples)
 from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _axis, _bridged,
                                _isolate, _pairs, _split, eval_interval, grid_values,
                                lattice_cover, parse)
@@ -358,11 +358,7 @@ def run_enclosures(f, xs, ys):
     exprfn._pairs), as Fraction pairs."""
     if not xs or not ys:
         return []
-    den, pieces = _pairs(f, _axis(xs), _axis(ys))
-    pieces = list(pieces)
-    dens = [den] * len(pieces) if isinstance(den, int) else list(den)
-    assert len(dens) == len(pieces)
-    return [(Fraction(p[0], d), Fraction(p[1], d)) for p, d in zip(pieces, dens)]
+    return [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in _pairs(f, _axis(xs), _axis(ys))]
 
 
 def check_grid_paths(f, xs, ys):
@@ -547,10 +543,10 @@ def test_bridged_cover_is_the_full_grid_merge(text, xs, ys):
 
 
 @pytest.mark.parametrize("t, xs, ys, bridged_xs", [
-    (Add, (6, [(2, 3), (4, 6)]), (6, [(0, 1)]), (6, [(2, 6)])),
-    (Add, ([6, 3], [(2, 3), (2, 3)]), (6, [(0, 1)]), ([6], [(2, 6)])),
-    (Mul, (1, [(1, 2), (4, 8)]), (1, [(1, 2)]), (1, [(1, 8)])),
-    (Mul, ([1, 3], [(1, 2), (12, 24)]), (1, [(1, 2)]), ([3], [(3, 24)])),
+    (Add, [(2, 3, 6), (4, 6, 6)], [(0, 1, 6)], [(2, 6, 6)]),
+    (Add, [(2, 3, 6), (2, 3, 3)], [(0, 1, 6)], [(2, 6, 6)]),
+    (Mul, [(1, 2, 1), (4, 8, 1)], [(1, 2, 1)], [(1, 8, 1)]),
+    (Mul, [(1, 2, 1), (12, 24, 3)], [(1, 2, 1)], [(3, 24, 3)]),
 ], ids=["sum", "sum-per-piece", "product", "product-per-piece"])
 def test_a_gap_exactly_as_wide_as_the_gauge_closes(t, xs, ys, bridged_xs):
     """[1/3, 1/2] U [2/3, 1] + [0, 1/6] = [1/3, 7/6], and
@@ -565,10 +561,10 @@ def test_cantor_pairs_at_depth_12_bridge_to_one_piece(text, hull):
     bridging closes both sides of x+y and x-y to [0, 1]: one rectangle of
     the 4096 x 4096."""
     xs = C.cylinder_lattice(12)
-    axis = (xs.den, xs.pairs())
+    axis = _axis(xs)
     f = parse(text)
     bridged = _bridged(type(_split(f)[1]), axis, axis)
-    assert bridged == ((xs.den, [(0, xs.den)]),) * 2
+    assert bridged == ([(0, xs.den, xs.den)],) * 2
     assert image_cover(C, C, f, 12).to_obj() == [hull]
 
 
@@ -811,14 +807,14 @@ def test_uq_product_counts_unchanged():
 
 @settings(max_examples=60, deadline=None)
 @given(rational_bases, st.integers(0, 14))
-def test_uq_cover_pieces_are_those_from_int_pairs_gives(q, depth):
+def test_uq_cover_pieces_are_those_merge_triples_gives(q, depth):
     # uq_cover keeps _union's pieces as they stand; merging them again
     # changes nothing
     cover = uq_cover(q, depth)
     ends = cover.int_ends()
     den = q.numerator ** depth * (q.numerator - q.denominator)
-    assert all(dlo == dhi == den for _, dlo, _, dhi in ends)
-    again = IntervalUnion.from_int_pairs([(lo, hi) for lo, _, hi, _ in ends], den)
+    assert all(d == den for _, _, d in ends)
+    again = IntervalUnion.from_merged_triples(merge_triples(ends))
     assert again.int_ends() == ends and again == cover
 
 

@@ -110,6 +110,39 @@ def test_triple_interval_is_the_interval_of_its_ends(lo, width, d):
         t.lo = Fraction(0)
 
 
+# triples on a small range, scaled below, so that equal intervals are common
+small_triples = st.tuples(st.integers(-6, 6), st.integers(0, 4), st.integers(1, 6)).map(
+    lambda t: (t[0], t[0] + t[1], t[2]))
+
+
+@given(small_triples, small_triples, st.integers(1, 5), st.integers(1, 5))
+def test_triple_equality_is_interval_equality(a, b, k, m):
+    """Triples not in lowest terms compare as the Intervals of their ends,
+    by cross-multiplication, without forming those ends."""
+    a, b = tuple(k * v for v in a), tuple(m * v for v in b)
+    ta, tb = TripleInterval(a), TripleInterval(b)
+    pa, pb = (Interval(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in (a, b))
+    same = pa == pb
+    assert (ta == tb) is (tb == ta) is (ta == pb) is (pb == ta) is same
+    assert (ta != tb) is (ta != pb) is (not same)
+    for t in (ta, tb):
+        with pytest.raises(AttributeError):
+            exactnum._LO_SLOT.__get__(t)
+        with pytest.raises(AttributeError):
+            exactnum._HI_SLOT.__get__(t)
+    assert ta == ta and ta == TripleInterval(tuple(2 * v for v in a))
+    if same:
+        assert hash(ta) == hash(tb) == hash(pa) == hash(pb)
+
+
+def test_triple_equality_with_field_element_ends():
+    gen = AlgebraicReal((-2, 0, 1), 1, 2)
+    one, root2 = FieldElement.of(gen, (1,)), FieldElement.generator(gen)
+    t = TripleInterval((2, 4, 2))
+    assert t == Interval(one, one + 1) and Interval(one, one + 1) == t
+    assert t != Interval(one, root2) and not (Interval(one, root2) == t)
+
+
 def pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
     """pow_numerators' bounds on x**e as rationals."""
     lo, hi = pow_numerators(x.numerator, x.denominator, e)
@@ -950,6 +983,11 @@ def test_union_serialization_round_trip():
     assert IntervalUnion.from_obj(u.to_obj()) == u
 
 
+def triples_union(pieces) -> IntervalUnion:
+    """The union of the triples (lo, hi, d), merged and kept on integers."""
+    return IntervalUnion.from_merged_triples(exactnum.merge_triples(pieces))
+
+
 def _union_or_error(build):
     try:
         return build()
@@ -960,10 +998,10 @@ def _union_or_error(build):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 25)), max_size=14),
        st.integers(1, 12), st.integers(-12, 30))
-def test_from_int_pairs_and_inflate_match_from_intervals(raw, den, r):
+def test_merge_triples_and_inflate_match_from_intervals(raw, den, r):
     pairs = [(lo, lo + w) for lo, w in raw]
     u = IntervalUnion.from_intervals((Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs)
-    assert IntervalUnion.from_int_pairs(pairs, den) == u
+    assert triples_union((lo, hi, den) for lo, hi in pairs) == u
     radius = Fraction(r, 7)
     assert _union_or_error(lambda: u.inflate(radius)) == _union_or_error(
         lambda: IntervalUnion.from_intervals((lo - radius, hi + radius) for lo, hi in u))
@@ -993,15 +1031,36 @@ small_pieces = st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 5)).map(
 def test_merge_matches_the_naive_union(pairs, den, data):
     want = naive_union(pairs)
     assert exactnum._merge_sorted(sorted(pairs, key=operator.itemgetter(0))) == want
-    assert IntervalUnion.from_int_pairs(pairs, den) == IntervalUnion(
-        tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in want))
+    assert exactnum.merge_triples((lo, hi, den) for lo, hi in pairs) == \
+        [(lo, hi, den) for lo, hi in want]
     assert IntervalUnion.from_intervals(pairs).intervals == want
-    # one piece out of order anywhere is refused, whatever the others are
+    # each piece over its own denominator: the naive union on the grid of
+    # their lcm, where every end is an integer
+    dens = data.draw(st.lists(st.integers(1, 6), min_size=len(pairs), max_size=len(pairs)))
+    own = [(lo, hi, d) for (lo, hi), d in zip(pairs, dens)]
+    top = math.lcm(*dens)
+    on_grid = naive_union([(lo * (top // d), hi * (top // d)) for lo, hi, d in own])
+    merged = exactnum.merge_triples(own)
+    assert [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in merged] == \
+        [(Fraction(lo, top), Fraction(hi, top)) for lo, hi in on_grid]
+    # a merged piece is over the lcm of the denominators its ends come from
+    for lo, hi, d in merged:
+        dlos = {e for a, _, e in own if Fraction(a, e) == Fraction(lo, d)}
+        dhis = {e for _, b, e in own if Fraction(b, e) == Fraction(hi, d)}
+        assert d in {math.lcm(a, b) for a in dlos for b in dhis}
+    # one piece out of order anywhere is refused, whatever the others are,
+    # on both paths of merge_triples
     lo = data.draw(st.integers(-8, 8))
+    at = data.draw(st.integers(0, len(pairs)))
     bad = list(pairs)
-    bad.insert(data.draw(st.integers(0, len(pairs))), (lo, lo - data.draw(st.integers(1, 3))))
+    bad.insert(at, (lo, lo - data.draw(st.integers(1, 3))))
+    bad_own = list(own)
+    bad_own.insert(at, (*bad[at], data.draw(st.integers(1, 6))))
+    bad_own.append((0, 0, 7))  # a denominator no other piece has
+    assert exactnum.shared_den([d for _, _, d in bad_own]) is None
     for merge in (lambda: exactnum._merge_sorted(sorted(bad, key=operator.itemgetter(0))),
-                  lambda: IntervalUnion.from_int_pairs(bad, den),
+                  lambda: exactnum.merge_triples((lo, hi, den) for lo, hi in bad),
+                  lambda: exactnum.merge_triples(bad_own),
                   lambda: IntervalUnion.from_intervals(bad)):
         with pytest.raises(FractarithError, match="interval endpoints out of order"):
             merge()
@@ -1016,15 +1075,21 @@ def test_merge_examples():
         exactnum._merge_sorted([(2, 1)])
 
 
-def test_from_int_pairs_examples():
-    with pytest.raises(FractarithError):
-        IntervalUnion.from_int_pairs([(2, 1)], 3)
-    assert IntervalUnion.from_int_pairs([], 5) == IntervalUnion.empty()
-    assert IntervalUnion.from_int_pairs([(4, 6), (0, 2), (2, 3)], 6).to_obj() == \
+def test_merge_triples_examples():
+    for bad in ([(2, 1, 3)], [(0, 1, 2), (2, 1, 3)]):
+        with pytest.raises(FractarithError, match="interval endpoints out of order"):
+            exactnum.merge_triples(bad)
+    assert exactnum.merge_triples([]) == []
+    assert triples_union([]) == IntervalUnion.empty()
+    assert triples_union([(4, 6, 6), (0, 2, 6), (2, 3, 6)]).to_obj() == \
         [["0", "1/2"], ["2/3", "1"]]
+    # [0, 1/2] U [1/3, 2/3]: the ends from denominators 4 and 3, over 12
+    assert exactnum.merge_triples([(1, 2, 3), (0, 2, 4)]) == [(0, 8, 12)]
+    # touching ends over different denominators merge; a gap stays
+    assert exactnum.merge_triples([(3, 4, 6), (0, 1, 2), (5, 6, 5)]) == [(0, 4, 6), (5, 6, 5)]
 
 
-# Integer-backed unions (from_int_pairs, and inflate of one) against the same
+# Integer-backed unions (merge_triples, and inflate of one) against the same
 # union built from Fractions by from_intervals, which keeps scalar pairs and
 # reads them with Fraction comparisons.
 
@@ -1100,12 +1165,10 @@ int_pieces = st.lists(st.tuples(st.integers(-10, 10), st.integers(0, 6)).map(
 @given(int_pieces, st.data())
 def test_int_backed_union_matches_fraction_reference(pairs, data):
     if data.draw(st.booleans(), "shared denominator"):
-        den = data.draw(st.integers(1, 12))
-        dens = [den] * len(pairs)
+        dens = [data.draw(st.integers(1, 12))] * len(pairs)
     else:
-        den = dens = data.draw(st.lists(st.integers(1, 12), min_size=len(pairs),
-                                        max_size=len(pairs)))
-    u = IntervalUnion.from_int_pairs(pairs, den)
+        dens = data.draw(st.lists(st.integers(1, 12), min_size=len(pairs), max_size=len(pairs)))
+    u = triples_union((lo, hi, d) for (lo, hi), d in zip(pairs, dens))
     ref = IntervalUnion.from_intervals(
         (Fraction(lo, d), Fraction(hi, d)) for (lo, hi), d in zip(pairs, dens))
     assert u._ends is not None and u._pairs is None
@@ -1118,7 +1181,7 @@ def test_int_backed_union_matches_fraction_reference(pairs, data):
 
 
 def test_int_backed_union_of_one_point():
-    u = IntervalUnion.from_int_pairs([(-3, -3)], 6)
+    u = triples_union([(-3, -3, 6)])
     assert u.to_obj() == [["-1/2", "-1/2"]]
     assert u.hull() == Interval(Fraction(-1, 2), Fraction(-1, 2))
     assert u.contains_point(Fraction(-1, 2)) and not u.contains_point(Fraction(-1, 3))
@@ -1129,7 +1192,7 @@ def test_int_backed_union_of_one_point():
 
 def test_int_backed_union_with_field_element_arguments():
     # a field-element point or radius reads the Fraction pairs
-    u = IntervalUnion.from_int_pairs([(0, 3), (4, 6)], 3)  # [0, 1] U [4/3, 2]
+    u = triples_union([(0, 3, 3), (4, 6, 3)])  # [0, 1] U [4/3, 2]
     root2 = FieldElement.generator(AlgebraicReal((-2, 0, 1), 1, 2))
     ref = IntervalUnion.from_intervals([(0, 1), (Fraction(4, 3), 2)])
     assert u.contains_point(root2) and ref.contains_point(root2)

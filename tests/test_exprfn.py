@@ -12,7 +12,8 @@ import recursive_eval as oracle
 from fractarith.certifier import auto_certify
 from fractarith.errors import (DivByZeroInterval, DomainError, ExprSyntaxError,
                                ZeroExponentError)
-from fractarith.exactnum import AlgebraicReal, FieldElement, Interval, IntervalUnion
+from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, IntervalUnion,
+                                 merge_triples)
 from fractarith import exprfn
 from fractarith.exprfn import (Add, Const, Div, Mul, Neg, Pow, Sub, Var, _axis, _pairs,
                                compile_expr, differentiate, eval_interval, eval_point,
@@ -168,7 +169,7 @@ def test_eval_grid_evaluates_single_variable_subtrees_once_per_interval(monkeypa
     xs = [iv(k, k + 1) for k in range(1, 5)]
     ys = [iv(k, k + 2) for k in range(1, 6)]
     cover = lattice_cover(parse(HOISTED), xs, ys)
-    assert len(list(cover[1])) == 20
+    assert len(list(cover)) == 20
     assert sorted(ends) == [Fraction(1, 3)] * 10 + [Fraction(1, 2)] * 9
 
     calls = []
@@ -205,11 +206,7 @@ def test_eval_grid_raises_where_eval_interval_does():
 
 def run_enclosures(f, xs, ys):
     """The column run on triples (_pairs) as Fraction pairs."""
-    den, pieces = _pairs(f, _axis(xs), _axis(ys))
-    pieces = list(pieces)
-    dens = [den] * len(pieces) if isinstance(den, int) else list(den)
-    assert len(dens) == len(pieces)
-    return [(Fraction(p[0], d), Fraction(p[1], d)) for p, d in zip(pieces, dens)]
+    return [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in _pairs(f, _axis(xs), _axis(ys))]
 
 
 def test_eval_lattice_is_eval_grid_on_integer_numerators():
@@ -233,7 +230,7 @@ def test_eval_lattice_is_eval_grid_on_integer_numerators():
             f = parse(text)
             want = [(enc.lo, enc.hi) for enc in oracle.walk_grid(f, gx, gy)]
             assert run_enclosures(f, gx, gy) == want, (text, gy)
-    assert lattice_cover(parse("x+y"), xs, []) == (1, [])
+    assert lattice_cover(parse("x+y"), xs, []) == []
 
 
 def test_lattice_cover_declines_only_field_elements():
@@ -243,8 +240,8 @@ def test_lattice_cover_declines_only_field_elements():
     xs = [iv(1, 2), iv(3, 4)]
     for text in ("(x+y)^(1/2)", "x/(x+y)", "(x*y)^(-1)", "y/(x*y+1)^2"):
         f = parse(text)
-        den, pairs = lattice_cover(f, xs, xs)
-        assert IntervalUnion.from_int_pairs(pairs, den) == IntervalUnion.from_intervals(
+        triples = lattice_cover(f, xs, xs)
+        assert IntervalUnion.from_merged_triples(merge_triples(triples)) == IntervalUnion.from_intervals(
             (enc.lo, enc.hi) for enc in oracle.walk_grid(f, xs, xs)), text
     root2 = FieldElement.generator(AlgebraicReal((-2, 0, 1), 1, 2))
     assert lattice_cover(parse("x+y"), xs, [Interval(root2, root2 + 1)]) is None

@@ -52,8 +52,8 @@ def test_convex_hull_examples():
 def test_hull_endpoints_are_fixed_points():
     for ifs in (cantor(), HALF, SPARSE):
         hull = ifs.convex_hull()
-        assert ifs.map_point(1, hull.lo) == hull.lo
-        assert ifs.map_point(ifs.n, hull.hi) == hull.hi
+        assert ifs.ratio * hull.lo + ifs.translations[0] == hull.lo
+        assert ifs.ratio * hull.hi + ifs.translations[-1] == hull.hi
 
 
 def test_gap_profile_cantor():

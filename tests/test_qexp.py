@@ -279,7 +279,7 @@ def test_kq_block_coding_matches_maps():
         seq = DigitSeq.parse("(01)")
         x = pi_q(seq, Q19)
         shifted = pi_q(DigitSeq(blocks[0], seq.preperiod + seq.period), Q19)
-        assert shifted == k.map_point(digit, x)
+        assert shifted == k.ratio * x + k.translations[digit - 1]
 
 
 def test_verify_kq_in_uq_verdicts():

@@ -13,7 +13,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from fractarith.errors import FractarithError, ResourceBudget
-from fractarith.exactnum import IntervalUnion
+from fractarith.exactnum import IntervalUnion, merge_triples
 from fractarith.ifs_core import get_budget
 from fractarith.qexp import QuasiGreedyStream, as_base
 
@@ -90,7 +90,8 @@ def uq_cover(q, depth: int) -> IntervalUnion:
     if rational:
         # [N / a^depth, N / a^depth + q^-depth / (q - 1)] over a^depth * (a - b)
         tail = b ** (depth + 1)
-        return IntervalUnion.from_int_pairs(
-            ((n * (a - b), n * (a - b) + tail) for n, _ in survivors), a ** depth * (a - b))
+        den = a ** depth * (a - b)
+        return IntervalUnion.from_merged_triples(merge_triples(
+            (n * (a - b), n * (a - b) + tail, den) for n, _ in survivors))
     tail = inv ** depth / (q - 1)
     return IntervalUnion.from_intervals((val, val + tail) for val, _ in survivors)
