@@ -40,10 +40,10 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
     IntervalLattice, on integers from the cylinder walk to the merged union.
 
     The budget bounds each axis's cylinders (HomogeneousIfs raises at n^k
-    of them) and the rectangles paired: the bridged pieces of both sides
-    for a separable f, one axis's cylinders times the other's merged pieces
-    when one variable occurs once, the whole grid otherwise (see
-    grid_cover).
+    of them) and the rectangles paired: the merged pieces of a variable
+    that hoists times the other side's, bridged pieces when both variables
+    hoist and cylinders otherwise, and the whole grid when neither does
+    (see grid_cover).
     """
     budget = get_budget()
     xs = _axis_cylinders(k1, depth, word1, x_window)
@@ -66,41 +66,36 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     """The union of the enclosures of f over the rectangles of xs x ys,
     merged.
 
-    Where x and y meet in f at one +, -, * or / node o, f is
-    outer(ex(x) o ey(y)) with only constants in outer.  Interval +, -, *
-    and / and the constant operations of outer give the exact images of
-    their operands, or, for a fractional power, round an image's ends
-    outward as they round each rectangle's (the bounds of an end depend on
-    its value alone and grow with it), so
+    Where every occurrence of a variable, say x, lies in one subtree g in
+    x alone (see exprfn._hoist), let s be g's sibling, in y alone, at the
+    +, -, * or / node o above it.  Every node between g and the root
+    combines it with a constant or a subtree in y, so over one Y_j they
+    form a chain F_j of operations with fixed operands, each giving the
+    exact image of its operand or, for a fractional power, rounding an
+    image's ends outward as it rounds each rectangle's (an end's bounds
+    depend on its value alone and grow with it).  A rectangle's enclosure
+    is F_j(g(X_i)), so
 
-        U_ij f(X_i, Y_j) = outer((U_i ex(X_i)) o (U_j ey(Y_j)))
+        U_ij f(X_i, Y_j) = U_j F_j(U_i g(X_i))
 
-    and over rational data lattice_cover merges and bridges each side on
-    integer triples before combining them.  Bridging closes a gap [u, v] of one
-    side A when the other side B spans it: for +, v - u <= d - c for every
-    piece [c, d] of B gives (A U [u, v]) + B = A + B, the gap lemma behind
-    Newhouse's thickness theorem and Simon and Taylor's tau1*tau2 >= 1
-    (for *, v*c <= u*d over nonnegative sides).  The work scales with
-    bridged pieces, not with rectangles: Cantor x+y at any depth pairs one
-    piece with one, and a budget (None for none) counts those pairs.
-
-    Where f does not split but one variable, say y, occurs in it once, let
-    ev be the largest subtree in y alone that holds it and s its sibling
-    at the node o above it.  Every node between ev and the root combines
-    it with a constant or a subtree in x, so over one X_i they form a chain
-    F_i of the operations above with fixed operands, each mapping a union
-    to the union of its images, and
-
-        U_j f(X_i, Y_j) = F_i(U_j ev(Y_j))
-
-    Over rational data lattice_cover merges ev's values and closes each
-    gap that s(X_i) spans for every i, as in bridging (for / either way
-    round the condition is that of *); the gauge reads s per X_i, since
-    its merged pieces are wider and would close gaps that a row keeps.
-    f with ev replaced by y then runs over the X_i times those pieces, and
-    the budget counts those pairs.  A DomainError there falls back to the
-    whole grid: a rectangle that fails also fails on the wider piece that
-    holds it, so the grid raises its first failing rectangle's error.
+    Over rational data lattice_cover merges g's values on integer triples
+    and closes each gap [u, v] of them that s(Y_j) spans for every j: for
+    +, v - u <= d - c for [c, d] = s(Y_j) gives (A U [u, v]) + [c, d] =
+    A + [c, d], the gap lemma behind Newhouse's thickness theorem and
+    Simon and Taylor's tau1*tau2 >= 1 (for * and / either way round,
+    v*c <= u*d over nonnegative sides).  f with g replaced by x then runs
+    over those pieces times the Y_j.  When y hoists too, f is
+    outer(g(x) o h(y)) with s = h and only constants in outer, so the
+    union is outer(A o U_j h(Y_j)): h's values are merged as well, and
+    each side's gaps that the other side's pieces span are closed,
+    alternately, until neither changes (closing is monotone in both
+    sides, so the order does not matter).  Otherwise the gauge reads s
+    per Y_j, since its merged pieces are wider and would close gaps that
+    a row keeps.  The budget (None for none) counts the rectangles paired,
+    so Cantor x+y at any depth pairs one piece with one.  A DomainError
+    there falls back to the whole grid: a rectangle that fails also fails
+    on the wider piece that holds it, so the grid raises its first failing
+    rectangle's error.
 
     Any other f runs its compiled code column-wise over the grid, once per
     interval for what uses one variable and per rectangle for what uses

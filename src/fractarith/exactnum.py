@@ -762,9 +762,13 @@ class Interval(Value):
 
 def ends_triple(lo: int, dlo: int, hi: int, dhi: int) -> tuple[int, int, int]:
     """The interval [lo/dlo, hi/dhi], dlo and dhi > 0, as the triple (lo,
-    hi, d) of [lo/d, hi/d]: over the lcm d of its ends' denominators."""
+    hi, d) of [lo/d, hi/d]: over dlo when dhi is the same, else over the
+    lcm d of its ends' reduced denominators, so that ends carried from
+    triple to triple do not compound their denominators."""
     if dlo == dhi:
         return lo, hi, dlo
+    g, h = gcd(lo, dlo), gcd(hi, dhi)
+    lo, dlo, hi, dhi = lo // g, dlo // g, hi // h, dhi // h
     d = lcm(dlo, dhi)
     return lo * (d // dlo), hi * (d // dhi), d
 
@@ -1000,7 +1004,8 @@ def merge_triples(pieces: Iterable[Sequence[int]]) -> list[tuple[int, int, int]]
     endpoints get distinct keys, and pieces whose keys tie share their
     left endpoint, which merges them alike in any order.  They merge by
     cross-multiplication, and a merged piece whose ends come from
-    different denominators is put over their lcm (see ends_triple)."""
+    different denominators is put over the lcm of their reduced ones (see
+    ends_triple)."""
     pieces = list(pieces)
     den = shared_den([d for _, _, d in pieces])
     if den is not None:

@@ -538,85 +538,46 @@ def _axis(ivs: Sequence[Interval]) -> list[tuple[int, int, int]] | None:
 
 
 @lru_cache(maxsize=4096)
-def _split(e: Expr) -> tuple[Expr, Expr, Expr, Expr] | None:
-    """(outer, inner, ex, ey) when x and y meet in e at exactly one +, -, *
-    or / node, with one operand in x alone and one in y alone, and every
-    node above it combines only with constants (a constant operand, a
-    negation or a power): ex and ey are the operands in x and in y, a
-    divisor being taken as its
-    reciprocal; inner is the meeting node on x and y in their places, a
-    division becoming a multiplication; outer is e with the meeting node
-    replaced by x.  None otherwise."""
+def _hoist(e: Expr) -> tuple[Expr, Expr, Expr, type, int] | None:
+    """(outer, ev, s, t, mask) when e is in both variables and every
+    occurrence of a variable v, x first, lies in one subtree ev in v alone,
+    the largest: t is the +, -, * or / node above ev, s its other operand,
+    in the other variable w alone, and outer is e with ev replaced by v.
+    mask is v's, or _XY when w hoists too (f is separable): s then holds
+    every occurrence of w, and outer has s replaced by w as well.  None
+    otherwise."""
     if _variables(e) != _XY:
         return None
-    t = type(e)
+    found = _lift(e, _X, X)
+    if found is None:
+        found = _lift(e, _Y, Y)
+        return None if found is None else (*found, _Y)
+    outer, ev, s, t = found
+    both = _lift(outer, _Y, Y)  # w hoists from outer only as s, beside the bare x
+    return (outer, ev, s, t, _X) if both is None else (both[0], ev, s, t, _XY)
+
+
+def _lift(node: Expr, mask: int, v: Var) -> tuple[Expr, Expr, Expr, type] | None:
+    """(outer, ev, s, t) of _hoist for the variable v of mask, in a node in
+    both variables; None when v occurs on both sides of a node."""
+    t = type(node)
     if t is Neg or t is Pow:
-        split = _split(e.operand if t is Neg else e.base)
-        if split is None:
+        found = _lift(node.operand if t is Neg else node.base, mask, v)
+        if found is None:
             return None
-        outer, *rest = split
-        return (Neg(outer) if t is Neg else Pow(outer, e.exponent)), *rest
-    left, right = e.left, e.right
-    ml, mr = _variables(left), _variables(right)
-    if {ml, mr} == {_X, _Y}:
-        if t is Div:
-            t, right = Mul, Pow(right, Fraction(-1))
-        sides = {ml: left, mr: right}
-        return X, t(X if ml == _X else Y, X if mr == _X else Y), sides[_X], sides[_Y]
-    if _NONE not in (ml, mr):
+        outer, *rest = found
+        return (Neg(outer) if t is Neg else Pow(outer, node.exponent)), *rest
+    left, right = node.left, node.right
+    on_left, on_right = _variables(left) & mask, _variables(right) & mask
+    if on_left and on_right:
         return None
-    split = _split(left if mr == _NONE else right)
-    if split is None:
+    sub = left if on_left else right
+    found = (v, sub, right if on_left else left, t) if _variables(sub) == mask else \
+        _lift(sub, mask, v)
+    if found is None:
         return None
-    outer, *rest = split
-    return (t(outer, right) if mr == _NONE else t(left, outer)), *rest
-
-
-@lru_cache(maxsize=4096)
-def _occurrences(e: Expr) -> tuple[int, int]:
-    """How many leaves of e are x, and how many are y."""
-    t = type(e)
-    if t is Var:
-        return (1, 0) if e.name == "x" else (0, 1)
-    if t is Const:
-        return 0, 0
-    if t is Neg or t is Pow:
-        return _occurrences(e.operand if t is Neg else e.base)
-    (lx, ly), (rx, ry) = _occurrences(e.left), _occurrences(e.right)
-    return lx + rx, ly + ry
-
-
-@lru_cache(maxsize=4096)
-def _isolate(e: Expr) -> tuple[Expr, Expr, Expr, type, int] | None:
-    """(outer, ev, sibling, t, mask) when e is in both variables and the
-    variable v of the mask occurs in it exactly once (x when both do): ev
-    is the largest subtree in v alone that holds it, t the +, -, * or /
-    node above ev and sibling its other operand, in the other variable;
-    outer is e with ev replaced by v.  None otherwise."""
-    if _variables(e) != _XY:
-        return None
-    nx, ny = _occurrences(e)
-    if nx != 1 and ny != 1:
-        return None
-    mask, v = (_X, X) if nx == 1 else (_Y, Y)
-
-    def hoist(node: Expr) -> tuple:
-        t = type(node)
-        if t is Neg or t is Pow:
-            outer, *rest = hoist(node.operand if t is Neg else node.base)
-            return (Neg(outer) if t is Neg else Pow(outer, node.exponent)), *rest
-        left, right = node.left, node.right
-        if _variables(left) & mask:
-            if _variables(left) == mask:
-                return t(v, right), left, right, t
-            outer, *rest = hoist(left)
-            return t(outer, right), *rest
-        if _variables(right) == mask:
-            return t(left, v), right, left, t
-        outer, *rest = hoist(right)
-        return t(left, outer), *rest
-
-    return (*hoist(e), mask)
+    outer, *rest = found
+    return (t(outer, right) if on_left else t(left, outer)), *rest
 
 
 def _gauge(t: type, side: list) -> tuple[int, int, int, int]:
@@ -654,8 +615,8 @@ def _close(side: list, gauge: tuple) -> list:
     integers.  The gauge is fixed, so each gap is tested on its own, all in
     one pass of mapped products: on the numerators when the side's triples
     share one denominator, by cross-multiplication otherwise.  A merged
-    piece whose ends have different denominators is put over their lcm
-    (see ends_triple)."""
+    piece whose ends have different denominators is put over the lcm of
+    their reduced ones (see ends_triple)."""
     if len(side) < 2:
         return side
     a, b, g, e = gauge
@@ -681,15 +642,13 @@ def _close(side: list, gauge: tuple) -> list:
                     highs, (*compress(du, opens), dens[-1])))
 
 
-def _bridged(t: type, ax: list, ay: list) -> tuple[list, list]:
-    """The two operands of t, each an axis of triples (see _axis), sorted,
-    merged and bridged: every gap of one side that the other side's pieces
-    span is closed (see _gauge), alternately, until neither side changes.
-    Each closing leaves A t B as it was, since the gap's ends lie in the
-    side, so the pair of axes has the image of the given pair under t.
-    Merging is the case of a gap of width 0.  A product with a negative
-    piece on either side is only merged."""
-    a, b = merge_triples(ax), merge_triples(ay)
+def _bridged(t: type, a: list, b: list) -> tuple[list, list]:
+    """The two operands of t, each a sorted, merged side of triples,
+    bridged: every gap of one side that the other side's pieces span is
+    closed (see _gauge), alternately, until neither side changes.  Each
+    closing leaves A t B as it was, since the gap's ends lie in the side,
+    so the pair of sides has the image of the given pair under t.  A
+    product with a negative piece on either side is left as it is."""
     if t is Mul and (a[0][0] < 0 or b[0][0] < 0):
         return a, b
     while True:
@@ -713,49 +672,42 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     union of the enclosures of e over the rectangles of xs x ys; None when
     an endpoint is a FieldElement.
 
-    When e splits (see _split) as outer(inner(ex(x), ey(y))), each side
-    runs once per interval of its axis, the two sides are bridged (see
-    _bridged), inner runs over the bridged axes, and outer once per piece
-    of inner's merged union (see empirics.grid_cover for why the union is
-    the same).  Otherwise, when one variable v occurs in e once (see
-    _isolate), its subtree ev runs once per interval of v's axis and is
-    merged, its gaps are closed that every value of ev's sibling over the
-    other axis spans (see _gauge; a product or quotient with a negative
-    value on either side is only merged), and e with ev replaced by v runs
-    over the other axis x those pieces.  Otherwise, and on a DomainError,
-    e runs over the whole grid (see _run_grid), and a DomainError there is
-    the first failing rectangle's.
+    When a variable v hoists from e (see _hoist), its subtree ev runs once
+    per interval of v's axis and is merged, and its sibling s once per
+    interval of the other axis.  When the other variable hoists too, s's
+    values are merged and the two sides bridged (see _bridged); otherwise
+    each gap of ev's side is closed
+    that every value of s spans (see _gauge; a product or quotient with a
+    negative value on either side is left as it is).  e with the hoisted
+    subtrees replaced by their variables then runs over ev's pieces times
+    s's bridged pieces, or times the other axis (see empirics.grid_cover
+    for why the union is the same).  Otherwise, and on
+    a DomainError, e runs over the whole grid (see _run_grid), and a
+    DomainError there is the first failing rectangle's.
 
     ResourceBudget is raised when the rectangles to be paired exceed the
-    budget, before they are: the bridged pieces of a split e, the other
-    axis times v's pieces, otherwise the whole grid, before anything is
-    evaluated.  A None return has passed the grid's check too."""
+    budget, before they are: ev's pieces times the other side's when a
+    variable hoists, otherwise the whole grid, before anything is
+    evaluated.  A None return
+    has passed the grid's check too."""
     if not xs or not ys:
         return []
     ax, ay = _axis(xs), _axis(ys)
-    if ax is not None and ay is not None:
-        split = _split(e)
+    hoisted = None if ax is None or ay is None else _hoist(e)
+    if hoisted is not None:
+        outer, ev, s, t, mask = hoisted
+        v = _Y if mask == _Y else _X  # ev's variable, x when both hoist
+        av, au = (ax, ay) if v == _X else (ay, ax)
+        t = Mul if t is Div else t  # for / either way round the gauge is that of *
         try:
-            if split is not None:
-                outer, inner, ex, ey = split
-                bx, by = _bridged(type(inner), _side(ex, _X, ax), _side(ey, _Y, ay))
-                _within_budget(len(bx), len(by), budget)
-                pieces = _pairs(inner, bx, by)
-                if type(outer) is Var:  # the caller merges inner's pieces
-                    return pieces
-                return _side(outer, _X, merge_triples(pieces))
-            hoisted = _isolate(e)
-            if hoisted is not None:
-                outer, ev, sibling, t, mask = hoisted
-                av, au = (ax, ay) if mask == _X else (ay, ax)
-                values = _side(sibling, _XY ^ mask, au)
-                side = merge_triples(_side(ev, mask, av))
-                t = Mul if t is Div else t
-                if t is not Mul or (side[0][0] >= 0 and min(values)[0] >= 0):
-                    side = _close(side, _gauge(t, values))
-                bx, by = (side, au) if mask == _X else (au, side)
-                _within_budget(len(bx), len(by), budget)
-                return list(_pairs(outer, bx, by))  # run here, where a DomainError falls back
+            side, values = merge_triples(_side(ev, v, av)), _side(s, _XY ^ v, au)
+            if mask == _XY:
+                side, au = _bridged(t, side, merge_triples(values))
+            elif t is not Mul or (side[0][0] >= 0 and min(values)[0] >= 0):
+                side = _close(side, _gauge(t, values))
+            bx, by = (side, au) if v == _X else (au, side)
+            _within_budget(len(bx), len(by), budget)
+            return list(_pairs(outer, bx, by))  # run here, where a DomainError falls back
         except DomainError:
             pass
     _within_budget(len(xs), len(ys), budget)

@@ -24,8 +24,8 @@ from fractarith.errors import (DegenerateFit, DivByZeroInterval, DomainError,
                                FractarithError, ResourceBudget)
 from fractarith.exactnum import (AlgebraicReal, Interval, IntervalLattice, IntervalUnion,
                                  as_scalar, merge_triples)
-from fractarith.exprfn import (X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _axis, _bridged,
-                               _isolate, _pairs, _split, eval_interval, grid_values,
+from fractarith.exprfn import (_X, _XY, _Y, X, Y, Add, Const, Div, Mul, Neg, Pow, Sub, _axis,
+                               _bridged, _hoist, _pairs, eval_interval, grid_values,
                                lattice_cover, parse)
 from fractarith.ifs_core import HomogeneousIfs, cantor
 from fractarith.qexp import (DigitSeq, QuasiGreedyStream, as_base, base_above_qstar,
@@ -449,13 +449,19 @@ def full_grid_cover(f, xs, ys):
 
 SEPARABLE = ["x+y", "x-y", "y-x", "x*y", "x/y", "y/x", "2*x+3*y", "x^2-y^2", "x^3+y",
              "x^(-1)+y", "x^(1/2)+y^(1/2)", "x^(1/3)*y", "x/(y+1)", "(x+y)^2", "2*(x-y)",
-             "-(x*y)", "((x-y)^3)/2+1", "1-(x^2+y)^2", "(x*y+1)*(2^(1/2))"]
+             "-(x*y)", "((x-y)^3)/2+1", "1-(x^2+y)^2", "(x*y+1)*(2^(1/2))", "x^2+x+y"]
 NOT_SEPARABLE = ["x*y-x", "x/(x+y)", "(x+y)*(x-y)", "x^2+y+x"]
 
 
-def test_split_applies_to_exactly_the_separable_forms():
-    assert all(_split(parse(text)) is not None for text in SEPARABLE)
-    assert all(_split(parse(text)) is None for text in NOT_SEPARABLE + ["x^2", "y+1", "3"])
+def test_both_variables_hoist_on_exactly_the_separable_forms():
+    """One variable hoists where the other spreads over two subtrees, and
+    neither where both do or f is not in both."""
+    assert all(_hoist(parse(text))[4] == _XY for text in SEPARABLE)
+    assert all(_hoist(parse(text))[4] in (_X, _Y) for text in ISOLATED_FORMS)
+    assert all(_hoist(parse(text)) is None or _hoist(parse(text))[4] != _XY
+               for text in NOT_SEPARABLE)
+    assert all(_hoist(parse(text)) is None
+               for text in ("(x+y)*(x-y)", "x*y*(x+y)", "x^2", "y+1", "3"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -544,14 +550,15 @@ def test_bridged_cover_is_the_full_grid_merge(text, xs, ys):
 
 @pytest.mark.parametrize("t, xs, ys, bridged_xs", [
     (Add, [(2, 3, 6), (4, 6, 6)], [(0, 1, 6)], [(2, 6, 6)]),
-    (Add, [(2, 3, 6), (2, 3, 3)], [(0, 1, 6)], [(2, 6, 6)]),
+    (Add, [(2, 3, 6), (2, 3, 3)], [(0, 1, 6)], [(1, 3, 3)]),
     (Mul, [(1, 2, 1), (4, 8, 1)], [(1, 2, 1)], [(1, 8, 1)]),
-    (Mul, [(1, 2, 1), (12, 24, 3)], [(1, 2, 1)], [(3, 24, 3)]),
+    (Mul, [(1, 2, 1), (12, 24, 3)], [(1, 2, 1)], [(1, 8, 1)]),
 ], ids=["sum", "sum-per-piece", "product", "product-per-piece"])
 def test_a_gap_exactly_as_wide_as_the_gauge_closes(t, xs, ys, bridged_xs):
     """[1/3, 1/2] U [2/3, 1] + [0, 1/6] = [1/3, 7/6], and
     ([1, 2] U [4, 8]) * [1, 2] = [1, 16]: the condition holds with equality,
-    over one denominator and over one per piece."""
+    over one denominator and over one per piece, where the bridged piece
+    goes over the lcm of its ends' reduced denominators."""
     assert _bridged(t, xs, ys) == (bridged_xs, ys)
 
 
@@ -563,27 +570,31 @@ def test_cantor_pairs_at_depth_12_bridge_to_one_piece(text, hull):
     xs = C.cylinder_lattice(12)
     axis = _axis(xs)
     f = parse(text)
-    bridged = _bridged(type(_split(f)[1]), axis, axis)
+    bridged = _bridged(_hoist(f)[3], axis, axis)
     assert bridged == ([(0, xs.den, xs.den)],) * 2
     assert image_cover(C, C, f, 12).to_obj() == [hull]
 
 
-# one variable occurs once, x or y: f is not separable, and the variable
-# that occurs once sits under a +, -, * or / node with either operand order
+# one variable hoists, x or y, and the other does not: f is not separable,
+# and the hoisted subtree sits under a +, -, * or / node with either
+# operand order
 ISOLATED_FORMS = ["x*y-x", "y*x-y", "x*y+x", "y*x+y", "x/(x+y)", "y/(y+x)", "(x*y-x)^(1/2)",
-                  "(y*x-y)^(1/2)", "x/(y-1)+x", "y/(x-1)+y", "(x+1)/y-x", "x-(y+1)/x"]
+                  "(y*x-y)^(1/2)", "x/(y-1)+x", "y/(x-1)+y", "(x+1)/y-x", "x-(y+1)/x",
+                  "(x+x^2)*y-y", "y*(x^2+x)+y"]
 
 
-def test_isolate_hoists_the_subtree_of_the_variable_that_occurs_once():
-    assert all(_split(parse(text)) is None for text in ISOLATED_FORMS)
-    assert _isolate(parse("x*y-x"))[:4] == (parse("x*y-x"), Y, X, Mul)
-    assert _isolate(parse("x/(y-1)+x"))[:4] == (parse("x/y+x"), parse("y-1"), X, Div)
-    assert _isolate(parse("-(x-(2*y+1)/x)^2"))[:4] == (parse("-(x-y/x)^2"), parse("2*y+1"),
-                                                        X, Div)
-    assert _isolate(parse("x-(y+1)/x"))[:4] == (parse("x-y/x"), parse("y+1"), X, Div)
-    assert _isolate(parse("y^2*x-x^3")) == (parse("y*x-x^3"), parse("y^2"), X, Mul, 2)
-    assert all(_isolate(parse(text)) is None
-               for text in ("(x+y)*(x-y)", "x*y*(x+y)", "x^2", "y+1", "3"))
+def test_hoist_lifts_the_largest_subtree_that_holds_a_variable():
+    assert _hoist(parse("x*y-x")) == (parse("x*y-x"), Y, X, Mul, _Y)
+    assert _hoist(parse("x/(y-1)+x")) == (parse("x/y+x"), parse("y-1"), X, Div, _Y)
+    assert _hoist(parse("-(x-(2*y+1)/x)^2")) == (parse("-(x-y/x)^2"), parse("2*y+1"), X, Div,
+                                                  _Y)
+    assert _hoist(parse("x-(y+1)/x")) == (parse("x-y/x"), parse("y+1"), X, Div, _Y)
+    assert _hoist(parse("y^2*x-x^3")) == (parse("y*x-x^3"), parse("y^2"), X, Mul, _Y)
+    assert _hoist(parse("(x+x^2)*y-y")) == (parse("x*y-y"), parse("x+x^2"), Y, Mul, _X)
+    # both hoist: x's subtree, its sibling y's, and both replaced in outer
+    assert _hoist(parse("x/(y+1)")) == (parse("x/y"), X, parse("y+1"), Div, _XY)
+    assert _hoist(parse("1-(x^2+y)^2")) == (parse("1-(x+y)^2"), parse("x^2"), Y, Add, _XY)
+    assert _hoist(parse("x^2+x+y")) == (parse("x+y"), parse("x^2+x"), Y, Add, _XY)
 
 
 @settings(max_examples=300, deadline=None)
@@ -610,6 +621,24 @@ def test_isolated_cover_gauges_each_sibling_value():
     assert cover.to_obj() == [["-5/2", "-242/243"], ["-409/486", "-236/729"],
                               ["-421/1458", "1/81"]]
     assert cover == full_grid_cover(f, t.cylinders(4), C.cylinders(4))
+
+
+@pytest.mark.parametrize("k, text, piece_digits", [
+    (C, "x/(y+1)", [12]),
+    (HomogeneousIfs.from_obj({"ratio": "1/3", "translations": ["1", "5/3"]}), "x^(-1)+y",
+     [3, 3, 7, 7, 8, 8, 8, 8, 8, 8]),
+], ids=["cantor-quotient", "reciprocal-plus-y"])
+def test_bridged_covers_keep_short_denominators(k, text, piece_digits):
+    """At depth 8, the digits of each cover piece's d.  A divisor side stays
+    on the one denominator of its values, and a piece whose ends come from
+    different denominators goes over the lcm of their reduced ones, so
+    bridging rounds do not compound them: with a reciprocal divisor side
+    and unreduced ends the quotient's one piece was over 828 digits, and
+    the largest piece of x^(-1)+y over 106."""
+    f = parse(text)
+    cover = image_cover(k, k, f, 8)
+    assert sorted(len(str(d)) for _, _, d in cover.int_ends()) == piece_digits
+    assert cover == full_grid_cover(f, k.cylinders(8), k.cylinders(8))
 
 
 def test_oracle_check_matches_per_rectangle_reference():

@@ -1043,11 +1043,13 @@ def test_merge_matches_the_naive_union(pairs, den, data):
     merged = exactnum.merge_triples(own)
     assert [(Fraction(lo, d), Fraction(hi, d)) for lo, hi, d in merged] == \
         [(Fraction(lo, top), Fraction(hi, top)) for lo, hi in on_grid]
-    # a merged piece is over the lcm of the denominators its ends come from
+    # a merged piece is over the one denominator of the pieces its ends come
+    # from, or else over the lcm of its ends' reduced denominators
     for lo, hi, d in merged:
         dlos = {e for a, _, e in own if Fraction(a, e) == Fraction(lo, d)}
         dhis = {e for _, b, e in own if Fraction(b, e) == Fraction(hi, d)}
-        assert d in {math.lcm(a, b) for a in dlos for b in dhis}
+        assert d in dlos & dhis or \
+            d == math.lcm(Fraction(lo, d).denominator, Fraction(hi, d).denominator)
     # one piece out of order anywhere is refused, whatever the others are,
     # on both paths of merge_triples
     lo = data.draw(st.integers(-8, 8))
@@ -1083,10 +1085,10 @@ def test_merge_triples_examples():
     assert triples_union([]) == IntervalUnion.empty()
     assert triples_union([(4, 6, 6), (0, 2, 6), (2, 3, 6)]).to_obj() == \
         [["0", "1/2"], ["2/3", "1"]]
-    # [0, 1/2] U [1/3, 2/3]: the ends from denominators 4 and 3, over 12
-    assert exactnum.merge_triples([(1, 2, 3), (0, 2, 4)]) == [(0, 8, 12)]
+    # [0, 1/2] U [1/3, 2/3]: the ends 0/4 and 2/3, reduced, over 3
+    assert exactnum.merge_triples([(1, 2, 3), (0, 2, 4)]) == [(0, 2, 3)]
     # touching ends over different denominators merge; a gap stays
-    assert exactnum.merge_triples([(3, 4, 6), (0, 1, 2), (5, 6, 5)]) == [(0, 4, 6), (5, 6, 5)]
+    assert exactnum.merge_triples([(3, 4, 6), (0, 1, 2), (5, 6, 5)]) == [(0, 2, 3), (5, 6, 5)]
 
 
 # Integer-backed unions (merge_triples, and inflate of one) against the same
