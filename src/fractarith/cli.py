@@ -379,6 +379,9 @@ def main(argv=None) -> int:
     except (FractarithError, OSError, ValueError) as exc:
         print(f"fractarith: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:  # a deeply nested or very long expression
+        print("fractarith: error: input nests too deeply to process", file=sys.stderr)
+        return EXIT_INPUT
     try:
         _emit(obj, args.pretty)
         sys.stdout.flush()

@@ -37,7 +37,10 @@ def image_cover(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, depth: int,
 
     Windows keep only cylinders contained in them; words restrict to
     descendants of fixed cylinders.  Over rational data each axis stays an
-    IntervalLattice, on integers from the cylinder walk to the merged union.
+    IntervalLattice, on integers from the cylinder walk to the merged union,
+    and a variable that occurs once in its hoisted subexpression runs it
+    once per merged piece of its axis, not once per cylinder (see
+    grid_cover).
 
     The budget bounds each axis's cylinders (HomogeneousIfs raises at n^k
     of them) and the rectangles paired: the merged pieces of a variable
@@ -78,24 +81,32 @@ def grid_cover(f: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
 
         U_ij f(X_i, Y_j) = U_j F_j(U_i g(X_i))
 
-    Over rational data lattice_cover merges g's values on integer triples
-    and closes each gap [u, v] of them that s(Y_j) spans for every j: for
-    +, v - u <= d - c for [c, d] = s(Y_j) gives (A U [u, v]) + [c, d] =
-    A + [c, d], the gap lemma behind Newhouse's thickness theorem and
-    Simon and Taylor's tau1*tau2 >= 1 (for * and / either way round,
-    v*c <= u*d over nonnegative sides).  f with g replaced by x then runs
-    over those pieces times the Y_j.  When y hoists too, f is
-    outer(g(x) o h(y)) with s = h and only constants in outer, so the
-    union is outer(A o U_j h(Y_j)): h's values are merged as well, and
-    each side's gaps that the other side's pieces span are closed,
-    alternately, until neither changes (closing is monotone in both
-    sides, so the order does not matter).  Otherwise the gauge reads s
-    per Y_j, since its merged pieces are wider and would close gaps that
-    a row keeps.  The budget (None for none) counts the rectangles paired,
-    so Cantor x+y at any depth pairs one piece with one.  A DomainError
-    there falls back to the whole grid: a rectangle that fails also fails
-    on the wider piece that holds it, so the grid raises its first failing
-    rectangle's error.
+    Over rational data lattice_cover merges g's values on integer triples.
+    When x occurs once in g, it first merges the x-axis, so that g runs
+    once per merged piece: each node of g has x in one operand at most, so
+    g's enclosure over a connected piece is its exact image, or for a
+    fractional power that image with rounded ends as above, and over
+    overlapping pieces the enclosures overlap and that over their union is
+    the union of theirs.  So U_i g(X_i) is unchanged, and a node fails on a
+    merged piece just when it fails on some closed X_i inside it.  Where x
+    occurs twice, as in x - x^2, a merged piece would widen g, so g runs
+    per cylinder.  Each gap [u, v] of g's union A is then closed that
+    s(Y_j) spans for every j: for +, v - u <= d - c for [c, d] = s(Y_j)
+    gives (A U [u, v]) + [c, d] = A + [c, d], the gap lemma behind
+    Newhouse's thickness theorem and Simon and Taylor's tau1*tau2 >= 1 (for
+    * and / either way round, v*c <= u*d over nonnegative sides).  f with g
+    replaced by x then runs over those pieces times the Y_j.  When y hoists
+    too, f is outer(g(x) o h(y)) with s = h and only constants in outer, so
+    the union is outer(A o U_j h(Y_j)): h's values are merged as well, by
+    the same rule for y, and each side's gaps that the other side's pieces
+    span are closed, alternately, until neither changes (closing is
+    monotone in both sides, so the order does not matter).  Otherwise the
+    gauge reads s per Y_j, on the unmerged y-axis, since its merged pieces
+    are wider and would close gaps that a row keeps.  The budget (None for
+    none) counts the rectangles paired, so Cantor x+y at any depth pairs
+    one piece with one.  A DomainError there falls back to the whole grid:
+    a rectangle that fails also fails on the wider piece that holds it, so
+    the grid raises its first failing rectangle's error.
 
     Any other f runs its compiled code column-wise over the grid, once per
     interval for what uses one variable and per rectangle for what uses

@@ -472,6 +472,21 @@ def _side(node: Expr, mask: int, axis: list) -> list:
     return _on_triples(node, *((axis, []) if mask == _X else ([], axis)))[1]
 
 
+def _image(node: Expr, mask: int, axis: list) -> list:
+    """The union of _side's values, merged (see merge_triples).  When the
+    variable occurs once in the subtree, every register in it read once,
+    the code runs once per merged piece of the axis: each node then has the
+    variable in one operand at most, so its enclosure over a union of
+    overlapping intervals is the union of its enclosures over them, and a
+    node fails on the union just when it fails on one of them (see
+    empirics.grid_cover).  Otherwise, as in x - x^2, a merged piece would
+    widen the values, and the code runs once per interval."""
+    _, _, _, masks, uses = _grid_code(node)
+    if all(u == 1 for m, u in zip(masks, uses) if m & mask):
+        axis = merge_triples(axis)
+    return merge_triples(_side(node, mask, axis))
+
+
 def _pairs(e: Expr, ax: list, ay: list) -> Iterable[tuple[int, int, int]]:
     """e over every rectangle, every pair of intervals, of the grid of two
     non-empty axes of triples (see _axis), x-major, as a lazy stream of
@@ -672,18 +687,19 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
     union of the enclosures of e over the rectangles of xs x ys; None when
     an endpoint is a FieldElement.
 
-    When a variable v hoists from e (see _hoist), its subtree ev runs once
-    per interval of v's axis and is merged, and its sibling s once per
-    interval of the other axis.  When the other variable hoists too, s's
-    values are merged and the two sides bridged (see _bridged); otherwise
-    each gap of ev's side is closed
-    that every value of s spans (see _gauge; a product or quotient with a
-    negative value on either side is left as it is).  e with the hoisted
-    subtrees replaced by their variables then runs over ev's pieces times
-    s's bridged pieces, or times the other axis (see empirics.grid_cover
-    for why the union is the same).  Otherwise, and on
-    a DomainError, e runs over the whole grid (see _run_grid), and a
-    DomainError there is the first failing rectangle's.
+    When a variable v hoists from e (see _hoist), its subtree ev runs over
+    v's axis and is merged: once per merged piece of the axis when v occurs
+    once in ev, else once per interval (see _image).  When the other
+    variable hoists too, its subtree s runs by the same rule, and the two
+    sides are bridged (see _bridged).  Otherwise s runs once per interval
+    of the other axis, and each gap of ev's side is closed that every value
+    of s spans (see _gauge; a product or quotient with a negative value on
+    either side is left as it is).  e with the hoisted subtrees replaced by
+    their variables then runs over ev's pieces times s's bridged pieces,
+    or times the other axis (see empirics.grid_cover for why the union is
+    the same).  Otherwise, and on a DomainError, e runs over the whole grid
+    (see _run_grid), and a DomainError there is the first failing
+    rectangle's.
 
     ResourceBudget is raised when the rectangles to be paired exceed the
     budget, before they are: ev's pieces times the other side's when a
@@ -700,11 +716,13 @@ def lattice_cover(e: Expr, xs: Sequence[Interval], ys: Sequence[Interval],
         av, au = (ax, ay) if v == _X else (ay, ax)
         t = Mul if t is Div else t  # for / either way round the gauge is that of *
         try:
-            side, values = merge_triples(_side(ev, v, av)), _side(s, _XY ^ v, au)
+            side = _image(ev, v, av)
             if mask == _XY:
-                side, au = _bridged(t, side, merge_triples(values))
-            elif t is not Mul or (side[0][0] >= 0 and min(values)[0] >= 0):
-                side = _close(side, _gauge(t, values))
+                side, au = _bridged(t, side, _image(s, _XY ^ v, au))
+            else:  # the gauge reads s on each interval of the other axis
+                values = _side(s, _XY ^ v, au)
+                if t is not Mul or (side[0][0] >= 0 and min(values)[0] >= 0):
+                    side = _close(side, _gauge(t, values))
             bx, by = (side, au) if v == _X else (au, side)
             _within_budget(len(bx), len(by), budget)
             return list(_pairs(outer, bx, by))  # run here, where a DomainError falls back

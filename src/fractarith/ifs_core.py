@@ -328,7 +328,9 @@ class HomogeneousIfs:
             raise FractarithError("rank below the restricting word length")
         budget = get_budget()
         extra = k - len(within)
-        if self.n ** extra > budget:
+        # n >= 2, so n^extra > budget once extra reaches budget's bit length:
+        # a huge rank is refused before its power is formed
+        if extra >= budget.bit_length() or self.n ** extra > budget:
             raise ResourceBudget(f"{self.n}^{extra} cylinders exceed budget {budget}")
         return extra
 

@@ -353,6 +353,13 @@ def _cert_text(**fields):
      "bad --q value 'root:-2,0,1@3/2,2': interval does not isolate exactly one root"),
     (["check", "--q", "2", "--f", "x*y", "--point-corner", "left-right"], None,
      "bad --q value '2': base must satisfy 1 < q < 2"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+y", "--depth",
+      str(10 ** 12)], None, "2^1000000000000 cylinders exceed budget"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f",
+      "(" * 2000 + "x" + ")" * 2000 + "+y", "--depth", "2"], None,
+     "input nests too deeply to process"),
+    (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+" * 3001 + "y",
+      "--depth", "2"], None, "input nests too deeply to process"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "code-letter", "code-empty-token", "code-negative-digit",
         "code-letter-in-period", "base-not-a-number", "boxdim-without-input",
@@ -370,7 +377,8 @@ def _cert_text(**fields):
         "x-window-without-comma", "y-window-not-a-number", "y-window-out-of-order",
         "q-grid-not-a-number", "unknown-corner-pair", "qg-q-not-a-number",
         "kq-q-above-two", "univoque-q-one", "uq-cover-q-not-a-number",
-        "uq-certify-q-root-not-isolated", "check-q-two"])
+        "uq-certify-q-root-not-isolated", "check-q-two", "cover-huge-rank",
+        "f-deeply-parenthesized", "f-long-flat-sum"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

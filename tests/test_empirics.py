@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import recursive_eval as oracle
 import uq_walk
+from fractarith import exprfn
 from fractarith.certifier import Certificate, certify_rectangle
 from fractarith.empirics import (DimEstimate, box_dim_estimate,
                                  grid_box_count, grid_cover, ifs_box_counts, image_cover,
@@ -639,6 +640,114 @@ def test_bridged_covers_keep_short_denominators(k, text, piece_digits):
     cover = image_cover(k, k, f, 8)
     assert sorted(len(str(d)) for _, _, d in cover.int_ends()) == piece_digits
     assert cover == full_grid_cover(f, k.cylinders(8), k.cylinders(8))
+
+
+# rank-1 pieces [p, p + ratio] of the hull [0, 1]: tilings by three and by
+# two, touching then a gap, two that overlap, and two with gaps only
+MERGE_LAYOUTS = [(Fraction(1, 3), (0, Fraction(1, 3), Fraction(2, 3))),
+                 (Fraction(1, 2), (0, Fraction(1, 2))),
+                 (Fraction(1, 4), (0, Fraction(1, 4), Fraction(3, 4))),
+                 (Fraction(2, 5), (0, Fraction(3, 10), Fraction(3, 5))),
+                 (Fraction(1, 2), (0, Fraction(1, 4), Fraction(1, 2))),
+                 (Fraction(1, 3), (0, Fraction(2, 3))),
+                 (Fraction(1, 5), (0, Fraction(2, 5), Fraction(4, 5)))]
+# a variable that occurs once in its side, whose axis is merged first
+SINGLE_USE_FORMS = ["x^(-1)+y", "x^(1/3)*y", "(2*x+1)^(1/2)*(y+1)^(-2)", "1/(x+1)-y^3",
+                    "(x-1)^2+y", "y^(-1)+x", "(y-1)^2*x^(1/2)"]
+# and one that occurs twice, whose axis stays per cylinder
+TWICE_FORMS = ["x-x^2+y", "x*x+y", "y^2-y+x^(1/2)"]
+TILING = HomogeneousIfs.from_obj({"ratio": "1/3", "translations": ["0", "1/3", "2/3"]})
+
+
+@st.composite
+def merge_axes(draw):
+    """The rank-depth cylinders of a MERGE_LAYOUTS system whose hull is
+    scaled and shifted to either sign of 0, below a word and inside a
+    window, each drawn or not."""
+    ratio, places = draw(st.sampled_from(MERGE_LAYOUTS))
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
+    shift = draw(st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
+                                  Fraction(1, 3), Fraction(1)]))
+    k = HomogeneousIfs(ratio, [scale * p + shift * (1 - ratio) for p in places])
+    depth = draw(st.integers(1, 4 if k.n == 2 else 3))
+    word = tuple(draw(st.lists(st.integers(1, k.n), max_size=depth - 1)))
+    ivs = k.cylinders(depth, within=word)
+    windowed = draw(st.booleans())
+    if windowed:
+        hull = k.convex_hull()
+        window = Interval(hull.lo + hull.width() * Fraction(draw(st.integers(0, 3)), 8),
+                          hull.lo + hull.width() * Fraction(draw(st.integers(5, 8)), 8))
+        ivs = [iv for iv in ivs if iv.is_subset(window)]
+        assume(ivs)
+    return k, depth, word, ivs, windowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SINGLE_USE_FORMS + TWICE_FORMS), merge_axes(), merge_axes(), st.booleans())
+def test_merged_axis_cover_is_the_full_grid_merge(text, xa, ya, as_lattice):
+    """A side whose variable occurs once runs on its merged axis, and one
+    where it occurs twice on its cylinders: the same bytes as every
+    rectangle merged at once, or the same error class and message, whether
+    the pieces tile, touch, overlap or leave gaps.  Over the whole of both
+    axes through image_cover, and over the cylinders inside windows as a
+    list or as a lattice through grid_cover."""
+    (k1, depth1, word1, xs, x_windowed), (k2, depth2, word2, ys, y_windowed) = xa, ya
+    f = parse(text)
+    want = cover_bytes(lambda: full_grid_cover(f, xs, ys))
+    if depth1 == depth2 and not x_windowed and not y_windowed:
+        assert cover_bytes(lambda: image_cover(k1, k2, f, depth1, word1=word1,
+                                               word2=word2)) == want
+    if as_lattice:
+        xs, ys = (IntervalLattice(*_lattice_fields(ivs)) for ivs in (xs, ys))
+    assert cover_bytes(lambda: grid_cover(f, xs, ys)) == want
+
+
+def _lattice_fields(ivs):
+    """(den, lefts, span) of equal-width rational intervals in order."""
+    den = math.lcm(*(end.denominator for iv in ivs for end in (iv.lo, iv.hi)))
+    return den, tuple(int(iv.lo * den) for iv in ivs), int(ivs[0].width() * den)
+
+
+def test_a_variable_that_occurs_twice_keeps_its_cylinders():
+    """x - x^2 over TILING: each cylinder's enclosure is close to x - x^2
+    on it, in [0, 1/4], while TILING's one merged piece [0, 1] would give
+    [0, 1] - [0, 1] = [-1, 1].  So its side runs per cylinder, and the
+    cover equals the full grid's, narrower than the merged axis's."""
+    f = parse("x-x^2+y")
+    assert _hoist(f)[1:3] == (parse("x-x^2"), Y)
+    xs, ys = TILING.cylinders(5), C.cylinders(5)
+    cover = image_cover(TILING, C, f, 5)
+    assert cover == full_grid_cover(f, xs, ys)
+    widened = grid_cover(f, [Interval(Fraction(0), Fraction(1))], ys)
+    assert cover.is_subset(widened) and cover != widened
+    assert cover.hull().lo > Fraction(-1, 100) and widened.hull().lo == -1
+
+
+@pytest.mark.parametrize("text, runs", [
+    ("x^(1/2)+y^(1/2)", [(_X, 1), (_Y, 2 ** 8)]),
+    ("x*x+y^(1/2)", [(_X, 3 ** 8), (_Y, 2 ** 8)]),
+    ("y*x^(1/2)-y", [(_X, 1), (_Y, 2 ** 8)]),
+], ids=["separable", "x-twice", "isolated"])
+def test_a_merged_axis_runs_its_side_once_per_piece(text, runs):
+    """At depth 8 over TILING shifted to [3/2, 5/2], whose 3^8 cylinders
+    merge into one piece, against Cantor shifted alike, whose 2^8 do not:
+    the intervals each _side runs over.  Where x occurs once, its side runs
+    on the one merged piece; x*x runs per cylinder, and so does the sibling
+    y that gauges an isolated x.  The covers themselves are checked by
+    test_merged_axis_cover_is_the_full_grid_merge."""
+    k1 = HomogeneousIfs.from_obj({"ratio": "1/3", "translations": ["1", "4/3", "5/3"]})
+    k2 = HomogeneousIfs.from_obj({"ratio": "1/3", "translations": ["1", "5/3"]})
+    seen = []
+
+    def counted(node, mask, axis):
+        seen.append((mask, len(axis)))
+        return side(node, mask, axis)
+
+    side = exprfn._side
+    f = parse(text)
+    with mock.patch.object(exprfn, "_side", counted):
+        image_cover(k1, k2, f, 8)
+    assert seen == runs
 
 
 def test_oracle_check_matches_per_rectangle_reference():

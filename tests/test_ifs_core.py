@@ -237,6 +237,24 @@ def test_level_cover_budget_guard():
             cantor().cylinders(30)
 
 
+def test_huge_rank_is_refused_without_forming_its_power():
+    """2^(10^12) has 10^12 bits: the budget check refuses the rank from its
+    bit length, with the message it gives for any rank over budget."""
+    for budget in ("1000", "16777216"):
+        with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": budget}):
+            for enumerate_at in (cantor().cylinders, cantor().cylinder_lattice):
+                with pytest.raises(ResourceBudget,
+                                   match=f"^2\\^1000000000000 cylinders exceed budget {budget}$"):
+                    enumerate_at(10 ** 12)
+            with pytest.raises(ResourceBudget, match="^2\\^999999999998 cylinders exceed"):
+                cantor().cylinder_lattice(10 ** 12, within=(1, 2))
+    # the bit length of 1000 is 10, and 2^9 = 512 cylinders are within it
+    with mock.patch.dict(os.environ, {"FRACTARITH_BUDGET": "1000"}):
+        assert len(cantor().cylinder_lattice(9)) == 512
+        with pytest.raises(ResourceBudget, match="^2\\^10 cylinders exceed budget 1000$"):
+            cantor().cylinder_lattice(10)
+
+
 @st.composite
 def coincident_systems(draw):
     """Three maps (s, s + ratio*c, s + c), whose words 13 and 21 share a
