@@ -344,13 +344,25 @@ def _initial_grid_chains(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
 
 def _terms(k1: HomogeneousIfs, k2: HomogeneousIfs) -> tuple[tuple, tuple]:
     """Each system's rank-1 piece width, hull width and largest gap (see
-    GapProfile) as (numerator, denominator) pairs: a Fraction's own when
-    both systems are rational, so that the margins run on integers, and
-    (x, 1) otherwise."""
-    rational = k1.rational and k2.rational
-    return tuple(tuple((v.numerator, v.denominator) if rational else (v, 1)
-                       for v in (p.piece, p.width, p.kappa))
+    GapProfile) as (numerator, denominator) pairs: integers read off the
+    integer walk's steps when both systems are rational, so that the
+    margins run on integers and no GapProfile is built, and (x, 1) from the
+    gap profile otherwise."""
+    if k1.rational and k2.rational:
+        return _integer_terms(k1), _integer_terms(k2)
+    return tuple(tuple((v, 1) for v in (p.piece, p.width, p.kappa))
                  for p in (k1.gap_profile(), k2.gap_profile()))
+
+
+def _integer_terms(k: HomogeneousIfs) -> tuple:
+    """The rational system's _terms over b*D, for ratio a/b, hull width W*D
+    over D and steps S_d = (t_d - t_1)*D (see HomogeneousIfs._integer_steps):
+    a piece is a*W, the hull b*W, and the gap after piece i is
+    b*(S_{i+1} - S_i) - a*W where that is positive."""
+    a, b, d, _, width, steps = k._integer_steps()
+    piece, den = a * width, b * d
+    kappa = max(b * (t - s) - piece for s, t in zip(steps, steps[1:]))
+    return (piece, den), (b * width, den), (max(kappa, 0), den)
 
 
 def _slack(a: tuple, u: tuple, b: tuple, v: tuple) -> tuple:

@@ -15,7 +15,7 @@ from .certifier import (Certificate, auto_certify, certify_rectangle,
 from .errors import CertificationFailure, DomainError, FractarithError
 from .exactnum import Interval, rat_from_str, scalar_to_obj
 from .exprfn import parse as parse_expr
-from .ifs_core import Code, HomogeneousIfs, cantor, parse_word
+from .ifs_core import Code, HomogeneousIfs, cantor, get_budget, parse_word
 from .qexp import (CORNERS, DigitSeq, QgPrefix, certify_uq_arith, is_univoque_seq,
                    kq_ifs, qstar, quasi_greedy_one, verify_kq_in_uq)
 
@@ -84,14 +84,19 @@ def _read_window(text: str) -> Interval:
     return Interval(rat_from_str(lo), rat_from_str(hi))
 
 
-def _parse_ranks(text: str) -> list[int]:
-    """"lo:hi", a range that must not be empty, or a comma list."""
+def _parse_ranks(text: str) -> range | list[int]:
+    """"lo:hi", a range that must not be empty nor hold more ranks than
+    the enumeration budget, or a comma list."""
     if ":" in text:
         lo, _, hi = text.partition(":")
-        ranks = list(range(_number("--ranks", lo, int), _number("--ranks", hi, int) + 1))
-        if not ranks:
+        lo, hi = _number("--ranks", lo, int), _number("--ranks", hi, int)
+        if hi < lo:
             raise FractarithError(f"bad --ranks value {text!r}")
-        return ranks
+        budget = get_budget()
+        if hi - lo >= budget:
+            raise FractarithError(f"bad --ranks value {text!r}: "
+                                  f"{hi - lo + 1} ranks exceed budget {budget}")
+        return range(lo, hi + 1)
     return [_number("--ranks", t, int) for t in text.split(",")]
 
 

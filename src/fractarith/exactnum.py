@@ -37,11 +37,21 @@ _UNICODE_MINUS = "−"
 # ---------------------------------------------------------------------------
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" (or a bare integer string) into an exact rational."""
+    """Parse "p/q" (or a bare integer string) into an exact rational.  A
+    plain "p/q" or integer, with an optional sign and decimal digits
+    (Unicode category Nd, as Fraction's own pattern reads them), is read
+    with int() on its parts; every other string goes to Fraction(str), so
+    each string gives the value or the exception Fraction(str) gives."""
     if not isinstance(s, str):
         raise FractarithError(f"expected a rational as a string, got {s!r}")
+    text = s.strip().replace(_UNICODE_MINUS, "-")
+    num, slash, den = text.partition("/")
+    plain = ((num[1:] if num[:1] in ("-", "+") else num).isdecimal()
+             and (not slash or den.isdecimal()))
     try:
-        return Fraction(s.strip().replace(_UNICODE_MINUS, "-"))
+        if not plain:
+            return Fraction(text)
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except ZeroDivisionError as exc:
         raise FractarithError(f"rational {s!r} has a zero denominator") from exc
 
@@ -646,7 +656,7 @@ def scalar_sign(x: Scalar) -> int:
 
 
 def as_scalar(x) -> Scalar:
-    if isinstance(x, FieldElement):
+    if type(x) is Fraction or isinstance(x, FieldElement):
         return x
     if isinstance(x, AlgebraicReal):
         return FieldElement.generator(x)

@@ -9,6 +9,7 @@ relations decided downstream are never floating-point artifacts.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, starmap
 from math import gcd, lcm
@@ -46,6 +47,8 @@ def get_budget() -> int:
 def _check_rank(k: int) -> None:
     if k < 0:
         raise FractarithError(f"rank must be non-negative, got {k}")
+    if k > sys.maxsize:  # no word or sequence can be that long
+        raise FractarithError(f"rank {k} exceeds the largest rank {sys.maxsize}")
 
 
 def parse_word(text: str, source: str = "") -> Word:
@@ -270,23 +273,29 @@ class HomogeneousIfs:
         return Interval(lo, lo + scale * self._cylinder_steps()[1])
 
     # -- the same walk on integers, for rational data with ratio a/b: over
-    # D, the lcm of the denominators of the hull's left end a_0, of its width
-    # W and of every t_d - t_1, a rank-k left end is an integer L over D*b^k.
-    # Appending digit d adds (a/b)^k*(t_d - t_1), so L becomes
+    # D, the lcm of the reduced denominators of the hull's left end a_0, of
+    # its width W and of every t_d - t_1, a rank-k left end is an integer L
+    # over D*b^k.  Appending digit d adds (a/b)^k*(t_d - t_1), so L becomes
     # b*(L + a^k*(t_d - t_1)*D) over D*b^(k+1): a walk carries L, a^k and
     # D*b^k, and takes no gcd.
 
     def _integer_steps(self) -> tuple[int, int, int, int, int, tuple[int, ...]]:
-        """(a, b, D, a_0*D, W*D, (t_d - t_1)*D for d = 1..n)."""
+        """(a, b, D, a_0*D, W*D, (t_d - t_1)*D for d = 1..n), from the
+        translations' integers P_d over their common denominator Q: with
+        E = (b - a)*Q, a_0 = P_1*b/E, W = (P_n - P_1)*b/E and
+        t_d - t_1 = (P_d - P_1)/Q, and x/y has the reduced denominator
+        y/gcd(x, y).  Rational data only; no Fraction is formed."""
         if self._ints is None:
-            deltas, width = self._cylinder_steps()
-            lo = self.convex_hull().lo
-            den = lcm(lo.denominator, width.denominator, *(s.denominator for s in deltas))
+            a, b = self.ratio.numerator, self.ratio.denominator
+            q = lcm(*(t.denominator for t in self.translations))
+            ps = [t.numerator * (q // t.denominator) for t in self.translations]
+            e = (b - a) * q
+            lo, width = ps[0] * b, (ps[-1] - ps[0]) * b
+            deltas = [p - ps[0] for p in ps]
+            den = lcm(e // gcd(lo, e), e // gcd(width, e), *(q // gcd(s, q) for s in deltas))
             object.__setattr__(self, "_ints", (
-                self.ratio.numerator, self.ratio.denominator, den,
-                lo.numerator * (den // lo.denominator),
-                width.numerator * (den // width.denominator),
-                tuple(s.numerator * (den // s.denominator) for s in deltas)))
+                a, b, den, lo * den // e, width * den // e,
+                tuple(s * den // q for s in deltas)))
         return self._ints
 
     def _triples(self, digits: Iterable[int]) -> Iterator[tuple[int, int, int]]:
@@ -322,16 +331,19 @@ class HomogeneousIfs:
 
     def _below(self, k: int, within: Word) -> int:
         """k - len(within) for the rank-k cylinders below within, after the
-        rank and budget checks."""
-        _check_rank(k)
-        if k < len(within):
-            raise FractarithError("rank below the restricting word length")
-        budget = get_budget()
+        rank and budget checks.  The budget check comes first, so that a
+        rank past sys.maxsize is refused as over budget, as every huge rank
+        is."""
         extra = k - len(within)
-        # n >= 2, so n^extra > budget once extra reaches budget's bit length:
-        # a huge rank is refused before its power is formed
-        if extra >= budget.bit_length() or self.n ** extra > budget:
-            raise ResourceBudget(f"{self.n}^{extra} cylinders exceed budget {budget}")
+        if extra >= 0:
+            budget = get_budget()
+            # n >= 2, so n^extra > budget once extra reaches budget's bit
+            # length: a huge rank is refused before its power is formed
+            if extra >= budget.bit_length() or self.n ** extra > budget:
+                raise ResourceBudget(f"{self.n}^{extra} cylinders exceed budget {budget}")
+        _check_rank(k)
+        if extra < 0:
+            raise FractarithError("rank below the restricting word length")
         return extra
 
     def cylinder_lattice(self, k: int, within: Word = ()) -> IntervalLattice:

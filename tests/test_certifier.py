@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_certify
+import fraction_cylinders
 from fractarith import certifier
 from fractarith.certifier import (Certificate, _margins, _scalar, _terms, auto_certify,
                                   certify_rectangle,
@@ -130,6 +131,59 @@ def test_margins_bounds_and_global_condition_agree(pair, a, b):
     assert (m_gap >= 0) == (b / a >= lower)
     m_row1, m_gap1 = k1_blocks(Fraction(1), Fraction(1))
     assert check_global_condition(k1, k2).holds == (m_row1 > 0 and m_gap1 > 0)
+
+
+@st.composite
+def rational_systems(draw):
+    """A rational system of ratio a/b, a up to 5, and translations of both
+    signs.  Free translations give overlapping, gapless and gapped pieces;
+    otherwise n pieces of width p are spaced by drawn gaps g_i >= 0, so
+    that a gap of 0 makes two pieces touch.  The piece width is then
+    p = (a/b)*((n-1)*p + G)/(1 - a/b) for G the sum of the gaps, that is
+    p = a*G/(b - n*a), which needs b > n*a."""
+    a = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        lam = Fraction(a, draw(st.integers(a + 1, 13)))
+        ts = draw(st.lists(st.fractions(-3, 3, max_denominator=12),
+                           min_size=2, max_size=5, unique=True))
+        return HomogeneousIfs(lam, sorted(ts))
+    n = draw(st.integers(2, 5))
+    b = draw(st.integers(n * a + 1, n * a + 12))
+    gaps = draw(st.lists(st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1, 2]),
+                         min_size=n - 1, max_size=n - 1).filter(any))
+    piece = Fraction(a * sum(gaps), b - n * a)
+    ts = [draw(st.fractions(-2, 2, max_denominator=6))]
+    for gap in gaps:
+        ts.append(ts[-1] + piece + gap)
+    ifs = HomogeneousIfs(Fraction(a, b), ts)
+    assert ifs.gap_profile().gap_set == tuple((i, g) for i, g in enumerate(gaps, 1) if g)
+    return HomogeneousIfs(ifs.ratio, ifs.translations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems(), rational_systems())
+def test_integer_terms_are_the_gap_profile(k1, k2):
+    """The margins' terms of rational systems come from the integer walk's
+    steps, which equal their Fraction derivation, and no GapProfile or hull
+    is built for them."""
+    terms = _terms(k1, k2)
+    for k, t in zip((k1, k2), terms):
+        assert k._gaps is None and k._hull is None and k._steps is None
+        assert k._integer_steps() == fraction_cylinders.integer_steps(k)
+        p = k.gap_profile()
+        assert tuple(Fraction(n, d) for n, d in t) == (p.piece, p.width, p.kappa)
+
+
+def test_a_loaded_rational_certificate_replays_without_fraction_geometry():
+    cert = auto_certify(C, C, parse("x*y^2"), (Code.parse("(12)"), Code.parse("(21)")), 12)
+    text = cert.to_json()
+    loaded = Certificate.from_json(text)
+    assert replay(loaded)
+    again = auto_certify(loaded.ifs1, loaded.ifs2, loaded.f,
+                         (Code.parse("(12)"), Code.parse("(21)")), 12)
+    assert again.to_json() == text
+    for k in (loaded.ifs1, loaded.ifs2):
+        assert k._gaps is None and k._hull is None and k._steps is None
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,14 @@ def _cert_text(**fields):
      "input nests too deeply to process"),
     (["cover", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x+" * 3001 + "y",
       "--depth", "2"], None, "input nests too deeply to process"),
+    (["boxdim", "--ifs", "cantor", "--ranks", "2:100000000000000000000"], None,
+     "bad --ranks value '2:100000000000000000000': 99999999999999999999 ranks exceed "
+     "budget 16777216"),
+    (["boxdim", "--ifs", "cantor", "--ranks", "2:100000000"], None,
+     "bad --ranks value '2:100000000': 99999999 ranks exceed budget 16777216"),
+    (["check", "--ifs1", "cantor", "--ifs2", "cantor", "--f", "x*y", "--point1", "21(1)",
+      "--point2", "(2)", "--depth", "100000000000000000000"], None,
+     "rank 100000000000000000000 exceeds the largest rank"),
 ], ids=["replay-missing-field", "replay-not-json", "inline-ifs-not-json",
         "word-not-digits", "code-letter", "code-empty-token", "code-negative-digit",
         "code-letter-in-period", "base-not-a-number", "boxdim-without-input",
@@ -378,7 +386,8 @@ def _cert_text(**fields):
         "q-grid-not-a-number", "unknown-corner-pair", "qg-q-not-a-number",
         "kq-q-above-two", "univoque-q-one", "uq-cover-q-not-a-number",
         "uq-certify-q-root-not-isolated", "check-q-two", "cover-huge-rank",
-        "f-deeply-parenthesized", "f-long-flat-sum"])
+        "f-deeply-parenthesized", "f-long-flat-sum", "ranks-past-any-size",
+        "ranks-past-budget", "check-huge-depth"])
 def test_malformed_input_is_one_line_error(capsys, tmp_path, argv, cert_text, needle):
     path = tmp_path / "cert.json"
     if cert_text is not None:

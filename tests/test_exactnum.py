@@ -12,7 +12,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_poly as fpoly
@@ -43,6 +43,59 @@ def test_rat_round_trip():
 def test_rat_parse_normalizes():
     assert rat_from_str("14490/94221") == Fraction(1610, 10469)
     assert rat_from_str("−2/4") == Fraction(-1, 2)
+
+
+def _fraction_parse(s: str):
+    """("value", x) or (exception type, message) for the Fraction(str) parse
+    that rat_from_str made of every string before it read plain "p/q" and
+    integers with int()."""
+    try:
+        try:
+            return "value", Fraction(s.strip().replace("−", "-"))
+        except ZeroDivisionError as exc:
+            raise FractarithError(f"rational {s!r} has a zero denominator") from exc
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# pieces of rational strings: signs, whitespace, separators, underscores,
+# decimals, exponents, Unicode decimal digits (Arabic-Indic three, Devanagari
+# zero, mathematical bold zero) and the superscript two, which isdigit()
+# accepts and int() refuses
+_RAT_PIECES = ["0", "1", "7", "12", "40", "-", "+", "−", "/", " ", "\t", "\n", "_",
+               ".", "e", "E", "5", "٣", "०", "𝟎", "²", "x"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_RAT_PIECES), max_size=7).map("".join),
+                 st.text(max_size=8)))
+@example("-3/4")
+@example(" +3/4\t")
+@example("1_000")
+@example("1_000/3")
+@example("0.5")
+@example("1e3")
+@example("3/0")
+@example("-0/0")
+@example("0")
+@example("3/-4")
+@example("-3/+4")
+@example("٣/4")
+@example("²")
+@example("2/²")
+@example("")
+@example("-")
+@example("/4")
+@example("3/")
+@example("−7")
+def test_rat_from_str_agrees_with_the_fraction_parse(s):
+    try:
+        got = "value", rat_from_str(s)
+    except Exception as exc:
+        got = type(exc), str(exc)
+    assert got == _fraction_parse(s)
+    if got[0] == "value":
+        assert type(got[1]) is Fraction
 
 
 # ---------------------------------------------------------------------------

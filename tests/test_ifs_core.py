@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -253,6 +254,24 @@ def test_huge_rank_is_refused_without_forming_its_power():
         assert len(cantor().cylinder_lattice(9)) == 512
         with pytest.raises(ResourceBudget, match="^2\\^10 cylinders exceed budget 1000$"):
             cantor().cylinder_lattice(10)
+
+
+def test_a_rank_past_maxsize_is_refused_by_name():
+    """No word is longer than sys.maxsize: prefixes and located words
+    refuse such a rank by name, and enumerations still refuse it as over
+    budget, as they refuse every huge rank."""
+    huge = sys.maxsize + 1
+    message = f"^rank {huge} exceeds the largest rank {sys.maxsize}$"
+    with pytest.raises(FractarithError, match=message):
+        Code.parse("21(1)").prefix(huge)
+    with pytest.raises(FractarithError, match=message):
+        cantor().locate(Code.parse("21(1)"), huge)
+    with pytest.raises(ResourceBudget, match=f"^2\\^{huge} cylinders exceed budget"):
+        cantor().cylinders(huge)
+    with pytest.raises(FractarithError, match="must be non-negative"):
+        cantor().cylinders(-1)
+    with pytest.raises(FractarithError, match="below the restricting word length"):
+        cantor().cylinders(1, within=(1, 2))
 
 
 @st.composite
