@@ -19,16 +19,17 @@ serialized form alone.
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 from typing import Sequence
 
 from ._value import Value, setfield
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
-                     FractarithError, MarginNegative, ResourceBudget,
+                     FractarithError, MarginNegative, PointRefuted, ResourceBudget,
                      SignIndefinite)
-from .exactnum import (Interval, Scalar, TripleInterval, rat_from_str, scalar_sign,
-                       scalar_to_obj, scalar_to_str)
+from .exactnum import (FieldElement, Interval, Scalar, TripleInterval, ends_triple,
+                       rat_from_str, scalar_sign, scalar_to_obj, scalar_to_str)
 from .exprfn import (Expr, GradEnclosure, compile_expr, grad_enclosure, grid_values,
                      parse, to_text)
 from .ifs_core import Code, CodeWalk, HomogeneousIfs, Word, get_budget
@@ -489,6 +490,110 @@ def _certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, word1: Word, word2
                        certified_interval=certified)
 
 
+# ---------------------------------------------------------------------------
+# The rational point test
+# ---------------------------------------------------------------------------
+
+#: Width of the rational enclosures the point test takes of algebraic values
+_POINT_WIDTH = Fraction(1, 2 ** 40)
+
+
+def _decimal_up(n: int, d: int) -> str:
+    """n/d for d > 0, rounded up to three significant decimal digits and
+    written in scientific notation (-1.23e-4), on integers alone."""
+    if not n:
+        return "0"
+    e = len(str(abs(n))) - len(str(d))  # 10**(e-1) < |n/d| < 10**(e+1)
+    if abs(n) * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
+        e -= 1
+    s = 2 - e  # |n/d| * 10**s has three digits before the point
+    m = -(-n * 10 ** max(s, 0) // (d * 10 ** max(-s, 0)))
+    if m == 1000:
+        m, e = 100, e + 1
+    text = str(abs(m))
+    return f"{'-' if m < 0 else ''}{text[0]}.{text[1:]}e{e}"
+
+
+def _size_bounds(t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The size |v| over the triple's interval, as a triple with the ends
+    swapped: the largest size in the lo slot, the smallest (0 when the
+    interval holds 0) in the hi slot."""
+    lo, hi, d = t
+    if lo > 0:
+        return hi, lo, d
+    if hi < 0:
+        return -lo, -hi, d
+    return max(-lo, hi), 0, d
+
+
+class _PointTest:
+    """The rational point test of one descent over algebraic data: the
+    chaining inequalities at the lower-left corner p of a rectangle, bounded
+    from above on integers.
+
+    The exact attempt's gradient enclosure over the rectangle contains
+    grad f(p), so its smallest size of a partial is at most that partial's
+    size at p, and its largest at least.  Each margin of _margins is
+    increasing in the piece, the width and the sizes it takes from below,
+    and decreasing in kappa and the sizes it takes from above, so _margins
+    over an upper bound of piece and width, a lower bound of kappa (clipped
+    at 0, as kappa >= 0) and the sizes of the partials over a box around p
+    with their ends swapped bounds every exact margin from above.  When
+    both orientations have a negative bound, the exact attempt fails.
+
+    Each algebraic value is enclosed to _POINT_WIDTH on a private copy of
+    its generator, made at first need: the shared generator, on whose state
+    the exact attempts' enclosures depend, is never bisected.  The copies,
+    and their memos, live as long as the test, one descent."""
+
+    __slots__ = ("_program", "_copies", "_terms")
+
+    def __init__(self, program, terms: tuple[tuple, tuple]):
+        self._program = program
+        self._copies = {}
+        self._terms = tuple(self._optimistic(*(pair[0] for pair in t)) for t in terms)
+
+    def _triple(self, x: Scalar) -> tuple[int, int, int]:
+        """A triple enclosing the scalar, at most _POINT_WIDTH wide."""
+        if not isinstance(x, FieldElement):
+            return x.numerator, x.numerator, x.denominator
+        gen = self._copies.get(x.gen)
+        if gen is None:
+            gen = self._copies[x.gen] = copy.copy(x.gen)
+        lo, hi = FieldElement(gen, x.num, x.den).enclosure(_POINT_WIDTH)
+        return ends_triple(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+    def _optimistic(self, piece: Scalar, width: Scalar, kappa: Scalar) -> tuple:
+        """One system's _terms as (numerator, denominator) pairs: piece and
+        width bounded from above, kappa from below."""
+        (_, p_hi, p_d), (_, w_hi, w_d), (k_lo, _, k_d) = map(self._triple, (piece, width, kappa))
+        return (p_hi, p_d), (w_hi, w_d), (max(k_lo, 0), k_d)
+
+    def refute(self, rect: tuple[Interval, Interval]) -> None:
+        """Raise PointRefuted when the upper bound of some margin is negative
+        in each orientation; return otherwise, and where f's partials are
+        undefined at the corner."""
+        try:
+            dx, dy = self._program.gradient_triples(self._triple(rect[0].lo),
+                                                    self._triple(rect[1].lo))
+        except DomainError:
+            return
+        failing = []
+        for name, (m_row, m_gap) in _margins(*self._terms, _size_bounds(dx),
+                                             _size_bounds(dy)).items():
+            if m_row[0] < 0:
+                failing.append((name, "m_row", _decimal_up(*m_row)))
+            elif m_gap[0] < 0:
+                failing.append((name, "m_gap", _decimal_up(*m_gap)))
+            else:
+                return
+        raise PointRefuted(failing)
+
+
+# ---------------------------------------------------------------------------
+# The descent
+# ---------------------------------------------------------------------------
+
 def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
                  point: tuple[Code | CodeWalk, Code | CodeWalk],
                  max_depth: int) -> Certificate:
@@ -498,7 +603,14 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     InvalidDigit before any descent.  Each rank's words and rectangle are one
     more step of a walk per code, so a descent to rank k costs O(k) maps.  A
     coordinate of the point may be given as the CodeWalk of its code through
-    its system, which descents along the same code then share."""
+    its system, which descents along the same code then share.
+
+    Over algebraic data each rank first runs the rational point test (see
+    _PointTest).  A rank it refutes records a PointRefuted and runs no exact
+    attempt, which would have failed there; every other rank runs the exact
+    attempt, which forms every certificate.  A skipped attempt does not
+    refine the shared generator, on whose state later enclosures of
+    fractional powers depend (see FieldElement.enclosure)."""
     if max_depth < 0:
         raise FractarithError(f"max depth must be non-negative, got {max_depth}")
     walks = [p if isinstance(p, CodeWalk) else CodeWalk(k, p) for k, p in zip((k1, k2), point)]
@@ -506,9 +618,12 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
         raise FractarithError("a walk must run through the system it is certified over")
     require_shared_ratio(k1, k2)
     terms = _terms(k1, k2)
+    test = None if k1.rational and k2.rational else _PointTest(compile_expr(f), terms)
     reasons: list[tuple[int, str]] = []
     for k, ((word1, iv1), (word2, iv2)) in zip(range(max_depth + 1), zip(*walks)):
         try:
+            if test is not None:
+                test.refute((iv1, iv2))
             return _certify(k1, k2, f, word1, word2, (iv1, iv2), terms)
         except (CertificationFailure, DomainError) as exc:
             reasons.append((k, f"{type(exc).__name__}: {exc}"))

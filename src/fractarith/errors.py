@@ -60,6 +60,19 @@ class MarginNegative(CertificationFailure):
         super().__init__(f"inequality {name} violated with margin {margin}")
 
 
+class PointRefuted(CertificationFailure):
+    """The chaining inequalities fail in both orientations at one point of
+    the rectangle, so they fail over the whole of it; carries, per
+    orientation, the failing inequality's name and an upper bound on its
+    margin as a decimal string."""
+
+    def __init__(self, bounds):
+        self.bounds = tuple(bounds)
+        parts = " and ".join(f"{orientation} {name} <= {bound}"
+                             for orientation, name, bound in self.bounds)
+        super().__init__(f"at the rectangle's lower-left corner, {parts}")
+
+
 class ExhaustedDepth(CertificationFailure):
     """auto_certify ran out of depth; carries the per-depth failure reasons."""
 

@@ -11,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expansion_count import count_expansions_bruteforce
-from fractarith.certifier import auto_certify, check_global_condition, check_pointwise, replay
+from fractarith.certifier import (_PointTest, _size_bounds, _terms, auto_certify,
+                                  certify_rectangle, check_global_condition,
+                                  check_pointwise, replay)
 from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth,
-                               FractarithError, NotContained)
+                               FractarithError, NotContained, PointRefuted)
 from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
                                  rat_from_str, root_isolate, scalar_to_obj)
-from fractarith.exprfn import parse
+from fractarith.exprfn import compile_expr, parse
 from fractarith.ifs_core import Code
 from fractarith.qexp import (CORNERS, QSTAR_POLY, STREAM_WINDOW, DigitSeq, QgPrefix,
                              QuasiGreedyStream, as_base, base_above_qstar, certify_uq_arith,
@@ -546,3 +548,90 @@ def test_the_second_reducible_base_shrinks_its_defining_polynomial():
     with pytest.raises(ExhaustedDepth):
         certify_uq_arith(q, parse("x+y"), max_depth=0)
     assert q._p == (-7, 0, 2)
+
+
+# the rational point test of auto_certify over algebraic data
+
+@st.composite
+def point_tests(draw):
+    """A K_q base, an f and a rectangle of the K_q pair: the corner walks or
+    random codes, at a rank up to 12.  Over sqrt(c) the f also takes the
+    linear (c - 2)*x + y, scaled to integers, whose k1-blocks m_row is
+    exactly 0 (piece * (c - 2) = kappa), so that only the optimistic ends of
+    the test's enclosures keep it from refuting a rectangle that certifies."""
+    base = draw(st.one_of(UQ_SQRT_BASES, UQ_TRIBONACCI_BASES, st.sampled_from(UQ_REDUCIBLE_BASES)))
+    pool = list(UQ_F_POOL)
+    if len(base[0]) == 3:
+        c = -Fraction(base[0][0])
+        pool.append(f"{c.numerator - 2 * c.denominator}*x+{c.denominator}*y")
+    digits = st.lists(st.integers(1, 2), max_size=3)
+    code = st.builds(lambda pre, per: Code(tuple(pre), tuple(per)),
+                     digits, digits.filter(bool))
+    codes = draw(st.sampled_from(tuple(CORNERS.values())) | st.tuples(code, code))
+    rank = draw(st.integers(0, 12))
+    return base, draw(st.sampled_from(pool)), tuple(c.prefix(rank) for c in codes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_tests())
+@example((UQ_REDUCIBLE_BASES[1], "x+y", ((1,), (2,))))
+@example((UQ_REDUCIBLE_BASES[0], "x*y", ((), ())))
+def test_a_point_refuted_rectangle_does_not_certify(problem):
+    base, ftext, (word1, word2) = problem
+    q = AlgebraicReal(*base)
+    kq = kq_ifs(q)
+    f = parse(ftext)
+    terms = _terms(kq, kq)
+    rect = (kq.basic_interval(word1), kq.basic_interval(word2))
+    gen = kq.ratio.gen
+    state = (gen._p, gen._a, gen._b, gen._q, dict(gen._memo))
+    program = compile_expr(f)
+    test = _PointTest(program, terms)
+    try:
+        test.refute(rect)
+        refuted = False
+    except PointRefuted:
+        refuted = True
+    assert (gen._p, gen._a, gen._b, gen._q, gen._memo) == state
+    if refuted:
+        with pytest.raises((CertificationFailure, DomainError)):
+            certify_rectangle(kq, kq, f, word1, word2)
+    # the terms lie on their optimistic sides, which exact ties alone would
+    # not show: piece and width from above, kappa from below
+    for exact, bounds in zip(terms, test._terms):
+        (piece, _), (width, _), (kappa, _) = exact
+        (pn, pd), (wn, wd), (kn, kd) = bounds
+        assert piece <= Fraction(pn, pd) and width <= Fraction(wn, wd)
+        assert 0 <= Fraction(kn, kd) <= kappa
+    # and so do the sizes: over the box around the corner, the lo slot bounds
+    # each partial's size at the corner from above and the hi slot from
+    # below, checked where the partial's value there is exact
+    corner = [iv.lo for iv in rect]
+    try:
+        boxes = program.gradient_triples(*map(test._triple, corner))
+        exact = program.gradient(*map(Interval.point, corner))
+    except DomainError:
+        return
+    for enc, box in zip((exact.dx, exact.dy), boxes):
+        big, small, d = _size_bounds(box)
+        if enc.lo == enc.hi:
+            assert Fraction(small, d) <= enc.abs().lo <= Fraction(big, d)
+
+
+def test_the_point_test_names_a_bound_on_each_orientation_s_margin():
+    """x+y over sqrt(7/2) fails at the hull rectangle, and the bounds round
+    the exact margin upward; x*y is not refuted at rank 2 of the left-right
+    corner, where it certifies."""
+    kq = kq_ifs(AlgebraicReal((-7, 0, 2), 1, 2))
+    hull = (kq.basic_interval(()), kq.basic_interval(()))
+    with pytest.raises(PointRefuted) as info:
+        _PointTest(compile_expr(parse("x+y")), _terms(kq, kq)).refute(hull)
+    # the exact m_row of both orientations is 2/35 - (2/35)*sqrt(7/2) = -0.04975...
+    assert str(info.value) == ("at the rectangle's lower-left corner, k1-blocks m_row <= "
+                               "-4.97e-2 and k2-blocks m_row <= -4.97e-2")
+    assert info.value.bounds == (("k1-blocks", "m_row", "-4.97e-2"),
+                                 ("k2-blocks", "m_row", "-4.97e-2"))
+    words = ((1, 1), (2, 2))
+    rect = tuple(kq.basic_interval(w) for w in words)
+    _PointTest(compile_expr(parse("x*y")), _terms(kq, kq)).refute(rect)
+    assert certify_rectangle(kq, kq, parse("x*y"), *words).orientation == "k1-blocks"
