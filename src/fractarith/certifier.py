@@ -27,8 +27,8 @@ from typing import Sequence
 from ._value import Value, setfield
 from .errors import (CertificationFailure, DomainError, ExhaustedDepth,
                      FractarithError, MarginNegative, PointRefuted, ResourceBudget,
-                     SignIndefinite)
-from .exactnum import (FieldElement, Interval, Scalar, TripleInterval, ends_triple,
+                     SignIndefinite, decimal_up)
+from .exactnum import (FieldElement, Interval, Scalar, TripleInterval, narrow_enclosure,
                        rat_from_str, scalar_sign, scalar_to_obj, scalar_to_str)
 from .exprfn import (Expr, GradEnclosure, compile_expr, grad_enclosure, grid_values,
                      parse, to_text)
@@ -496,22 +496,7 @@ def _certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr, word1: Word, word2
 
 #: Width of the rational enclosures the point test takes of algebraic values
 _POINT_WIDTH = Fraction(1, 2 ** 40)
-
-
-def _decimal_up(n: int, d: int) -> str:
-    """n/d for d > 0, rounded up to three significant decimal digits and
-    written in scientific notation (-1.23e-4), on integers alone."""
-    if not n:
-        return "0"
-    e = len(str(abs(n))) - len(str(d))  # 10**(e-1) < |n/d| < 10**(e+1)
-    if abs(n) * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
-        e -= 1
-    s = 2 - e  # |n/d| * 10**s has three digits before the point
-    m = -(-n * 10 ** max(s, 0) // (d * 10 ** max(-s, 0)))
-    if m == 1000:
-        m, e = 100, e + 1
-    text = str(abs(m))
-    return f"{'-' if m < 0 else ''}{text[0]}.{text[1:]}e{e}"
+_WIDTH_PAIR = _POINT_WIDTH.numerator, _POINT_WIDTH.denominator
 
 
 def _size_bounds(t: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -541,27 +526,39 @@ class _PointTest:
     with their ends swapped bounds every exact margin from above.  When
     both orientations have a negative bound, the exact attempt fails.
 
-    Each algebraic value is enclosed to _POINT_WIDTH on a private copy of
-    its generator, made at first need: the shared generator, on whose state
-    the exact attempts' enclosures depend, is never bisected.  The copies,
-    and their memos, live as long as the test, one descent."""
+    Each algebraic value is enclosed on a private copy of its generator,
+    made at first need and then refined once, by bisection, to
+    _POINT_WIDTH: the shared generator, on whose state the exact attempts'
+    enclosures depend, is never bisected.  An enclosure is the triple of one
+    integer Horner pass over the copy's isolating interval, bisecting the
+    copy further only while that triple is wider than _POINT_WIDTH
+    (narrow_enclosure), and no Fraction is formed.  Each distinct value is
+    enclosed once, into a table kept per (generator, numerators,
+    denominator): a copy's interval only shrinks, so an enclosure stays one.
+    The copies and the table live as long as the test, one descent."""
 
-    __slots__ = ("_program", "_copies", "_terms")
+    __slots__ = ("_program", "_copies", "_triples", "_terms")
 
     def __init__(self, program, terms: tuple[tuple, tuple]):
         self._program = program
         self._copies = {}
+        self._triples = {}
         self._terms = tuple(self._optimistic(*(pair[0] for pair in t)) for t in terms)
 
     def _triple(self, x: Scalar) -> tuple[int, int, int]:
         """A triple enclosing the scalar, at most _POINT_WIDTH wide."""
         if not isinstance(x, FieldElement):
             return x.numerator, x.numerator, x.denominator
-        gen = self._copies.get(x.gen)
-        if gen is None:
-            gen = self._copies[x.gen] = copy.copy(x.gen)
-        lo, hi = FieldElement(gen, x.num, x.den).enclosure(_POINT_WIDTH)
-        return ends_triple(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        num, den = x._reduced()
+        key = (x.gen, num, den)
+        t = self._triples.get(key)
+        if t is None:
+            gen = self._copies.get(x.gen)
+            if gen is None:
+                gen = self._copies[x.gen] = copy.copy(x.gen)
+                gen.refine(_POINT_WIDTH)
+            t = self._triples[key] = narrow_enclosure(num, den, gen, *_WIDTH_PAIR)
+        return t
 
     def _optimistic(self, piece: Scalar, width: Scalar, kappa: Scalar) -> tuple:
         """One system's _terms as (numerator, denominator) pairs: piece and
@@ -582,9 +579,9 @@ class _PointTest:
         for name, (m_row, m_gap) in _margins(*self._terms, _size_bounds(dx),
                                              _size_bounds(dy)).items():
             if m_row[0] < 0:
-                failing.append((name, "m_row", _decimal_up(*m_row)))
+                failing.append((name, "m_row", decimal_up(*m_row)))
             elif m_gap[0] < 0:
-                failing.append((name, "m_gap", _decimal_up(*m_gap)))
+                failing.append((name, "m_gap", decimal_up(*m_gap)))
             else:
                 return
         raise PointRefuted(failing)
@@ -610,7 +607,10 @@ def auto_certify(k1: HomogeneousIfs, k2: HomogeneousIfs, f: Expr,
     attempt, which would have failed there; every other rank runs the exact
     attempt, which forms every certificate.  A skipped attempt does not
     refine the shared generator, on whose state later enclosures of
-    fractional powers depend (see FieldElement.enclosure)."""
+    fractional powers depend (see FieldElement.enclosure).  The test
+    encloses on integers, on a copy of the generator refined once for the
+    descent, and encloses each distinct value once, in a table that ends
+    with the descent."""
     if max_depth < 0:
         raise FractarithError(f"max depth must be non-negative, got {max_depth}")
     walks = [p if isinstance(p, CodeWalk) else CodeWalk(k, p) for k, p in zip((k1, k2), point)]

@@ -51,13 +51,47 @@ class SignIndefinite(CertificationFailure):
     """A partial-derivative enclosure contains 0, so no sign case applies."""
 
 
+def decimal_up(n: int, d: int) -> str:
+    """n/d for d > 0, rounded up to three significant decimal digits and
+    written in scientific notation (-1.23e-4), on integers alone: the
+    exponent comes from bit lengths, so no integer is written out."""
+    if not n:
+        return "0"
+    a = abs(n)
+
+    def at_least(e: int) -> bool:  # |n/d| >= 10**e
+        return a * 10 ** max(-e, 0) >= d * 10 ** max(e, 0)
+
+    # within two of the exponent: 2**(bits - 1) <= a < 2**bits, and
+    # 30103/100000 is log10(2) to within 5e-8
+    e = (a.bit_length() - d.bit_length()) * 30103 // 100000
+    while not at_least(e):
+        e -= 1
+    while at_least(e + 1):
+        e += 1
+    s = 2 - e  # |n/d| * 10**s has three digits before the point
+    m = -(-n * 10 ** max(s, 0) // (d * 10 ** max(-s, 0)))
+    if m == 1000:
+        m, e = 100, e + 1
+    text = str(abs(m))
+    return f"{'-' if m < 0 else ''}{text[0]}.{text[1:]}e{e}"
+
+
 class MarginNegative(CertificationFailure):
-    """A chaining inequality failed; carries the name and exact margin."""
+    """A chaining inequality failed; carries the name and exact margin.  A
+    rational margin too long for str() is written as an upper bound from
+    decimal_up instead."""
 
     def __init__(self, name: str, margin):
         self.name = name
         self.margin = margin
-        super().__init__(f"inequality {name} violated with margin {margin}")
+        try:
+            text = f"margin {margin}"
+        except ValueError:  # past Python's limit on digits written
+            if not hasattr(margin, "denominator"):  # only a rational is bounded here
+                raise
+            text = f"margin <= {decimal_up(margin.numerator, margin.denominator)}"
+        super().__init__(f"inequality {name} violated with {text}")
 
 
 class PointRefuted(CertificationFailure):

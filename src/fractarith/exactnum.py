@@ -564,10 +564,10 @@ class FieldElement:
     def enclosure(self, width) -> tuple[Fraction, Fraction]:
         """Rational bounds of the value, at most `width` apart: the first
         interval-Horner enclosure that narrow over the generator's isolating
-        interval, bisecting it until there is one.  The bounds therefore
-        depend on the generator's current isolating interval, not on the
-        value and the width alone; they are kept in the generator's memo
-        until its state changes."""
+        interval, bisecting it until there is one (narrow_enclosure), as
+        Fractions.  The bounds therefore depend on the generator's current
+        isolating interval, not on the value and the width alone; they are
+        kept in the generator's memo until its state changes."""
         width = Fraction(width)
         if width <= 0:
             raise FractarithError("enclosure width must be positive")
@@ -577,11 +577,7 @@ class FieldElement:
         key = (num, den, width.numerator, width.denominator)
         bounds = gen._memo.get(key)
         if bounds is None:
-            while True:
-                lo, hi, d = _horner_enclosure(num, den, gen)
-                if hi - lo <= width * d:
-                    break
-                gen._bisect_once()
+            lo, hi, d = narrow_enclosure(num, den, gen, width.numerator, width.denominator)
             bounds = gen._memo[key] = Fraction(lo, d), Fraction(hi, d)
         return bounds
 
@@ -890,6 +886,18 @@ def _horner_enclosure(num: Sequence[int], den: int,
         lo = min(cands) + n * scale
         hi = max(cands) + n * scale
     return lo, hi, den * scale
+
+
+def narrow_enclosure(num: Sequence[int], den: int, gen: AlgebraicReal,
+                     wn: int, wd: int) -> tuple[int, int, int]:
+    """The first _horner_enclosure (lo, hi, d) of sum(num[i] * alpha**i) /
+    den that is at most wn/wd wide, bisecting the generator until there is
+    one."""
+    while True:
+        lo, hi, d = _horner_enclosure(num, den, gen)
+        if (hi - lo) * wd <= wn * d:
+            return lo, hi, d
+        gen._bisect_once()
 
 
 def _element(gen: AlgebraicReal, num: list[int], den: int) -> FieldElement:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import fraction_certify
 import fraction_cylinders
 from fractarith import certifier
-from fractarith.certifier import (Certificate, _decimal_up, _margins, _scalar, _terms,
+from fractarith.certifier import (Certificate, _margins, _scalar, _terms,
                                   auto_certify, certify_rectangle,
                                   check_global_condition, check_pointwise,
                                   condition_bounds, replay,
@@ -22,7 +22,7 @@ from fractarith.certifier import (Certificate, _decimal_up, _margins, _scalar, _
 from fractarith.empirics import oracle_check
 from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth,
                                FractarithError, InvalidDigit, MarginNegative,
-                               SignIndefinite)
+                               SignIndefinite, decimal_up)
 from fractarith.exactnum import AlgebraicReal, FieldElement, Interval
 from fractarith.exprfn import eval_point, grad_enclosure, parse
 from fractarith.ifs_core import Code, CodeWalk, HomogeneousIfs, cantor
@@ -569,15 +569,25 @@ def test_auto_certify_matches_the_prefix_by_prefix_descent(problem):
 
 
 def test_decimal_up_rounds_toward_plus_infinity():
-    assert _decimal_up(-1, 3) == "-3.33e-1" and _decimal_up(1, 3) == "3.34e-1"
-    assert _decimal_up(9999, 1000) == "1.00e1" and _decimal_up(-9999, 1000) == "-9.99e0"
-    assert _decimal_up(1, 9) == "1.12e-1" and _decimal_up(9, 1) == "9.00e0"
-    assert _decimal_up(-123456, 10 ** 12) == "-1.23e-7" and _decimal_up(0, 7) == "0"
+    assert decimal_up(-1, 3) == "-3.33e-1" and decimal_up(1, 3) == "3.34e-1"
+    assert decimal_up(9999, 1000) == "1.00e1" and decimal_up(-9999, 1000) == "-9.99e0"
+    assert decimal_up(1, 9) == "1.12e-1" and decimal_up(9, 1) == "9.00e0"
+    assert decimal_up(-123456, 10 ** 12) == "-1.23e-7" and decimal_up(0, 7) == "0"
+
+
+def test_margins_past_the_digit_limit_are_written_as_bounds():
+    # str() refuses integers of more than 4300 digits by default
+    big = 10 ** 5000 + 1
+    assert decimal_up(big, 3) == "3.34e4999" and decimal_up(-big, 3) == "-3.33e4999"
+    assert decimal_up(3, big) == "3.00e-5000" and decimal_up(-big, big * 7) == "-1.42e-1"
+    assert str(MarginNegative("m_gap", Fraction(-big, 3))) == \
+        "inequality m_gap violated with margin <= -3.33e4999"
+    assert str(MarginNegative("m_row", Fraction(-1, 3))) == "inequality m_row violated with margin -1/3"
 
 
 @given(st.integers(-10 ** 30, 10 ** 30).filter(bool), st.integers(1, 10 ** 30))
 def test_decimal_up_is_an_upper_bound_within_three_digits(n, d):
-    text = _decimal_up(n, d)
+    text = decimal_up(n, d)
     mantissa = text.split("e")[0]
     assert len(mantissa.lstrip("-")) == 4 and 1 <= abs(float(mantissa)) < 10
     bound = Fraction(text)

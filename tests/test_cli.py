@@ -251,6 +251,20 @@ def test_uq_certify_verb(capsys, tmp_path):
     assert status == 2 and obj["certified"] is False
 
 
+@pytest.mark.parametrize("q, extra, reason", [
+    ("root:-7,0,2@1,2", [], "PointRefuted: "),
+    ("root:-1,-1,-1,1@7/4,2", [], "PointRefuted: "),
+    ("187/100", ["--max-depth", "0"], "MarginNegative: inequality m_row violated with margin <= -"),
+], ids=["sqrt-7/2", "tribonacci", "rational"])
+def test_uq_certify_writes_margins_past_the_digit_limit(capsys, q, extra, reason):
+    # x^1000 makes margins with more digits than str() writes of an integer
+    status = main(["uq-certify", "--q", q, "--f", "x^1000+y", *extra])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.err == ""
+    obj = json.loads(captured.out)
+    assert obj["certified"] is False and reason in obj["reason"]
+
+
 def test_outputs_deterministic(capsys):
     _, a = run(capsys, "uq-certify", "--q", "19/10", "--f", "x/y")
     _, b = run(capsys, "uq-certify", "--q", "19/10", "--f", "x/y")

@@ -1,22 +1,25 @@
 """Tests for q-expansions: the quasi-greedy expansion, the univoque
 criterion, the embedded set K_q, and the threshold q*."""
 
+import copy
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expansion_count import count_expansions_bruteforce
-from fractarith.certifier import (_PointTest, _size_bounds, _terms, auto_certify,
+from fractarith import certifier
+from fractarith.certifier import (_POINT_WIDTH, _PointTest, _size_bounds, _terms, auto_certify,
                                   certify_rectangle, check_global_condition,
                                   check_pointwise, replay)
 from fractarith.errors import (CertificationFailure, DomainError, ExhaustedDepth,
                                FractarithError, NotContained, PointRefuted)
-from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval,
+from fractarith.exactnum import (AlgebraicReal, FieldElement, Interval, ends_triple,
                                  rat_from_str, root_isolate, scalar_to_obj)
 from fractarith.exprfn import compile_expr, parse
 from fractarith.ifs_core import Code
@@ -553,10 +556,10 @@ def test_the_second_reducible_base_shrinks_its_defining_polynomial():
 # the rational point test of auto_certify over algebraic data
 
 @st.composite
-def point_tests(draw):
-    """A K_q base, an f and a rectangle of the K_q pair: the corner walks or
-    random codes, at a rank up to 12.  Over sqrt(c) the f also takes the
-    linear (c - 2)*x + y, scaled to integers, whose k1-blocks m_row is
+def point_descents(draw):
+    """A K_q base, an f, and a descent of the K_q pair to a rank up to 12,
+    along the corner walks or random codes.  Over sqrt(c) the f also takes
+    the linear (c - 2)*x + y, scaled to integers, whose k1-blocks m_row is
     exactly 0 (piece * (c - 2) = kappa), so that only the optimistic ends of
     the test's enclosures keep it from refuting a rectangle that certifies."""
     base = draw(st.one_of(UQ_SQRT_BASES, UQ_TRIBONACCI_BASES, st.sampled_from(UQ_REDUCIBLE_BASES)))
@@ -568,8 +571,13 @@ def point_tests(draw):
     code = st.builds(lambda pre, per: Code(tuple(pre), tuple(per)),
                      digits, digits.filter(bool))
     codes = draw(st.sampled_from(tuple(CORNERS.values())) | st.tuples(code, code))
-    rank = draw(st.integers(0, 12))
-    return base, draw(st.sampled_from(pool)), tuple(c.prefix(rank) for c in codes)
+    return base, draw(st.sampled_from(pool)), codes, draw(st.integers(0, 12))
+
+
+def point_tests():
+    """A K_q base, an f and the rectangle's words at the end of a descent."""
+    return point_descents().map(
+        lambda p: (p[0], p[1], tuple(c.prefix(p[3]) for c in p[2])))
 
 
 @settings(max_examples=150, deadline=None)
@@ -635,3 +643,83 @@ def test_the_point_test_names_a_bound_on_each_orientation_s_margin():
     rect = tuple(kq.basic_interval(w) for w in words)
     _PointTest(compile_expr(parse("x*y")), _terms(kq, kq)).refute(rect)
     assert certify_rectangle(kq, kq, parse("x*y"), *words).orientation == "k1-blocks"
+
+
+class _RecordingPointTest(_PointTest):
+    """The point test, keeping each algebraic value it encloses with the
+    triple it formed."""
+
+    def __init__(self, program, terms):
+        self.formed = []
+        super().__init__(program, terms)
+
+    def _triple(self, x):
+        t = super()._triple(x)
+        if isinstance(x, FieldElement):
+            self.formed.append((x, t))
+        return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_descents())
+def test_the_point_test_s_integer_enclosures_hold_their_values(problem):
+    """Along a descent, every triple (lo, hi, d) the point test forms holds
+    its value and is at most _POINT_WIDTH wide, and the shared generator is
+    left as it was.  A third of each corner is enclosed after the descent:
+    its numerators are mostly the corner's over another denominator, so a
+    table keyed without the denominator would hand it the corner's
+    triple."""
+    base, ftext, codes, rank = problem
+    kq = kq_ifs(AlgebraicReal(*base))
+    terms = _terms(kq, kq)
+    rects = [tuple(kq.basic_interval(c.prefix(k)) for c in codes) for k in range(rank + 1)]
+    thirds = [iv.lo / 3 for rect in rects for iv in rect if isinstance(iv.lo, FieldElement)]
+    gen = kq.ratio.gen
+    state = (gen._p, gen._a, gen._b, gen._q, dict(gen._memo))
+    test = _RecordingPointTest(compile_expr(parse(ftext)), terms)
+    for rect in rects:
+        try:
+            test.refute(rect)
+        except PointRefuted:
+            pass
+    for x in thirds:
+        test._triple(x)
+    assert (gen._p, gen._a, gen._b, gen._q, gen._memo) == state
+    assert test.formed
+    # compared over a copy, since comparisons bisect their generator
+    twin = copy.copy(gen)
+    for x, (lo, hi, d) in test.formed:
+        value = FieldElement(twin, x.num, x.den)
+        assert Fraction(lo, d) <= value <= Fraction(hi, d)
+        assert Fraction(hi - lo, d) <= _POINT_WIDTH
+
+
+class _EnclosureOraclePointTest(_PointTest):
+    """The point test with each value enclosed as FieldElement.enclosure
+    encloses it, to _POINT_WIDTH on a copy of the generator made at first
+    need and bisected only as that needs, with Fraction ends."""
+
+    def _triple(self, x):
+        if not isinstance(x, FieldElement):
+            return super()._triple(x)
+        gen = self._copies.get(x.gen)
+        if gen is None:
+            gen = self._copies[x.gen] = copy.copy(x.gen)
+        lo, hi = FieldElement(gen, x.num, x.den).enclosure(_POINT_WIDTH)
+        return ends_triple(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.one_of(UQ_SQRT_BASES, UQ_TRIBONACCI_BASES, st.sampled_from(UQ_REDUCIBLE_BASES)),
+       ftext=st.sampled_from(UQ_F_POOL), max_depth=st.integers(0, 12))
+@example(base=((Fraction(-7, 2), 0, 1), 1, 2), ftext="x+y", max_depth=12)
+@example(base=((-1, -1, -1, 1), Fraction(7, 4), 2), ftext="x+y", max_depth=12)
+def test_the_point_test_decides_as_fraction_enclosures_do(base, ftext, max_depth):
+    """certify_uq_arith ends as it does with the point test's enclosures
+    taken through FieldElement.enclosure: the same certificate, or the same
+    reasons, PointRefuted bounds included."""
+    f = parse(ftext)
+    got = _uq_outcome(certify_uq_arith, AlgebraicReal(*base), f, max_depth)
+    with mock.patch.object(certifier, "_PointTest", _EnclosureOraclePointTest):
+        want = _uq_outcome(certify_uq_arith, AlgebraicReal(*base), f, max_depth)
+    assert got == want
